@@ -1,17 +1,31 @@
 """Bowen metrics, ball membership, separated/spanning sets, 5r selection.
 
+One engine computes every Bowen distance in the package.  It takes a
+matrix of centre rows and a pool matrix, builds the symbol-distance tensor
+of a block of centres once, and applies the shift kernels (cached per
+system and largest order) to it, keeping a running max: one pass yields
+the distances at every order 1..n_max.  Centre rows are blocked so that a
+block's temporaries stay within a fixed byte budget.  Ball membership
+masks, pairwise conflicts and the single-pair helpers are all read off the
+engine.
+
 Radius comparisons follow one conservative rule everywhere: a point counts
 as inside an open ball only when the truncated distance plus the window
 tail bound stays below the radius (``<=`` for closed balls).  Separation
 is the negation of open-ball membership, so the standard comparison
 ``r_n <= s_n <= r_n(eps/2)`` holds structurally on exact instances.
+
+Greedy separation scans the points in lexicographic order, a block of
+candidates at a time: the block is masked against the points kept so far,
+and the survivors are resolved in order from the block's own conflict mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,30 +66,113 @@ class SetFamily:
                 raise ConfigurationError("weights must be strictly positive")
 
 
-# -- distances ---------------------------------------------------------------
+# -- distance engine -----------------------------------------------------------
+
+# Byte budget of one block's float64 symbol-distance tensor.  Centre rows
+# are blocked by it, so a block's temporaries stay within about twice this
+# whatever the pool size; a block this small also stays in cache.
+_BLOCK_BYTES = 1 << 20
+# Candidate rows resolved together by the greedy separation scan.
+_SCAN_ROWS = 64
 
 
-def _shift_kernels(system: ShiftSystem, n: int) -> list[np.ndarray]:
-    """Weight kernel of the truncated metric at each shift j < n.
+@functools.lru_cache(maxsize=64)
+def _kernels(system: ShiftSystem, n_max: int) -> np.ndarray:
+    """Weight kernels of the truncated metric at the shifts 0..n_max-1.
 
-    Kernel ``j`` lives on the original window positions; entries are
+    Row ``j`` lives on the original window positions; entries are
     ``weight^{|t - origin - j|}`` for positions the shifted window retains
     and 0 where the shift has run off the stored word.
     """
     L = system.word_length
-    origin = system.origin_index
     w = system.weight_base
-    kernels = []
-    for j in range(n):
-        t = np.arange(L)
-        off = t - origin - j
+    kernels = np.empty((n_max, L))
+    for j in range(n_max):
+        off = np.arange(L) - system.origin_index - j
         kern = w ** np.abs(off).astype(float)
         if system.sidedness == "one-sided":
             kern[off < 0] = 0.0
         else:
             kern[off < -system.window] = 0.0
-        kernels.append(kern)
+        kernels[j] = kern
+    kernels.setflags(write=False)
     return kernels
+
+
+def _symbol_distances(system: ShiftSystem, C: np.ndarray,
+                      Z: np.ndarray) -> np.ndarray:
+    """Symbol distances between the rows of C and Z, shape (|C|, |Z|, L).
+
+    On the absolute-difference metric Z arrives as floats: symbols are
+    small integers, so the float difference is exact and the quotient is
+    the same double as ``|a - b| / k`` taken in integers.
+    """
+    if system.symbol_metric == DISCRETE:
+        return (Z[None, :, :] != C[:, None, :]).astype(float)
+    sd = Z[None, :, :] - C[:, None, :]
+    np.abs(sd, out=sd)
+    sd /= system.alphabet_size
+    return sd
+
+
+def distance_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
+                    n_max: int) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Bowen distances from the rows of C to the rows of Z, all orders.
+
+    Yields ``(rows, n, d)`` for consecutive blocks of centre rows and, per
+    block, every order n = 1..n_max in turn: ``d`` holds the order-n
+    distances from ``C[rows]`` to every row of Z.  The symbol-distance
+    tensor of a block is built once; each shift kernel is applied to it
+    with one matrix product per centre over the whole of Z, and a running
+    max over the shifts gives the next order.
+    """
+    kernels = _kernels(system, n_max)
+    step = max(1, _BLOCK_BYTES // (8 * system.word_length * max(len(Z), 1)))
+    if system.symbol_metric != DISCRETE:
+        Z = Z.astype(float)
+    for start in range(0, len(C), step):
+        block = C[start:start + step]
+        rows = slice(start, start + len(block))
+        sd = _symbol_distances(system, block, Z)
+        d = sd @ kernels[0]
+        yield rows, 1, d
+        for n in range(2, n_max + 1):
+            d = np.maximum(d, sd @ kernels[n - 1])
+            yield rows, n, d
+        del sd  # free this block's tensor before building the next one
+
+
+def distance_matrix(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
+                    n: int) -> np.ndarray:
+    """Bowen-n distances from every row of C to every row of Z."""
+    out = np.empty((len(C), len(Z)))
+    for rows, order, d in distance_blocks(system, C, Z, n):
+        if order == n:
+            out[rows] = d
+    return out
+
+
+def ball_masks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray, n: int,
+               radius, closed: bool = False) -> np.ndarray:
+    """Membership of the rows of Z in the Bowen balls B_n(c, radius).
+
+    ``radius`` is one radius or one per centre row.  A row is inside when
+    its distance plus the truncation slack stays below the radius (``<=``
+    for closed balls).
+    """
+    slack = system.truncation_slack(n)
+    radii = np.broadcast_to(np.asarray(radius, dtype=float), (len(C),))
+    out = np.empty((len(C), len(Z)), dtype=bool)
+    for rows, order, d in distance_blocks(system, C, Z, n):
+        if order == n:
+            reach = d + slack
+            r = radii[rows, None]
+            out[rows] = reach <= r if closed else reach < r
+    return out
+
+
+def _row(x: PointWindow) -> np.ndarray:
+    return np.asarray(x.symbols)[None, :]
 
 
 def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,
@@ -83,52 +180,26 @@ def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,
     """max over j < n of the truncated metric between the shifted points."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    xs = np.asarray(x.symbols)
-    ys = np.asarray(y.symbols)
-    if system.symbol_metric == DISCRETE:
-        sd = (xs != ys).astype(float)
-    else:
-        sd = np.abs(xs - ys) / system.alphabet_size
-    return max(float(np.dot(kern, sd)) for kern in _shift_kernels(system, n))
+    return float(distance_matrix(system, _row(x), _row(y), n)[0, 0])
 
 
 def distances_to(system: ShiftSystem, center: PointWindow, Z: np.ndarray,
                  n: int) -> np.ndarray:
     """Vector of Bowen-n distances from one center to every row of Z."""
-    c = np.asarray(center.symbols)
-    if system.symbol_metric == DISCRETE:
-        sd = (Z != c[None, :]).astype(float)
-    else:
-        sd = np.abs(Z - c[None, :]) / system.alphabet_size
-    best = None
-    for kern in _shift_kernels(system, n):
-        d = sd @ kern
-        best = d if best is None else np.maximum(best, d)
-    return best
-
-
-def pairwise_bowen(system: ShiftSystem, Z: np.ndarray, n: int) -> np.ndarray:
-    m = Z.shape[0]
-    out = np.zeros((m, m))
-    pts = [PointWindow(symbols=tuple(int(a) for a in row),
-                       origin=system.origin_index) for row in Z]
-    for i in range(m):
-        out[i] = distances_to(system, pts[i], Z, n)
-    return out
+    return distance_matrix(system, _row(center), Z, n)[0]
 
 
 def is_within(system: ShiftSystem, x: PointWindow, y: PointWindow, n: int,
               eps: float, closed: bool = False) -> bool:
-    d = bowen_distance(system, x, y, n)
-    slack = system.truncation_slack(n)
-    return d + slack <= eps if closed else d + slack < eps
+    return bool(ball_masks(system, _row(x), _row(y), n, eps, closed)[0, 0])
 
 
 # -- separated sets ----------------------------------------------------------
 
 
-def _sorted_indices(Z: np.ndarray) -> list[int]:
-    return sorted(range(Z.shape[0]), key=lambda i: tuple(Z[i]))
+def _lex_order(Z: np.ndarray) -> np.ndarray:
+    """Row indices of Z in lexicographic symbol order (stable)."""
+    return np.lexsort(Z.T[::-1])
 
 
 def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
@@ -153,29 +224,35 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
             raise ExactCapError(
                 f"{len(pts)} points exceed the exact cap {exact_cap}"
             )
-        D = pairwise_bowen(system, Z, n)
-        slack = system.truncation_slack(n)
-        sep = ~(D + slack < eps)
+        sep = ~ball_masks(system, Z, Z, n, eps)
         np.fill_diagonal(sep, False)
         best = _max_clique(sep)
         return [pts[i] for i in sorted(best)], True
     if mode != "greedy":
         raise ConfigurationError(f"unknown mode {mode!r}")
-    kept: list[int] = []
-    kept_rows: list[np.ndarray] = []
-    slack = system.truncation_slack(n)
-    for i in _sorted_indices(Z):
-        p = pts[i]
-        ok = True
-        for row in kept_rows:
-            # row holds distances from a kept point to every candidate
-            if row[i] + slack < eps:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-            kept_rows.append(distances_to(system, p, Z, n))
+    order = _lex_order(Z)
+    kept = order[_greedy_scan(system, Z[order], n, eps)]
     return [pts[i] for i in kept], False
+
+
+def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
+                 eps: float) -> list[int]:
+    """Rows of Z kept by the greedy separation scan, in row order.
+
+    Candidates are taken in blocks: a block is first masked against the
+    rows kept so far, then its own block x block conflict mask resolves
+    the survivors in order.
+    """
+    kept: list[int] = []
+    for start in range(0, Z.shape[0], _SCAN_ROWS):
+        block = Z[start:start + _SCAN_ROWS]
+        free = ~ball_masks(system, block, Z[kept], n, eps).any(axis=1)
+        conflicts = ball_masks(system, block, block, n, eps)
+        for i in range(block.shape[0]):
+            if free[i]:
+                kept.append(start + i)
+                free &= ~conflicts[i]
+    return kept
 
 
 def _max_clique(adj: np.ndarray) -> list[int]:
@@ -232,11 +309,7 @@ def min_spanning(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     system.check_order(n, eps)
     Z = system.as_matrix(pts)
     m = len(pts)
-    slack = system.truncation_slack(n)
-    cover_sets = []
-    for i in range(m):
-        d = distances_to(system, pts[i], Z, n)
-        cover_sets.append(d + slack < eps)
+    cover_sets = ball_masks(system, Z, Z, n, eps)
     if mode == "exact":
         if m > exact_cap:
             raise ExactCapError(f"{m} points exceed the exact cap {exact_cap}")
@@ -244,31 +317,28 @@ def min_spanning(system: ShiftSystem, points: Sequence[PointWindow], n: int,
         return [pts[i] for i in sorted(chosen)], True
     if mode != "greedy":
         raise ConfigurationError(f"unknown mode {mode!r}")
-    chosen = _min_cover_greedy(cover_sets, _sorted_indices(Z))
+    chosen = _min_cover_greedy(cover_sets, _lex_order(Z))
     return [pts[i] for i in chosen], False
 
 
-def _min_cover_greedy(cover_sets: list[np.ndarray],
-                      tie_order: list[int]) -> list[int]:
-    m = len(cover_sets[0])
-    uncovered = np.ones(m, dtype=bool)
-    rank = {idx: pos for pos, idx in enumerate(tie_order)}
+def _min_cover_greedy(cover_sets: np.ndarray,
+                      tie_order: np.ndarray) -> list[int]:
+    """Best-coverage greedy; ties go to the earliest set in ``tie_order``."""
+    sets = cover_sets[tie_order]
+    uncovered = np.ones(cover_sets.shape[1], dtype=bool)
     chosen: list[int] = []
     while uncovered.any():
-        best_i, best_gain = None, -1
-        for i in tie_order:
-            gain = int((cover_sets[i] & uncovered).sum())
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_gain <= 0:
+        gains = (sets & uncovered).sum(axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0:
             # every point covers itself, so this cannot happen
             raise ConfigurationError("greedy cover stalled")
-        chosen.append(best_i)
-        uncovered &= ~cover_sets[best_i]
-    return sorted(chosen, key=lambda i: rank[i])
+        chosen.append(best)
+        uncovered &= ~sets[best]
+    return [int(tie_order[pos]) for pos in sorted(chosen)]
 
 
-def _min_cover_exact(cover_sets: list[np.ndarray], weights: np.ndarray,
+def _min_cover_exact(cover_sets: Sequence[np.ndarray], weights: np.ndarray,
                      ) -> list[int]:
     """Branch-and-bound minimum-weight set cover."""
     m = len(cover_sets[0])
@@ -337,19 +407,18 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
         raise ConfigurationError("5r selection expects a common order")
     n = balls[0].order
     U = system.as_matrix(list(universe))
-    slack = system.truncation_slack(n)
-    members = []
-    for b in balls:
-        d = distances_to(system, b.center, U, n)
-        members.append(d + slack <= b.radius)
+    members = ball_masks(system, system.as_matrix([b.center for b in balls]),
+                         U, n, [b.radius for b in balls], closed=True)
     idx = sorted(
         range(len(balls)),
         key=lambda i: (-balls[i].radius, balls[i].center.symbols),
     )
     kept: list[int] = []
+    taken = np.zeros(U.shape[0], dtype=bool)
     for i in idx:
-        if all(not (members[i] & members[j]).any() for j in kept):
+        if not (members[i] & taken).any():
             kept.append(i)
+            taken |= members[i]
     kept_balls = tuple(balls[i] for i in kept)
     kept_weights = (None if family.weights is None
                     else tuple(family.weights[i] for i in kept))

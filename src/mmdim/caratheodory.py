@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .bowen import _min_cover_exact, distances_to
+from .bowen import _min_cover_exact, distance_blocks
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, _slope
 from .systems import PointWindow, Potential, ShiftSystem
@@ -131,38 +131,43 @@ def _build_candidates(problem: OuterMeasureProblem) -> _Candidates:
     for n in range(problem.N, problem.n_max + 1):
         sums[n] = birkhoff_sums_matrix(system, plain, U, n,
                                        origin=system.origin_index)
-    centers, orders = [], []
-    open_members, closed_Z, closed_U = [], [], []
-    sup_open, sup_closed = [], []
-    center_in_Z = []
-    for ci, c in enumerate(universe):
-        for n in range(problem.N, problem.n_max + 1):
-            d = distances_to(system, c, U, n)
-            slack = system.truncation_slack(n)
-            open_u = d + slack < problem.eps
-            closed_u = d + slack <= problem.eps
-            open_u[ci] = True  # a ball always contains its center
-            closed_u[ci] = True
-            centers.append(ci)
-            orders.append(n)
-            open_members.append(open_u[:n_Z])
-            closed_Z.append(closed_u[:n_Z])
-            closed_U.append(closed_u)
-            # conservative sup correction for sampled (incomplete) pools;
-            # assumes the potential scale applied later is nonnegative
-            gamma_n = 0.0
-            if not problem.complete:
-                gamma_n = n * plain.modulus(system, problem.eps)
-            sup_open.append(float(sums[n][open_u].max()) + gamma_n)
-            sup_closed.append(float(sums[n][closed_u].max()) + gamma_n)
-            center_in_Z.append(ci < n_Z)
+    n_orders = problem.n_max - problem.N + 1
+    n_cand = len(universe) * n_orders
+    closed_U = np.empty((n_cand, len(universe)), dtype=bool)
+    open_Z = np.empty((n_cand, n_Z), dtype=bool)
+    sup_open = np.empty(n_cand)
+    sup_closed = np.empty(n_cand)
+    # candidate ci * n_orders + (n - N) is the ball of order n centred at ci
+    for rows, n, d in distance_blocks(system, U, U, problem.n_max):
+        if n < problem.N:
+            continue
+        ci = np.arange(rows.start, rows.stop)
+        reach = d + system.truncation_slack(n)
+        open_u = reach < problem.eps
+        closed_u = reach <= problem.eps
+        own = (np.arange(len(ci)), ci)
+        open_u[own] = True  # a ball always contains its center
+        closed_u[own] = True
+        slots = ci * n_orders + (n - problem.N)
+        open_Z[slots] = open_u[:, :n_Z]
+        closed_U[slots] = closed_u
+        # conservative sup correction for sampled (incomplete) pools;
+        # assumes the potential scale applied later is nonnegative
+        gamma_n = 0.0
+        if not problem.complete:
+            gamma_n = n * plain.modulus(system, problem.eps)
+        s = sums[n]
+        sup_open[slots] = np.where(open_u, s, -np.inf).max(axis=1) + gamma_n
+        sup_closed[slots] = np.where(closed_u, s, -np.inf).max(axis=1) + gamma_n
+    centers = np.repeat(np.arange(len(universe)), n_orders)
     return _Candidates(
-        centers=tuple(centers), orders=tuple(orders),
-        open_members=np.array(open_members),
-        closed_members_Z=np.array(closed_Z),
-        closed_members_U=np.array(closed_U),
-        sup_open=np.array(sup_open), sup_closed=np.array(sup_closed),
-        center_in_Z=np.array(center_in_Z), n_Z=n_Z,
+        centers=tuple(centers.tolist()),
+        orders=tuple(range(problem.N, problem.n_max + 1)) * len(universe),
+        open_members=open_Z,
+        closed_members_Z=closed_U[:, :n_Z],
+        closed_members_U=closed_U,
+        sup_open=sup_open, sup_closed=sup_closed,
+        center_in_Z=centers < n_Z, n_Z=n_Z,
     )
 
 

@@ -27,7 +27,7 @@ from .caratheodory import (
     WEIGHTED_W,
     subset_mdim,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, parse_int
 from .errors import MMDimError, ConfigurationError
 from .measures import brin_katok, bs_entropy, katok_entropy, ps_entropy
 from .pressure import (
@@ -160,8 +160,9 @@ def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
 def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     structure = STRUCTURE_NAMES[args.structure]
     opts = cfg.options.get("subset-dim", {})
-    depth = int(opts.get("depth", "3"))
-    n_max = int(opts.get("n_max", str(max(cfg.n_schedule))))
+    depth = parse_int(opts.get("depth", "3"), "[subset-dim] depth")
+    n_max = parse_int(opts.get("n_max", str(max(cfg.n_schedule))),
+                      "[subset-dim] n_max")
     system = cfg.build_system()
     points = system.enumerate_points(depth)
     if structure in (BS_R, PACKING_BS, WEIGHTED_W):
@@ -191,7 +192,7 @@ def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
     system = cfg.build_system()
     measure = cfg.build_measure(system)
     opts = cfg.options.get("entropy", {})
-    x_samples = int(opts.get("x_samples", "24"))
+    x_samples = parse_int(opts.get("x_samples", "24"), "[entropy] x_samples")
     h = cfg.config_hash()
     records, summary = [], []
     for eps in cfg.eps_schedule:

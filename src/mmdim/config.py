@@ -34,6 +34,15 @@ def parse_number(text: str) -> float:
         raise ConfigurationError(f"cannot parse number {text!r}") from exc
 
 
+def parse_int(text: str, key: str) -> int:
+    """An integer config value; ``key`` names it in the error message."""
+    try:
+        return int(text.strip())
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{key} must be an integer, got {text.strip()!r}") from exc
+
+
 def parse_number_list(text: str) -> tuple[float, ...]:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     return tuple(parse_number(p) for p in parts)
@@ -123,7 +132,7 @@ def _parse_potential(section: configparser.SectionProxy) -> Potential:
         return Potential.from_table(values)
     if kind == "finite-range":
         values = parse_number_list(section.get("values", ""))
-        r = int(section.get("range", "2"))
+        r = parse_int(section.get("range", "2"), f"[{section.name}] range")
         return Potential.from_range_table(values, r)
     raise ConfigurationError(f"unknown potential kind {kind!r}")
 
@@ -139,17 +148,21 @@ def load_config_text(text: str) -> ExperimentConfig:
         raise ConfigurationError("missing [system] section")
     sysblk = parser["system"]
     alphabet = sysblk.get("alphabet_size", "2").strip()
-    alphabet_size = alphabet if alphabet == "per-scale" else int(alphabet)
+    alphabet_size = (alphabet if alphabet == "per-scale"
+                     else parse_int(alphabet, "[system] alphabet_size"))
 
     if "run" not in parser or "seed" not in parser["run"]:
         raise ConfigurationError("missing required key 'seed' in [run]")
-    seed = int(parser["run"]["seed"])
+    seed = parse_int(parser["run"]["seed"], "[run] seed")
 
     sched = parser["schedules"] if "schedules" in parser else {}
     eps_schedule = parse_number_list(
         sched.get("eps", "2^-3 2^-4 2^-5 2^-6 2^-7 2^-8"))
-    n_schedule = tuple(int(v) for v in
-                       parse_number_list(sched.get("n", "2 3 4 5 6 7 8")))
+    n_values = parse_number_list(sched.get("n", "2 3 4 5 6 7 8"))
+    if not all(v.is_integer() for v in n_values):
+        raise ConfigurationError(
+            f"schedule 'n' entries must be integers, got {n_values}")
+    n_schedule = tuple(int(v) for v in n_values)
     T_schedule = parse_number_list(sched.get("T", ""))
     if not eps_schedule:
         raise ConfigurationError("schedule 'eps' must be nonempty")
@@ -161,8 +174,9 @@ def load_config_text(text: str) -> ExperimentConfig:
     eta_schedule = parse_number_list(sched.get("eta", "0.5 0.25"))
 
     caps = parser["caps"] if "caps" in parser else {}
-    enumeration_cap = int(caps.get("enumeration", "2000000"))
-    exact_cap = int(caps.get("exact_search", "24"))
+    enumeration_cap = parse_int(caps.get("enumeration", "2000000"),
+                                "[caps] enumeration")
+    exact_cap = parse_int(caps.get("exact_search", "24"), "[caps] exact_search")
 
     potentials = {}
     for name in parser.sections():
@@ -187,7 +201,7 @@ def load_config_text(text: str) -> ExperimentConfig:
         system_kind=sysblk.get("kind", "full-shift").strip(),
         alphabet_size=alphabet_size,
         sidedness=sysblk.get("sidedness", "one-sided").strip(),
-        window=int(sysblk.get("window", "16")),
+        window=parse_int(sysblk.get("window", "16"), "[system] window"),
         symbol_metric=sysblk.get("symbol_metric", "").strip(),
         weight_base=parse_number(sysblk.get("weight_base", "0.5")),
         potentials=potentials,

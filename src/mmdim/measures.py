@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import distances_to, max_separated
+from .bowen import ball_masks, max_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope
 from .systems import ABSOLUTE, PointWindow, Potential, ShiftSystem
@@ -153,10 +153,9 @@ class MeasureModel:
     def empirical_ball_mass(self, x: PointWindow, n: int, eps: float) -> float:
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
-        Z = self.system.as_matrix(list(self.support))
-        d = distances_to(self.system, x, Z, n)
-        slack = self.system.truncation_slack(n)
-        inside = d + slack < eps
+        sys = self.system
+        Z = sys.as_matrix(list(self.support))
+        inside = ball_masks(sys, sys.as_matrix([x]), Z, n, eps)[0]
         w = np.asarray(self.support_weights)
         return float(w[inside].sum())
 
@@ -279,7 +278,7 @@ def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
         return MassEstimate(p_hat=mass, ci=(mass, mass), hits=-1,
                             samples=0, zero_hits=False)
     sys = measure.system
-    slack = sys.truncation_slack(n)
+    center = sys.as_matrix([x])
     hits = 0
     block = 20_000
     done = 0
@@ -287,8 +286,7 @@ def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
     while done < samples:
         take = min(block, samples - done)
         Y = measure.sample_matrix(take, stream=stream * 1000 + bi)
-        d = distances_to(sys, x, Y, n)
-        hits += int((d + slack < eps).sum())
+        hits += int(ball_masks(sys, center, Y, n, eps).sum())
         done += take
         bi += 1
     lo, hi = wilson_interval(hits, samples)
@@ -469,13 +467,8 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     support = list(measure.support)
     weights = np.asarray(measure.support_weights)
     pool = list(candidate_pool) if candidate_pool is not None else support
-    Z = sys.as_matrix(support)
-    slack = sys.truncation_slack(n)
-    members = []
-    for c in pool:
-        d = distances_to(sys, c, Z, n)
-        members.append(d + slack < eps)
-    member_matrix = np.array(members)
+    member_matrix = ball_masks(sys, sys.as_matrix(pool), sys.as_matrix(support),
+                               n, eps)
     target = 1.0 - delta
     total_reachable = float(weights[member_matrix.any(axis=0)].sum())
     if total_reachable <= target:

@@ -140,13 +140,6 @@ class ShiftSystem:
         vals = np.arange(k, dtype=float) / k
         return np.abs(vals[:, None] - vals[None, :])
 
-    def weights(self) -> np.ndarray:
-        """Per-coordinate weights of the truncated metric, window order."""
-        if self.sidedness == ONE_SIDED:
-            return self.weight_base ** np.arange(self.window, dtype=float)
-        offs = np.abs(np.arange(-self.window, self.window + 1, dtype=float))
-        return self.weight_base ** offs
-
     # -- points -----------------------------------------------------------
 
     def point(self, word: Sequence[int], exact_tail: bool = True) -> "PointWindow":
@@ -233,19 +226,16 @@ def apply_map(system: ShiftSystem, x: PointWindow) -> PointWindow:
 
 
 def metric(system: ShiftSystem, x: PointWindow, y: PointWindow) -> float:
-    """Truncated weighted sum of symbol distances over the retained window."""
+    """Truncated weighted sum of symbol distances over the retained window.
+
+    This is the Bowen distance of order 1.
+    """
     if len(x.symbols) != system.word_length or len(y.symbols) != system.word_length:
         raise ConfigurationError("points do not belong to this system")
     if x.origin != y.origin:
         raise ConfigurationError("mismatched window origins")
-    w = system.weights()
-    xs = np.asarray(x.symbols)
-    ys = np.asarray(y.symbols)
-    if system.symbol_metric == DISCRETE:
-        sd = (xs != ys).astype(float)
-    else:
-        sd = np.abs(xs - ys) / system.alphabet_size
-    return float(np.dot(w, sd))
+    from .bowen import bowen_distance
+    return bowen_distance(system, x, y, 1)
 
 
 # -- potentials -------------------------------------------------------------

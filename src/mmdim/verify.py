@@ -7,7 +7,6 @@ exit code 2; the pytest acceptance module reuses the same functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,8 +15,8 @@ import numpy as np
 from .bowen import (
     BallSpec,
     SetFamily,
+    ball_masks,
     five_r_disjointify,
-    is_within,
     max_separated,
     min_spanning,
 )
@@ -101,13 +100,13 @@ def counting_suite() -> list[AssertionResult]:
 
     sys = _full_shift()
     pts = sys.enumerate_points(4)
+    Z = sys.as_matrix(pts)
     maximal_ok = True
     for n, eps in [(1, 0.6), (2, 0.6), (3, 0.9)]:
-        kept, _ = max_separated(sys, pts, n, eps, mode="greedy")
-        for z in pts:
-            covered = any(is_within(sys, c, z, n, eps)
-                          or c.symbols == z.symbols for c in kept)
-            maximal_ok &= covered
+        K = sys.as_matrix(max_separated(sys, pts, n, eps, mode="greedy")[0])
+        same = (K[:, None, :] == Z[None, :, :]).all(axis=2)
+        covered = ball_masks(sys, K, Z, n, eps) | same
+        maximal_ok &= bool(covered.any(axis=0).all())
     out.append(AssertionResult(
         "counting", "maximal separated set spans", maximal_ok,
         0.0 if maximal_ok else -1.0))
@@ -126,6 +125,12 @@ def counting_suite() -> list[AssertionResult]:
     # 5r postconditions on seeded random families
     rng = np.random.default_rng(515151)
     universe = pts
+
+    def members(balls, n, inflate=1.0):
+        centers = sys.as_matrix([b.center for b in balls])
+        radii = [inflate * b.radius for b in balls]
+        return ball_masks(sys, centers, Z, n, radii, closed=True)
+
     five_ok = True
     for _ in range(100):
         n = int(rng.integers(1, 4))
@@ -136,19 +141,12 @@ def counting_suite() -> list[AssertionResult]:
             BallSpec(center=universe[i], order=n, radius=float(r), closed=True)
             for i, r in zip(idx, radii)))
         kept = five_r_disjointify(sys, fam, universe)
-        member_sets = []
-        for b in kept.balls:
-            member_sets.append({
-                u.symbols for u in universe
-                if is_within(sys, b.center, u, n, b.radius, closed=True)})
-        for a, bset in itertools.combinations(member_sets, 2):
-            five_ok &= not (a & bset)
-        for u in universe:
-            if any(is_within(sys, b.center, u, n, b.radius, closed=True)
-                   for b in fam.balls):
-                five_ok &= any(
-                    is_within(sys, b.center, u, n, 5 * b.radius, closed=True)
-                    for b in kept.balls)
+        # kept balls pairwise disjoint over the universe
+        five_ok &= bool(members(kept.balls, n).sum(axis=0).max() <= 1)
+        # 5r inflations of the kept balls cover the original union
+        union = members(fam.balls, n).any(axis=0)
+        inflated = members(kept.balls, n, 5.0).any(axis=0)
+        five_ok &= bool((inflated | ~union).all())
     out.append(AssertionResult(
         "counting", "5r disjointify postconditions on 100 families",
         five_ok, 0.0 if five_ok else -1.0))

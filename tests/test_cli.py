@@ -97,6 +97,42 @@ class TestConfig:
         assert cfg.alphabet_for(2.0 ** -5) == 32
 
 
+MEASURE = "\n[measure]\nkind = bernoulli\np = 0.5 0.5\n"
+BAD_NUMBERS = [
+    ("window = 14", "window = abc", "window", "estimate-mdim"),
+    ("seed = 1234", "seed = x", "seed", "estimate-mdim"),
+    ("alphabet_size = 2", "alphabet_size = two", "alphabet_size",
+     "estimate-mdim"),
+    ("enumeration = 2000000", "enumeration = lots", "enumeration",
+     "estimate-mdim"),
+    ("exact_search = 24", "exact_search = 2.5", "exact_search",
+     "estimate-mdim"),
+    ("n = 2 3 4", "n = 2 3.5 4", "'n'", "estimate-mdim"),
+    ("[run]", "[potential.fr]\nkind = finite-range\nrange = two\n"
+     "values = 0 1 2 3\n\n[run]", "range", "estimate-mdim"),
+    ("[run]", "[subset-dim]\ndepth = deep\n\n[run]", "depth",
+     "subset-dim"),
+    ("[run]", "[entropy]\nx_samples = many\n\n[run]", "x_samples",
+     "entropy"),
+]
+
+
+@pytest.mark.parametrize("old,new,key,command", BAD_NUMBERS,
+                         ids=[case[2].strip("'") for case in BAD_NUMBERS])
+def test_malformed_integer_key_exits_1(tmp_path, capsys, old, new, key,
+                                       command):
+    assert old in BASE_CONFIG
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE_CONFIG.replace(old, new) + MEASURE)
+    extra = {"estimate-mdim": [], "subset-dim": ["--structure", "bowen"],
+             "entropy": ["--quantity", "bk"]}[command]
+    code = main([command, "--config", str(path), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
 class TestCli:
     def _write(self, tmp_path, text, name="exp.cfg"):
         p = tmp_path / name
