@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bowen import _min_cover_exact, distance_blocks
 from .errors import BracketError, ConfigurationError
@@ -277,6 +276,10 @@ def bs_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
 
 def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     """Fractional cover LP: min sum c_i w_i with coverage >= 1 on Z, c >= 0."""
+    # scipy is imported here, its only use, so that no other path pays
+    # for loading it
+    from scipy.optimize import linprog
+
     if problem.phi.min <= 0:
         raise ConfigurationError("weighted structure needs phi > 0")
     cands = _build_candidates(problem)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError
-from .systems import Potential, ShiftSystem
+from .systems import FINITE_RANGE, TABLE, Potential, ShiftSystem
 
 _POW_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)\^([+-]?\d+)$")
 
@@ -133,8 +133,32 @@ def _parse_potential(section: configparser.SectionProxy) -> Potential:
     if kind == "finite-range":
         values = parse_number_list(section.get("values", ""))
         r = parse_int(section.get("range", "2"), f"[{section.name}] range")
+        if r < 1:
+            raise ConfigurationError(f"[{section.name}] range must be >= 1")
         return Potential.from_range_table(values, r)
     raise ConfigurationError(f"unknown potential kind {kind!r}")
+
+
+def _check_potentials(cfg: ExperimentConfig) -> None:
+    """Every potential must fit the alphabet at every eps of the schedule.
+
+    A coordinate table is read at symbols 0..k-1, so it needs at least k
+    values; a finite-range table is indexed by the words of its range, so
+    it needs exactly k**range.
+    """
+    for eps in cfg.eps_schedule:
+        k = cfg.alphabet_for(eps)
+        for name, phi in cfg.potentials.items():
+            size = len(phi.table)
+            if phi.kind == TABLE and size < k:
+                raise ConfigurationError(
+                    f"[potential.{name}] has {size} values but the alphabet "
+                    f"at eps = {eps:g} has {k} symbols")
+            if phi.kind == FINITE_RANGE and size != k ** phi.range_len:
+                raise ConfigurationError(
+                    f"[potential.{name}] has {size} values but range "
+                    f"{phi.range_len} over {k} symbols at eps = {eps:g} "
+                    f"needs {k}^{phi.range_len}")
 
 
 def load_config_text(text: str) -> ExperimentConfig:
@@ -197,7 +221,7 @@ def load_config_text(text: str) -> ExperimentConfig:
             continue
         options[name] = dict(parser[name])
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         system_kind=sysblk.get("kind", "full-shift").strip(),
         alphabet_size=alphabet_size,
         sidedness=sysblk.get("sidedness", "one-sided").strip(),
@@ -218,6 +242,8 @@ def load_config_text(text: str) -> ExperimentConfig:
         options=options,
         raw_text=text,
     )
+    _check_potentials(cfg)
+    return cfg
 
 
 def load_config(path: str, seed_override: int | None = None,

@@ -260,7 +260,11 @@ def wilson_interval(hits: int, samples: int,
     center = (p + z * z / (2 * samples)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / samples
                                    + z * z / (4 * samples * samples))
-    return max(0.0, center - half), min(1.0, center + half)
+    # at p = 0 (p = 1) the lower (upper) end is exactly 0 (1); rounding in
+    # center - half would leave it an ulp off and exclude p itself
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == samples else min(1.0, center + half)
+    return lo, hi
 
 
 def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
@@ -289,12 +293,9 @@ def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
         hits += int(ball_masks(sys, center, Y, n, eps).sum())
         done += take
         bi += 1
-    lo, hi = wilson_interval(hits, samples)
-    zero = hits == 0
-    if zero:
-        lo = 0.0
-    return MassEstimate(p_hat=hits / samples, ci=(lo, hi), hits=hits,
-                        samples=samples, zero_hits=zero)
+    return MassEstimate(p_hat=hits / samples,
+                        ci=wilson_interval(hits, samples), hits=hits,
+                        samples=samples, zero_hits=hits == 0)
 
 
 # -- local entropies --------------------------------------------------------------
@@ -739,7 +740,8 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
     quantity; finite-scale consistency of the four numbers is the
     testable surrogate for the limiting equalities.
     """
-    from .caratheodory import COVER_M, subset_mdim
+    from .caratheodory import (COVER_M, OuterMeasureProblem, critical_lambda,
+                               structure_valuation)
 
     eps_schedule = tuple(sorted(set(float(e) for e in eps_schedule),
                                 reverse=True))
@@ -780,10 +782,12 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
         if not zg:
             flags.append(f"generic-empty-eps{eps}")
             continue
-        est = subset_mdim(sys_eps, zg, Potential.constant(0.0), COVER_M,
-                          [eps, eps / 2.0], N=subset_orders[0],
-                          n_max=subset_orders[1], tol=1e-3)
-        bowen[eps] = est.per_eps_pressure[eps]
+        problem = OuterMeasureProblem(
+            system=sys_eps, points=tuple(zg), phi=Potential.constant(0.0),
+            eps=eps, N=subset_orders[0], n_max=subset_orders[1],
+            structure=COVER_M)
+        bowen[eps] = critical_lambda(structure_valuation(problem),
+                                     tol=1e-3).lambda_star
     if not bowen:
         raise ConfigurationError("generic set empty at every eps")
     return GenericPointReport(

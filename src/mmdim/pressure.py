@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bowen import DEFAULT_EXACT_CAP, max_separated, min_spanning
 from .errors import BracketError, ConfigurationError, DegenerateFitError
@@ -74,6 +73,33 @@ class DimensionEstimate:
     details: dict = field(default_factory=dict)
 
 
+def _logsumexp(values) -> float:
+    """log(sum(exp(values))) of a 1-D sequence, the same double as
+    ``scipy.special.logsumexp`` (1.17) returns.
+
+    The maximum ``a_max`` and its ``m`` ties are taken out of the sum:
+    ``log1p(sum_{others} exp(a - a_max) / m) + log(m) + a_max``.  When that
+    is not finite (all -inf, an inf or a nan), ``log(sum(exp(a)))`` is
+    returned instead.  An empty input gives -inf.  The other terms stay in
+    place, masked to -inf, so that the pairwise sum groups them as scipy's
+    does.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        m = float(np.count_nonzero(at_max))
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def pressure_sum(system: ShiftSystem, points: Sequence[PointWindow],
                  phi: Potential, n: int, eps: float) -> float:
     """log of sum over the witness set of (1/eps)^{S_n phi}, in log space."""
@@ -81,7 +107,7 @@ def pressure_sum(system: ShiftSystem, points: Sequence[PointWindow],
         return -math.inf
     L = math.log(1.0 / eps)
     exponents = [L * birkhoff_sum(system, phi, x, n) for x in points]
-    return float(logsumexp(exponents))
+    return _logsumexp(exponents)
 
 
 # -- analytic oracle -----------------------------------------------------------
@@ -126,7 +152,7 @@ def _best_separated_symbols(system: ShiftSystem, values: np.ndarray,
     weights = L * values  # log-scale weights
     if system.symbol_metric == DISCRETE:
         if eps <= 1.0:
-            return float(logsumexp(weights))
+            return _logsumexp(weights)
         return float(weights.max())
     # Symbols sit at a/k, so a and b conflict when |a - b| < eps * k.
     # best[i] = best log-sum over separated subsets of symbols < i.
@@ -180,7 +206,7 @@ def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
     lo = _best_separated_symbols(system, values, eps, L)
     net = _net_symbols(system, eps)
     gamma = phi.modulus(system, eps / 2.0)
-    hi = float(logsumexp(L * values[net])) + gamma * L
+    hi = _logsumexp(L * values[net]) + gamma * L
     if hi < lo - 1e-9:
         raise ConfigurationError("oracle bracket inverted; invalid inputs")
     return OracleBracket(lo=lo, hi=max(hi, lo))
@@ -444,7 +470,7 @@ def induced_pressure(system: ShiftSystem, points: Sequence[PointWindow],
             per_level[n] = min(span_sum, maximal_sep_sum)
         else:
             raise ConfigurationError(f"unknown witness {witness!r}")
-    total = float(logsumexp(list(per_level.values())))
+    total = _logsumexp(list(per_level.values()))
     return InducedPressureValue(T=T, eps=eps, log_sum=total, witness=witness,
                                 per_level=per_level)
 

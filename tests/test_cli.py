@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import mmdim
 from mmdim.cli import main
 from mmdim.config import load_config_text, parse_number
 from mmdim.errors import ConfigurationError
@@ -96,6 +102,34 @@ class TestConfig:
         cfg = load_config_text(GRID_CONFIG)
         assert cfg.alphabet_for(2.0 ** -5) == 32
 
+    @pytest.mark.parametrize("alphabet,kind,body,fits", [
+        ("4", "finite-range", "range = 2\nvalues = " + "0 " * 16, True),
+        ("4", "finite-range", "range = 2\nvalues = " + "0 " * 15, False),
+        ("4", "finite-range", "range = 2\nvalues = " + "0 " * 25, False),
+        ("4", "finite-range", "range = 0\nvalues = 0", False),
+        ("3", "coordinate-table", "values = 0 1 2", True),
+        ("3", "coordinate-table", "values = 0 1 2 3", True),
+        ("3", "coordinate-table", "values = 0 1", False),
+    ])
+    def test_potential_tables_fit_the_alphabet(self, alphabet, kind, body,
+                                               fits):
+        text = BASE_CONFIG.replace(
+            "alphabet_size = 2", f"alphabet_size = {alphabet}").replace(
+            "kind = constant\nvalue = 0\n", f"kind = {kind}\n{body}\n", 1)
+        if fits:
+            load_config_text(text)
+        else:
+            with pytest.raises(ConfigurationError, match="potential.phi"):
+                load_config_text(text)
+
+    def test_pinned_bench_configs_load(self):
+        configs = Path(__file__).resolve().parents[1] / "bench" / "configs"
+        for name in ("grid.cfg", "shift.cfg"):
+            load_config_text((configs / name).read_text())
+        witness = (configs / "witness.cfg").read_text().format(
+            values=" ".join(str(i / 16) for i in range(16)), seed=1)
+        assert load_config_text(witness).potential("phi").range_len == 2
+
 
 MEASURE = "\n[measure]\nkind = bernoulli\np = 0.5 0.5\n"
 BAD_NUMBERS = [
@@ -131,6 +165,71 @@ def test_malformed_integer_key_exits_1(tmp_path, capsys, old, new, key,
     assert code == 1
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind,body", [
+    ("finite-range",
+     "range = 2\nvalues = " + " ".join(str(i / 16) for i in range(16))),
+    ("coordinate-table", "values = 0.25 0.5"),
+])
+def test_potential_misfitting_a_scale_exits_1(tmp_path, capsys, kind, body):
+    # per-scale alphabets have 2 symbols at eps = 0.5 and 5 at eps = 0.2
+    text = BASE_CONFIG.replace(
+        "alphabet_size = 2", "alphabet_size = per-scale").replace(
+        "eps = 0.6 0.3 0.15", "eps = 0.5 0.2").replace(
+        "kind = constant\nvalue = 0\n", f"kind = {kind}\n{body}\n", 1)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code = main(["estimate-mdim", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: [potential.phi]") and "eps = " in err
+    assert "Traceback" not in err
+
+
+FRESH_INTERPRETER = """
+import json
+import sys
+
+from mmdim.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+seen = {"import": scipy_modules()}
+seen["grid"] = main(["estimate-mdim", "--config", sys.argv[1],
+                     "--out", sys.argv[2]])
+seen["after_grid"] = scipy_modules()
+seen["weighted"] = main(["subset-dim", "--config", sys.argv[3],
+                         "--structure", "weighted", "--out", sys.argv[4]])
+seen["after_weighted"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_the_weighted_structure(tmp_path):
+    grid, weighted = tmp_path / "grid.cfg", tmp_path / "weighted.cfg"
+    grid.write_text(GRID_CONFIG)
+    weighted.write_text(BASE_CONFIG.replace("value = 0\n", "value = 1\n", 1)
+                        + "\n[subset-dim]\ndepth = 2\nn_max = 3\n")
+    grid_out, weighted_out = tmp_path / "grid.jsonl", tmp_path / "w.jsonl"
+    src = str(Path(mmdim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(FRESH_INTERPRETER),
+         str(grid), str(grid_out), str(weighted), str(weighted_out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == [] and seen["after_grid"] == []
+    assert seen["grid"] == 0 and seen["weighted"] == 0
+    assert "scipy.optimize" in seen["after_weighted"]
+    rows = [json.loads(line) for line in weighted_out.read_text().splitlines()]
+    lams = [r for r in rows if r["quantity"] == "critical-lambda"]
+    assert [r["key.eps"] for r in lams] == [0.6, 0.3, 0.15]
+    assert all(r["key.structure"] == "weighted" for r in lams)
 
 
 class TestCli:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from mmdim.bowen import bowen_distance, is_within
 from mmdim.measures import wilson_interval
-from mmdim.pressure import pressure_sum
+from mmdim.pressure import _logsumexp, pressure_sum
 from mmdim.systems import Potential, ShiftSystem, birkhoff_sum, combine, metric
 
 SYS = ShiftSystem(kind="full-shift", alphabet_size=2, window=12, eps_min=0.2)
@@ -73,6 +76,8 @@ def test_pressure_family_inequalities(b1, b2, eps, n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 500), st.integers(1, 500))
+@example(0, 4)
+@example(7, 0)
 def test_wilson_interval_contains_point_estimate(hits, extra):
     samples = hits + extra
     lo, hi = wilson_interval(hits, samples)
@@ -90,3 +95,35 @@ def test_membership_consistent_with_distance(a, b, n, eps):
         assert d < eps
     else:
         assert d + GRID.truncation_slack(n) >= eps
+
+
+lse_entries = st.one_of(st.floats(-5.0, 5.0), st.floats(-800.0, 800.0),
+                        st.sampled_from([math.inf, -math.inf]))
+
+
+@st.composite
+def lse_inputs(draw):
+    values = draw(st.one_of(
+        st.lists(lse_entries, max_size=300),
+        st.integers(1, 6).map(lambda n: [-math.inf] * n)))
+    if values and draw(st.booleans()):
+        # ties at the maximum, placed anywhere
+        values = values + [max(values)] * draw(st.integers(1, 4))
+        values = draw(st.permutations(values))
+    return np.asarray(values) if draw(st.booleans()) else list(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lse_inputs())
+@example([])
+@example(np.array([]))
+@example([2.5])
+@example([-math.inf, -math.inf])
+@example(np.array([1.0, 1.0, 0.5]))
+@example([math.inf, -math.inf, 0.0])
+def test_logsumexp_matches_scipy_bit_for_bit(values):
+    ours = _logsumexp(values)
+    theirs = float(logsumexp(values))
+    assert isinstance(ours, float)
+    assert struct.pack("<d", ours) == struct.pack("<d", theirs), \
+        (ours, theirs)
