@@ -1,7 +1,7 @@
 """Caratheodory-Pesin constructions on finite point sets.
 
 Six structures share one candidate family, Bowen balls B_n(z, eps) with
-centers in the target set (plus configured extras) and orders N..n_max:
+centers in the target set and orders N..n_max:
 
 * cover-M        min-weight cover, weights exp(-n lam + log(1/eps) sup S_n phi)
 * cover-fixed    the same restricted to order exactly N
@@ -57,9 +57,7 @@ class OuterMeasureProblem:
     N: int = 1
     n_max: int = 3
     structure: str = COVER_M
-    extras: tuple[PointWindow, ...] = ()
     exact_cap: int = 24
-    complete: bool = True
 
     def __post_init__(self):
         if not self.points:
@@ -103,70 +101,55 @@ class CriticalValue:
 
 @dataclass(frozen=True)
 class _Candidates:
-    centers: tuple[int, ...]          # index into universe
+    centers: tuple[int, ...]          # index into Z
     orders: tuple[int, ...]
     open_members: np.ndarray          # (n_cand, |Z|) bool
-    closed_members_Z: np.ndarray      # (n_cand, |Z|) bool
-    closed_members_U: np.ndarray      # (n_cand, |U|) bool
+    closed_members: np.ndarray        # (n_cand, |Z|) bool
     sup_open: np.ndarray              # base-potential ball suprema
     sup_closed: np.ndarray
-    center_in_Z: np.ndarray           # bool
-    n_Z: int
 
 
 @functools.lru_cache(maxsize=256)
 def _build_candidates(problem: OuterMeasureProblem) -> _Candidates:
     system = problem.system
-    Z = list(problem.points)
-    universe = Z + [p for p in problem.extras if p not in Z]
-    U = system.as_matrix(universe)
-    n_Z = len(Z)
+    Z = system.as_matrix(list(problem.points))
     base = problem.phi
-    # per-universe-point base Birkhoff sums at each order
+    # per-point base Birkhoff sums at each order
     from .systems import birkhoff_sums_matrix
     plain = Potential(kind=base.kind, value=base.value, table=base.table,
                       range_len=base.range_len)
     sums = {}
     for n in range(problem.N, problem.n_max + 1):
-        sums[n] = birkhoff_sums_matrix(system, plain, U, n,
+        sums[n] = birkhoff_sums_matrix(system, plain, Z, n,
                                        origin=system.origin_index)
     n_orders = problem.n_max - problem.N + 1
-    n_cand = len(universe) * n_orders
-    closed_U = np.empty((n_cand, len(universe)), dtype=bool)
-    open_Z = np.empty((n_cand, n_Z), dtype=bool)
+    n_cand = len(Z) * n_orders
+    open_members = np.empty((n_cand, len(Z)), dtype=bool)
+    closed_members = np.empty((n_cand, len(Z)), dtype=bool)
     sup_open = np.empty(n_cand)
     sup_closed = np.empty(n_cand)
     # candidate ci * n_orders + (n - N) is the ball of order n centred at ci
-    for rows, n, d in distance_blocks(system, U, U, problem.n_max):
+    for rows, n, d in distance_blocks(system, Z, Z, problem.n_max):
         if n < problem.N:
             continue
         ci = np.arange(rows.start, rows.stop)
         reach = d + system.truncation_slack(n)
-        open_u = reach < problem.eps
-        closed_u = reach <= problem.eps
+        is_open = reach < problem.eps
+        is_closed = reach <= problem.eps
         own = (np.arange(len(ci)), ci)
-        open_u[own] = True  # a ball always contains its center
-        closed_u[own] = True
+        is_open[own] = True  # a ball always contains its center
+        is_closed[own] = True
         slots = ci * n_orders + (n - problem.N)
-        open_Z[slots] = open_u[:, :n_Z]
-        closed_U[slots] = closed_u
-        # conservative sup correction for sampled (incomplete) pools;
-        # assumes the potential scale applied later is nonnegative
-        gamma_n = 0.0
-        if not problem.complete:
-            gamma_n = n * plain.modulus(system, problem.eps)
+        open_members[slots] = is_open
+        closed_members[slots] = is_closed
         s = sums[n]
-        sup_open[slots] = np.where(open_u, s, -np.inf).max(axis=1) + gamma_n
-        sup_closed[slots] = np.where(closed_u, s, -np.inf).max(axis=1) + gamma_n
-    centers = np.repeat(np.arange(len(universe)), n_orders)
+        sup_open[slots] = np.where(is_open, s, -np.inf).max(axis=1)
+        sup_closed[slots] = np.where(is_closed, s, -np.inf).max(axis=1)
     return _Candidates(
-        centers=tuple(centers.tolist()),
-        orders=tuple(range(problem.N, problem.n_max + 1)) * len(universe),
-        open_members=open_Z,
-        closed_members_Z=closed_U[:, :n_Z],
-        closed_members_U=closed_U,
+        centers=tuple(np.repeat(np.arange(len(Z)), n_orders).tolist()),
+        orders=tuple(range(problem.N, problem.n_max + 1)) * len(Z),
+        open_members=open_members, closed_members=closed_members,
         sup_open=sup_open, sup_closed=sup_closed,
-        center_in_Z=centers < n_Z, n_Z=n_Z,
     )
 
 
@@ -200,10 +183,10 @@ def _cover_optimize(problem: OuterMeasureProblem, log_w: np.ndarray,
         raise ConfigurationError("no candidate balls after order filter")
     member_matrix = cands.open_members[idx]
     weights = np.exp(log_w[idx])
-    m = cands.n_Z
     if not member_matrix.any(axis=0).all():
         raise ConfigurationError("candidates cannot cover Z")
-    if m <= problem.exact_cap and len(idx) <= 4 * problem.exact_cap:
+    if (len(problem.points) <= problem.exact_cap
+            and len(idx) <= 4 * problem.exact_cap):
         chosen_local = _min_cover_exact(list(member_matrix), weights)
         exact = True
     else:
@@ -286,7 +269,7 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     log_w = _log_weights(problem.with_structure(WEIGHTED_W), lam, closed=False)
     weights = np.exp(log_w)
     A = cands.open_members.astype(float).T  # (|Z|, n_cand)
-    res = linprog(c=weights, A_ub=-A, b_ub=-np.ones(cands.n_Z),
+    res = linprog(c=weights, A_ub=-A, b_ub=-np.ones(len(problem.points)),
                   bounds=(0, None), method="highs")
     if res.status != 0:
         raise ConfigurationError(f"fractional cover LP failed: {res.message}")
@@ -303,27 +286,22 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
 def _packing_optimize(problem: OuterMeasureProblem, log_w: np.ndarray,
                       center_mask: np.ndarray | None = None) -> StructureValue:
     cands = _build_candidates(problem)
-    allowed = cands.center_in_Z.copy()
+    allowed = np.ones(len(cands.centers), dtype=bool)
     if center_mask is not None:
-        keep = np.zeros(len(allowed), dtype=bool)
-        for i in range(len(allowed)):
-            keep[i] = allowed[i] and center_mask[cands.centers[i]]
-        allowed = keep
+        allowed = center_mask[np.asarray(cands.centers)]
     idx = list(np.flatnonzero(allowed))
     if not idx:
         raise ConfigurationError("no candidate balls centered in the block")
     weights = np.exp(log_w[idx])
-    membs = [cands.closed_members_U[i] for i in idx]
+    M = cands.closed_members[idx]
     if len(idx) <= 3 * problem.exact_cap:
-        conflict = np.zeros((len(idx), len(idx)), dtype=bool)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                c = bool((membs[a] & membs[b]).any())
-                conflict[a, b] = conflict[b, a] = c
+        # two balls conflict iff some point of Z lies in both
+        conflict = M @ M.T
+        np.fill_diagonal(conflict, False)
         chosen_local, total = _max_weight_disjoint_exact(conflict, weights)
         exact = True
     else:
-        chosen_local, total = _max_weight_disjoint_greedy(membs, weights)
+        chosen_local, total = _max_weight_disjoint_greedy(M, weights)
         exact = False
     chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
                    for i in chosen_local)
@@ -355,7 +333,7 @@ def _max_weight_disjoint_exact(conflict: np.ndarray, weights: np.ndarray,
     return sorted(best_set), best_val
 
 
-def _max_weight_disjoint_greedy(membs: list[np.ndarray],
+def _max_weight_disjoint_greedy(membs: np.ndarray,
                                 weights: np.ndarray,
                                 ) -> tuple[list[int], float]:
     order = sorted(range(len(weights)), key=lambda i: -weights[i])
@@ -372,8 +350,8 @@ def packing_value(problem: OuterMeasureProblem, lam: float,
                   center_mask: np.ndarray | None = None) -> StructureValue:
     """Max-weight pairwise-disjoint closed family with centers in Z.
 
-    Disjointness is decided on the finite universe (Z plus extras): two
-    balls conflict iff some universe point lies in both.
+    Disjointness is decided on Z: two balls conflict iff some point of Z
+    lies in both.
     """
     log_w = _log_weights(problem.with_structure(PACKING_P), lam, closed=True)
     return _packing_optimize(problem, log_w, center_mask)
@@ -518,8 +496,7 @@ def structure_valuation(problem: OuterMeasureProblem,
 def subset_mdim(system: ShiftSystem, points: Sequence[PointWindow],
                 phi: Potential, structure: str,
                 eps_schedule: Sequence[float], N: int = 1, n_max: int = 3,
-                tol: float = 1e-4, extras: Sequence[PointWindow] = (),
-                exact_cap: int = 24) -> DimensionEstimate:
+                tol: float = 1e-4, exact_cap: int = 24) -> DimensionEstimate:
     """Critical exponent per eps, then regression against log(1/eps).
 
     The per-eps ratios lambda*(eps)/log(1/eps) are stored alongside the
@@ -536,8 +513,7 @@ def subset_mdim(system: ShiftSystem, points: Sequence[PointWindow],
     for eps in eps_schedule:
         problem = OuterMeasureProblem(
             system=system, points=tuple(points), phi=phi, eps=eps, N=N,
-            n_max=n_max, structure=structure, extras=tuple(extras),
-            exact_cap=exact_cap,
+            n_max=n_max, structure=structure, exact_cap=exact_cap,
         )
         crit = critical_lambda(structure_valuation(problem), tol=tol)
         per_eps[eps] = crit.lambda_star

@@ -13,13 +13,14 @@ boundary factor that would otherwise bias small-n ratios.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import ball_masks, max_separated
+from .bowen import ball_masks, distance_blocks, max_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope
 from .systems import ABSOLUTE, PointWindow, Potential, ShiftSystem
@@ -272,30 +273,48 @@ def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
                        stream: int = 1) -> MassEstimate:
     """Empirical frequency of d_n(x, Y) < eps over iid Y ~ mu, Wilson CI.
 
+    The samples depend on the stream and not on n, so one draw serves
+    every order: the hit counts at all orders 1..max(n, window) are
+    computed together and memoised per (measure, x, eps, samples, stream).
     With zero hits only the upper end of the interval is informative; the
     estimate is flagged and the lower end set to 0.
     """
+    if n < 1:
+        raise ConfigurationError("ball order must be >= 1")
     if samples < 1000:
         raise ConfigurationError("need at least 1000 samples")
     if measure.kind == EMPIRICAL:
         mass = measure.empirical_ball_mass(x, n, eps)
         return MassEstimate(p_hat=mass, ci=(mass, mass), hits=-1,
                             samples=0, zero_hits=False)
-    sys = measure.system
-    center = sys.as_matrix([x])
-    hits = 0
-    block = 20_000
-    done = 0
-    bi = 0
-    while done < samples:
-        take = min(block, samples - done)
-        Y = measure.sample_matrix(take, stream=stream * 1000 + bi)
-        hits += int(ball_masks(sys, center, Y, n, eps).sum())
-        done += take
-        bi += 1
+    n_max = max(n, measure.system.window)
+    hits = _sampled_hits(measure, x, eps, samples, n_max, stream)[n - 1]
     return MassEstimate(p_hat=hits / samples,
                         ci=wilson_interval(hits, samples), hits=hits,
                         samples=samples, zero_hits=hits == 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
+                  samples: int, n_max: int, stream: int) -> tuple[int, ...]:
+    """Sampled hit counts of B_n(x, eps) at every order n = 1..n_max.
+
+    The samples come in 20,000-row blocks, block ``bi`` from stream
+    ``stream * 1000 + bi``.  One engine pass over a block gives the
+    distances at every order, and each order applies the membership rule
+    of ``ball_masks``: distance plus truncation slack below eps.
+    """
+    sys = measure.system
+    center = sys.as_matrix([x])
+    slack = [sys.truncation_slack(order) for order in range(1, n_max + 1)]
+    hits = [0] * n_max
+    block = 20_000
+    for bi, done in enumerate(range(0, samples, block)):
+        Y = measure.sample_matrix(min(block, samples - done),
+                                  stream=stream * 1000 + bi)
+        for _, order, d in distance_blocks(sys, center, Y, n_max):
+            hits[order - 1] += int((d + slack[order - 1] < eps).sum())
+    return tuple(hits)
 
 
 # -- local entropies --------------------------------------------------------------

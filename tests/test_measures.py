@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from mmdim import measures
+from mmdim.bowen import ball_masks
 from mmdim.errors import ConfigurationError, PoolInsufficientError
 from mmdim.measures import (
     MeasureModel,
@@ -161,6 +163,78 @@ class TestEstimateBallMass:
         mu = MeasureModel.empirical(sys, pts)
         est = estimate_ball_mass(mu, pts[0], 2, 0.6, samples=5000)
         assert est.ci[0] == est.ci[1] == est.p_hat
+
+    def test_order_zero_rejected(self):
+        sys = full_shift()
+        product = MeasureModel.product_uniform(sys, seed=3)
+        x = product.sample_points(1, stream=4)[0]
+        with pytest.raises(ConfigurationError):
+            estimate_ball_mass(product, x, 0, 0.6, samples=2000)
+        pts = sys.enumerate_points(3)
+        empirical = MeasureModel.empirical(sys, pts)
+        with pytest.raises(ConfigurationError):
+            estimate_ball_mass(empirical, pts[0], 0, 0.6, samples=2000)
+
+
+def _reference_hits(mu, x, n, eps, samples, stream):
+    """Hits of B_n(x, eps) summed over the estimator's sample blocks."""
+    sys = mu.system
+    hits = 0
+    for bi, done in enumerate(range(0, samples, 20_000)):
+        Y = mu.sample_matrix(min(20_000, samples - done), stream * 1000 + bi)
+        hits += int(ball_masks(sys, sys.as_matrix([x]), Y, n, eps).sum())
+    return hits
+
+
+_MEMO_MODELS = {
+    "grid-k3": (ShiftSystem(kind="grid-shift", alphabet_size=3, window=12,
+                            eps_min=0.1), None, 0.4),
+    "grid-k7-two-sided": (ShiftSystem(kind="grid-shift", alphabet_size=7,
+                                      window=10, sidedness="two-sided",
+                                      eps_min=0.1), None, 0.5),
+    "grid-k10-w0.3": (ShiftSystem(kind="grid-shift", alphabet_size=10,
+                                  window=10, weight_base=0.3, eps_min=0.1),
+                      None, 0.25),
+    "bernoulli": (full_shift(k=3, window=12), (0.2, 0.5, 0.3), 0.6),
+}
+
+
+class TestBallMassMemo:
+    @pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+    def test_every_order_matches_per_order_masks(self, name):
+        sys, p, eps = _MEMO_MODELS[name]
+        mu = (MeasureModel.product_uniform(sys, seed=17) if p is None
+              else MeasureModel.bernoulli(sys, p, seed=17))
+        x = mu.sample_points(1, stream=5)[0]
+        measures._sampled_hits.cache_clear()
+        samples, stream = 30_000, 7
+        for n in (5, 1, 3, sys.window + 2, 2, sys.window):
+            est = estimate_ball_mass(mu, x, n, eps, samples=samples,
+                                     stream=stream)
+            assert est.hits == _reference_hits(mu, x, n, eps, samples,
+                                               stream)
+            assert est.p_hat == est.hits / samples
+        assert estimate_ball_mass(mu, x, 1, eps, samples=samples,
+                                  stream=stream).hits > 0
+
+    def test_one_draw_serves_every_order(self, monkeypatch):
+        eps = 2.0 ** -4
+        mu = MeasureModel.product_uniform(grid_system(eps), seed=5)
+        x = mu.sample_points(1, stream=3)[0]
+        calls = []
+        draw = MeasureModel.sample_matrix
+
+        def counted(self, count, stream=0):
+            calls.append(count)
+            return draw(self, count, stream)
+
+        monkeypatch.setattr(MeasureModel, "sample_matrix", counted)
+        measures._sampled_hits.cache_clear()
+        samples = 50_000
+        for n in range(1, 7):
+            estimate_ball_mass(mu, x, n, eps, samples=samples, stream=2)
+        assert len(calls) == math.ceil(samples / 20_000)
+        assert sum(calls) == samples
 
 
 class TestBrinKatok:
