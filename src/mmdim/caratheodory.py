@@ -211,9 +211,14 @@ def _greedy_weighted_cover(member_matrix: np.ndarray,
     M = member_matrix
     uncovered = np.ones(M.shape[1], dtype=bool)
     remaining = int(M.shape[1])
+    # M and uncovered are boolean, so ``gains`` is too: it says whether a
+    # ball covers anything, not how much, and each first key is the weight
+    # itself.  That overstates weight/gain for balls of more than one
+    # point, so an untouched ball can lose to one of worse true score; the
+    # keys stay as they are because true counts would move emitted values.
     gains = M @ uncovered
-    heap = [(w / g if g > 0 else math.inf, i)
-            for i, (w, g) in enumerate(zip(weights, gains))]
+    heap = list(zip(np.where(gains, weights, math.inf).tolist(),
+                    range(len(weights))))
     heapq.heapify(heap)
     chosen: list[int] = []
     while remaining > 0:

@@ -391,9 +391,43 @@ def bs_entropy(measure: MeasureModel, phi: Potential, eps: float,
         raise ConfigurationError("BS entropy needs phi > 0")
     if bound not in ("lower", "upper"):
         raise ConfigurationError("bound must be 'lower' or 'upper'")
-    n_schedule = sorted(set(int(n) for n in n_schedule))
+    n_schedule = tuple(sorted(set(int(n) for n in n_schedule)))
     if len(n_schedule) < 2:
         raise ConfigurationError("need at least two orders")
+    lower_vals, upper_vals, band_lo, band_hi, per_scale, flags = \
+        _bs_point_rates(measure, phi, eps, n_schedule, x_samples, stream)
+    if not lower_vals:
+        raise ConfigurationError(
+            "mass estimates vanished at every order; shrink the schedule"
+        )
+    vals = np.array(lower_vals if bound == "lower" else upper_vals)
+    rng = measure.rng(stream + 1)
+    ci = _bootstrap_ci(vals, rng)
+    per_scale_mean = {n: float(np.mean(v)) for n, v in per_scale if v}
+    quantity = "BS-" + bound
+    if phi.kind == "constant" and phi.scale * phi.value + phi.offset == 1.0:
+        quantity = "BK-" + bound
+    return EntropyEstimate(
+        quantity=quantity, per_scale=per_scale_mean,
+        extrapolated=float(vals.mean()), ci=ci, flags=flags,
+        details={"per_point": vals.tolist(), "eps": eps,
+                 "step_band": (float(np.mean(band_lo)),
+                               float(np.mean(band_hi)))},
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _bs_point_rates(measure: MeasureModel, phi: Potential, eps: float,
+                    n_schedule: tuple[int, ...], x_samples: int, stream: int):
+    """The per-point work of ``bs_entropy``, shared by both bounds.
+
+    Returns ``(lower, upper, band_lo, band_hi, per_scale, flags)``: the
+    lower and upper span rates and the step-band extremes of each usable
+    sampled point, the per-order mid ratios as ``(n, values)`` pairs, and
+    one ``schedule-shrunk`` flag per point with fewer than two usable
+    orders.  Memoised, so a lower/upper pair on the same inputs makes one
+    pass over the sample.
+    """
     if measure.kind == EMPIRICAL and len(measure.support) <= x_samples:
         xs = list(measure.support)
     else:
@@ -425,24 +459,9 @@ def bs_entropy(measure: MeasureModel, phi: Potential, eps: float,
             denom_total = _birkhoff_step(measure.system, phi, x, 0, n)
             mid = 0.5 * (v_low[i] + v_high[i])
             per_scale[n].append(mid / denom_total)
-    if not lower_vals:
-        raise ConfigurationError(
-            "mass estimates vanished at every order; shrink the schedule"
-        )
-    vals = np.array(lower_vals if bound == "lower" else upper_vals)
-    rng = measure.rng(stream + 1)
-    ci = _bootstrap_ci(vals, rng)
-    per_scale_mean = {n: float(np.mean(v)) for n, v in per_scale.items() if v}
-    quantity = "BS-" + bound
-    if phi.kind == "constant" and phi.scale * phi.value + phi.offset == 1.0:
-        quantity = "BK-" + bound
-    return EntropyEstimate(
-        quantity=quantity, per_scale=per_scale_mean,
-        extrapolated=float(vals.mean()), ci=ci, flags=tuple(flags),
-        details={"per_point": vals.tolist(), "eps": eps,
-                 "step_band": (float(np.mean(band_lo)),
-                               float(np.mean(band_hi)))},
-    )
+    return (tuple(lower_vals), tuple(upper_vals), tuple(band_lo),
+            tuple(band_hi), tuple((n, tuple(v)) for n, v in per_scale.items()),
+            tuple(flags))
 
 
 def _birkhoff_step(system: ShiftSystem, phi: Potential, x: PointWindow,
@@ -477,25 +496,28 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
 
     Product measures are snapshotted to an empirical sample first (flagged
     by exactness of the underlying measure); greedy picks the ball of
-    largest uncovered mass, with an exhaustive search below the cap.
+    largest uncovered mass, with an exhaustive search below the cap.  The
+    membership matrix is read off the exit orders of ``_ball_exits``, so
+    the orders 1..max(n, window) of one (measure, pool, eps) share one
+    engine pass.
     """
+    if n < 1:
+        raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(pool_size, stream)
-    sys = measure.system
-    support = list(measure.support)
     weights = np.asarray(measure.support_weights)
-    pool = list(candidate_pool) if candidate_pool is not None else support
-    member_matrix = ball_masks(sys, sys.as_matrix(pool), sys.as_matrix(support),
-                               n, eps)
+    pool = tuple(candidate_pool) if candidate_pool is not None else None
+    n_max = max(n, measure.system.window)
+    member_matrix = _ball_exits(measure, pool, eps, n_max) > n
     target = 1.0 - delta
     total_reachable = float(weights[member_matrix.any(axis=0)].sum())
     if total_reachable <= target:
         raise PoolInsufficientError(
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
-    if len(pool) <= exact_cap:
+    if len(member_matrix) <= exact_cap:
         count = _katok_exact(member_matrix, weights, target)
         return KatokCount(count=count, exact=True, covered_mass=target)
     # lazy greedy: uncovered-mass gains only shrink as coverage grows
@@ -520,6 +542,33 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
         mass += fresh
         count += 1
     return KatokCount(count=count, exact=False, covered_mass=mass)
+
+
+@functools.lru_cache(maxsize=1)
+def _ball_exits(measure: MeasureModel,
+                candidate_pool: tuple[PointWindow, ...] | None, eps: float,
+                n_max: int) -> np.ndarray:
+    """Exit orders of the support points from the candidates' Bowen balls.
+
+    Entry (c, z) is the first order n <= n_max at which support point z
+    fails the ``ball_masks`` rule for B_n(c, eps), or n_max + 1 if it never
+    does, so the order-n membership matrix is ``exits > n``.  Distances are
+    running maxima and the truncation slack grows with n, so a point that
+    has left a ball stays out at every higher order, and one plus the
+    number of orders at which it is inside is its exit order.  One engine
+    pass gives every order; the candidates default to the support.  One
+    entry is kept: a Katok sweep reads all its orders from one (measure,
+    pool, eps), and a second matrix alive would only raise peak memory.
+    """
+    sys = measure.system
+    Z = sys.as_matrix(list(measure.support))
+    P = Z if candidate_pool is None else sys.as_matrix(list(candidate_pool))
+    slack = [sys.truncation_slack(order) for order in range(1, n_max + 1)]
+    exits = np.ones((len(P), len(Z)), dtype=np.min_scalar_type(n_max + 1))
+    for rows, order, d in distance_blocks(sys, P, Z, n_max):
+        exits[rows] += d + slack[order - 1] < eps
+    exits.setflags(write=False)
+    return exits
 
 
 def _katok_exact(member_matrix: np.ndarray, weights: np.ndarray,

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from mmdim import measures
 from mmdim.bowen import ball_masks
+from mmdim.caratheodory import _greedy_weighted_cover
 from mmdim.errors import ConfigurationError, PoolInsufficientError
 from mmdim.measures import (
     MeasureModel,
@@ -375,6 +377,179 @@ class TestKatok:
         mu = MeasureModel.point_mass(sys, sys.point([1] * 8))
         est = katok_entropy(mu, 0.5, 0.5, range(1, 5))
         assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
+
+
+def _reference_katok_rn(measure, n, eps, delta, candidate_pool=None,
+                        exact_cap=14):
+    """katok_rn with one ``ball_masks`` call per order, as it ran before
+    the exit-order memo."""
+    import heapq
+    sys = measure.system
+    support = list(measure.support)
+    weights = np.asarray(measure.support_weights)
+    pool = list(candidate_pool) if candidate_pool is not None else support
+    member_matrix = ball_masks(sys, sys.as_matrix(pool),
+                               sys.as_matrix(support), n, eps)
+    target = 1.0 - delta
+    if float(weights[member_matrix.any(axis=0)].sum()) <= target:
+        raise PoolInsufficientError("pool cannot reach the target")
+    if len(pool) <= exact_cap:
+        return measures._katok_exact(member_matrix, weights, target), True
+    active = weights.astype(float).copy()
+    heap = [(-g, i) for i, g in enumerate(member_matrix @ active)]
+    heapq.heapify(heap)
+    count, mass = 0, 0.0
+    while mass <= target:
+        fresh, i = 0.0, -1
+        while heap:
+            _, i = heapq.heappop(heap)
+            fresh = float(member_matrix[i] @ active)
+            if not heap or fresh >= -heap[0][0] - 1e-15:
+                break
+            heapq.heappush(heap, (-fresh, i))
+        active[member_matrix[i]] = 0.0
+        mass += fresh
+        count += 1
+    return count, False
+
+
+def _memo_snapshot(name, size=400):
+    sys, p, _ = _MEMO_MODELS[name]
+    mu = (MeasureModel.product_uniform(sys, seed=17) if p is None
+          else MeasureModel.bernoulli(sys, p, seed=17))
+    return sys, mu, mu.to_empirical(size, stream=5)
+
+
+class TestKatokExitOrders:
+    @pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+    def test_exit_orders_match_per_order_masks(self, name):
+        sys, mu, snapshot = _memo_snapshot(name)
+        Z = sys.as_matrix(list(snapshot.support))
+        candidates = tuple(mu.sample_points(150, stream=9))
+        n_max = sys.window + 2
+        for eps in (0.45, 0.3):
+            for pool in (None, candidates):
+                exits = measures._ball_exits(snapshot, pool, eps, n_max)
+                assert exits.dtype == np.uint8
+                assert not exits.flags.writeable
+                P = Z if pool is None else sys.as_matrix(list(pool))
+                for n in range(1, n_max + 1):
+                    expected = ball_masks(sys, P, Z, n, eps)
+                    assert np.array_equal(exits > n, expected), (eps, n)
+
+    def test_entropy_matches_per_order_reference(self):
+        sys, mu, _ = _memo_snapshot("grid-k3")
+        snapshot = mu.to_empirical(512, stream=11)
+        measures._ball_exits.cache_clear()
+        for eps in (0.4, 0.25):
+            est = katok_entropy(snapshot, eps, 0.5, range(1, 6))
+            ref = [_reference_katok_rn(snapshot, n, eps, 0.5)
+                   for n in range(1, 6)]
+            assert est.details["counts"] == ref
+            assert est.per_scale == {n: math.log(c) for n, (c, _) in
+                                     zip(range(1, 6), ref)}
+        small = MeasureModel.empirical(sys, snapshot.support[:200])
+        candidates = snapshot.support[200:212]
+        for n in (2, 1, 3):
+            kc = katok_rn(small, n, 0.4, 0.8, candidate_pool=candidates)
+            assert (kc.count, kc.exact) == _reference_katok_rn(
+                small, n, 0.4, 0.8, candidate_pool=candidates)
+
+    def test_one_engine_pass_per_sweep(self, monkeypatch):
+        sys, mu, snapshot = _memo_snapshot("grid-k3")
+        calls = []
+        blocks = measures.distance_blocks
+
+        def counted(*args):
+            calls.append(args[-1])
+            return blocks(*args)
+
+        monkeypatch.setattr(measures, "distance_blocks", counted)
+        measures._ball_exits.cache_clear()
+        est = katok_entropy(snapshot, 0.4, 0.5, range(1, 6))
+        assert len(est.details["counts"]) == 5
+        assert calls == [sys.window]
+
+    def test_order_zero_rejected_before_memo(self, monkeypatch):
+        sys, mu, snapshot = _memo_snapshot("grid-k3", size=100)
+        katok_rn(snapshot, 1, 0.4, 0.5)
+        reads = []
+        exits = measures._ball_exits
+
+        def counted(*args):
+            reads.append(args)
+            return exits(*args)
+
+        monkeypatch.setattr(measures, "_ball_exits", counted)
+        with pytest.raises(ConfigurationError):
+            katok_rn(snapshot, 0, 0.4, 0.5)
+        assert reads == []
+
+
+def _reference_greedy_cover(M, weights):
+    """_greedy_weighted_cover with its heap built by a list comprehension."""
+    import heapq
+    uncovered = np.ones(M.shape[1], dtype=bool)
+    remaining = int(M.shape[1])
+    gains = M @ uncovered
+    heap = [(w / g if g > 0 else math.inf, i)
+            for i, (w, g) in enumerate(zip(weights, gains))]
+    heapq.heapify(heap)
+    chosen = []
+    while remaining > 0:
+        score, i = -1.0, -1
+        while heap:
+            score, i = heapq.heappop(heap)
+            gain = int((M[i] & uncovered).sum())
+            fresh = weights[i] / gain if gain > 0 else math.inf
+            if not heap or fresh <= heap[0][0] + 1e-18:
+                score = fresh
+                break
+            heapq.heappush(heap, (fresh, i))
+        chosen.append(i)
+        newly = M[i] & uncovered
+        uncovered &= ~M[i]
+        remaining -= int(newly.sum())
+    return chosen
+
+
+def test_greedy_cover_heap_matches_reference():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        rows, cols = rng.integers(5, 80), rng.integers(3, 60)
+        M = rng.random((rows, cols)) < rng.uniform(0.02, 0.4)
+        M[rng.integers(0, rows, size=3)] = False  # balls covering nothing
+        M[rng.integers(0, rows), :] |= ~M.any(axis=0)  # coverable
+        if trial % 2:
+            weights = rng.choice([0.5, 1.0, 2.0], size=rows)  # ties
+        else:
+            weights = np.exp(rng.normal(size=rows))
+        assert _greedy_weighted_cover(M, weights) == \
+            _reference_greedy_cover(M, weights)
+
+
+def test_bs_bounds_share_one_pass(monkeypatch):
+    sys = full_shift()
+    mu = MeasureModel.bernoulli(sys, [0.3, 0.7], seed=8)
+    phi = Potential.from_table([0.5, 1.5])
+    measures._bs_point_rates.cache_clear()
+    fresh_hi = bs_entropy(mu, phi, 0.5, range(1, 7), x_samples=8,
+                          bound="upper")
+    measures._bs_point_rates.cache_clear()
+    calls = []
+    curves = measures._mass_curves
+
+    def counted(*args):
+        calls.append(args)
+        return curves(*args)
+
+    monkeypatch.setattr(measures, "_mass_curves", counted)
+    lo = bs_entropy(mu, phi, 0.5, range(1, 7), x_samples=8, bound="lower")
+    hi = bs_entropy(mu, phi, 0.5, [6, 5, 4, 3, 2, 1, 1], x_samples=8,
+                    bound="upper")
+    assert len(calls) == 8
+    assert hi == fresh_hi
+    assert lo.extrapolated <= hi.extrapolated
 
 
 class TestPS:
