@@ -18,10 +18,19 @@ is the negation of open-ball membership, so the standard comparison
 Greedy separation scans the points in lexicographic order, a block of
 candidates at a time: the block is masked against the points kept so far,
 and the survivors are resolved in order from the block's own conflict mask.
+
+Cylinder rule: the kernel weight at offset 0 is exactly 1 and the other
+terms are non-negative, so a computed ``d_n(x, y)`` is at least the symbol
+distance at every coordinate j < n.  When the smallest non-zero symbol
+distance (1 discrete, 1/k absolute difference) is at least eps, every open
+(n, eps)-ball lies in its centre's n-cylinder.  The greedy scan then keeps
+each point alone in its n-cylinder without computing a distance and scans
+the others within their cylinders; otherwise it scans the whole pool.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -235,24 +244,53 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     return [pts[i] for i in kept], False
 
 
+def _prefix_runs(system: ShiftSystem, Z: np.ndarray, n: int,
+                 eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows of Z grouped by n-cylinder (coordinates 0..n-1), or None when
+    the smallest non-zero symbol distance is below eps (no cylinder rule).
+
+    Returns ``(perm, lab)``: ``Z[perm]`` lists the cylinders one after the
+    other, in row order within each, and ``lab`` numbers their cylinders.
+    """
+    k = system.alphabet_size
+    if (1.0 if system.symbol_metric == DISCRETE else 1.0 / k) < eps:
+        return None
+    o = system.origin_index
+    perm = np.lexsort(Z[:, o:o + n].T[::-1])
+    head = Z[perm, o:o + n]
+    return perm, np.cumsum(np.r_[False, (head[1:] != head[:-1]).any(axis=1)])
+
+
 def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
                  eps: float) -> list[int]:
     """Rows of Z kept by the greedy separation scan, in row order.
 
-    Candidates are taken in blocks: a block is first masked against the
-    rows kept so far, then its own block x block conflict mask resolves
-    the survivors in order.
+    Rows alone in their n-cylinder are kept outright.  The others, grouped
+    by cylinder in row order, are taken in blocks: a block is masked
+    against the rows of its cylinders kept so far, then its own conflict
+    mask within each cylinder resolves the survivors in order.  Without
+    the cylinder rule the whole pool is one cylinder.
     """
+    runs = _prefix_runs(system, Z, n, eps)
+    perm, lab = runs or (np.arange(len(Z)), np.zeros(len(Z), dtype=np.int64))
+    shared = np.bincount(lab)[lab] > 1
+    rest, lab = perm[shared], lab[shared]
+    Y = Z[rest]
     kept: list[int] = []
-    for start in range(0, Z.shape[0], _SCAN_ROWS):
-        block = Z[start:start + _SCAN_ROWS]
-        free = ~ball_masks(system, block, Z[kept], n, eps).any(axis=1)
-        conflicts = ball_masks(system, block, block, n, eps)
+    for start in range(0, len(rest), _SCAN_ROWS):
+        block = Y[start:start + _SCAN_ROWS]
+        same = lab[start:start + _SCAN_ROWS]
+        # only the block's first cylinder can have rows kept before it
+        prev = kept[bisect.bisect_left(kept, np.searchsorted(lab, lab[start])):]
+        free = ~(ball_masks(system, block, Y[prev], n, eps).any(axis=1)
+                 & (same == lab[start]))
+        conflicts = (ball_masks(system, block, block, n, eps)
+                     & (same[:, None] == same[None, :]))
         for i in range(block.shape[0]):
             if free[i]:
                 kept.append(start + i)
                 free &= ~conflicts[i]
-    return kept
+    return sorted(perm[~shared].tolist() + rest[kept].tolist())
 
 
 def _max_clique(adj: np.ndarray) -> list[int]:
@@ -434,14 +472,6 @@ class SeparationCounts:
     s_exact: int | None
     r_upper: int
     r_exact: int | None
-
-    @property
-    def s_best(self) -> int:
-        return self.s_exact if self.s_exact is not None else self.s_lower
-
-    @property
-    def r_best(self) -> int:
-        return self.r_exact if self.r_exact is not None else self.r_upper
 
 
 def covering_number_profile(system_factory, eps_schedule: Sequence[float],

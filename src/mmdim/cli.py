@@ -4,20 +4,14 @@ Commands: estimate-mdim, induced-mdim, solve-root, subset-dim, entropy,
 verify.  Records go to --out as JSON lines (sorted keys, one per cell);
 the summary table is printed as CSV on stdout.  Exit codes: 0 success,
 1 configuration error, 2 failed verification assertion.
-
-MMDIM_WORKERS sets the thread count for independent per-scale cells;
-results are reduced in schedule order, so the worker count never changes
-any emitted value.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .caratheodory import (
     BS_R,
@@ -31,6 +25,7 @@ from .config import ExperimentConfig, load_config, parse_int
 from .errors import MMDimError, ConfigurationError
 from .measures import brin_katok, bs_entropy, katok_entropy, ps_entropy
 from .pressure import (
+    _slope,
     induced_mdim_estimate,
     mdim_estimate,
     pressure_estimate,
@@ -49,14 +44,6 @@ STRUCTURE_NAMES = {
 }
 
 
-def parallel_map(fn: Callable, items: Sequence):
-    workers = int(os.environ.get("MMDIM_WORKERS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _phi(cfg: ExperimentConfig, args) -> Potential:
     name = getattr(args, "phi", None) or "phi"
     return cfg.potential(name)
@@ -67,12 +54,9 @@ def cmd_estimate_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     if len(cfg.eps_schedule) < 2:
         raise ConfigurationError("estimate-mdim needs at least 2 eps values")
     factory = cfg.system_factory()
-
-    def per_eps(eps):
-        return pressure_estimate(factory(eps), phi, eps, cfg.n_schedule,
-                                 exact_cap=cfg.exact_cap)
-
-    estimates = parallel_map(per_eps, list(cfg.eps_schedule))
+    estimates = [pressure_estimate(factory(eps), phi, eps, cfg.n_schedule,
+                                   exact_cap=cfg.exact_cap)
+                 for eps in cfg.eps_schedule]
     records = []
     h = cfg.config_hash()
     for est in estimates:
@@ -90,10 +74,7 @@ def cmd_estimate_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
             exact=est.witness_kind == "analytic-oracle"))
     xs = [math.log(1.0 / e) for e in cfg.eps_schedule]
     ys = [est.slope for est in estimates]
-    import numpy as np
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.sqrt(np.mean(
-        (np.asarray(ys) - np.polyval([slope, intercept], xs)) ** 2)))
+    slope, intercept, residual = _slope(xs, ys)
     records.append(ResultRecord(
         command="estimate-mdim", config_hash=h, quantity="mdim-slope",
         keys={}, value=float(slope), exact=False))

@@ -102,12 +102,35 @@ def _logsumexp(values) -> float:
 
 def pressure_sum(system: ShiftSystem, points: Sequence[PointWindow],
                  phi: Potential, n: int, eps: float) -> float:
-    """log of sum over the witness set of (1/eps)^{S_n phi}, in log space."""
+    """log of sum over the witness set of (1/eps)^{S_n phi}, in log space.
+
+    The Birkhoff sums come from one pass over the symbol matrix, summed over
+    j = 0..n-1 in ``birkhoff_sum``'s order, so each is the same double.
+    """
     if not points:
         return -math.inf
+    if n < 0:
+        raise ConfigurationError("n must be nonnegative")
     L = math.log(1.0 / eps)
-    exponents = [L * birkhoff_sum(system, phi, x, n) for x in points]
-    return _logsumexp(exponents)
+    if phi.kind == CONSTANT:
+        s_n = n * (phi.scale * phi.value + phi.offset)
+        return _logsumexp(np.full(len(points), L * s_n))
+    for x in points:
+        if not x.exact_tail:  # the scalar sum raises if S_n phi reads past x
+            birkhoff_sum(system, phi, x, n)
+    o, r = system.origin_index, phi.effective_range()
+    Z = system.as_matrix(points)
+    # coordinates past the stored word read 0, as PointWindow.coordinate does
+    Z = np.pad(Z, ((0, 0), (0, max(0, o + n + r - 1 - Z.shape[1]))))
+    tab = np.asarray(phi.table)
+    k = round(len(phi.table) ** (1.0 / r))
+    total = np.zeros(len(points))
+    for j in range(n):
+        idx = np.zeros(len(points), dtype=np.int64)
+        for t in range(r):
+            idx = idx * k + Z[:, o + j + t]
+        total += tab[idx]
+    return _logsumexp(L * (phi.scale * total + n * phi.offset))
 
 
 # -- analytic oracle -----------------------------------------------------------

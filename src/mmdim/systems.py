@@ -125,9 +125,6 @@ class ShiftSystem:
 
     # -- symbols ----------------------------------------------------------
 
-    def symbol_value(self, a: int) -> float:
-        return a / self.alphabet_size
-
     def symbol_distance(self, a: int, b: int) -> float:
         if self.symbol_metric == DISCRETE:
             return 0.0 if a == b else 1.0

@@ -391,3 +391,26 @@ class TestCli:
             return rows
 
         assert strip(out1) == strip(out2)
+
+    def test_workers_variable_is_ignored(self, tmp_path, monkeypatch,
+                                         capsys):
+        # a thread count that is not a number once ended in a traceback
+        path = self._write(tmp_path, GRID_CONFIG)
+        monkeypatch.setenv("MMDIM_WORKERS", "x")
+        code = main(["estimate-mdim", "--config", path,
+                     "--out", str(tmp_path / "r.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "mdim-slope" in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_repeated_eps_schedule_exits_1(self, tmp_path, capsys):
+        text = GRID_CONFIG.replace("eps = 2^-3 2^-4 2^-5 2^-6",
+                                   "eps = 2^-3 2^-3")
+        path = self._write(tmp_path, text)
+        code = main(["estimate-mdim", "--config", path,
+                     "--out", str(tmp_path / "r.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: need at least two distinct grid values" in captured.err
+        assert not (tmp_path / "r.jsonl").exists()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from mmdim import bowen
 from mmdim.bowen import (
     BallSpec,
     SetFamily,
+    ball_masks,
     distance_blocks,
     distances_to,
     five_r_disjointify,
@@ -214,3 +216,125 @@ def test_routed_selections_match_pinned_values():
         assert span == SPANNING[case], case
         assert five == FIVE_R[case], case
         assert katok == KATOK[case], case
+
+
+# -- cylinder-run greedy scan -------------------------------------------------
+
+
+def dense_scan(system, Z, n, eps) -> list[int]:
+    """The whole-pool greedy scan, kept as the reference for the runs."""
+    kept: list[int] = []
+    for start in range(0, Z.shape[0], bowen._SCAN_ROWS):
+        block = Z[start:start + bowen._SCAN_ROWS]
+        free = ~ball_masks(system, block, Z[kept], n, eps).any(axis=1)
+        conflicts = ball_masks(system, block, block, n, eps)
+        for i in range(block.shape[0]):
+            if free[i]:
+                kept.append(start + i)
+                free &= ~conflicts[i]
+    return kept
+
+
+def cylinder_pool(rng, system, n, m, shape) -> np.ndarray:
+    """m rows; ``pairs`` gives 2-row n-cylinders, ``repeats`` equal rows."""
+    k, L, o = system.alphabet_size, system.word_length, system.origin_index
+    if shape == "pairs":
+        Z = np.repeat(rng.integers(0, k, size=(m // 2, L)), 2, axis=0)
+        outside = np.r_[0:o, o + n:L]
+        Z[1::2, outside] = rng.integers(0, k, size=(m // 2, len(outside)))
+        return Z
+    if shape == "repeats":
+        rows = rng.integers(0, k, size=(max(1, m // 4), L))
+        return rows[rng.integers(0, len(rows), size=m)]
+    if shape == "few-cylinders":
+        Z = rng.integers(0, k, size=(m, L))
+        heads = rng.integers(0, k, size=(3, n))
+        Z[:, o:o + n] = heads[rng.integers(0, 3, size=m)]
+        return Z
+    return rng.integers(0, k, size=(m, L))
+
+
+def near_floor(system) -> list[float]:
+    """eps at, one ulp either side of, and well off the smallest non-zero
+    symbol distance."""
+    f = 1.0 if system.symbol_metric == DISCRETE else 1.0 / system.alphabet_size
+    return [f, float(np.nextafter(f, 0.0)), float(np.nextafter(f, 2.0)),
+            1.5 * f, 0.6 * f]
+
+
+def assert_scans_agree(system, Z, n, eps):
+    Z = Z[bowen._lex_order(Z)]
+    got = bowen._greedy_scan(system, Z, n, eps)
+    assert got == dense_scan(system, Z, n, eps), (n, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ONE_SIDED, TWO_SIDED]),
+       st.sampled_from([DISCRETE, ABSOLUTE]), st.integers(0, 2),
+       st.integers(2, 7), st.integers(3, 7),
+       st.sampled_from(["random", "pairs", "repeats", "few-cylinders"]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_cylinder_scan_matches_dense_scan(sidedness, metric, k_exp, k_any,
+                                          window, shape, seed, data):
+    # dyadic symbol distances on the absolute metric: k in {2, 4, 8}
+    k = k_any if metric == DISCRETE else 2 ** (k_exp + 1)
+    system = make_system(sidedness, metric, 0.5, k, window)
+    n = data.draw(st.integers(1, window), label="n")
+    rng = np.random.default_rng(seed)
+    Z = cylinder_pool(rng, system, n, int(rng.integers(70, 300)), shape)
+    for eps in near_floor(system):
+        assert_scans_agree(system, Z, n, eps)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+def test_cylinder_scan_matches_dense_scan_odd_alphabets(k, sidedness):
+    system = make_system(sidedness, ABSOLUTE, 0.5, k, 8)
+    rng = np.random.default_rng(k)
+    for shape in ["random", "pairs", "repeats", "few-cylinders"]:
+        for n in (1, 2, 4):
+            Z = cylinder_pool(rng, system, n, 200, shape)
+            for eps in near_floor(system):
+                assert_scans_agree(system, Z, n, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ONE_SIDED, TWO_SIDED]),
+       st.sampled_from([DISCRETE, ABSOLUTE]), st.sampled_from([0.3, 0.5]),
+       st.integers(2, 7), st.integers(3, 7), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_coordinate_distance_prunes_membership(sidedness, metric, w, k,
+                                               window, seed, data):
+    system = make_system(sidedness, metric, w, k, window)
+    n = data.draw(st.integers(1, window), label="n")
+    eps = data.draw(st.sampled_from(
+        [a / k for a in range(1, k)] + [1.0, 0.37]), label="eps")
+    rng = np.random.default_rng(seed)
+    L, o = system.word_length, system.origin_index
+    C = rng.integers(0, k, size=(40, L))
+    Z = rng.integers(0, k, size=(60, L))
+    if metric == DISCRETE:
+        sd = (C[:, None, o:o + n] != Z[None, :, o:o + n]).astype(float)
+    else:
+        sd = np.abs(C[:, None, o:o + n] - Z[None, :, o:o + n]) / k
+    worst = sd.max(axis=2)
+    assert not ball_masks(system, C, Z, n, eps)[worst >= eps].any()
+    assert not ball_masks(system, C, Z, n, eps,
+                          closed=True)[worst > eps].any()
+
+
+def test_singleton_cylinders_need_no_engine_call(monkeypatch):
+    calls = []
+    engine = bowen.distance_blocks
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(bowen, "distance_blocks", counting)
+    pts = FULL.enumerate_points(5)
+    shuffled = [pts[i] for i in np.random.default_rng(5).permutation(len(pts))]
+    got, exact = max_separated(FULL, shuffled, 5, 0.6, mode="greedy")
+    assert not exact
+    assert len(calls) == 0
+    assert got == sorted(shuffled, key=lambda p: p.symbols)

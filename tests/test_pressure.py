@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdim.bowen import max_separated
-from mmdim.errors import BracketError, ConfigurationError
+from mmdim.errors import BracketError, ConfigurationError, WindowExhaustedError
 from mmdim.pressure import (
+    _logsumexp,
     analytic_oracle_pressure,
     induced_mdim_estimate,
     induced_pressure,
@@ -17,7 +21,14 @@ from mmdim.pressure import (
     time_level_partition,
     validate_pressure_oracle,
 )
-from mmdim.systems import Potential, ShiftSystem, birkhoff_sum
+from mmdim.systems import (
+    ONE_SIDED,
+    TWO_SIDED,
+    PointWindow,
+    Potential,
+    ShiftSystem,
+    birkhoff_sum,
+)
 
 
 def full_shift(k=2, window=14, eps_min=0.05, **kw):
@@ -57,6 +68,80 @@ class TestPressureSum:
     def test_empty_witness(self):
         sys = full_shift()
         assert pressure_sum(sys, [], Potential.constant(0.0), 2, 0.5) == -math.inf
+
+
+def scalar_pressure_sum(system, points, phi, n, eps) -> float:
+    L = math.log(1.0 / eps)
+    return _logsumexp([L * birkhoff_sum(system, phi, x, n) for x in points])
+
+
+def drawn_potential(rng, kind, k) -> Potential:
+    if kind == "constant":
+        return Potential.constant(float(rng.uniform(-2.0, 2.0)))
+    if kind == "table":
+        return Potential.from_table(np.round(rng.uniform(-1.0, 2.0, k), 3))
+    r = int(rng.integers(2, 4))
+    return Potential.from_range_table(np.round(rng.uniform(-1.0, 2.0, k ** r),
+                                               3), r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ONE_SIDED, TWO_SIDED]), st.integers(2, 4),
+       st.integers(3, 6), st.sampled_from(["constant", "table", "range"]),
+       st.sampled_from([1.0, -1.5, 0.3]), st.sampled_from([0.0, 0.7, -2.0]),
+       st.sampled_from([0.6, 0.3, 2.0 ** -5]), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_pressure_sum_matches_scalar_sums(sidedness, k, window, kind, scale,
+                                          shift, eps, seed, data):
+    system = ShiftSystem(kind="full-shift", alphabet_size=k,
+                         sidedness=sidedness, window=window, eps_min=3.0)
+    rng = np.random.default_rng(seed)
+    phi = drawn_potential(rng, kind, k).scaled(scale).shifted(shift)
+    # orders up to and past the stored word: exact tails read zeros there
+    n = data.draw(st.integers(1, system.word_length + 3), label="n")
+    rows = rng.integers(0, k, size=(int(rng.integers(1, 40)),
+                                    system.word_length))
+    points = [system.point(row) for row in rows]
+    got = pressure_sum(system, points, phi, n, eps)
+    assert got == scalar_pressure_sum(system, points, phi, n, eps)
+
+
+@pytest.mark.parametrize("n", [8, 13, 17])
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+def test_pressure_sum_matches_scalar_sums_at_long_orders(sidedness, n):
+    # numpy's pairwise sum regroups the terms from n = 8 on
+    system = ShiftSystem(kind="full-shift", alphabet_size=4,
+                         sidedness=sidedness, window=14, eps_min=0.3)
+    rng = np.random.default_rng(n)
+    phi = Potential.from_range_table(rng.uniform(0.0, 1.0, 16), 2)
+    points = [system.point(row) for row in
+              rng.integers(0, 4, size=(300, system.word_length))]
+    for p in (phi, phi.scaled(-1.5).shifted(0.7)):
+        assert pressure_sum(system, points, p, n, 0.3) == \
+            scalar_pressure_sum(system, points, p, n, 0.3)
+
+
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
+    system = ShiftSystem(kind="full-shift", alphabet_size=3,
+                         sidedness=sidedness, window=5, eps_min=1.0)
+    rng = np.random.default_rng(3)
+    phi = Potential.from_range_table(rng.uniform(0.0, 1.0, 9), 2).scaled(-1.0)
+    exact = [system.point(row) for row in rng.integers(0, 3, size=(6, 11))
+             [:, :system.word_length]]
+    sampled = [PointWindow(symbols=p.symbols, origin=p.origin,
+                           exact_tail=False) for p in exact]
+    right = system.word_length - system.origin_index
+    # a sampled window holds `right` genuine coordinates from the origin
+    n_ok = right - 1
+    assert pressure_sum(system, exact[:2] + sampled, phi, n_ok, 0.3) == \
+        scalar_pressure_sum(system, exact[:2] + sampled, phi, n_ok, 0.3)
+    points = exact[:2] + sampled
+    with pytest.raises(WindowExhaustedError) as scalar:
+        scalar_pressure_sum(system, points, phi, n_ok + 1, 0.3)
+    with pytest.raises(WindowExhaustedError) as vector:
+        pressure_sum(system, points, phi, n_ok + 1, 0.3)
+    assert str(vector.value) == str(scalar.value)
 
 
 class TestOracle:
