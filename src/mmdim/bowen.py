@@ -39,6 +39,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ExactCapError
+from .solvers import (greedy_cover, greedy_disjoint, max_weight_independent,
+                      min_weight_cover)
 from .systems import DISCRETE, PointWindow, ShiftSystem
 
 DEFAULT_EXACT_CAP = 24
@@ -233,10 +235,12 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
             raise ExactCapError(
                 f"{len(pts)} points exceed the exact cap {exact_cap}"
             )
-        sep = ~ball_masks(system, Z, Z, n, eps)
-        np.fill_diagonal(sep, False)
-        best = _max_clique(sep)
-        return [pts[i] for i in sorted(best)], True
+        conflict = ball_masks(system, Z, Z, n, eps)
+        np.fill_diagonal(conflict, False)
+        # fewest conflicts (most separations) first, ties by index
+        order = np.argsort(conflict.sum(axis=1), kind="stable")
+        best, _ = max_weight_independent(conflict, np.ones(len(pts)), order)
+        return [pts[i] for i in best], True
     if mode != "greedy":
         raise ConfigurationError(f"unknown mode {mode!r}")
     order = _lex_order(Z)
@@ -293,41 +297,6 @@ def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
     return sorted(perm[~shared].tolist() + rest[kept].tolist())
 
 
-def _max_clique(adj: np.ndarray) -> list[int]:
-    """Maximum clique via branch and bound with a greedy coloring bound."""
-    m = adj.shape[0]
-    order = sorted(range(m), key=lambda i: -int(adj[i].sum()))
-    best: list[int] = []
-
-    def color_bound(cands: list[int]) -> int:
-        colors: list[set[int]] = []
-        for v in cands:
-            for cls in colors:
-                if all(not adj[v, u] for u in cls):
-                    cls.add(v)
-                    break
-            else:
-                colors.append({v})
-        return len(colors)
-
-    def expand(current: list[int], cands: list[int]):
-        nonlocal best
-        if not cands:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        if len(current) + color_bound(cands) <= len(best):
-            return
-        for idx, v in enumerate(cands):
-            if len(current) + len(cands) - idx <= len(best):
-                return
-            rest = [u for u in cands[idx + 1:] if adj[v, u]]
-            expand(current + [v], rest)
-
-    expand([], order)
-    return best
-
-
 # -- spanning sets -----------------------------------------------------------
 
 
@@ -351,76 +320,12 @@ def min_spanning(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     if mode == "exact":
         if m > exact_cap:
             raise ExactCapError(f"{m} points exceed the exact cap {exact_cap}")
-        chosen = _min_cover_exact(cover_sets, np.ones(m))
+        chosen = min_weight_cover(cover_sets, np.ones(m))
         return [pts[i] for i in sorted(chosen)], True
     if mode != "greedy":
         raise ConfigurationError(f"unknown mode {mode!r}")
-    chosen = _min_cover_greedy(cover_sets, _lex_order(Z))
+    chosen = greedy_cover(cover_sets, _lex_order(Z))
     return [pts[i] for i in chosen], False
-
-
-def _min_cover_greedy(cover_sets: np.ndarray,
-                      tie_order: np.ndarray) -> list[int]:
-    """Best-coverage greedy; ties go to the earliest set in ``tie_order``."""
-    sets = cover_sets[tie_order]
-    uncovered = np.ones(cover_sets.shape[1], dtype=bool)
-    chosen: list[int] = []
-    while uncovered.any():
-        gains = (sets & uncovered).sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] <= 0:
-            # every point covers itself, so this cannot happen
-            raise ConfigurationError("greedy cover stalled")
-        chosen.append(best)
-        uncovered &= ~sets[best]
-    return [int(tie_order[pos]) for pos in sorted(chosen)]
-
-
-def _min_cover_exact(cover_sets: Sequence[np.ndarray], weights: np.ndarray,
-                     ) -> list[int]:
-    """Branch-and-bound minimum-weight set cover."""
-    m = len(cover_sets[0])
-    n_sets = len(cover_sets)
-    full = (1 << m) - 1
-    masks = []
-    for s in cover_sets:
-        mask = 0
-        for j in np.flatnonzero(s):
-            mask |= 1 << int(j)
-        masks.append(mask)
-    containing: list[list[int]] = [[] for _ in range(m)]
-    for i, mask in enumerate(masks):
-        for j in range(m):
-            if mask >> j & 1:
-                containing[j].append(i)
-    max_size = max(int(s.sum()) for s in cover_sets)
-    min_w = float(weights.min())
-    best_cost = float("inf")
-    best_sol: list[int] = []
-
-    def recurse(covered: int, cost: float, chosen: list[int]):
-        nonlocal best_cost, best_sol
-        if covered == full:
-            if cost < best_cost - 1e-15:
-                best_cost = cost
-                best_sol = list(chosen)
-            return
-        remaining = m - bin(covered).count("1")
-        if cost + min_w * np.ceil(remaining / max_size) >= best_cost - 1e-15:
-            return
-        # branch on the uncovered element with fewest candidate sets
-        pick_opts = None
-        for j in range(m):
-            if covered >> j & 1:
-                continue
-            opts = containing[j]
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick_opts = opts
-        for i in sorted(pick_opts, key=lambda i: weights[i]):
-            recurse(covered | masks[i], cost + float(weights[i]), chosen + [i])
-
-    recurse(0, 0.0, [])
-    return best_sol
 
 
 # -- 5r covering selection ----------------------------------------------------
@@ -447,16 +352,9 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
     U = system.as_matrix(list(universe))
     members = ball_masks(system, system.as_matrix([b.center for b in balls]),
                          U, n, [b.radius for b in balls], closed=True)
-    idx = sorted(
-        range(len(balls)),
-        key=lambda i: (-balls[i].radius, balls[i].center.symbols),
-    )
-    kept: list[int] = []
-    taken = np.zeros(U.shape[0], dtype=bool)
-    for i in idx:
-        if not (members[i] & taken).any():
-            kept.append(i)
-            taken |= members[i]
+    order = sorted(range(len(balls)),
+                   key=lambda i: (-balls[i].radius, balls[i].center.symbols))
+    kept = greedy_disjoint(members, order)
     kept_balls = tuple(balls[i] for i in kept)
     kept_weights = (None if family.weights is None
                     else tuple(family.weights[i] for i in kept))

@@ -29,10 +29,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import _min_cover_exact, distance_blocks
+from .bowen import distance_blocks
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, _slope
-from .systems import PointWindow, Potential, ShiftSystem
+from .solvers import (greedy_disjoint, greedy_weighted_cover,
+                      max_weight_independent, min_weight_cover)
+from .systems import (PointWindow, Potential, ShiftSystem,
+                      birkhoff_sums_matrix)
 
 COVER_M = "cover-M"
 COVER_FIXED = "cover-fixed-m"
@@ -109,37 +112,42 @@ class _Candidates:
     sup_closed: np.ndarray
 
 
+def _candidates(problem: OuterMeasureProblem) -> _Candidates:
+    """The problem's candidate family.  It depends on the potential only
+    through its base table, so every structure and every affine
+    reparametrization of one potential share one build."""
+    base = replace(problem.phi, scale=1.0, offset=0.0)
+    return _build_candidates(problem.system, problem.points, base,
+                             problem.eps, problem.N, problem.n_max)
+
+
 @functools.lru_cache(maxsize=256)
-def _build_candidates(problem: OuterMeasureProblem) -> _Candidates:
-    system = problem.system
-    Z = system.as_matrix(list(problem.points))
-    base = problem.phi
+def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
+                      base: Potential, eps: float, N: int,
+                      n_max: int) -> _Candidates:
+    Z = system.as_matrix(list(points))
     # per-point base Birkhoff sums at each order
-    from .systems import birkhoff_sums_matrix
-    plain = Potential(kind=base.kind, value=base.value, table=base.table,
-                      range_len=base.range_len)
-    sums = {}
-    for n in range(problem.N, problem.n_max + 1):
-        sums[n] = birkhoff_sums_matrix(system, plain, Z, n,
-                                       origin=system.origin_index)
-    n_orders = problem.n_max - problem.N + 1
+    sums = {n: birkhoff_sums_matrix(system, base, Z, n,
+                                    origin=system.origin_index)
+            for n in range(N, n_max + 1)}
+    n_orders = n_max - N + 1
     n_cand = len(Z) * n_orders
     open_members = np.empty((n_cand, len(Z)), dtype=bool)
     closed_members = np.empty((n_cand, len(Z)), dtype=bool)
     sup_open = np.empty(n_cand)
     sup_closed = np.empty(n_cand)
     # candidate ci * n_orders + (n - N) is the ball of order n centred at ci
-    for rows, n, d in distance_blocks(system, Z, Z, problem.n_max):
-        if n < problem.N:
+    for rows, n, d in distance_blocks(system, Z, Z, n_max):
+        if n < N:
             continue
         ci = np.arange(rows.start, rows.stop)
         reach = d + system.truncation_slack(n)
-        is_open = reach < problem.eps
-        is_closed = reach <= problem.eps
+        is_open = reach < eps
+        is_closed = reach <= eps
         own = (np.arange(len(ci)), ci)
         is_open[own] = True  # a ball always contains its center
         is_closed[own] = True
-        slots = ci * n_orders + (n - problem.N)
+        slots = ci * n_orders + (n - N)
         open_members[slots] = is_open
         closed_members[slots] = is_closed
         s = sums[n]
@@ -147,24 +155,25 @@ def _build_candidates(problem: OuterMeasureProblem) -> _Candidates:
         sup_closed[slots] = np.where(is_closed, s, -np.inf).max(axis=1)
     return _Candidates(
         centers=tuple(np.repeat(np.arange(len(Z)), n_orders).tolist()),
-        orders=tuple(range(problem.N, problem.n_max + 1)) * len(Z),
+        orders=tuple(range(N, n_max + 1)) * len(Z),
         open_members=open_members, closed_members=closed_members,
         sup_open=sup_open, sup_closed=sup_closed,
     )
 
 
-def _log_weights(problem: OuterMeasureProblem, lam: float,
-                 closed: bool) -> np.ndarray:
-    cands = _build_candidates(problem)
+def _log_weights(problem: OuterMeasureProblem, lam: float, closed: bool,
+                 bs: bool) -> np.ndarray:
+    """Log candidate weights: -n lam + log(1/eps) sup S_n phi (Bowen), or
+    -lam sup S_n phi with ``bs``, which needs phi > 0."""
+    if bs and problem.phi.min <= 0:
+        raise ConfigurationError("BS structures need phi > 0")
+    cands = _candidates(problem)
     sup_base = cands.sup_closed if closed else cands.sup_open
     n = np.asarray(cands.orders, dtype=float)
     phi = problem.phi
     formal_sup = phi.scale * sup_base + n * phi.offset
     L = math.log(1.0 / problem.eps)
-    if problem.structure in (COVER_M, COVER_FIXED, PACKING_P):
-        out = -n * lam + L * formal_sup
-    else:
-        out = -lam * formal_sup
+    out = -lam * formal_sup if bs else -n * lam + L * formal_sup
     # extreme lambdas show up transiently during bracket growth; clipping
     # keeps exp() finite without disturbing the threshold crossing
     return np.clip(out, -700.0, 700.0)
@@ -173,25 +182,18 @@ def _log_weights(problem: OuterMeasureProblem, lam: float,
 # -- covers ---------------------------------------------------------------------
 
 
-def _cover_optimize(problem: OuterMeasureProblem, log_w: np.ndarray,
-                    order_filter: Callable[[int], bool] | None = None,
-                    ) -> StructureValue:
-    cands = _build_candidates(problem)
-    idx = [i for i in range(len(cands.orders))
-           if order_filter is None or order_filter(cands.orders[i])]
-    if not idx:
-        raise ConfigurationError("no candidate balls after order filter")
-    member_matrix = cands.open_members[idx]
+def _cover_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
+                    fixed: bool = False) -> StructureValue:
+    log_w = _log_weights(problem, lam, closed=False, bs=bs)
+    cands = _candidates(problem)
+    idx = [i for i, n in enumerate(cands.orders)
+           if not fixed or n == problem.N]
+    member_matrix = cands.open_members[idx]  # a ball holds its centre
     weights = np.exp(log_w[idx])
-    if not member_matrix.any(axis=0).all():
-        raise ConfigurationError("candidates cannot cover Z")
-    if (len(problem.points) <= problem.exact_cap
-            and len(idx) <= 4 * problem.exact_cap):
-        chosen_local = _min_cover_exact(list(member_matrix), weights)
-        exact = True
-    else:
-        chosen_local = _greedy_weighted_cover(member_matrix, weights)
-        exact = False
+    exact = (len(problem.points) <= problem.exact_cap
+             and len(idx) <= 4 * problem.exact_cap)
+    solve = min_weight_cover if exact else greedy_weighted_cover
+    chosen_local = solve(member_matrix, weights)
     chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
                    for i in chosen_local)
     value = float(weights[chosen_local].sum())
@@ -199,67 +201,20 @@ def _cover_optimize(problem: OuterMeasureProblem, log_w: np.ndarray,
     return StructureValue(value=value, exact=exact, chosen=chosen, flags=flags)
 
 
-def _greedy_weighted_cover(member_matrix: np.ndarray,
-                           weights: np.ndarray) -> list[int]:
-    """Cost-effectiveness greedy cover with lazy score re-evaluation.
-
-    Coverage gains only shrink as points get covered, so weight/gain
-    scores only grow and a stale heap top can be re-checked in isolation.
-    """
-    import heapq
-
-    M = member_matrix
-    uncovered = np.ones(M.shape[1], dtype=bool)
-    remaining = int(M.shape[1])
-    # M and uncovered are boolean, so ``gains`` is too: it says whether a
-    # ball covers anything, not how much, and each first key is the weight
-    # itself.  That overstates weight/gain for balls of more than one
-    # point, so an untouched ball can lose to one of worse true score; the
-    # keys stay as they are because true counts would move emitted values.
-    gains = M @ uncovered
-    heap = list(zip(np.where(gains, weights, math.inf).tolist(),
-                    range(len(weights))))
-    heapq.heapify(heap)
-    chosen: list[int] = []
-    while remaining > 0:
-        score, i = -1.0, -1
-        while heap:
-            score, i = heapq.heappop(heap)
-            gain = int((M[i] & uncovered).sum())
-            fresh = weights[i] / gain if gain > 0 else math.inf
-            if not heap or fresh <= heap[0][0] + 1e-18:
-                score = fresh
-                break
-            heapq.heappush(heap, (fresh, i))
-        if i < 0 or not np.isfinite(score):
-            raise ConfigurationError("greedy cover stalled")
-        chosen.append(i)
-        newly = M[i] & uncovered
-        uncovered &= ~M[i]
-        remaining -= int(newly.sum())
-    return chosen
-
-
 def cover_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     """Minimum-weight cover of Z over orders N..n_max (structure cover-M)."""
-    log_w = _log_weights(problem, lam, closed=False)
-    return _cover_optimize(problem, log_w)
+    return _cover_optimize(problem, lam, bs=False)
 
 
 def fixed_length_value(problem: OuterMeasureProblem, lam: float,
                        ) -> StructureValue:
     """Cover restricted to order exactly N (the u-upper construction)."""
-    log_w = _log_weights(problem, lam, closed=False)
-    return _cover_optimize(problem, log_w,
-                           order_filter=lambda n: n == problem.N)
+    return _cover_optimize(problem, lam, bs=False, fixed=True)
 
 
 def bs_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     """Minimum-weight cover with BS weights exp(-lam sup S_n phi)."""
-    if problem.phi.min <= 0:
-        raise ConfigurationError("BS structures need phi > 0")
-    log_w = _log_weights(problem.with_structure(BS_R), lam, closed=False)
-    return _cover_optimize(problem, log_w)
+    return _cover_optimize(problem, lam, bs=True)
 
 
 def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
@@ -268,11 +223,8 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     # for loading it
     from scipy.optimize import linprog
 
-    if problem.phi.min <= 0:
-        raise ConfigurationError("weighted structure needs phi > 0")
-    cands = _build_candidates(problem)
-    log_w = _log_weights(problem.with_structure(WEIGHTED_W), lam, closed=False)
-    weights = np.exp(log_w)
+    weights = np.exp(_log_weights(problem, lam, closed=False, bs=True))
+    cands = _candidates(problem)
     A = cands.open_members.astype(float).T  # (|Z|, n_cand)
     res = linprog(c=weights, A_ub=-A, b_ub=-np.ones(len(problem.points)),
                   bounds=(0, None), method="highs")
@@ -288,67 +240,29 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
 # -- packings -------------------------------------------------------------------
 
 
-def _packing_optimize(problem: OuterMeasureProblem, log_w: np.ndarray,
-                      center_mask: np.ndarray | None = None) -> StructureValue:
-    cands = _build_candidates(problem)
-    allowed = np.ones(len(cands.centers), dtype=bool)
-    if center_mask is not None:
-        allowed = center_mask[np.asarray(cands.centers)]
-    idx = list(np.flatnonzero(allowed))
+def _packing_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
+                      center_mask: np.ndarray | None) -> StructureValue:
+    log_w = _log_weights(problem, lam, closed=True, bs=bs)
+    cands = _candidates(problem)
+    idx = [i for i, c in enumerate(cands.centers)
+           if center_mask is None or center_mask[c]]
     if not idx:
         raise ConfigurationError("no candidate balls centered in the block")
     weights = np.exp(log_w[idx])
     M = cands.closed_members[idx]
+    order = sorted(range(len(idx)), key=lambda i: -weights[i])
     if len(idx) <= 3 * problem.exact_cap:
         # two balls conflict iff some point of Z lies in both
-        conflict = M @ M.T
-        np.fill_diagonal(conflict, False)
-        chosen_local, total = _max_weight_disjoint_exact(conflict, weights)
+        chosen_local, total = max_weight_independent(M @ M.T, weights, order)
         exact = True
     else:
-        chosen_local, total = _max_weight_disjoint_greedy(M, weights)
+        picked = greedy_disjoint(M, order)
+        chosen_local, total = sorted(picked), float(weights[picked].sum())
         exact = False
     chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
                    for i in chosen_local)
     flags = () if exact else ("greedy-lower-bound",)
     return StructureValue(value=total, exact=exact, chosen=chosen, flags=flags)
-
-
-def _max_weight_disjoint_exact(conflict: np.ndarray, weights: np.ndarray,
-                               ) -> tuple[list[int], float]:
-    order = sorted(range(len(weights)), key=lambda i: -weights[i])
-    suffix = np.zeros(len(order) + 1)
-    for pos in range(len(order) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + weights[order[pos]]
-    best_set: list[int] = []
-    best_val = 0.0
-
-    def recurse(pos: int, current: list[int], val: float):
-        nonlocal best_set, best_val
-        if val > best_val:
-            best_val, best_set = val, list(current)
-        if pos == len(order) or val + suffix[pos] <= best_val + 1e-15:
-            return
-        i = order[pos]
-        if all(not conflict[i, j] for j in current):
-            recurse(pos + 1, current + [i], val + float(weights[i]))
-        recurse(pos + 1, current, val)
-
-    recurse(0, [], 0.0)
-    return sorted(best_set), best_val
-
-
-def _max_weight_disjoint_greedy(membs: np.ndarray,
-                                weights: np.ndarray,
-                                ) -> tuple[list[int], float]:
-    order = sorted(range(len(weights)), key=lambda i: -weights[i])
-    chosen: list[int] = []
-    taken = np.zeros(len(membs[0]), dtype=bool)
-    for i in order:
-        if not (membs[i] & taken).any():
-            chosen.append(i)
-            taken |= membs[i]
-    return sorted(chosen), float(weights[chosen].sum())
 
 
 def packing_value(problem: OuterMeasureProblem, lam: float,
@@ -358,17 +272,13 @@ def packing_value(problem: OuterMeasureProblem, lam: float,
     Disjointness is decided on Z: two balls conflict iff some point of Z
     lies in both.
     """
-    log_w = _log_weights(problem.with_structure(PACKING_P), lam, closed=True)
-    return _packing_optimize(problem, log_w, center_mask)
+    return _packing_optimize(problem, lam, False, center_mask)
 
 
 def packing_bs_value(problem: OuterMeasureProblem, lam: float,
                      center_mask: np.ndarray | None = None) -> StructureValue:
     """Packing with BS weights exp(-lam sup S_n phi) over closed balls."""
-    if problem.phi.min <= 0:
-        raise ConfigurationError("BS structures need phi > 0")
-    log_w = _log_weights(problem.with_structure(PACKING_BS), lam, closed=True)
-    return _packing_optimize(problem, log_w, center_mask)
+    return _packing_optimize(problem, lam, True, center_mask)
 
 
 def _partitions(indices: list[int], max_blocks: int):
@@ -484,12 +394,6 @@ _VALUATIONS = {
     PACKING_BS: packing_bs_value,
     WEIGHTED_W: weighted_value,
 }
-
-# Structures whose parametrized potential is -lam * phi require the scaled
-# family to stay anchored at the same base table; the cover/packing kinds
-# already carry lambda in the order exponent.
-BOWEN_STRUCTURES = (COVER_M, COVER_FIXED, PACKING_P)
-BS_STRUCTURES = (BS_R, PACKING_BS, WEIGHTED_W)
 
 
 def structure_valuation(problem: OuterMeasureProblem,

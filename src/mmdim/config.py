@@ -194,6 +194,8 @@ def load_config_text(text: str) -> ExperimentConfig:
         raise ConfigurationError("schedule 'eps' must be decreasing")
     if sorted(n_schedule) != list(n_schedule) or not n_schedule:
         raise ConfigurationError("schedule 'n' must be increasing")
+    if n_schedule[0] < 1:
+        raise ConfigurationError("schedule 'n' entries must be >= 1")
     delta = parse_number(sched.get("delta", "0.5"))
     eta_schedule = parse_number_list(sched.get("eta", "0.5 0.25"))
 

@@ -23,6 +23,7 @@ import numpy as np
 from .bowen import ball_masks, distance_blocks, max_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope
+from .solvers import greedy_mass_cover, min_weight_cover
 from .systems import ABSOLUTE, PointWindow, Potential, ShiftSystem
 
 WILSON_Z99 = 2.5758293035489004
@@ -344,15 +345,14 @@ def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
 def _slope_ci(xs: Sequence[float], ys: Sequence[float],
               z: float = 1.96) -> tuple[float, tuple[float, float]]:
     """Least-squares slope with its normal-approximation band."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept, _ = _slope(xs, ys)
     if len(xs) <= 2:
-        return float(slope), (float(slope), float(slope))
-    resid = ys - (slope * xs + intercept)
+        return slope, (slope, slope)
+    xs = np.asarray(xs, dtype=float)
+    resid = np.asarray(ys, dtype=float) - (slope * xs + intercept)
     se = math.sqrt(float(resid @ resid) / (len(xs) - 2)
                    / float(((xs - xs.mean()) ** 2).sum()))
-    return float(slope), (float(slope - z * se), float(slope + z * se))
+    return slope, (slope - z * se, slope + z * se)
 
 
 def _mass_curves(measure: MeasureModel, x: PointWindow, n_schedule,
@@ -518,29 +518,11 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
     if len(member_matrix) <= exact_cap:
-        count = _katok_exact(member_matrix, weights, target)
+        count = len(min_weight_cover(member_matrix,
+                                     np.ones(len(member_matrix)),
+                                     mass=weights, target=target))
         return KatokCount(count=count, exact=True, covered_mass=target)
-    # lazy greedy: uncovered-mass gains only shrink as coverage grows
-    import heapq
-    active = weights.astype(float).copy()
-    gains = member_matrix @ active
-    heap = [(-g, i) for i, g in enumerate(gains)]
-    heapq.heapify(heap)
-    count = 0
-    mass = 0.0
-    while mass <= target:
-        fresh, i = 0.0, -1
-        while heap:
-            _, i = heapq.heappop(heap)
-            fresh = float(member_matrix[i] @ active)
-            if not heap or fresh >= -heap[0][0] - 1e-15:
-                break
-            heapq.heappush(heap, (-fresh, i))
-        if fresh <= 0:
-            raise PoolInsufficientError("greedy mass cover stalled")
-        active[member_matrix[i]] = 0.0
-        mass += fresh
-        count += 1
+    count, mass = greedy_mass_cover(member_matrix, weights, target)
     return KatokCount(count=count, exact=False, covered_mass=mass)
 
 
@@ -571,31 +553,6 @@ def _ball_exits(measure: MeasureModel,
     return exits
 
 
-def _katok_exact(member_matrix: np.ndarray, weights: np.ndarray,
-                 target: float) -> int:
-    n_sets = member_matrix.shape[0]
-    best = n_sets + 1
-
-    def recurse(start: int, covered: np.ndarray, picked: int):
-        nonlocal best
-        if float(weights[covered].sum()) > target:
-            best = min(best, picked)
-            return
-        if picked + 1 >= best or start == n_sets:
-            return
-        # upper bound on achievable extra mass
-        rest = member_matrix[start:].any(axis=0) & ~covered
-        if float(weights[covered].sum() + weights[rest].sum()) <= target:
-            return
-        recurse(start + 1, covered | member_matrix[start], picked + 1)
-        recurse(start + 1, covered, picked)
-
-    recurse(0, np.zeros(member_matrix.shape[1], dtype=bool), 0)
-    if best > n_sets:
-        raise PoolInsufficientError("no subset reaches the target mass")
-    return best
-
-
 def katok_entropy(measure: MeasureModel, eps: float, delta: float,
                   n_schedule: Sequence[int], pool_size: int = 512,
                   stream: int = 11) -> EntropyEstimate:
@@ -612,12 +569,7 @@ def katok_entropy(measure: MeasureModel, eps: float, delta: float,
         per_scale[n] = math.log(kc.count)
         if not kc.exact:
             flags.append(f"greedy-n{n}")
-    xs = np.array(n_schedule, dtype=float)
-    ys = np.array([per_scale[n] for n in n_schedule])
-    if len(xs) > 1:
-        slope, ci = _slope_ci(xs, ys)
-    else:
-        slope, ci = 0.0, (0.0, 0.0)
+    slope, ci = _slope_ci(n_schedule, [per_scale[n] for n in n_schedule])
     return EntropyEstimate(
         quantity="Katok", per_scale=per_scale, extrapolated=slope, ci=ci,
         flags=tuple(flags),

@@ -145,10 +145,6 @@ class OracleBracket:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _symbol_table(system: ShiftSystem, phi: Potential) -> np.ndarray:
     k = system.alphabet_size

@@ -1,0 +1,250 @@
+"""Combinatorial searches: every one in the package lives here.
+
+Separated and spanning sets, Katok counts and Caratheodory-Pesin values
+are weighted set covers (of every point, or of more than a target mass)
+or maximum-weight independent sets on a conflict graph.  Callers build
+the boolean matrices, rows being sets and columns points.  Tie rules, which
+fix the emitted choices and the order their weights are summed in:
+
+* ``max_weight_independent``: depth first over the given order, "include"
+  before "skip", the best replaced only on a strict improvement, so the
+  first optimum in that order wins; the total is summed from 0.0 in
+  inclusion order.
+* ``min_weight_cover``: branches on the uncovered point with the fewest
+  sets and tries its sets by ascending weight, the lowest index first
+  among ties in both; "give the point up" (mass targets only) comes last.
+  The best is replaced only when cheaper by more than 1e-15.
+* ``greedy_disjoint``: keeps each set, in the given order, that shares no
+  point with a set kept before it.
+* ``greedy_cover``: best coverage; ties go to the earliest set in the tie
+  order.
+* ``greedy_weighted_cover``: lowest weight per new point, from a lazy heap
+  keyed (score, row) and seeded with the weights themselves.
+* ``greedy_mass_cover``: largest uncovered mass, from a lazy heap keyed
+  (-gain, row).
+
+The three greedy covers break ties differently; merging them would move
+emitted counts and bounds.
+"""
+
+from __future__ import annotations
+
+import functools
+import heapq
+import math
+import operator
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .errors import ConfigurationError, PoolInsufficientError
+
+
+def _bits(row: np.ndarray) -> int:
+    """A boolean vector as an int whose bit j is entry j."""
+    packed = np.packbits(np.asarray(row, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _indices(bits: int) -> Iterator[int]:
+    """The positions of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _mass(mass: np.ndarray, bits: int) -> float:
+    """The mass of the columns in ``bits``, summed as ``mass[mask].sum()``."""
+    raw = bits.to_bytes((len(mass) + 7) // 8, "little")
+    mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=len(mass),
+                         bitorder="little").view(bool)
+    return float(mass[mask].sum())
+
+
+# -- exact searches -----------------------------------------------------------
+
+
+def max_weight_independent(conflict: np.ndarray, weights: np.ndarray,
+                           order: Sequence[int]) -> tuple[list[int], float]:
+    """Maximum-weight indices no two of which conflict, ascending, and
+    their total; ``conflict[i, j]``, i before j in ``order``, rules out both.
+
+    A node is pruned when its total plus a bound is within 1e-15 of the
+    best.  The bound colours the candidates greedily, in order, into classes
+    of pairwise-conflicting ones and sums each class's largest weight
+    (Tomita and Seki 2003); with unit weights it is the colour count of a
+    maximum-clique search on the complement.
+    """
+    order = [int(i) for i in order]
+    w = [float(weights[i]) for i in order]
+    # bit q of later[p]: position p rules out position q
+    later = [_bits(row) for row in conflict[np.ix_(order, order)]]
+    best_val, best = 0.0, []
+
+    def bound(cands: int) -> float:
+        tops: list[float] = []
+        joinable: list[int] = []  # positions all of a class rules out
+        for p in _indices(cands):
+            for c, mask in enumerate(joinable):
+                if mask >> p & 1:
+                    joinable[c] &= later[p]
+                    tops[c] = max(tops[c], w[p])
+                    break
+            else:
+                joinable.append(later[p])
+                tops.append(w[p])
+        return math.fsum(tops)
+
+    def search(cands: int, val: float, chosen: list[int]):
+        nonlocal best_val, best
+        if val > best_val:
+            best_val, best = val, chosen
+        if not cands or val + bound(cands) <= best_val + 1e-15:
+            return
+        p = next(_indices(cands))
+        rest = cands & ~(1 << p)
+        search(rest & ~later[p], val + w[p], chosen + [p])
+        search(rest, val, chosen)
+
+    search((1 << len(order)) - 1, 0.0, [])
+    return sorted(order[p] for p in best), best_val
+
+
+def min_weight_cover(sets: np.ndarray, weights: np.ndarray,
+                     mass: np.ndarray | None = None,
+                     target: float | None = None) -> list[int]:
+    """Minimum-weight rows, in the order added, covering every column or,
+    given a per-column ``mass``, a union of mass above ``target`` (empty
+    when nothing reaches the goal).
+
+    The bound is the lightest weight times the rows still needed:
+    ceil(uncovered / largest row) for a full cover, 1 under a mass target.
+    Giving a column up disallows its rows; it is tried only while the
+    covered columns and the allowed rows' columns weigh above the target.
+    """
+    sets = np.asarray(sets, dtype=bool)
+    n_sets, m = sets.shape
+    masks = [_bits(row) for row in sets]
+    holders = [_bits(col) for col in sets.T]
+    by_count = sorted(range(m), key=lambda j: holders[j].bit_count())
+    max_size = int(sets.sum(axis=1).max())
+    min_w = float(weights.min())
+    full = (1 << m) - 1
+    best_cost, best = math.inf, []
+
+    def search(covered: int, allowed: int, cost: float, chosen: list[int]):
+        nonlocal best_cost, best
+        if covered == full if mass is None else _mass(mass, covered) > target:
+            if cost < best_cost - 1e-15:
+                best_cost, best = cost, chosen
+            return
+        need = (math.ceil((m - covered.bit_count()) / max_size)
+                if mass is None else 1)
+        if cost + min_w * need >= best_cost - 1e-15:
+            return
+        j = next((j for j in by_count
+                  if not covered >> j & 1 and holders[j] & allowed), None)
+        if j is None:
+            return
+        opts = sorted(_indices(holders[j] & allowed), key=lambda i: weights[i])
+        for i in opts:
+            search(covered | masks[i], allowed, cost + float(weights[i]),
+                   chosen + [i])
+        if mass is not None:
+            rest = allowed & ~holders[j]
+            reach = functools.reduce(operator.or_,
+                                     (masks[i] for i in _indices(rest)), covered)
+            if _mass(mass, reach) > target:
+                search(covered, rest, cost, chosen)
+
+    search(0, (1 << n_sets) - 1, 0.0, [])
+    return best
+
+
+# -- greedy -------------------------------------------------------------------
+
+
+def greedy_disjoint(members: np.ndarray, order: Sequence[int]) -> list[int]:
+    """The rows one pass over ``order`` keeps, in that order."""
+    taken = np.zeros(members.shape[1], dtype=bool)
+    kept: list[int] = []
+    for i in order:
+        if not (members[i] & taken).any():
+            kept.append(i)
+            taken |= members[i]
+    return kept
+
+
+def greedy_cover(sets: np.ndarray, tie_order: np.ndarray) -> list[int]:
+    """Best-coverage greedy cover; the rows come back in ``tie_order``."""
+    sets_in_order = sets[tie_order]
+    uncovered = np.ones(sets.shape[1], dtype=bool)
+    chosen: list[int] = []
+    while uncovered.any():
+        gains = (sets_in_order & uncovered).sum(axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0:
+            # every point covers itself, so this cannot happen
+            raise ConfigurationError("greedy cover stalled")
+        chosen.append(best)
+        uncovered &= ~sets_in_order[best]
+    return [int(tie_order[pos]) for pos in sorted(chosen)]
+
+
+def greedy_weighted_cover(sets: np.ndarray, weights: np.ndarray) -> list[int]:
+    """Cost-effectiveness greedy cover with lazy score re-evaluation.
+
+    Coverage gains only shrink as points get covered, so weight/gain
+    scores only grow and a stale heap top can be re-checked in isolation.
+    """
+    uncovered = np.ones(sets.shape[1], dtype=bool)
+    # sets and uncovered are boolean, so ``gains`` is too: it says whether a
+    # ball covers anything, not how much, and each first key is the weight
+    # itself.  That overstates weight/gain for balls of more than one
+    # point, so an untouched ball can lose to one of worse true score; the
+    # keys stay as they are because true counts would move emitted values.
+    gains = sets @ uncovered
+    heap = list(zip(np.where(gains, weights, math.inf).tolist(),
+                    range(len(weights))))
+    heapq.heapify(heap)
+    chosen: list[int] = []
+    while uncovered.any():
+        score, i = -1.0, -1
+        while heap:
+            score, i = heapq.heappop(heap)
+            gain = int((sets[i] & uncovered).sum())
+            fresh = weights[i] / gain if gain > 0 else math.inf
+            if not heap or fresh <= heap[0][0] + 1e-18:
+                score = fresh
+                break
+            heapq.heappush(heap, (fresh, i))
+        if i < 0 or not np.isfinite(score):
+            raise ConfigurationError("greedy cover stalled")
+        chosen.append(i)
+        uncovered &= ~sets[i]
+    return chosen
+
+
+def greedy_mass_cover(sets: np.ndarray, mass: np.ndarray,
+                      target: float) -> tuple[int, float]:
+    """Greedy count of rows whose union has mass above ``target``, and the
+    mass covered; uncovered-mass gains only shrink, so the heap is lazy."""
+    active = mass.astype(float)
+    heap = [(-g, i) for i, g in enumerate(sets @ active)]
+    heapq.heapify(heap)
+    count, covered = 0, 0.0
+    while covered <= target:
+        fresh, i = 0.0, -1
+        while heap:
+            _, i = heapq.heappop(heap)
+            fresh = float(sets[i] @ active)
+            if not heap or fresh >= -heap[0][0] - 1e-15:
+                break
+            heapq.heappush(heap, (-fresh, i))
+        if fresh <= 0:
+            raise PoolInsufficientError("greedy mass cover stalled")
+        active[sets[i]] = 0.0
+        covered += fresh
+        count += 1
+    return count, covered

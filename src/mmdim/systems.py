@@ -207,9 +207,6 @@ class PointWindow:
         right = len(self.symbols) - self.origin - self.pads
         return math.inf if self.exact_tail else float(right)
 
-    def key(self) -> tuple:
-        return self.symbols
-
 
 def apply_map(system: ShiftSystem, x: PointWindow) -> PointWindow:
     """One step of the shift: drop coordinate 0, pad symbol 0 on the right.

@@ -234,6 +234,32 @@ class TestBSAndIdentities:
             assert abs(got_pbs - got_pack) < 1e-10
             checked += 1
 
+    def test_substitution_instance_builds_one_geometry(self, monkeypatch):
+        # the four valuations of one identity instance differ only in
+        # structure and in an affine rescaling of the potential
+        from mmdim import caratheodory
+        builds = []
+        blocks = caratheodory.distance_blocks
+
+        def counted(*args):
+            builds.append(args[-1])
+            return blocks(*args)
+
+        monkeypatch.setattr(caratheodory, "distance_blocks", counted)
+        caratheodory._build_candidates.cache_clear()
+        sys = full_shift(k=3)
+        pts = sys.enumerate_points(2)[::2]
+        phi = Potential.from_table([0.3, 0.9, 1.4])
+        eps, lam = 0.3, 1.7
+        bs_prob = problem(sys, pts, phi, eps, n_max=3, structure=BS_R)
+        cover_prob = bs_prob.with_structure(COVER_M).with_potential(
+            phi.scaled(-lam / math.log(1.0 / eps)))
+        bs_value(bs_prob, lam)
+        cover_value(cover_prob, 0.0)
+        packing_bs_value(bs_prob.with_structure(PACKING_BS), lam)
+        packing_value(cover_prob.with_structure(PACKING_P), 0.0)
+        assert builds == [3]
+
     def test_packing_bs_unit_phi(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)

@@ -404,6 +404,32 @@ class TestCli:
         assert "mdim-slope" in captured.out
         assert "Traceback" not in captured.err
 
+    def test_order_below_one_exits_1(self, tmp_path, capsys):
+        # the oracle path once emitted records at n = -1 and n = 0
+        path = self._write(tmp_path, GRID_CONFIG.replace("n = 2 3 4 5",
+                                                         "n = -1 0 2"))
+        code = main(["estimate-mdim", "--config", path,
+                     "--out", str(tmp_path / "r.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(
+            "error: schedule 'n' entries must be >= 1")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_katok_single_order_exits_1(self, tmp_path, capsys):
+        # one order gives no slope; it once printed katok 0.000000
+        cfg = (BASE_CONFIG.replace("n = 2 3 4", "n = 2")
+               + "\n[measure]\nkind = bernoulli\np = 0.5 0.5\n")
+        path = self._write(tmp_path, cfg)
+        code = main(["entropy", "--config", path, "--quantity", "katok",
+                     "--out", str(tmp_path / "r.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: need at least two distinct grid values" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_repeated_eps_schedule_exits_1(self, tmp_path, capsys):
         text = GRID_CONFIG.replace("eps = 2^-3 2^-4 2^-5 2^-6",
                                    "eps = 2^-3 2^-3")

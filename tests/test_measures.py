@@ -7,7 +7,6 @@ import pytest
 
 from mmdim import measures
 from mmdim.bowen import ball_masks
-from mmdim.caratheodory import _greedy_weighted_cover
 from mmdim.errors import ConfigurationError, PoolInsufficientError
 from mmdim.measures import (
     MeasureModel,
@@ -24,6 +23,7 @@ from mmdim.measures import (
     ps_entropy,
     wilson_interval,
 )
+from mmdim.solvers import greedy_weighted_cover
 from mmdim.systems import Potential, ShiftSystem
 
 
@@ -379,6 +379,29 @@ class TestKatok:
         assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
 
 
+def _reference_katok_exact(member_matrix, weights, target):
+    """The include/skip search over balls in row order that katok_rn ran
+    before the shared cover search."""
+    n_sets = member_matrix.shape[0]
+    best = n_sets + 1
+
+    def recurse(start, covered, picked):
+        nonlocal best
+        if float(weights[covered].sum()) > target:
+            best = min(best, picked)
+            return
+        if picked + 1 >= best or start == n_sets:
+            return
+        rest = member_matrix[start:].any(axis=0) & ~covered
+        if float(weights[covered].sum() + weights[rest].sum()) <= target:
+            return
+        recurse(start + 1, covered | member_matrix[start], picked + 1)
+        recurse(start + 1, covered, picked)
+
+    recurse(0, np.zeros(member_matrix.shape[1], dtype=bool), 0)
+    return best
+
+
 def _reference_katok_rn(measure, n, eps, delta, candidate_pool=None,
                         exact_cap=14):
     """katok_rn with one ``ball_masks`` call per order, as it ran before
@@ -394,7 +417,7 @@ def _reference_katok_rn(measure, n, eps, delta, candidate_pool=None,
     if float(weights[member_matrix.any(axis=0)].sum()) <= target:
         raise PoolInsufficientError("pool cannot reach the target")
     if len(pool) <= exact_cap:
-        return measures._katok_exact(member_matrix, weights, target), True
+        return _reference_katok_exact(member_matrix, weights, target), True
     active = weights.astype(float).copy()
     heap = [(-g, i) for i, g in enumerate(member_matrix @ active)]
     heapq.heapify(heap)
@@ -487,7 +510,7 @@ class TestKatokExitOrders:
 
 
 def _reference_greedy_cover(M, weights):
-    """_greedy_weighted_cover with its heap built by a list comprehension."""
+    """greedy_weighted_cover with its heap built by a list comprehension."""
     import heapq
     uncovered = np.ones(M.shape[1], dtype=bool)
     remaining = int(M.shape[1])
@@ -524,7 +547,7 @@ def test_greedy_cover_heap_matches_reference():
             weights = rng.choice([0.5, 1.0, 2.0], size=rows)  # ties
         else:
             weights = np.exp(rng.normal(size=rows))
-        assert _greedy_weighted_cover(M, weights) == \
+        assert greedy_weighted_cover(M, weights) == \
             _reference_greedy_cover(M, weights)
 
 
