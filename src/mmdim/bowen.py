@@ -1,13 +1,11 @@
 """Bowen metrics, ball membership, separated/spanning sets, 5r selection.
 
-One engine computes every Bowen distance in the package.  It takes a
-matrix of centre rows and a pool matrix, builds the symbol-distance tensor
-of a block of centres once, and applies the shift kernels (cached per
-system and largest order) to it, keeping a running max: one pass yields
-the distances at every order 1..n_max.  Centre rows are blocked so that a
-block's temporaries stay within a fixed byte budget.  Ball membership
-masks, pairwise conflicts and the single-pair helpers are all read off the
-engine.
+One engine computes every Bowen distance in the package, per block of
+centre rows, by a per-pair recurrence: one backward sweep
+``S_t = sd_t + w S_{t+1}`` gives the right part of every shift, two-sided
+shifts add a left part summed by Horner, and a running max over the
+shifts yields every order 1..n_max.  Every step is elementwise, so a pair
+gets the same double in any pool and at any position.
 
 Radius comparisons follow one conservative rule everywhere: a point counts
 as inside an open ball only when the truncated distance plus the window
@@ -19,19 +17,19 @@ Greedy separation scans the points in lexicographic order, a block of
 candidates at a time: the block is masked against the points kept so far,
 and the survivors are resolved in order from the block's own conflict mask.
 
-Cylinder rule: the kernel weight at offset 0 is exactly 1 and the other
-terms are non-negative, so a computed ``d_n(x, y)`` is at least the symbol
-distance at every coordinate j < n.  When the smallest non-zero symbol
-distance (1 discrete, 1/k absolute difference) is at least eps, every open
-(n, eps)-ball lies in its centre's n-cylinder.  The greedy scan then keeps
-each point alone in its n-cylinder without computing a distance and scans
-the others within their cylinders; otherwise it scans the whole pool.
+Cylinder rule: the recurrence adds non-negative terms and rounding is
+monotone, so a computed ``d_n(x, y)`` is at least the symbol distance at
+every coordinate j < n, and when no two symbols are closer than eps every
+open (n, eps)-ball lies in its centre's n-cylinder (``_prefix_runs``).
+The greedy scan keeps each point alone in its n-cylinder and scans the
+others within their cylinders; ``min_spanning``, the Katok exit orders,
+the Caratheodory candidates and the sampled ball masses compute distances
+only within origin cylinders (``cylinder_blocks``), with the same bits.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -79,51 +77,12 @@ class SetFamily:
 
 # -- distance engine -----------------------------------------------------------
 
-# Byte budget of one block's float64 symbol-distance tensor.  Centre rows
-# are blocked by it, so a block's temporaries stay within about twice this
-# whatever the pool size; a block this small also stays in cache.
+# Byte budget of one block of centre rows (per pair, a double per shift
+# and a byte per position), so a block's temporaries stay within about
+# twice this whatever the pool size; a block this small also stays in cache.
 _BLOCK_BYTES = 1 << 20
 # Candidate rows resolved together by the greedy separation scan.
 _SCAN_ROWS = 64
-
-
-@functools.lru_cache(maxsize=64)
-def _kernels(system: ShiftSystem, n_max: int) -> np.ndarray:
-    """Weight kernels of the truncated metric at the shifts 0..n_max-1.
-
-    Row ``j`` lives on the original window positions; entries are
-    ``weight^{|t - origin - j|}`` for positions the shifted window retains
-    and 0 where the shift has run off the stored word.
-    """
-    L = system.word_length
-    w = system.weight_base
-    kernels = np.empty((n_max, L))
-    for j in range(n_max):
-        off = np.arange(L) - system.origin_index - j
-        kern = w ** np.abs(off).astype(float)
-        if system.sidedness == "one-sided":
-            kern[off < 0] = 0.0
-        else:
-            kern[off < -system.window] = 0.0
-        kernels[j] = kern
-    kernels.setflags(write=False)
-    return kernels
-
-
-def _symbol_distances(system: ShiftSystem, C: np.ndarray,
-                      Z: np.ndarray) -> np.ndarray:
-    """Symbol distances between the rows of C and Z, shape (|C|, |Z|, L).
-
-    On the absolute-difference metric Z arrives as floats: symbols are
-    small integers, so the float difference is exact and the quotient is
-    the same double as ``|a - b| / k`` taken in integers.
-    """
-    if system.symbol_metric == DISCRETE:
-        return (Z[None, :, :] != C[:, None, :]).astype(float)
-    sd = Z[None, :, :] - C[:, None, :]
-    np.abs(sd, out=sd)
-    sd /= system.alphabet_size
-    return sd
 
 
 def distance_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
@@ -132,35 +91,44 @@ def distance_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
 
     Yields ``(rows, n, d)`` for consecutive blocks of centre rows and, per
     block, every order n = 1..n_max in turn: ``d`` holds the order-n
-    distances from ``C[rows]`` to every row of Z.  The symbol-distance
-    tensor of a block is built once; each shift kernel is applied to it
-    with one matrix product per centre over the whole of Z, and a running
-    max over the shifts gives the next order.
+    distances from ``C[rows]`` to every row of Z.  At shift j, position
+    t >= j weighs ``w^|t - origin - j|``: shift j reads the sweep's
+    ``S_{origin + j}`` and, two-sided, adds the left part over positions
+    j..origin+j-1.  Absolute-difference sums run over |a - b| and are
+    divided by k at the end.  Shifts past the word add nothing.
     """
-    kernels = _kernels(system, n_max)
-    step = max(1, _BLOCK_BYTES // (8 * system.word_length * max(len(Z), 1)))
-    if system.symbol_metric != DISCRETE:
-        Z = Z.astype(float)
+    L, o, w = system.word_length, system.origin_index, system.weight_base
+    discrete = system.symbol_metric == DISCRETE
+    shifts = min(n_max, L)
+    step = max(1, _BLOCK_BYTES // ((8 * shifts + L) * max(len(Z), 1)))
+    dtype = np.min_scalar_type(-system.alphabet_size)
+    CT = np.ascontiguousarray(C.T, dtype=dtype)[:, :, None]
+    ZT = np.ascontiguousarray(Z.T, dtype=dtype)[:, None, :]
     for start in range(0, len(C), step):
-        block = C[start:start + step]
-        rows = slice(start, start + len(block))
-        sd = _symbol_distances(system, block, Z)
-        d = sd @ kernels[0]
-        yield rows, 1, d
-        for n in range(2, n_max + 1):
-            d = np.maximum(d, sd @ kernels[n - 1])
+        rows = slice(start, min(start + step, len(C)))
+        sd = CT[:, rows] != ZT if discrete else np.abs(CT[:, rows] - ZT)
+        sums = np.zeros((shifts,) + sd.shape[1:])
+        S = np.zeros(sd.shape[1:])
+        for t in range(L - 1, o - 1, -1):
+            S *= w
+            S += sd[t]
+            if t - o < shifts:
+                sums[t - o] = S
+        for j in range(shifts if o else 0):
+            T = np.zeros(S.shape)
+            for t in range(j, min(o + j, L)):
+                T *= w
+                T += sd[t]
+            T *= w
+            sums[j] += T
+        if not discrete:
+            sums /= system.alphabet_size
+        d = sums[0]
+        for n in range(1, n_max + 1):
+            if 1 < n <= shifts:
+                d = np.maximum(d, sums[n - 1], out=sums[n - 1])
             yield rows, n, d
-        del sd  # free this block's tensor before building the next one
-
-
-def distance_matrix(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
-                    n: int) -> np.ndarray:
-    """Bowen-n distances from every row of C to every row of Z."""
-    out = np.empty((len(C), len(Z)))
-    for rows, order, d in distance_blocks(system, C, Z, n):
-        if order == n:
-            out[rows] = d
-    return out
+        del sd, sums, d  # free this block before building the next one
 
 
 def ball_masks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray, n: int,
@@ -182,27 +150,27 @@ def ball_masks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray, n: int,
     return out
 
 
-def _row(x: PointWindow) -> np.ndarray:
-    return np.asarray(x.symbols)[None, :]
-
-
 def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,
                    n: int) -> float:
     """max over j < n of the truncated metric between the shifted points."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    return float(distance_matrix(system, _row(x), _row(y), n)[0, 0])
+    return float(distances_to(system, x, system.as_matrix([y]), n)[0])
 
 
 def distances_to(system: ShiftSystem, center: PointWindow, Z: np.ndarray,
                  n: int) -> np.ndarray:
     """Vector of Bowen-n distances from one center to every row of Z."""
-    return distance_matrix(system, _row(center), Z, n)[0]
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
+    C = system.as_matrix([center])
+    for _, order, d in distance_blocks(system, C, Z, n):
+        if order == n:
+            return d[0].copy()
 
 
 def is_within(system: ShiftSystem, x: PointWindow, y: PointWindow, n: int,
               eps: float, closed: bool = False) -> bool:
-    return bool(ball_masks(system, _row(x), _row(y), n, eps, closed)[0, 0])
+    C, Z = system.as_matrix([x]), system.as_matrix([y])
+    return bool(ball_masks(system, C, Z, n, eps, closed)[0, 0])
 
 
 # -- separated sets ----------------------------------------------------------
@@ -248,21 +216,43 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     return [pts[i] for i in kept], False
 
 
-def _prefix_runs(system: ShiftSystem, Z: np.ndarray, n: int,
-                 eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _prefix_runs(system: ShiftSystem, Z: np.ndarray, n: int, eps: float,
+                 closed_slacks: Sequence[float] | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Rows of Z grouped by n-cylinder (coordinates 0..n-1), or None when
-    the smallest non-zero symbol distance is below eps (no cylinder rule).
+    the cylinder rule does not hold at eps: the smallest non-zero symbol
+    distance must be at least eps, and for closed balls (the slacks of
+    every order built given) above eps or with ``fl(eps + slack) > eps``.
 
     Returns ``(perm, lab)``: ``Z[perm]`` lists the cylinders one after the
     other, in row order within each, and ``lab`` numbers their cylinders.
     """
     k = system.alphabet_size
-    if (1.0 if system.symbol_metric == DISCRETE else 1.0 / k) < eps:
+    floor = 1.0 if system.symbol_metric == DISCRETE else 1.0 / k
+    if floor < eps or (floor == eps and closed_slacks is not None
+                       and not all(eps + s > eps for s in closed_slacks)):
         return None
     o = system.origin_index
     perm = np.lexsort(Z[:, o:o + n].T[::-1])
     head = Z[perm, o:o + n]
     return perm, np.cumsum(np.r_[False, (head[1:] != head[:-1]).any(axis=1)])
+
+
+def cylinder_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
+                    eps: float, closed_slacks: Sequence[float] | None = None,
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row indices ``(of C, of Z)``, ascending, of each origin cylinder of
+    C.  Under the cylinder rule any other pair is outside every
+    (n, eps)-ball at every order; without it the one block is every row.
+    """
+    runs = _prefix_runs(system, C, 1, eps, closed_slacks)
+    if runs is None:
+        return [(np.arange(len(C)), np.arange(len(Z)))]
+    perm, lab = runs
+    o = system.origin_index
+    return [(ci, np.flatnonzero(Z[:, o] == C[ci[0], o]))
+            for ci in np.split(perm, np.flatnonzero(np.diff(lab)) + 1)
+            if len(ci)]
 
 
 def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
@@ -316,7 +306,9 @@ def min_spanning(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     system.check_order(n, eps)
     Z = system.as_matrix(pts)
     m = len(pts)
-    cover_sets = ball_masks(system, Z, Z, n, eps)
+    cover_sets = np.zeros((m, m), dtype=bool)
+    for ci, zi in cylinder_blocks(system, Z, Z, eps):
+        cover_sets[np.ix_(ci, zi)] = ball_masks(system, Z[ci], Z[zi], n, eps)
     if mode == "exact":
         if m > exact_cap:
             raise ExactCapError(f"{m} points exceed the exact cap {exact_cap}")

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import distance_blocks
+from .bowen import cylinder_blocks, distance_blocks
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, _slope
 from .solvers import (greedy_disjoint, greedy_weighted_cover,
@@ -132,27 +132,27 @@ def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
             for n in range(N, n_max + 1)}
     n_orders = n_max - N + 1
     n_cand = len(Z) * n_orders
-    open_members = np.empty((n_cand, len(Z)), dtype=bool)
-    closed_members = np.empty((n_cand, len(Z)), dtype=bool)
+    open_members = np.zeros((n_cand, len(Z)), dtype=bool)
+    closed_members = np.zeros((n_cand, len(Z)), dtype=bool)
     sup_open = np.empty(n_cand)
     sup_closed = np.empty(n_cand)
+    slacks = {n: system.truncation_slack(n) for n in range(N, n_max + 1)}
     # candidate ci * n_orders + (n - N) is the ball of order n centred at ci
-    for rows, n, d in distance_blocks(system, Z, Z, n_max):
-        if n < N:
-            continue
-        ci = np.arange(rows.start, rows.stop)
-        reach = d + system.truncation_slack(n)
-        is_open = reach < eps
-        is_closed = reach <= eps
-        own = (np.arange(len(ci)), ci)
-        is_open[own] = True  # a ball always contains its center
-        is_closed[own] = True
-        slots = ci * n_orders + (n - N)
-        open_members[slots] = is_open
-        closed_members[slots] = is_closed
-        s = sums[n]
-        sup_open[slots] = np.where(is_open, s, -np.inf).max(axis=1)
-        sup_closed[slots] = np.where(is_closed, s, -np.inf).max(axis=1)
+    for ci, zi in cylinder_blocks(system, Z, Z, eps, list(slacks.values())):
+        for rows, n, d in distance_blocks(system, Z[ci], Z[zi], n_max):
+            if n < N:
+                continue
+            reach = d + slacks[n]
+            is_open = reach < eps
+            is_closed = reach <= eps
+            np.fill_diagonal(is_open[:, rows], True)  # a ball holds its center
+            np.fill_diagonal(is_closed[:, rows], True)
+            slots = ci[rows] * n_orders + (n - N)
+            open_members[np.ix_(slots, zi)] = is_open
+            closed_members[np.ix_(slots, zi)] = is_closed
+            s = sums[n][zi]
+            sup_open[slots] = np.where(is_open, s, -np.inf).max(axis=1)
+            sup_closed[slots] = np.where(is_closed, s, -np.inf).max(axis=1)
     return _Candidates(
         centers=tuple(np.repeat(np.arange(len(Z)), n_orders).tolist()),
         orders=tuple(range(N, n_max + 1)) * len(Z),

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import ball_masks, distance_blocks, max_separated
+from .bowen import ball_masks, cylinder_blocks, distance_blocks, max_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope
 from .solvers import greedy_mass_cover, min_weight_cover
@@ -301,9 +301,9 @@ def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
     """Sampled hit counts of B_n(x, eps) at every order n = 1..n_max.
 
     The samples come in 20,000-row blocks, block ``bi`` from stream
-    ``stream * 1000 + bi``.  One engine pass over a block gives the
-    distances at every order, and each order applies the membership rule
-    of ``ball_masks``: distance plus truncation slack below eps.
+    ``stream * 1000 + bi``.  One engine pass over a block's samples in x's
+    origin cylinder gives every order, and each order applies the rule of
+    ``ball_masks``: distance plus truncation slack below eps.
     """
     sys = measure.system
     center = sys.as_matrix([x])
@@ -313,8 +313,10 @@ def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
     for bi, done in enumerate(range(0, samples, block)):
         Y = measure.sample_matrix(min(block, samples - done),
                                   stream=stream * 1000 + bi)
-        for _, order, d in distance_blocks(sys, center, Y, n_max):
-            hits[order - 1] += int((d + slack[order - 1] < eps).sum())
+        for _, zi in cylinder_blocks(sys, center, Y, eps):
+            for _, order, d in distance_blocks(sys, center, Y[zi], n_max):
+                hits[order - 1] += int((d + slack[order - 1] < eps).sum())
+        del Y  # free this block before the next one is drawn
     return tuple(hits)
 
 
@@ -499,7 +501,7 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     largest uncovered mass, with an exhaustive search below the cap.  The
     membership matrix is read off the exit orders of ``_ball_exits``, so
     the orders 1..max(n, window) of one (measure, pool, eps) share one
-    engine pass.
+    build.
     """
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
@@ -538,17 +540,21 @@ def _ball_exits(measure: MeasureModel,
     running maxima and the truncation slack grows with n, so a point that
     has left a ball stays out at every higher order, and one plus the
     number of orders at which it is inside is its exit order.  One engine
-    pass gives every order; the candidates default to the support.  One
-    entry is kept: a Katok sweep reads all its orders from one (measure,
-    pool, eps), and a second matrix alive would only raise peak memory.
+    pass per shared origin cylinder gives every order; any other pair
+    exits at order 1.  The candidates default to the support.  One entry
+    is kept: a Katok sweep reads all its orders from one (measure, pool,
+    eps), and a second matrix alive would only raise peak memory.
     """
     sys = measure.system
     Z = sys.as_matrix(list(measure.support))
     P = Z if candidate_pool is None else sys.as_matrix(list(candidate_pool))
     slack = [sys.truncation_slack(order) for order in range(1, n_max + 1)]
     exits = np.ones((len(P), len(Z)), dtype=np.min_scalar_type(n_max + 1))
-    for rows, order, d in distance_blocks(sys, P, Z, n_max):
-        exits[rows] += d + slack[order - 1] < eps
+    for ci, zi in cylinder_blocks(sys, P, Z, eps):
+        part = exits[np.ix_(ci, zi)]
+        for rows, order, d in distance_blocks(sys, P[ci], Z[zi], n_max):
+            part[rows] += d + slack[order - 1] < eps
+        exits[np.ix_(ci, zi)] = part
     exits.setflags(write=False)
     return exits
 

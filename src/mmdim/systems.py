@@ -178,7 +178,9 @@ class ShiftSystem:
         ]
 
     def as_matrix(self, points: Sequence["PointWindow"]) -> np.ndarray:
-        return np.array([p.symbols for p in points], dtype=np.int64)
+        rows = [p.symbols for p in points]
+        return (np.array(rows, dtype=np.int64) if rows
+                else np.empty((0, self.word_length), dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,10 @@ class TestBSAndIdentities:
         cover_value(cover_prob, 0.0)
         packing_bs_value(bs_prob.with_structure(PACKING_BS), lam)
         packing_value(cover_prob.with_structure(PACKING_P), 0.0)
-        assert builds == [3]
+        assert caratheodory._build_candidates.cache_info().misses == 1
+        # the one build makes one engine pass, at n_max = 3, per origin
+        # cylinder of the points: words starting 0, 1 and 2
+        assert builds == [3, 3, 3]
 
     def test_packing_bs_unit_phi(self):
         sys = full_shift()

@@ -1,10 +1,14 @@
-"""The blocked Bowen-distance engine against a per-centre reference.
+"""The blocked Bowen-distance engine against a per-pair reference.
 
 The reference below is the straightforward computation: one centre at a
-time, one weight kernel per shift, each applied to the whole pool with a
-matrix-vector product, and a max over the shifts.  The engine must agree
-with it exactly, not just approximately, so that every membership decision
-``d + slack < eps`` comes out the same.
+time, the documented recurrence over the pool's symbol distances (a
+backward sweep for the right part of every shift, Horner for the
+two-sided left part, integer differences divided by k at the end on the
+absolute-difference metric), and a max over the shifts.  The engine must
+agree with it exactly, not just approximately, so that every membership
+decision ``d + slack < eps`` comes out the same wherever a pair sits.
+The weight-kernel dot products the engine used before stay as a
+tolerance check.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmdim import bowen
+from mmdim import bowen, caratheodory, measures
 from mmdim.bowen import (
     BallSpec,
     SetFamily,
     ball_masks,
+    cylinder_blocks,
     distance_blocks,
     distances_to,
     five_r_disjointify,
@@ -34,32 +39,57 @@ from mmdim.systems import (
     ONE_SIDED,
     TWO_SIDED,
     PointWindow,
+    Potential,
     ShiftSystem,
 )
 
 
-def reference_kernels(system: ShiftSystem, n: int) -> list[np.ndarray]:
-    L = system.word_length
-    kernels = []
+def symbol_differences(system: ShiftSystem, C: np.ndarray,
+                       Z: np.ndarray) -> np.ndarray:
+    """0/1 (discrete) or |a - b| per pair and position, (|C|, |Z|, L)."""
+    if system.symbol_metric == DISCRETE:
+        return (Z[None, :, :] != C[:, None, :]).astype(float)
+    return np.abs(Z[None, :, :] - C[:, None, :]).astype(float)
+
+
+def reference_distances(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
+                        n: int) -> np.ndarray:
+    """Order-n distances from the rows of C to the rows of Z, pair by
+    pair: every operation below is elementwise over the pairs."""
+    L, o, w = system.word_length, system.origin_index, system.weight_base
+    sd = symbol_differences(system, C, Z)
+    zero = np.zeros(sd.shape[:2])
+    right = {L: zero}
+    for t in range(L - 1, -1, -1):
+        right[t] = sd[:, :, t] + w * right[t + 1]
+    best = None
+    for j in range(min(n, L)):
+        d = right.get(o + j, zero)
+        if o:
+            left = zero
+            for t in range(j, min(o + j, L)):
+                left = sd[:, :, t] + w * left
+            d = w * left + d
+        best = d if best is None else np.maximum(best, d)
+    if system.symbol_metric != DISCRETE:
+        best = best / system.alphabet_size
+    return best
+
+
+def kernel_distances(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
+                     n: int) -> np.ndarray:
+    """One weight kernel per shift, applied with a matrix product."""
+    sd = symbol_differences(system, C, Z)
+    if system.symbol_metric != DISCRETE:
+        sd /= system.alphabet_size
+    best = None
     for j in range(n):
-        off = np.arange(L) - system.origin_index - j
+        off = np.arange(system.word_length) - system.origin_index - j
         kern = system.weight_base ** np.abs(off).astype(float)
         if system.sidedness == ONE_SIDED:
             kern[off < 0] = 0.0
         else:
             kern[off < -system.window] = 0.0
-        kernels.append(kern)
-    return kernels
-
-
-def reference_distances(system: ShiftSystem, center: np.ndarray,
-                        Z: np.ndarray, n: int) -> np.ndarray:
-    if system.symbol_metric == DISCRETE:
-        sd = (Z != center[None, :]).astype(float)
-    else:
-        sd = np.abs(Z - center[None, :]) / system.alphabet_size
-    best = None
-    for kern in reference_kernels(system, n):
         d = sd @ kern
         best = d if best is None else np.maximum(best, d)
     return best
@@ -71,6 +101,12 @@ def make_system(sidedness, metric, w, k, window):
                        sidedness=sidedness, window=window,
                        symbol_metric=metric, weight_base=w,
                        eps_min=40.0 * one_tail)
+
+
+def rows_per_block(system: ShiftSystem, n_max: int, m: int) -> int:
+    """Centre rows in one engine block against a pool of m rows."""
+    L = system.word_length
+    return max(1, bowen._BLOCK_BYTES // ((8 * min(n_max, L) + L) * m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,21 +124,59 @@ def test_engine_bit_identical_at_every_order(sidedness, metric, w, k, window,
     m = int(rng.integers(200, 700))
     Z = rng.integers(0, k, size=(m, L))
     # more centres than one row block holds, so blocks are crossed
-    per_block = max(1, bowen._BLOCK_BYTES // (8 * L * m))
-    C = rng.integers(0, k, size=(2 * per_block + 3, L))
+    C = rng.integers(0, k, size=(2 * rows_per_block(system, n_max, m) + 3,
+                                 L))
     C[0] = Z[0]
     seen = set()
     for rows, n, d in distance_blocks(system, C, Z, n_max):
         assert d.shape == (rows.stop - rows.start, m)
-        for i, c in enumerate(C[rows]):
-            assert (d[i] == reference_distances(system, c, Z, n)).all()
+        assert (d == reference_distances(system, C[rows], Z, n)).all()
+        np.testing.assert_allclose(
+            d, kernel_distances(system, C[rows], Z, n), rtol=1e-15, atol=0)
         seen.add((rows.start, n))
     assert len({start for start, _ in seen}) >= 3
     assert {n for _, n in seen} == set(range(1, n_max + 1))
     center = PointWindow(symbols=tuple(int(a) for a in C[-1]),
                          origin=system.origin_index)
     assert (distances_to(system, center, Z, n_max)
-            == reference_distances(system, C[-1], Z, n_max)).all()
+            == reference_distances(system, C[-1:], Z, n_max)[0]).all()
+
+
+def all_orders(system, C, Z, n_max) -> np.ndarray:
+    """Engine distances at every order, shape (n_max, |C|, |Z|)."""
+    out = np.empty((n_max, len(C), len(Z)))
+    for rows, n, d in distance_blocks(system, C, Z, n_max):
+        out[n - 1, rows] = d
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([ONE_SIDED, TWO_SIDED]),
+       st.sampled_from([DISCRETE, ABSOLUTE]),
+       st.sampled_from([3, 5, 7]), st.sampled_from([0.3, 0.5]),
+       st.integers(7, 12), st.integers(0, 2 ** 32 - 1))
+def test_pair_distance_independent_of_position(sidedness, metric, k, w,
+                                               window, seed):
+    system = make_system(sidedness, metric, w, k, window)
+    L, n_max = system.word_length, window
+    rng = np.random.default_rng(seed)
+    x, y = rng.integers(0, k, size=(2, L))
+    alone = all_orders(system, x[None], y[None], n_max)[:, 0, 0]
+    pool = rng.integers(0, k, size=(1000, L))
+    for r in (0, 1, 2, 3, 500, 997, 998, 999):
+        pool[r] = y
+    at_rows = all_orders(system, x[None], pool, n_max)[:, 0]
+    for r in (0, 1, 2, 3, 500, 997, 998, 999):
+        assert (at_rows[:, r] == alone).all(), r
+    # x in the middle of a centre block, against y alone and in the pool
+    per_block = rows_per_block(system, n_max, 1)
+    C = rng.integers(0, k, size=(per_block + 5, L))
+    mid = per_block // 2
+    C[mid] = x
+    assert (all_orders(system, C, y[None], n_max)[:, mid, 0] == alone).all()
+    C = rng.integers(0, k, size=(9, L))
+    C[4] = x
+    assert (all_orders(system, C, pool, n_max)[:, 4, 500] == alone).all()
 
 
 # -- greedy scan and the routed selections, on seeded pools ------------------
@@ -132,7 +206,7 @@ def reference_scan(system, pts, n, eps) -> list[int]:
     for i in sorted(range(len(pts)), key=lambda i: pts[i].symbols):
         if all(row[i] + slack >= eps for row in rows):
             kept.append(i)
-            rows.append(reference_distances(system, Z[i], Z, n))
+            rows.append(reference_distances(system, Z[i:i + 1], Z, n)[0])
     return kept
 
 
@@ -338,3 +412,143 @@ def test_singleton_cylinders_need_no_engine_call(monkeypatch):
     assert not exact
     assert len(calls) == 0
     assert got == sorted(shuffled, key=lambda p: p.symbols)
+
+
+# -- cylinder-pruned whole-pool callers ---------------------------------------
+
+
+def grid(k: int, sidedness: str, window: int = 12) -> ShiftSystem:
+    return ShiftSystem(kind="grid-shift", alphabet_size=k, window=window,
+                       sidedness=sidedness, eps_min=0.1)
+
+
+def floor_radii(k: int) -> list[float]:
+    """eps = 1/k, the smallest non-zero grid distance, and one ulp either
+    side of it."""
+    f = 1.0 / k
+    return [float(np.nextafter(f, 0.0)), f, float(np.nextafter(f, 1.0))]
+
+
+def grid_points(system: ShiftSystem, m: int, seed: int) -> list[PointWindow]:
+    """m random windows whose first coordinates share few prefixes."""
+    rng = np.random.default_rng(seed)
+    k, L, o = system.alphabet_size, system.word_length, system.origin_index
+    Z = rng.integers(0, k, size=(m, L))
+    Z[:, o + 1:o + 3] = rng.integers(0, 2, size=(m, 2))
+    return [system.point(row) for row in Z]
+
+
+def dense(monkeypatch):
+    """Switch the cylinder rule off, so every caller takes its whole-pool
+    path, and drop the memoised builds of both paths."""
+    monkeypatch.setattr(bowen, "_prefix_runs", lambda *args: None)
+    clear_memos()
+
+
+def clear_memos():
+    measures._ball_exits.cache_clear()
+    measures._sampled_hits.cache_clear()
+    caratheodory._build_candidates.cache_clear()
+
+
+PRUNED_CASES = [(k, side) for k in (3, 5, 7)
+                for side in (ONE_SIDED, TWO_SIDED)]
+
+
+def prunes(system, Z, eps) -> bool:
+    return len(cylinder_blocks(system, Z, Z, eps)) > 1
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
+    system = grid(k, sidedness)
+    pts = grid_points(system, 240, k)
+    snapshot = MeasureModel.empirical(system, pts)
+    pool = tuple(grid_points(system, 90, k + 1))
+    clear_memos()
+    got = {(eps, p is None): measures._ball_exits(snapshot, p, eps, 8).copy()
+           for eps in floor_radii(k) for p in (None, pool)}
+    assert [prunes(system, system.as_matrix(pts), eps)
+            for eps in floor_radii(k)] == [True, True, False]
+    dense(monkeypatch)
+    for (eps, support), exits in got.items():
+        p = None if support else pool
+        assert (measures._ball_exits(snapshot, p, eps, 8) == exits).all()
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_pruned_candidates_match_dense(k, sidedness, monkeypatch):
+    system = grid(k, sidedness)
+    pts = tuple(grid_points(system, 150, 10 + k))
+    base = Potential.from_table(np.random.default_rng(k).random(k))
+    fields = ("open_members", "closed_members", "sup_open", "sup_closed")
+    clear_memos()
+    got = {eps: caratheodory._build_candidates(system, pts, base, eps, 2, 5)
+           for eps in floor_radii(k)}
+    slacks = [system.truncation_slack(n) for n in range(2, 6)]
+    assert [rule(system, eps, slacks)
+            for eps in floor_radii(k)] == [True, True, False]
+    dense(monkeypatch)
+    for eps, cands in got.items():
+        ref = caratheodory._build_candidates(system, pts, base, eps, 2, 5)
+        assert cands.centers == ref.centers and cands.orders == ref.orders
+        for name in fields:
+            assert np.array_equal(getattr(cands, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_pruned_sampled_hits_match_dense(k, sidedness, monkeypatch):
+    system = grid(k, sidedness)
+    mu = MeasureModel.product_uniform(system, seed=k)
+    xs = mu.sample_points(2, stream=3)
+    clear_memos()
+    got = {(eps, i): measures._sampled_hits(mu, x, eps, 30_000, 8, 5)
+           for eps in floor_radii(k) for i, x in enumerate(xs)}
+    assert any(sum(hits) for hits in got.values())
+    dense(monkeypatch)
+    for (eps, i), hits in got.items():
+        assert measures._sampled_hits(mu, xs[i], eps, 30_000, 8, 5) == hits
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_pruned_spanning_matches_dense(k, sidedness, monkeypatch):
+    system = grid(k, sidedness)
+    pts = grid_points(system, 200, 20 + k)
+    small = pts[:12]
+    runs = [(pts, n, eps, "greedy") for n in (1, 3) for eps in floor_radii(k)]
+    runs += [(small, 2, eps, "exact") for eps in floor_radii(k)]
+    got = [min_spanning(system, p, n, eps, mode=mode)
+           for p, n, eps, mode in runs]
+    dense(monkeypatch)
+    for (p, n, eps, mode), (chosen, exact) in zip(runs, got):
+        ref, ref_exact = min_spanning(system, p, n, eps, mode=mode)
+        assert indices(p, chosen) == indices(p, ref) and exact == ref_exact
+
+
+def rule(system, eps, closed_slacks=None) -> bool:
+    """Whether the cylinder rule holds for (n, eps)-balls."""
+    Z = np.zeros((1, system.word_length), dtype=np.int64)
+    return bowen._prefix_runs(system, Z, 1, eps, closed_slacks) is not None
+
+
+def test_closed_rule_needs_slack_above_an_ulp():
+    system = grid(3, ONE_SIDED)
+    f = 1.0 / 3
+    assert rule(system, f)
+    assert rule(system, f, [1e-3])
+    assert not rule(system, f, [1e-3, 1e-20])
+    assert rule(system, float(np.nextafter(f, 0.0)), [1e-20])
+    assert not rule(system, float(np.nextafter(f, 1.0)))
+
+
+def test_closed_ball_at_the_floor_reaches_across_cylinders():
+    # the slack of every order vanishes next to eps, so a point one grid
+    # step away at the origin and equal elsewhere is on the closed sphere
+    system = ShiftSystem(kind="grid-shift", alphabet_size=3, window=40,
+                         weight_base=0.3, eps_min=0.1)
+    x, y = system.point([0]), system.point([1])
+    caratheodory._build_candidates.cache_clear()
+    cands = caratheodory._build_candidates(
+        system, (x, y), Potential.from_table([0.1, 0.7, 0.2]), 1.0 / 3, 1, 2)
+    assert cands.closed_members.all()
+    assert not cands.open_members[np.arange(4), [1, 1, 0, 0]].any()

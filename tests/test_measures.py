@@ -365,6 +365,9 @@ class TestKatok:
         mu = MeasureModel.empirical(sys, pts)
         with pytest.raises(PoolInsufficientError):
             katok_rn(mu, 2, 0.4, 0.1, candidate_pool=pts[:1])
+        for eps in (0.4, 1.5):  # with and without the cylinder rule
+            with pytest.raises(PoolInsufficientError):
+                katok_rn(mu, 2, eps, 0.1, candidate_pool=[])
 
     def test_entropy_slope_log2(self):
         sys, pool, mu = exact_cylinder_model(depth=10)
