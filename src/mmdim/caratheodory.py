@@ -31,11 +31,11 @@ import numpy as np
 
 from .bowen import cylinder_blocks, distance_blocks
 from .errors import BracketError, ConfigurationError
-from .pressure import DimensionEstimate, _slope
+from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (greedy_disjoint, greedy_weighted_cover,
                       max_weight_independent, min_weight_cover)
-from .systems import (PointWindow, Potential, ShiftSystem,
-                      birkhoff_sums_matrix)
+from .systems import (PointWindow, Potential, ShiftSystem, birkhoff_sums,
+                      check_genuine)
 
 COVER_M = "cover-M"
 COVER_FIXED = "cover-fixed-m"
@@ -46,7 +46,8 @@ WEIGHTED_W = "weighted-W"
 
 STRUCTURES = (COVER_M, COVER_FIXED, PACKING_P, BS_R, PACKING_BS, WEIGHTED_W)
 
-DEFAULT_PARTITION_EXACT = 8
+PARTITION_EXACT = 8  # refined packings try every partition up to this |Z|
+MAX_DOUBLINGS = 80
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,8 @@ def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
                       base: Potential, eps: float, N: int,
                       n_max: int) -> _Candidates:
     Z = system.as_matrix(list(points))
-    # per-point base Birkhoff sums at each order
-    sums = {n: birkhoff_sums_matrix(system, base, Z, n,
-                                    origin=system.origin_index)
-            for n in range(N, n_max + 1)}
+    check_genuine(base, points, range(N, n_max + 1))
+    sums = birkhoff_sums(system, base, Z, n_max)  # column n: order n
     n_orders = n_max - N + 1
     n_cand = len(Z) * n_orders
     open_members = np.zeros((n_cand, len(Z)), dtype=bool)
@@ -150,7 +149,7 @@ def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
             slots = ci[rows] * n_orders + (n - N)
             open_members[np.ix_(slots, zi)] = is_open
             closed_members[np.ix_(slots, zi)] = is_closed
-            s = sums[n][zi]
+            s = sums[zi, n]
             sup_open[slots] = np.where(is_open, s, -np.inf).max(axis=1)
             sup_closed[slots] = np.where(is_closed, s, -np.inf).max(axis=1)
     return _Candidates(
@@ -297,7 +296,6 @@ def _partitions(indices: list[int], max_blocks: int):
 def refined_packing_value(problem: OuterMeasureProblem, lam: float,
                           partition_cap: int = 4,
                           packer: Callable[..., StructureValue] | None = None,
-                          exact_points: int = DEFAULT_PARTITION_EXACT,
                           ) -> StructureValue:
     """Minimum over partitions of Z of the per-block packing values.
 
@@ -307,43 +305,39 @@ def refined_packing_value(problem: OuterMeasureProblem, lam: float,
     """
     packer = packer or packing_value
     m = len(problem.points)
+
+    def split(blocks) -> StructureValue:
+        """The packing values of the blocks of one partition, summed."""
+        total, exact_all, chosen = 0.0, True, []
+        for block in blocks:
+            mask = np.zeros(m, dtype=bool)
+            mask[block] = True
+            sv = packer(problem, lam, center_mask=mask)
+            total += sv.value
+            exact_all &= sv.exact
+            chosen.extend(sv.chosen)
+        return StructureValue(value=total, exact=exact_all,
+                              chosen=tuple(chosen))
+
     trivial = packer(problem, lam)
     best = trivial
-    if m <= exact_points:
+    if m <= PARTITION_EXACT:
         for part in _partitions(list(range(m)), partition_cap):
-            if len(part) == 1:
-                continue
-            total, exact_all, chosen = 0.0, True, []
-            for block in part:
-                mask = np.zeros(m, dtype=bool)
-                mask[block] = True
-                sv = packer(problem, lam, center_mask=mask)
-                total += sv.value
-                exact_all &= sv.exact
-                chosen.extend(sv.chosen)
-            if total < best.value - 1e-15:
-                best = StructureValue(value=total, exact=exact_all,
-                                      chosen=tuple(chosen))
+            if len(part) > 1:
+                sv = split(part)
+                if sv.value < best.value - 1e-15:
+                    best = sv
         return best
     # agglomerative: start from singletons, merge while the value drops
     blocks = [[i] for i in range(m)]
-
-    def total_of(blks):
-        s = 0.0
-        for blk in blks:
-            mask = np.zeros(m, dtype=bool)
-            mask[blk] = True
-            s += packer(problem, lam, center_mask=mask).value
-        return s
-
-    current = total_of(blocks)
+    current = split(blocks).value
     improved = True
     while improved and len(blocks) > 1:
         improved = False
         for a, b in itertools.combinations(range(len(blocks)), 2):
             trial = [blk for i, blk in enumerate(blocks) if i not in (a, b)]
             trial.append(blocks[a] + blocks[b])
-            val = total_of(trial)
+            val = split(trial).value
             if val < current - 1e-15:
                 blocks, current, improved = trial, val, True
                 break
@@ -355,19 +349,19 @@ def refined_packing_value(problem: OuterMeasureProblem, lam: float,
 # -- critical exponents ----------------------------------------------------------
 
 
-def critical_lambda(valuation: Callable[[float], float], tol: float = 1e-6,
-                    threshold: float = 1.0, max_doublings: int = 80,
-                    ) -> CriticalValue:
+def critical_lambda(valuation: Callable[[float], float],
+                    tol: float = 1e-6) -> CriticalValue:
     """Bisection for the lambda where a nonincreasing valuation crosses the
-    threshold, with geometric bracket growth from [-1, 1]."""
+    threshold 1, with geometric bracket growth from [-1, 1]."""
+    threshold = 1.0
     lo, hi = -1.0, 1.0
     v_lo, v_hi = valuation(lo), valuation(hi)
     grow = 0
-    while v_lo < threshold and grow < max_doublings:
+    while v_lo < threshold and grow < MAX_DOUBLINGS:
         lo *= 2.0
         v_lo = valuation(lo)
         grow += 1
-    while v_hi > threshold and grow < max_doublings:
+    while v_hi > threshold and grow < MAX_DOUBLINGS:
         hi *= 2.0
         v_hi = valuation(hi)
         grow += 1
@@ -417,22 +411,15 @@ def subset_mdim(system: ShiftSystem, points: Sequence[PointWindow],
     eps_schedule = tuple(sorted(set(eps_schedule), reverse=True))
     if len(eps_schedule) < 2:
         raise ConfigurationError("need at least 2 eps values")
-    per_eps: dict[float, float] = {}
-    ratios: dict[float, float] = {}
+    lams = []
     for eps in eps_schedule:
         problem = OuterMeasureProblem(
             system=system, points=tuple(points), phi=phi, eps=eps, N=N,
             n_max=n_max, structure=structure, exact_cap=exact_cap,
         )
-        crit = critical_lambda(structure_valuation(problem), tol=tol)
-        per_eps[eps] = crit.lambda_star
-        ratios[eps] = crit.lambda_star / math.log(1.0 / eps)
-    xs = [math.log(1.0 / e) for e in eps_schedule]
-    ys = [per_eps[e] for e in eps_schedule]
-    slope, intercept, residual = _slope(xs, ys)
-    return DimensionEstimate(
-        per_eps_pressure=per_eps, slope=slope, intercept=intercept,
-        residual=residual, eps_schedule=eps_schedule,
-        n_schedule=tuple(range(N, n_max + 1)),
-        details={"ratios": ratios, "structure": structure},
-    )
+        lams.append(critical_lambda(structure_valuation(problem),
+                                    tol=tol).lambda_star)
+    ratios = {eps: lam / math.log(1.0 / eps)
+              for eps, lam in zip(eps_schedule, lams)}
+    return log_eps_fit(eps_schedule, lams, n_schedule=range(N, n_max + 1),
+                       details={"ratios": ratios, "structure": structure})

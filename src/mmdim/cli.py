@@ -9,7 +9,6 @@ the summary table is printed as CSV on stdout.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
@@ -25,8 +24,8 @@ from .config import ExperimentConfig, load_config, parse_int
 from .errors import MMDimError, ConfigurationError
 from .measures import brin_katok, bs_entropy, katok_entropy, ps_entropy
 from .pressure import (
-    _slope,
     induced_mdim_estimate,
+    log_eps_fit,
     mdim_estimate,
     pressure_estimate,
     solve_bowen_root,
@@ -72,15 +71,14 @@ def cmd_estimate_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
             command="estimate-mdim", config_hash=h, quantity="pressure",
             keys={"eps": est.eps}, value=est.slope,
             exact=est.witness_kind == "analytic-oracle"))
-    xs = [math.log(1.0 / e) for e in cfg.eps_schedule]
-    ys = [est.slope for est in estimates]
-    slope, intercept, residual = _slope(xs, ys)
+    # the schedule is fitted as given: 2 eps values are enough here
+    fit = log_eps_fit(cfg.eps_schedule, [est.slope for est in estimates])
     records.append(ResultRecord(
         command="estimate-mdim", config_hash=h, quantity="mdim-slope",
-        keys={}, value=float(slope), exact=False))
-    summary = [{"quantity": "mdim-slope", "value": f"{slope:.6f}",
-                "intercept": f"{intercept:.6f}",
-                "residual": f"{residual:.6f}"}]
+        keys={}, value=fit.slope, exact=False))
+    summary = [{"quantity": "mdim-slope", "value": f"{fit.slope:.6f}",
+                "intercept": f"{fit.intercept:.6f}",
+                "residual": f"{fit.residual:.6f}"}]
     return records, summary
 
 

@@ -22,9 +22,10 @@ import numpy as np
 
 from .bowen import ball_masks, cylinder_blocks, distance_blocks, max_separated
 from .errors import ConfigurationError, PoolInsufficientError
-from .pressure import DimensionEstimate, _slope
+from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
-from .systems import ABSOLUTE, PointWindow, Potential, ShiftSystem
+from .systems import (ABSOLUTE, PointWindow, Potential, ShiftSystem,
+                      birkhoff_sums, check_genuine)
 
 WILSON_Z99 = 2.5758293035489004
 
@@ -438,38 +439,31 @@ def _bs_point_rates(measure: MeasureModel, phi: Potential, eps: float,
     lower_vals, upper_vals = [], []
     band_lo, band_hi = [], []
     per_scale: dict[int, list[float]] = {n: [] for n in n_schedule}
-    for x in xs:
+    sums = birkhoff_sums(measure.system, phi, measure.system.as_matrix(xs),
+                         n_schedule[-1])
+    for x, S in zip(xs, sums):
         v_low, v_high = _mass_curves(measure, x, n_schedule, eps)
         usable = len(v_low)
         if usable < 2:
             flags.append("schedule-shrunk")
             continue
         ns = n_schedule[:usable]
-        span = _birkhoff_step(measure.system, phi, x, ns[0], ns[-1])
+        check_genuine(phi, [x], [ns[-1]])
+        span = S[ns[-1]] - S[ns[0]]
         lo_x = float((v_low[-1] - v_low[0]) / span)
         hi_x = max(float((v_high[-1] - v_high[0]) / span), lo_x)
         lower_vals.append(lo_x)
         upper_vals.append(hi_x)
-        denoms = np.array([
-            _birkhoff_step(measure.system, phi, x, ns[i], ns[i + 1])
-            for i in range(usable - 1)
-        ])
+        denoms = np.diff(S[list(ns)])
         tail = max(1, (usable - 1) // 2)
         band_lo.append(float((np.diff(v_low) / denoms)[-tail:].min()))
         band_hi.append(float((np.diff(v_high) / denoms)[-tail:].max()))
         for i, n in enumerate(ns):
-            denom_total = _birkhoff_step(measure.system, phi, x, 0, n)
             mid = 0.5 * (v_low[i] + v_high[i])
-            per_scale[n].append(mid / denom_total)
+            per_scale[n].append(mid / (S[n] - S[0]))
     return (tuple(lower_vals), tuple(upper_vals), tuple(band_lo),
             tuple(band_hi), tuple((n, tuple(v)) for n, v in per_scale.items()),
             tuple(flags))
-
-
-def _birkhoff_step(system: ShiftSystem, phi: Potential, x: PointWindow,
-                   n0: int, n1: int) -> float:
-    from .systems import birkhoff_sum
-    return birkhoff_sum(system, phi, x, n1) - birkhoff_sum(system, phi, x, n0)
 
 
 def brin_katok(measure: MeasureModel, eps: float, n_schedule: Sequence[int],
@@ -592,25 +586,27 @@ def default_dictionary(system: ShiftSystem, size: int = 16) -> tuple[int, ...]:
     return tuple(range(min(system.alphabet_size, size)))
 
 
-def _empirical_symbol_frequencies(system: ShiftSystem, pool: np.ndarray,
-                                  n: int, symbols: Sequence[int],
-                                  start: int = 1) -> np.ndarray:
-    """Frequency of each dictionary symbol over orbit steps start..start+n-1.
+def _near_marginals(system: ShiftSystem, pool: np.ndarray,
+                    targets: Sequence[float], n: int, tol: float,
+                    start: int) -> np.ndarray:
+    """Rows of ``pool`` whose frequency of each dictionary symbol over orbit
+    steps start..start+n-1 lies within tol of its target (its integral).
 
-    Matches the empirical measure (1/n) sum_{j=start}^{start+n-1}
-    delta_{sigma^j x}, read off coordinate 0 of the shifted points.
+    The frequencies are those of the empirical measure (1/n)
+    sum_{j=start}^{start+n-1} delta_{sigma^j x}, read off coordinate 0 of
+    the shifted points.
     """
     origin = system.origin_index
-    cols = pool[:, origin + start: origin + start + n]
-    freqs = np.zeros((pool.shape[0], len(symbols)))
-    for si, a in enumerate(symbols):
-        freqs[:, si] = (cols == a).mean(axis=1)
-    return freqs
+    cols = pool[:, origin + start:origin + start + n]
+    ok = np.ones(len(pool), dtype=bool)
+    for a, target in zip(default_dictionary(system), targets):
+        ok &= np.abs((cols == a).mean(axis=1) - target) <= tol
+    return ok
 
 
 def ps_entropy(measure: MeasureModel, eps: float,
                eta: float | Sequence[float], n_schedule: Sequence[int],
-               dictionary_size: int = 16, pool_size: int = 1024,
+               pool_size: int = 1024,
                pool: Sequence[PointWindow] | None = None,
                stream: int = 13) -> EntropyEstimate:
     """Separated-set growth restricted to near-generic points.
@@ -630,8 +626,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
     else:
         pool_pts = list(pool)
     mat = sys.as_matrix(pool_pts)
-    symbols = default_dictionary(sys, dictionary_size)
-    targets = np.array([measure.indicator_integral(a) for a in symbols])
+    targets = [measure.indicator_integral(a) for a in default_dictionary(sys)]
     per_eta: dict[float, float] = {}
     per_eta_ci: dict[float, tuple[float, float]] = {}
     per_scale: dict[tuple, float] = {}
@@ -639,8 +634,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
     for eta_v in etas:
         logs, ns = [], []
         for n in n_schedule:
-            freqs = _empirical_symbol_frequencies(sys, mat, n, symbols)
-            ok = (np.abs(freqs - targets[None, :]) <= eta_v + 1e-12).all(axis=1)
+            ok = _near_marginals(sys, mat, targets, n, eta_v + 1e-12, start=1)
             members = [pool_pts[i] for i in np.flatnonzero(ok)]
             if not members:
                 flags.append(f"empty-eta{eta_v}-n{n}")
@@ -666,33 +660,18 @@ def ps_entropy(measure: MeasureModel, eps: float,
 
 
 def generic_point_test(system: ShiftSystem, x: PointWindow,
-                       measure: MeasureModel, n: int, tol: float,
-                       dictionary: Sequence[int] | None = None) -> bool:
+                       measure: MeasureModel, n: int, tol: float) -> bool:
     """Birkhoff averages over steps 0..n-1 match the integrals within tol."""
-    symbols = dictionary if dictionary is not None \
-        else default_dictionary(system)
-    origin = system.origin_index
-    word = np.asarray(x.symbols)[origin:origin + n]
-    for a in symbols:
-        avg = float((word == a).mean())
-        if abs(avg - measure.indicator_integral(a)) > tol:
-            return False
-    return True
+    return bool(generic_subset(system, [x], measure, n, tol))
 
 
 def generic_subset(system: ShiftSystem, points: Sequence[PointWindow],
-                   measure: MeasureModel, n: int, tol: float,
-                   dictionary: Sequence[int] | None = None,
-                   ) -> list[PointWindow]:
-    symbols = dictionary if dictionary is not None \
-        else default_dictionary(system)
-    mat = system.as_matrix(list(points))
-    origin = system.origin_index
-    cols = mat[:, origin:origin + n]
-    ok = np.ones(mat.shape[0], dtype=bool)
-    for a in symbols:
-        avg = (cols == a).mean(axis=1)
-        ok &= np.abs(avg - measure.indicator_integral(a)) <= tol
+                   measure: MeasureModel, n: int,
+                   tol: float) -> list[PointWindow]:
+    targets = [measure.indicator_integral(a)
+               for a in default_dictionary(system)]
+    ok = _near_marginals(system, system.as_matrix(list(points)), targets, n,
+                         tol, start=0)
     return [p for p, keep in zip(points, ok) if keep]
 
 
@@ -723,24 +702,18 @@ class GenericPointReport:
         }
 
 
-def _ratio_estimate(per_eps: dict[float, float], name: str,
-                    extra: dict | None = None) -> DimensionEstimate:
+def _ratio_estimate(per_eps: dict[float, float],
+                    name: str) -> DimensionEstimate:
     eps_schedule = tuple(sorted(per_eps, reverse=True))
-    xs = [math.log(1.0 / e) for e in eps_schedule]
-    ys = [per_eps[e] for e in eps_schedule]
-    if len(eps_schedule) >= 2:
-        slope, intercept, residual = _slope(xs, ys)
-    else:
-        slope = ys[0] / xs[0]
-        intercept, residual = 0.0, 0.0
     details = {"quantity": name,
                "ratios": {e: per_eps[e] / math.log(1.0 / e)
                           for e in eps_schedule}}
-    if extra:
-        details.update(extra)
+    if len(eps_schedule) >= 2:
+        return log_eps_fit(eps_schedule, [per_eps[e] for e in eps_schedule],
+                           details=details)
     return DimensionEstimate(
-        per_eps_pressure=per_eps, slope=slope, intercept=intercept,
-        residual=residual, eps_schedule=eps_schedule, n_schedule=(),
+        per_eps_pressure=per_eps, slope=details["ratios"][eps_schedule[0]],
+        intercept=0.0, residual=0.0, eps_schedule=eps_schedule, n_schedule=(),
         details=details,
     )
 
@@ -754,7 +727,6 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
                       delta: float = 0.5,
                       eta: Sequence[float] = (0.5, 0.25),
                       subset_orders: tuple[int, int] = (1, 4),
-                      generic_order: int | None = None,
                       stream: int = 17) -> GenericPointReport:
     """Bowen subset dimension of near-generic points next to the PS, Katok
     and Brin-Katok ratio estimates on the same eps schedule.
@@ -803,8 +775,7 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
                                  stream=stream + ei).extrapolated
         ps[eps] = ps_entropy(snapshot, eps, eta, n_schedule,
                              pool=pool, stream=stream + ei).extrapolated
-        g_order = generic_order or depth
-        zg = generic_subset(sys_eps, pool, mu_eps, g_order, tol)
+        zg = generic_subset(sys_eps, pool, mu_eps, depth, tol)
         if not zg:
             flags.append(f"generic-empty-eps{eps}")
             continue

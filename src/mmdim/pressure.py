@@ -27,7 +27,8 @@ from .systems import (
     PointWindow,
     Potential,
     ShiftSystem,
-    birkhoff_sum,
+    birkhoff_sums,
+    check_genuine,
 )
 
 SEPARATED_EXACT = "separated-exact"
@@ -35,6 +36,7 @@ SEPARATED_GREEDY = "separated-greedy"
 SPANNING_EXACT = "spanning-exact"
 SPANNING_GREEDY = "spanning-greedy"
 ANALYTIC_ORACLE = "analytic-oracle"
+ROOT_MAX_ITER = 60  # bisection steps of solve_bowen_root
 
 
 @dataclass(frozen=True)
@@ -102,35 +104,12 @@ def _logsumexp(values) -> float:
 
 def pressure_sum(system: ShiftSystem, points: Sequence[PointWindow],
                  phi: Potential, n: int, eps: float) -> float:
-    """log of sum over the witness set of (1/eps)^{S_n phi}, in log space.
-
-    The Birkhoff sums come from one pass over the symbol matrix, summed over
-    j = 0..n-1 in ``birkhoff_sum``'s order, so each is the same double.
-    """
+    """log of sum over the witness set of (1/eps)^{S_n phi}, in log space."""
     if not points:
         return -math.inf
-    if n < 0:
-        raise ConfigurationError("n must be nonnegative")
-    L = math.log(1.0 / eps)
-    if phi.kind == CONSTANT:
-        s_n = n * (phi.scale * phi.value + phi.offset)
-        return _logsumexp(np.full(len(points), L * s_n))
-    for x in points:
-        if not x.exact_tail:  # the scalar sum raises if S_n phi reads past x
-            birkhoff_sum(system, phi, x, n)
-    o, r = system.origin_index, phi.effective_range()
-    Z = system.as_matrix(points)
-    # coordinates past the stored word read 0, as PointWindow.coordinate does
-    Z = np.pad(Z, ((0, 0), (0, max(0, o + n + r - 1 - Z.shape[1]))))
-    tab = np.asarray(phi.table)
-    k = round(len(phi.table) ** (1.0 / r))
-    total = np.zeros(len(points))
-    for j in range(n):
-        idx = np.zeros(len(points), dtype=np.int64)
-        for t in range(r):
-            idx = idx * k + Z[:, o + j + t]
-        total += tab[idx]
-    return _logsumexp(L * (phi.scale * total + n * phi.offset))
+    check_genuine(phi, points, [n])
+    S_n = birkhoff_sums(system, phi, system.as_matrix(points), n)[:, n]
+    return _logsumexp(math.log(1.0 / eps) * S_n)
 
 
 # -- analytic oracle -----------------------------------------------------------
@@ -231,8 +210,9 @@ def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
     return OracleBracket(lo=lo, hi=max(hi, lo))
 
 
-def oracle_applicable(system: ShiftSystem, phi: Potential) -> bool:
-    return phi.kind in (CONSTANT, TABLE)
+def _witness_mode(points: Sequence[PointWindow], exact_cap: int) -> str:
+    """The witness search: exact up to ``exact_cap`` points, greedy above."""
+    return "exact" if len(points) <= exact_cap else "greedy"
 
 
 def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
@@ -253,10 +233,8 @@ def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
     slacks = {}
     for n in range(1, n_max + 1):
         pts = system.enumerate_points(n)
-        if len(pts) <= exact_cap:
-            witness, _ = max_separated(system, pts, n, eps, mode="exact")
-        else:
-            witness, _ = max_separated(system, pts, n, eps, mode="greedy")
+        witness, _ = max_separated(system, pts, n, eps,
+                                   mode=_witness_mode(pts, exact_cap))
         value = pressure_sum(system, witness, phi, n, eps)
         upper = n * bracket.hi + r_ext * math.log(max(len(net), 1))
         if value < n * bracket.lo - 1e-9:
@@ -285,10 +263,27 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, floa
     return float(coeffs[0]), float(coeffs[1]), residual
 
 
+def log_eps_fit(eps_schedule: Sequence[float], values: Sequence[float],
+                n_schedule: Sequence[int] = (), details: dict | None = None,
+                ) -> DimensionEstimate:
+    """Least-squares fit of per-eps values against log(1/eps).
+
+    The schedule is fitted as given, in order and with any repeats; the
+    caller decides how many eps values it needs.
+    """
+    slope, intercept, residual = _slope(
+        [math.log(1.0 / e) for e in eps_schedule], values)
+    return DimensionEstimate(
+        per_eps_pressure=dict(zip(eps_schedule, values)), slope=slope,
+        intercept=intercept, residual=residual,
+        eps_schedule=tuple(eps_schedule), n_schedule=tuple(n_schedule),
+        details=details or {},
+    )
+
+
 def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
                       n_schedule: Sequence[int], mode: str = "auto",
-                      exact_cap: int = DEFAULT_EXACT_CAP,
-                      oracle_tol: float = 1e-9) -> PressureEstimate:
+                      exact_cap: int = DEFAULT_EXACT_CAP) -> PressureEstimate:
     """Estimate P(eps): oracle midpoint when exact, else witness slope.
 
     ``mode`` is "auto", "oracle", or "witness".  The witness path
@@ -299,7 +294,7 @@ def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
     if len(set(n_schedule)) != len(n_schedule):
         raise ConfigurationError("n_schedule must be strictly increasing")
     use_oracle = mode == "oracle" or (
-        mode == "auto" and oracle_applicable(system, phi))
+        mode == "auto" and phi.kind in (CONSTANT, TABLE))
     if use_oracle:
         bracket = analytic_oracle_pressure(system, phi, eps)
         records = tuple(
@@ -317,10 +312,8 @@ def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
     records = []
     for n in n_schedule:
         pts = system.enumerate_points(n)
-        if len(pts) <= exact_cap:
-            witness, exact = max_separated(system, pts, n, eps, mode="exact")
-        else:
-            witness, exact = max_separated(system, pts, n, eps, mode="greedy")
+        witness, exact = max_separated(system, pts, n, eps,
+                                       mode=_witness_mode(pts, exact_cap))
         kind = SEPARATED_EXACT if exact else SEPARATED_GREEDY
         log_sum = pressure_sum(system, witness, phi, n, eps)
         records.append(PressureRecord(n=n, eps=eps, log_sum=log_sum,
@@ -350,23 +343,14 @@ def mdim_estimate(system: ShiftSystem, phi: Potential,
     eps_schedule = tuple(sorted(set(eps_schedule), reverse=True))
     if len(eps_schedule) < 3:
         raise ConfigurationError("need at least 3 eps values")
-    per_eps: dict[float, float] = {}
     estimates = []
     for eps in eps_schedule:
         sys_eps = system_factory(eps) if system_factory is not None else system
-        est = pressure_estimate(sys_eps, phi, eps, n_schedule, mode=mode,
-                                exact_cap=exact_cap)
-        per_eps[eps] = est.slope
-        estimates.append(est)
-    xs = [math.log(1.0 / e) for e in eps_schedule]
-    ys = [per_eps[e] for e in eps_schedule]
-    slope, intercept, residual = _slope(xs, ys)
-    return DimensionEstimate(
-        per_eps_pressure=per_eps, slope=slope, intercept=intercept,
-        residual=residual, eps_schedule=eps_schedule,
-        n_schedule=tuple(sorted(n_schedule)),
-        details={"estimates": tuple(estimates)},
-    )
+        estimates.append(pressure_estimate(sys_eps, phi, eps, n_schedule,
+                                           mode=mode, exact_cap=exact_cap))
+    return log_eps_fit(eps_schedule, [est.slope for est in estimates],
+                       n_schedule=sorted(n_schedule),
+                       details={"estimates": tuple(estimates)})
 
 
 # -- induced pressure ------------------------------------------------------------
@@ -399,26 +383,24 @@ def time_level_partition(system: ShiftSystem, points: Sequence[PointWindow],
     if psi.min <= 0:
         raise ConfigurationError("psi must be strictly positive")
     if variant == LEVEL:
-        m = psi.min
-        n_cap = int(math.floor(T / m)) + 1
+        n_cap = int(math.floor(T / psi.min)) + 1
+        S = birkhoff_sums(system, psi, system.as_matrix(points), n_cap + 1)
+        # column i: S_{i+1} psi <= T < S_{i+2} psi, so the level is i + 1
+        cross = (S[:, 1:-1] <= T) & (T < S[:, 2:])
+        found, level = cross.any(axis=1), cross.argmax(axis=1) + 1
+        above = S[:, 1] > T  # below the first level; no n >= 1 qualifies
+        # the orders 1, 2, ... are read in turn up to the first crossing
+        reads = np.where(above, 1, np.where(found, level + 1, n_cap + 1))
         levels: dict[int, list[PointWindow]] = {}
-        for z in points:
-            if birkhoff_sum(system, psi, z, 1) > T:
-                continue  # below the first level; no n >= 1 qualifies
-            # unique n >= 1 with S_n psi <= T < S_{n+1} psi
-            n = None
-            prev = birkhoff_sum(system, psi, z, 1)
-            for j in range(2, n_cap + 2):
-                cur = birkhoff_sum(system, psi, z, j)
-                if prev <= T < cur:
-                    n = j - 1
-                    break
-                prev = cur
-            if n is None:
+        for z, skip, ok, n, read in zip(points, above, found, level.tolist(),
+                                        reads.tolist()):
+            check_genuine(psi, [z], range(1, read + 1))
+            if skip:
+                continue
+            if not ok:
                 raise ConfigurationError(
                     f"no level found for point {z.symbols[:6]} at T={T}"
                 )
-            assert n <= n_cap
             levels.setdefault(n, []).append(z)
         return TimeLevelPartition(
             T=T, variant=LEVEL,
@@ -427,10 +409,14 @@ def time_level_partition(system: ShiftSystem, points: Sequence[PointWindow],
     if variant == TAIL:
         if tail_orders is None:
             raise ConfigurationError("tail variant needs an order range")
+        if any(n < 0 for n in tail_orders):
+            raise ConfigurationError("n must be nonnegative")
+        check_genuine(psi, points, tail_orders)
+        S = birkhoff_sums(system, psi, system.as_matrix(points),
+                          max(tail_orders, default=0))
         levels = {}
         for n in tail_orders:
-            members = tuple(z for z in points
-                            if birkhoff_sum(system, psi, z, n) > T)
+            members = tuple(z for z, up in zip(points, S[:, n] > T) if up)
             if members:
                 levels[n] = members
         return TimeLevelPartition(T=T, variant=TAIL, levels=levels)
@@ -470,22 +456,17 @@ def induced_pressure(system: ShiftSystem, points: Sequence[PointWindow],
     per_level: dict[int, float] = {}
     for n, members in sorted(part.levels.items()):
         members = list(members)
-        if len(members) <= exact_cap:
-            sep, exact = max_separated(system, members, n, eps, mode="exact")
-        else:
-            sep, exact = max_separated(system, members, n, eps, mode="greedy")
+        mode = _witness_mode(members, exact_cap)
+        sep, _ = max_separated(system, members, n, eps, mode=mode)
         sep_sum = pressure_sum(system, sep, phi, n, eps)
         if witness == "separated":
             per_level[n] = sep_sum
         elif witness == "spanning":
-            if len(members) <= exact_cap:
-                span, _ = min_spanning(system, members, n, eps, mode="exact")
-            else:
-                span, _ = min_spanning(system, members, n, eps, mode="greedy")
+            span, _ = min_spanning(system, members, n, eps, mode=mode)
             span_sum = pressure_sum(system, span, phi, n, eps)
-            maximal_sep_sum = pressure_sum(
-                system, max_separated(system, members, n, eps, mode="greedy")[0],
-                phi, n, eps)
+            # greedy separation is maximal; when ``sep`` is it, reuse its sum
+            maximal_sep_sum = sep_sum if mode == "greedy" else pressure_sum(
+                system, max_separated(system, members, n, eps)[0], phi, n, eps)
             per_level[n] = min(span_sum, maximal_sep_sum)
         else:
             raise ConfigurationError(f"unknown witness {witness!r}")
@@ -497,7 +478,6 @@ def induced_pressure(system: ShiftSystem, points: Sequence[PointWindow],
 def induced_mdim_estimate(system: ShiftSystem, phi: Potential, psi: Potential,
                           eps_schedule: Sequence[float],
                           T_schedule: Sequence[float],
-                          point_depth: Callable[[float], int] | None = None,
                           exact_cap: int = DEFAULT_EXACT_CAP,
                           ) -> DimensionEstimate:
     """Two-stage regression of log P_{psi,T} / (T log(1/eps)).
@@ -513,27 +493,20 @@ def induced_mdim_estimate(system: ShiftSystem, phi: Potential, psi: Potential,
     m = psi.min
     if m <= 0:
         raise ConfigurationError("psi must be strictly positive")
-    depth_of = point_depth or (lambda T: int(math.floor(T / m)))
-    per_eps: dict[float, float] = {}
+    rates = []
     values: dict[tuple[float, float], InducedPressureValue] = {}
     for eps in eps_schedule:
         ys = []
         for T in T_schedule:
-            pts = system.enumerate_points(max(1, depth_of(T)))
+            pts = system.enumerate_points(max(1, int(math.floor(T / m))))
             val = induced_pressure(system, pts, phi, psi, T, eps,
                                    witness="separated", exact_cap=exact_cap)
             values[(eps, T)] = val
             ys.append(val.log_sum)
-        slope_T, _, _ = _slope(list(T_schedule), ys)
-        per_eps[eps] = slope_T
-    xs = [math.log(1.0 / e) for e in eps_schedule]
-    slope, intercept, residual = _slope(xs, [per_eps[e] for e in eps_schedule])
-    return DimensionEstimate(
-        per_eps_pressure=per_eps, slope=slope, intercept=intercept,
-        residual=residual, eps_schedule=eps_schedule,
-        n_schedule=tuple(int(t) for t in T_schedule),
-        details={"values": values},
-    )
+        rates.append(_slope(list(T_schedule), ys)[0])
+    return log_eps_fit(eps_schedule, rates,
+                       n_schedule=[int(t) for t in T_schedule],
+                       details={"values": values})
 
 
 # -- Bowen-equation root ----------------------------------------------------------
@@ -549,7 +522,7 @@ class RootResult:
 
 
 def solve_bowen_root(mdim_fn: Callable[[float], float], psi: Potential,
-                     tol: float = 1e-3, max_iter: int = 60) -> RootResult:
+                     tol: float = 1e-3) -> RootResult:
     """Bisection root of beta -> mdim(phi - beta psi), which is strictly
     decreasing with slope at most -min(psi) at every finite scale.
 
@@ -583,9 +556,7 @@ def solve_bowen_root(mdim_fn: Callable[[float], float], psi: Potential,
                 f"f({hi})={f_hi}"
             )
     bracket = (lo, hi)
-    beta, value = lo, f_lo
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, ROOT_MAX_ITER + 1):
         beta = 0.5 * (lo + hi)
         value = f(beta)
         if abs(value) <= tol * norm:

@@ -6,6 +6,12 @@ carry the discrete 0/1 distance ("full-shift") or sit on the grid
 Points are finite windows of symbols; coordinates beyond the window are
 handled by an explicit truncation budget so that ball-membership decisions
 at the configured radii are never corrupted by the missing tail.
+
+Every Birkhoff sum comes from one kernel, ``birkhoff_sums``: one running
+sum per row, in coordinate order, gives every order at once, and
+coordinates past the stored word read 0.  ``check_genuine`` is the one
+place that decides when a sampled window has too few genuine coordinates
+for a sum; the scalar ``birkhoff_sum`` is that check plus a one-row call.
 """
 
 from __future__ import annotations
@@ -369,61 +375,68 @@ class Potential:
                     for j in range(self.range_len)
                 )
                 if ok:
-                    du = self._range_value(u, k)
-                    dv = self._range_value(v, k)
+                    du = self.table[np.ravel_multi_index(u, (k,) * len(u))]
+                    dv = self.table[np.ravel_multi_index(v, (k,) * len(v))]
                     best = max(best, abs(du - dv))
         return abs(self.scale) * best
 
-    def _range_value(self, word: Sequence[int], k: int) -> float:
-        idx = 0
-        for a in word:
-            idx = idx * k + a
-        return self.table[idx]
+
+def check_genuine(phi: Potential, points: Iterable[PointWindow],
+                  orders: Iterable[int]) -> None:
+    """Raise WindowExhaustedError where a Birkhoff sum reads past the genuine
+    coordinates of a point (sampled windows and their shifts).
+
+    The orders are taken in turn, each over every point, and the first
+    failing (order, point) pair is named.  Constants never exhaust a window.
+    """
+    if phi.kind == CONSTANT:
+        return
+    sampled = [x for x in points if not x.exact_tail]
+    r = phi.effective_range()
+    for n in orders:
+        for x in sampled:
+            if n - 1 + r > x.genuine_depth():
+                raise WindowExhaustedError(
+                    f"Birkhoff sum of order {n} reads {n - 1 + r} coordinates "
+                    f"but only {x.genuine_depth():.0f} are genuine"
+                )
+
+
+def birkhoff_sums(system: ShiftSystem, phi: Potential, Z: np.ndarray,
+                  n_max: int) -> np.ndarray:
+    """Birkhoff sums S_0 phi .. S_{n_max} phi of every row of a symbol matrix.
+
+    Column n is S_n phi: one running sum of the base values in j order,
+    then ``scale * sum + n * offset``; a constant gives ``n * c``.
+    Coordinates past the stored word read 0, as ``PointWindow.coordinate``
+    does; whether they are genuine is ``check_genuine``'s question.
+    """
+    if n_max < 0:
+        raise ConfigurationError("n must be nonnegative")
+    n = np.arange(n_max + 1)
+    if phi.kind == CONSTANT:
+        return np.tile(n * (phi.scale * phi.value + phi.offset), (len(Z), 1))
+    o, r = system.origin_index, phi.effective_range()
+    Z = Z[:, o:o + n_max + r - 1]  # the coordinates read, padded with 0
+    Z = np.pad(Z, ((0, 0), (0, n_max + r - 1 - Z.shape[1])))
+    k = round(len(phi.table) ** (1.0 / r))
+    idx = Z[:, :n_max]
+    for t in range(1, r):
+        idx = idx * k + Z[:, t:t + n_max]
+    # column 0 stays 0.0, so column j + 1 is the loop sum (0.0 + a_0) + ...
+    sums = np.zeros((len(Z), n_max + 1))
+    sums[:, 1:] = np.asarray(phi.table)[idx]
+    np.cumsum(sums, axis=1, out=sums)
+    sums *= phi.scale
+    sums += n * phi.offset
+    return sums
 
 
 def birkhoff_sum(system: ShiftSystem, phi: Potential, x: PointWindow,
                  n: int) -> float:
     """Sum of the potential along the first ``n`` steps of the orbit."""
-    if n < 0:
-        raise ConfigurationError("n must be nonnegative")
-    if phi.kind == CONSTANT:
-        return n * (phi.scale * phi.value + phi.offset)
-    needed = n - 1 + phi.effective_range()
-    if needed > x.genuine_depth():
-        raise WindowExhaustedError(
-            f"Birkhoff sum of order {n} reads {needed} coordinates but only "
-            f"{x.genuine_depth():.0f} are genuine"
-        )
-    total = 0.0
-    for j in range(n):
-        total += phi.base_at(x, coord=j)
-    return phi.scale * total + n * phi.offset
-
-
-def birkhoff_sums_matrix(system: ShiftSystem, phi: Potential,
-                         Z: np.ndarray, n: int, origin: int = 0) -> np.ndarray:
-    """Vectorized Birkhoff sums for the rows of a symbol matrix."""
-    m = Z.shape[0]
-    if phi.kind == CONSTANT:
-        return np.full(m, n * (phi.scale * phi.value + phi.offset))
-    if origin + n - 1 + phi.effective_range() > Z.shape[1]:
-        raise WindowExhaustedError(
-            f"order {n} reads past the stored window of length {Z.shape[1]}"
-        )
-    if phi.kind == TABLE:
-        tab = np.asarray(phi.table)
-        cols = Z[:, origin:origin + n]
-        base = tab[cols].sum(axis=1)
-        return phi.scale * base + n * phi.offset
-    tab = np.asarray(phi.table)
-    k = round(len(phi.table) ** (1.0 / phi.range_len))
-    base = np.zeros(m)
-    for j in range(n):
-        idx = np.zeros(m, dtype=np.int64)
-        for r in range(phi.range_len):
-            idx = idx * k + Z[:, origin + j + r]
-        base += tab[idx]
-    return phi.scale * base + n * phi.offset
+    check_genuine(phi, [x], [n])
+    return float(birkhoff_sums(system, phi, system.as_matrix([x]), n)[0, n])
 
 
 def combine(phi: Potential, psi: Potential, coeff: float,

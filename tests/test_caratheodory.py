@@ -27,7 +27,8 @@ from mmdim.caratheodory import (
 )
 from mmdim.bowen import min_spanning
 from mmdim.errors import ConfigurationError
-from mmdim.systems import Potential, ShiftSystem
+from mmdim.systems import (ONE_SIDED, TWO_SIDED, Potential, ShiftSystem,
+                           birkhoff_sum)
 
 
 def full_shift(k=2, window=14, eps_min=0.05, **kw):
@@ -470,3 +471,25 @@ class TestSubsetMdim:
         for eps in (0.6, 0.3):
             assert bs.per_eps_pressure[eps] == pytest.approx(
                 bowen.per_eps_pressure[eps], abs=1e-3)
+
+
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+@pytest.mark.parametrize("eps", [0.5, 1.5])
+def test_candidate_suprema_equal_scalar_sums_at_long_orders(sidedness, eps):
+    # from order 8 on a numpy row sum regroups the terms of S_n phi; the
+    # suprema must still be maxima of the scalar sums over the members
+    from mmdim import caratheodory
+
+    system = ShiftSystem(kind="full-shift", alphabet_size=3,
+                         sidedness=sidedness, window=12, eps_min=0.3)
+    rng = np.random.default_rng(4)
+    base = Potential.from_table(rng.uniform(0.0, 1.0, 3))
+    pts = tuple(system.point(row) for row in
+                rng.integers(0, 3, size=(40, system.word_length)))
+    cands = caratheodory._build_candidates(system, pts, base, eps, 1, 10)
+    sums = {n: np.array([birkhoff_sum(system, base, z, n) for z in pts])
+            for n in range(1, 11)}
+    for i, (c, n) in enumerate(zip(cands.centers, cands.orders)):
+        assert cands.open_members[i, c] and cands.closed_members[i, c]
+        assert cands.sup_open[i] == sums[n][cands.open_members[i]].max()
+        assert cands.sup_closed[i] == sums[n][cands.closed_members[i]].max()

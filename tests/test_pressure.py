@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mmdim.bowen import max_separated
 from mmdim.errors import BracketError, ConfigurationError, WindowExhaustedError
+from mmdim.measures import MeasureModel, bs_entropy
 from mmdim.pressure import (
     _logsumexp,
     analytic_oracle_pressure,
@@ -27,6 +28,7 @@ from mmdim.systems import (
     PointWindow,
     Potential,
     ShiftSystem,
+    apply_map,
     birkhoff_sum,
 )
 
@@ -121,6 +123,38 @@ def test_pressure_sum_matches_scalar_sums_at_long_orders(sidedness, n):
             scalar_pressure_sum(system, points, p, n, 0.3)
 
 
+def scalar_time_levels(system, points, psi, T, tail_orders=None) -> dict:
+    """Time levels read one scalar Birkhoff sum at a time: S_1, S_2, ... per
+    point up to its level, or each tail order over every point."""
+    levels = {}
+    if tail_orders is not None:
+        for n in tail_orders:
+            members = tuple(z for z in points
+                            if birkhoff_sum(system, psi, z, n) > T)
+            if members:
+                levels[n] = members
+        return levels
+    for z in points:
+        prev = birkhoff_sum(system, psi, z, 1)
+        if prev > T:
+            continue
+        for j in range(2, math.floor(T / psi.min) + 3):
+            cur = birkhoff_sum(system, psi, z, j)
+            if prev <= T < cur:
+                levels.setdefault(j - 1, []).append(z)
+                break
+            prev = cur
+    return {n: tuple(v) for n, v in levels.items()}
+
+
+def outcome(fn):
+    """fn()'s value, or the message of the WindowExhaustedError it raises."""
+    try:
+        return fn()
+    except WindowExhaustedError as exc:
+        return f"raised: {exc}"
+
+
 @pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
 def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
     system = ShiftSystem(kind="full-shift", alphabet_size=3,
@@ -142,6 +176,37 @@ def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
     with pytest.raises(WindowExhaustedError) as vector:
         pressure_sum(system, points, phi, n_ok + 1, 0.3)
     assert str(vector.value) == str(scalar.value)
+
+    # time levels and tails, on sampled windows and their one-pad shifts
+    psi = Potential.from_range_table(rng.uniform(0.5, 1.0, 9), 2)
+    pool = points + [apply_map(system, p) for p in sampled]
+    raised = []
+    for T in (0.4, 1.2, 2.0, 3.0, 4.5):
+        got = outcome(lambda: time_level_partition(system, pool, psi,
+                                                   T).levels)
+        assert got == outcome(lambda: scalar_time_levels(system, pool, psi, T))
+        raised.append(isinstance(got, str))
+    for orders in ([1, 2], [3, 1, 2], [2, n_ok + 1, 1], [n_ok, n_ok + 1],
+                   [n_ok + 2, 1, n_ok + 1]):
+        got = outcome(lambda: time_level_partition(
+            system, pool, psi, 1.0, variant="tail", tail_orders=orders).levels)
+        assert got == outcome(lambda: scalar_time_levels(
+            system, pool, psi, 1.0, tail_orders=orders))
+        raised.append(isinstance(got, str))
+    assert any(raised) and not all(raised)
+
+    # BS entropy reads each sampled point's sums up to its last usable order
+    measure = MeasureModel.product_uniform(system, seed=5)
+    xs = measure.sample_points(4, stream=7)
+    for ns in ([1, 2, 3], [2, 3, n_ok], [2, n_ok + 1], [1, n_ok + 2]):
+        got = outcome(lambda: bs_entropy(measure, psi, 0.5, ns, x_samples=4,
+                                         stream=7))
+        ref = outcome(lambda: [birkhoff_sum(system, psi, x, ns[-1])
+                               for x in xs])
+        if ns[-1] > n_ok:
+            assert isinstance(got, str) and got == ref
+        else:
+            assert not isinstance(got, str) and not isinstance(ref, str)
 
 
 class TestOracle:

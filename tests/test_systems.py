@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from mmdim.errors import (
@@ -10,10 +11,13 @@ from mmdim.errors import (
     WindowExhaustedError,
 )
 from mmdim.systems import (
+    ONE_SIDED,
+    TWO_SIDED,
     Potential,
     ShiftSystem,
     apply_map,
     birkhoff_sum,
+    birkhoff_sums,
     combine,
     metric,
 )
@@ -204,3 +208,37 @@ class TestPotential:
         phi = Potential.from_range_table([0.0, 1.0, 1.0, 0.0], range_len=2)
         x = sys.point([0, 1, 1, 0])
         assert birkhoff_sum(sys, phi, x, 3) == pytest.approx(1.0 + 0.0 + 1.0)
+
+
+def loop_birkhoff_sum(phi: Potential, x, n: int) -> float:
+    """S_n phi(x) as one Python loop over the coordinates, j = 0..n-1."""
+    if phi.kind == "constant":
+        return n * (phi.scale * phi.value + phi.offset)
+    total = 0.0
+    for j in range(n):
+        total += phi.base_at(x, coord=j)
+    return phi.scale * total + n * phi.offset
+
+
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+@pytest.mark.parametrize("kind", ["constant", "table", "range"])
+def test_birkhoff_sums_columns_equal_the_loop_sum(sidedness, kind):
+    # orders up to 17 reach past the window of 14; numpy's pairwise sum
+    # would regroup the terms from n = 8 on
+    system = ShiftSystem(kind="full-shift", alphabet_size=3,
+                         sidedness=sidedness, window=14, eps_min=0.3)
+    rng = np.random.default_rng(4)
+    base = {"constant": Potential.constant(0.37),
+            "table": Potential.from_table(rng.uniform(-1.0, 2.0, 3)),
+            "range": Potential.from_range_table(rng.uniform(-1.0, 2.0, 27),
+                                                3)}[kind]
+    points = [system.point(row) for row in
+              rng.integers(0, 3, size=(40, system.word_length))]
+    for phi in (base, base.scaled(-1.5).shifted(0.7)):
+        sums = birkhoff_sums(system, phi, system.as_matrix(points), 17)
+        assert sums.shape == (len(points), 18)
+        for x, row in zip(points, sums):
+            for n in range(18):
+                expected = loop_birkhoff_sum(phi, x, n)
+                assert row[n] == expected
+                assert birkhoff_sum(system, phi, x, n) == expected
