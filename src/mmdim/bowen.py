@@ -22,9 +22,11 @@ monotone, so a computed ``d_n(x, y)`` is at least the symbol distance at
 every coordinate j < n, and when no two symbols are closer than eps every
 open (n, eps)-ball lies in its centre's n-cylinder (``_prefix_runs``).
 The greedy scan keeps each point alone in its n-cylinder and scans the
-others within their cylinders; ``min_spanning``, the Katok exit orders,
-the Caratheodory candidates and the sampled ball masses compute distances
-only within origin cylinders (``cylinder_blocks``), with the same bits.
+others within their cylinders.  ``exit_orders`` is the one place that
+reads membership across orders: it computes distances only within origin
+cylinders (``cylinder_blocks``), with the same bits, and spanning sets,
+ball masses, Katok covers and Caratheodory candidates read its exit
+orders, so they know nothing of slack, comparisons or cylinders.
 """
 
 from __future__ import annotations
@@ -148,6 +150,31 @@ def ball_masks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray, n: int,
             r = radii[rows, None]
             out[rows] = reach <= r if closed else reach < r
     return out
+
+
+def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
+                eps: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exit orders ``(open, closed)`` of the rows of Z from B_n(c, eps).
+
+    Entry (c, z) is the first order n <= n_max at which row z fails the
+    ``ball_masks`` rule for the open (closed) ball at row c of C, else
+    n_max + 1.  Distance and slack grow with n, so a row that has left a
+    ball stays out and the order-n membership matrix is ``exits > n``.
+    One engine pass per shared origin cylinder serves every order of both
+    rules; any other pair exits at order 1.
+    """
+    slack = [system.truncation_slack(n) for n in range(1, n_max + 1)]
+    opened = np.ones((len(C), len(Z)), dtype=np.min_scalar_type(n_max + 1))
+    closed = opened.copy()
+    for ci, zi in cylinder_blocks(system, C, Z, eps, slack):
+        cell = np.ix_(ci, zi)
+        o, c = opened[cell], closed[cell]
+        for rows, n, d in distance_blocks(system, C[ci], Z[zi], n_max):
+            reach = d + slack[n - 1]
+            o[rows] += reach < eps
+            c[rows] += reach <= eps
+        opened[cell], closed[cell] = o, c
+    return opened, closed
 
 
 def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,
@@ -306,9 +333,7 @@ def min_spanning(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     system.check_order(n, eps)
     Z = system.as_matrix(pts)
     m = len(pts)
-    cover_sets = np.zeros((m, m), dtype=bool)
-    for ci, zi in cylinder_blocks(system, Z, Z, eps):
-        cover_sets[np.ix_(ci, zi)] = ball_masks(system, Z[ci], Z[zi], n, eps)
+    cover_sets = exit_orders(system, Z, Z, eps, n)[0] > n
     if mode == "exact":
         if m > exact_cap:
             raise ExactCapError(f"{m} points exceed the exact cap {exact_cap}")

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import cylinder_blocks, distance_blocks
+from .bowen import exit_orders
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (greedy_disjoint, greedy_weighted_cover,
@@ -129,34 +129,20 @@ def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
     Z = system.as_matrix(list(points))
     check_genuine(base, points, range(N, n_max + 1))
     sums = birkhoff_sums(system, base, Z, n_max)  # column n: order n
-    n_orders = n_max - N + 1
-    n_cand = len(Z) * n_orders
-    open_members = np.zeros((n_cand, len(Z)), dtype=bool)
-    closed_members = np.zeros((n_cand, len(Z)), dtype=bool)
-    sup_open = np.empty(n_cand)
-    sup_closed = np.empty(n_cand)
-    slacks = {n: system.truncation_slack(n) for n in range(N, n_max + 1)}
-    # candidate ci * n_orders + (n - N) is the ball of order n centred at ci
-    for ci, zi in cylinder_blocks(system, Z, Z, eps, list(slacks.values())):
-        for rows, n, d in distance_blocks(system, Z[ci], Z[zi], n_max):
-            if n < N:
-                continue
-            reach = d + slacks[n]
-            is_open = reach < eps
-            is_closed = reach <= eps
-            np.fill_diagonal(is_open[:, rows], True)  # a ball holds its center
-            np.fill_diagonal(is_closed[:, rows], True)
-            slots = ci[rows] * n_orders + (n - N)
-            open_members[np.ix_(slots, zi)] = is_open
-            closed_members[np.ix_(slots, zi)] = is_closed
-            s = sums[zi, n]
-            sup_open[slots] = np.where(is_open, s, -np.inf).max(axis=1)
-            sup_closed[slots] = np.where(is_closed, s, -np.inf).max(axis=1)
+    orders = np.arange(N, n_max + 1)
+    members, sups = [], []
+    for exits in exit_orders(system, Z, Z, eps, n_max):
+        np.fill_diagonal(exits, n_max + 1)  # a ball holds its centre
+        # candidate c * len(orders) + i is the ball of order orders[i] at c
+        members.append((exits[:, None, :] > orders[:, None]).reshape(
+            -1, len(Z)))
+        sups.append(np.stack([np.where(exits > n, sums[:, n], -np.inf)
+                              .max(axis=1) for n in orders], axis=1).ravel())
     return _Candidates(
-        centers=tuple(np.repeat(np.arange(len(Z)), n_orders).tolist()),
-        orders=tuple(range(N, n_max + 1)) * len(Z),
-        open_members=open_members, closed_members=closed_members,
-        sup_open=sup_open, sup_closed=sup_closed,
+        centers=tuple(np.repeat(np.arange(len(Z)), len(orders)).tolist()),
+        orders=tuple(orders.tolist()) * len(Z),
+        open_members=members[0], closed_members=members[1],
+        sup_open=sups[0], sup_closed=sups[1],
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import ball_masks, cylinder_blocks, distance_blocks, max_separated
+from .bowen import exit_orders, max_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
@@ -28,6 +28,9 @@ from .systems import (ABSOLUTE, PointWindow, Potential, ShiftSystem,
                       birkhoff_sums, check_genuine)
 
 WILSON_Z99 = 2.5758293035489004
+SLOPE_Z95 = 1.96
+BOOTSTRAP_RESAMPLES = 200
+DICTIONARY_SIZE = 16
 
 PRODUCT_UNIFORM = "product-uniform"
 BERNOULLI = "bernoulli"
@@ -158,9 +161,9 @@ class MeasureModel:
             raise ConfigurationError("exact summation needs empirical measure")
         sys = self.system
         Z = sys.as_matrix(list(self.support))
-        inside = ball_masks(sys, sys.as_matrix([x]), Z, n, eps)[0]
+        exits = exit_orders(sys, sys.as_matrix([x]), Z, eps, n)[0][0]
         w = np.asarray(self.support_weights)
-        return float(w[inside].sum())
+        return float(w[exits > n].sum())
 
 
 # -- ball-mass brackets ---------------------------------------------------------
@@ -254,8 +257,8 @@ class MassEstimate:
         return self.ci[0] > hi or self.ci[1] < lo
 
 
-def wilson_interval(hits: int, samples: int,
-                    z: float = WILSON_Z99) -> tuple[float, float]:
+def wilson_interval(hits: int, samples: int) -> tuple[float, float]:
+    z = WILSON_Z99
     if samples <= 0:
         raise ConfigurationError("need a positive sample count")
     p = hits / samples
@@ -302,23 +305,22 @@ def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
     """Sampled hit counts of B_n(x, eps) at every order n = 1..n_max.
 
     The samples come in 20,000-row blocks, block ``bi`` from stream
-    ``stream * 1000 + bi``.  One engine pass over a block's samples in x's
-    origin cylinder gives every order, and each order applies the rule of
-    ``ball_masks``: distance plus truncation slack below eps.
+    ``stream * 1000 + bi``.  A sample is inside B_n(x, eps) when its open
+    exit order (``exit_orders``) is above n, so one call per block serves
+    every order.
     """
     sys = measure.system
     center = sys.as_matrix([x])
-    slack = [sys.truncation_slack(order) for order in range(1, n_max + 1)]
-    hits = [0] * n_max
+    exited = np.zeros(n_max + 2, dtype=np.int64)  # samples per exit order
     block = 20_000
     for bi, done in enumerate(range(0, samples, block)):
         Y = measure.sample_matrix(min(block, samples - done),
                                   stream=stream * 1000 + bi)
-        for _, zi in cylinder_blocks(sys, center, Y, eps):
-            for _, order, d in distance_blocks(sys, center, Y[zi], n_max):
-                hits[order - 1] += int((d + slack[order - 1] < eps).sum())
-        del Y  # free this block before the next one is drawn
-    return tuple(hits)
+        exits = exit_orders(sys, center, Y, eps, n_max)[0][0]
+        exited += np.bincount(exits, minlength=n_max + 2)
+        del Y, exits  # free this block before the next one is drawn
+    inside = np.cumsum(exited[::-1])[::-1]  # samples exiting at n or later
+    return tuple(inside[2:].tolist())
 
 
 # -- local entropies --------------------------------------------------------------
@@ -334,19 +336,19 @@ class EntropyEstimate:
     details: dict = field(default_factory=dict)
 
 
-def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
-                  resamples: int = 200) -> tuple[float, float]:
+def _bootstrap_ci(values: np.ndarray,
+                  rng: np.random.Generator) -> tuple[float, float]:
     if len(values) == 1:
         return float(values[0]), float(values[0])
     means = np.array([
         values[rng.integers(0, len(values), size=len(values))].mean()
-        for _ in range(resamples)
+        for _ in range(BOOTSTRAP_RESAMPLES)
     ])
     return float(np.quantile(means, 0.025)), float(np.quantile(means, 0.975))
 
 
-def _slope_ci(xs: Sequence[float], ys: Sequence[float],
-              z: float = 1.96) -> tuple[float, tuple[float, float]]:
+def _slope_ci(xs: Sequence[float],
+              ys: Sequence[float]) -> tuple[float, tuple[float, float]]:
     """Least-squares slope with its normal-approximation band."""
     slope, intercept, _ = _slope(xs, ys)
     if len(xs) <= 2:
@@ -355,7 +357,7 @@ def _slope_ci(xs: Sequence[float], ys: Sequence[float],
     resid = np.asarray(ys, dtype=float) - (slope * xs + intercept)
     se = math.sqrt(float(resid @ resid) / (len(xs) - 2)
                    / float(((xs - xs.mean()) ** 2).sum()))
-    return slope, (slope - z * se, slope + z * se)
+    return slope, (slope - SLOPE_Z95 * se, slope + SLOPE_Z95 * se)
 
 
 def _mass_curves(measure: MeasureModel, x: PointWindow, n_schedule,
@@ -526,29 +528,15 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
 def _ball_exits(measure: MeasureModel,
                 candidate_pool: tuple[PointWindow, ...] | None, eps: float,
                 n_max: int) -> np.ndarray:
-    """Exit orders of the support points from the candidates' Bowen balls.
-
-    Entry (c, z) is the first order n <= n_max at which support point z
-    fails the ``ball_masks`` rule for B_n(c, eps), or n_max + 1 if it never
-    does, so the order-n membership matrix is ``exits > n``.  Distances are
-    running maxima and the truncation slack grows with n, so a point that
-    has left a ball stays out at every higher order, and one plus the
-    number of orders at which it is inside is its exit order.  One engine
-    pass per shared origin cylinder gives every order; any other pair
-    exits at order 1.  The candidates default to the support.  One entry
-    is kept: a Katok sweep reads all its orders from one (measure, pool,
-    eps), and a second matrix alive would only raise peak memory.
+    """Open exit orders (``exit_orders``) of the support points from the
+    candidates' Bowen balls; the candidates default to the support.  One
+    entry is kept: a Katok sweep reads all its orders from one (measure,
+    pool, eps), and a second matrix alive would only raise peak memory.
     """
     sys = measure.system
     Z = sys.as_matrix(list(measure.support))
     P = Z if candidate_pool is None else sys.as_matrix(list(candidate_pool))
-    slack = [sys.truncation_slack(order) for order in range(1, n_max + 1)]
-    exits = np.ones((len(P), len(Z)), dtype=np.min_scalar_type(n_max + 1))
-    for ci, zi in cylinder_blocks(sys, P, Z, eps):
-        part = exits[np.ix_(ci, zi)]
-        for rows, order, d in distance_blocks(sys, P[ci], Z[zi], n_max):
-            part[rows] += d + slack[order - 1] < eps
-        exits[np.ix_(ci, zi)] = part
+    exits = exit_orders(sys, P, Z, eps, n_max)[0]
     exits.setflags(write=False)
     return exits
 
@@ -581,9 +569,10 @@ def katok_entropy(measure: MeasureModel, eps: float, delta: float,
 # -- Pfister-Sullivan entropy ----------------------------------------------------
 
 
-def default_dictionary(system: ShiftSystem, size: int = 16) -> tuple[int, ...]:
-    """Dictionary of coordinate-0 symbol indicators (first ``size`` symbols)."""
-    return tuple(range(min(system.alphabet_size, size)))
+def default_dictionary(system: ShiftSystem) -> tuple[int, ...]:
+    """Dictionary of coordinate-0 symbol indicators (the first
+    ``DICTIONARY_SIZE`` symbols)."""
+    return tuple(range(min(system.alphabet_size, DICTIONARY_SIZE)))
 
 
 def _near_marginals(system: ShiftSystem, pool: np.ndarray,

@@ -233,8 +233,8 @@ def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
     slacks = {}
     for n in range(1, n_max + 1):
         pts = system.enumerate_points(n)
-        witness, _ = max_separated(system, pts, n, eps,
-                                   mode=_witness_mode(pts, exact_cap))
+        mode = _witness_mode(pts, exact_cap)
+        witness, _ = max_separated(system, pts, n, eps, mode, exact_cap)
         value = pressure_sum(system, witness, phi, n, eps)
         upper = n * bracket.hi + r_ext * math.log(max(len(net), 1))
         if value < n * bracket.lo - 1e-9:
@@ -312,8 +312,8 @@ def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
     records = []
     for n in n_schedule:
         pts = system.enumerate_points(n)
-        witness, exact = max_separated(system, pts, n, eps,
-                                       mode=_witness_mode(pts, exact_cap))
+        search = _witness_mode(pts, exact_cap)
+        witness, exact = max_separated(system, pts, n, eps, search, exact_cap)
         kind = SEPARATED_EXACT if exact else SEPARATED_GREEDY
         log_sum = pressure_sum(system, witness, phi, n, eps)
         records.append(PressureRecord(n=n, eps=eps, log_sum=log_sum,
@@ -457,12 +457,12 @@ def induced_pressure(system: ShiftSystem, points: Sequence[PointWindow],
     for n, members in sorted(part.levels.items()):
         members = list(members)
         mode = _witness_mode(members, exact_cap)
-        sep, _ = max_separated(system, members, n, eps, mode=mode)
+        sep, _ = max_separated(system, members, n, eps, mode, exact_cap)
         sep_sum = pressure_sum(system, sep, phi, n, eps)
         if witness == "separated":
             per_level[n] = sep_sum
         elif witness == "spanning":
-            span, _ = min_spanning(system, members, n, eps, mode=mode)
+            span, _ = min_spanning(system, members, n, eps, mode, exact_cap)
             span_sum = pressure_sum(system, span, phi, n, eps)
             # greedy separation is maximal; when ``sep`` is it, reuse its sum
             maximal_sep_sum = sep_sum if mode == "greedy" else pressure_sum(

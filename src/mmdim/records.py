@@ -26,7 +26,7 @@ class ResultRecord:
     ci: tuple[float, float] | None = None
     timestamp: float = 0.0
 
-    def payload(self, with_timestamp: bool = True) -> dict:
+    def payload(self) -> dict:
         out = {
             "command": self.command,
             "config": self.config_hash,
@@ -37,12 +37,11 @@ class ResultRecord:
         out.update({f"key.{k}": v for k, v in self.keys.items()})
         if self.ci is not None:
             out["ci_lo"], out["ci_hi"] = self.ci
-        if with_timestamp:
-            out["timestamp"] = self.timestamp
+        out["timestamp"] = self.timestamp
         return out
 
-    def to_json(self, with_timestamp: bool = True) -> str:
-        return json.dumps(self.payload(with_timestamp), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True)
 
 
 def stamp(records: Iterable[ResultRecord]) -> list[ResultRecord]:

@@ -238,15 +238,15 @@ class TestBSAndIdentities:
     def test_substitution_instance_builds_one_geometry(self, monkeypatch):
         # the four valuations of one identity instance differ only in
         # structure and in an affine rescaling of the potential
-        from mmdim import caratheodory
+        from mmdim import bowen, caratheodory
         builds = []
-        blocks = caratheodory.distance_blocks
+        blocks = bowen.distance_blocks
 
         def counted(*args):
             builds.append(args[-1])
             return blocks(*args)
 
-        monkeypatch.setattr(caratheodory, "distance_blocks", counted)
+        monkeypatch.setattr(bowen, "distance_blocks", counted)
         caratheodory._build_candidates.cache_clear()
         sys = full_shift(k=3)
         pts = sys.enumerate_points(2)[::2]

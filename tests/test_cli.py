@@ -277,6 +277,24 @@ class TestCli:
 
         assert strip(out1) == strip(out2)
 
+    def test_exact_cap_reaches_the_witness_search(self, tmp_path, capsys):
+        # a cap above the default 24 runs the 32-word pools at n = 5 exactly
+        cfg = (BASE_CONFIG.replace("exact_search = 24", "exact_search = 40")
+               .replace("kind = constant\nvalue = 0\n",
+                        "kind = finite-range\nrange = 2\n"
+                        "values = 0.1 0.5 0.2 0.9\n")
+               .replace("n = 2 3 4", "n = 3 4 5"))
+        path = self._write(tmp_path, cfg)
+        out = tmp_path / "records.jsonl"
+        code = main(["estimate-mdim", "--config", path, "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        cells = [r for r in rows
+                 if r["quantity"] == "log-sum" and r["key.n"] == 5]
+        assert [r["key.eps"] for r in cells] == [0.6, 0.3, 0.15]
+        assert all(r["key.witness"] == "separated-exact" and r["exact"]
+                   for r in cells)
+
     def test_seed_override_changes_hash(self, tmp_path):
         path = self._write(tmp_path, BASE_CONFIG)
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

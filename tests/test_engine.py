@@ -28,6 +28,7 @@ from mmdim.bowen import (
     cylinder_blocks,
     distance_blocks,
     distances_to,
+    exit_orders,
     five_r_disjointify,
     max_separated,
     min_spanning,
@@ -457,6 +458,33 @@ PRUNED_CASES = [(k, side) for k in (3, 5, 7)
 
 def prunes(system, Z, eps) -> bool:
     return len(cylinder_blocks(system, Z, Z, eps)) > 1
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
+    system = grid(k, sidedness)
+    P = system.as_matrix(grid_points(system, 90, k + 1))
+    Z = system.as_matrix(grid_points(system, 240, k))
+    passes = []
+    engine = bowen.distance_blocks
+
+    def counting(*args):
+        passes.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(bowen, "distance_blocks", counting)
+    for eps in floor_radii(k):
+        passes.clear()
+        exits = exit_orders(system, P, Z, eps, 8)
+        # pruning at and below the floor: one pass per origin cylinder
+        assert (len(passes) > 1) == prunes(system, P, eps)
+        for closed in (False, True):
+            for n in range(1, 9):
+                assert np.array_equal(
+                    exits[closed] > n,
+                    ball_masks(system, P, Z, n, eps, closed=closed))
+    assert [prunes(system, P, eps)
+            for eps in floor_radii(k)] == [True, True, False]
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmdim import measures
+from mmdim import bowen, measures
 from mmdim.bowen import ball_masks
 from mmdim.errors import ConfigurationError, PoolInsufficientError
 from mmdim.measures import (
@@ -484,13 +484,13 @@ class TestKatokExitOrders:
     def test_one_engine_pass_per_sweep(self, monkeypatch):
         sys, mu, snapshot = _memo_snapshot("grid-k3")
         calls = []
-        blocks = measures.distance_blocks
+        blocks = bowen.distance_blocks
 
         def counted(*args):
             calls.append(args[-1])
             return blocks(*args)
 
-        monkeypatch.setattr(measures, "distance_blocks", counted)
+        monkeypatch.setattr(bowen, "distance_blocks", counted)
         measures._ball_exits.cache_clear()
         est = katok_entropy(snapshot, 0.4, 0.5, range(1, 6))
         assert len(est.details["counts"]) == 5
