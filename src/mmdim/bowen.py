@@ -25,7 +25,7 @@ The greedy scan keeps each point alone in its n-cylinder and scans the
 others within their cylinders.  ``exit_orders`` is the one place that
 reads membership across orders: it computes distances only within origin
 cylinders (``cylinder_blocks``), with the same bits, and spanning sets,
-ball masses, Katok covers and Caratheodory candidates read its exit
+ball masses, Katok and PS counts and Caratheodory candidates read its exit
 orders, so they know nothing of slack, comparisons or cylinders.
 """
 
@@ -241,6 +241,19 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     order = _lex_order(Z)
     kept = order[_greedy_scan(system, Z[order], n, eps)]
     return [pts[i] for i in kept], False
+
+
+def greedy_separated(Z: np.ndarray, exits: np.ndarray, n: int,
+                     free: np.ndarray) -> list[int]:
+    """``max_separated``'s greedy scan of the ``free`` rows of Z over their
+    open ``exit_orders``: in lexicographic order, a free row is kept and
+    the rows inside its (n, eps)-ball stop being free."""
+    free, kept = free.copy(), []
+    for row in _lex_order(Z).tolist():
+        if free[row]:
+            kept.append(row)
+            free &= exits[row] <= n
+    return kept
 
 
 def _prefix_runs(system: ShiftSystem, Z: np.ndarray, n: int, eps: float,

@@ -33,7 +33,7 @@ from .bowen import exit_orders
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (greedy_disjoint, greedy_weighted_cover,
-                      max_weight_independent, min_weight_cover)
+                      max_weight_independent, min_weight_cover, rows_as_bits)
 from .systems import (PointWindow, Potential, ShiftSystem, birkhoff_sums,
                       check_genuine)
 
@@ -112,6 +112,10 @@ class _Candidates:
     sup_open: np.ndarray              # base-potential ball suprema
     sup_closed: np.ndarray
 
+    @functools.cached_property
+    def open_bits(self) -> list[int]:  # packed on the first greedy cover
+        return rows_as_bits(self.open_members)
+
 
 def _candidates(problem: OuterMeasureProblem) -> _Candidates:
     """The problem's candidate family.  It depends on the potential only
@@ -147,12 +151,11 @@ def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
 
 
 def _log_weights(problem: OuterMeasureProblem, lam: float, closed: bool,
-                 bs: bool) -> np.ndarray:
-    """Log candidate weights: -n lam + log(1/eps) sup S_n phi (Bowen), or
-    -lam sup S_n phi with ``bs``, which needs phi > 0."""
+                 bs: bool, cands: _Candidates) -> np.ndarray:
+    """Log weights of the problem's ``cands``: -n lam + log(1/eps) sup
+    S_n phi (Bowen), or -lam sup S_n phi with ``bs``, which needs phi > 0."""
     if bs and problem.phi.min <= 0:
         raise ConfigurationError("BS structures need phi > 0")
-    cands = _candidates(problem)
     sup_base = cands.sup_closed if closed else cands.sup_open
     n = np.asarray(cands.orders, dtype=float)
     phi = problem.phi
@@ -169,16 +172,18 @@ def _log_weights(problem: OuterMeasureProblem, lam: float, closed: bool,
 
 def _cover_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
                     fixed: bool = False) -> StructureValue:
-    log_w = _log_weights(problem, lam, closed=False, bs=bs)
     cands = _candidates(problem)
-    idx = [i for i, n in enumerate(cands.orders)
-           if not fixed or n == problem.N]
-    member_matrix = cands.open_members[idx]  # a ball holds its centre
+    log_w = _log_weights(problem, lam, False, bs, cands)
+    idx = (np.flatnonzero(np.equal(cands.orders, problem.N)) if fixed
+           else np.arange(len(cands.orders)))
     weights = np.exp(log_w[idx])
     exact = (len(problem.points) <= problem.exact_cap
              and len(idx) <= 4 * problem.exact_cap)
-    solve = min_weight_cover if exact else greedy_weighted_cover
-    chosen_local = solve(member_matrix, weights)
+    if exact:  # a ball holds its centre, so every point is coverable
+        chosen_local = min_weight_cover(cands.open_members[idx], weights)
+    else:
+        chosen_local = greedy_weighted_cover(
+            [cands.open_bits[i] for i in idx], weights, len(problem.points))
     chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
                    for i in chosen_local)
     value = float(weights[chosen_local].sum())
@@ -208,8 +213,8 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     # for loading it
     from scipy.optimize import linprog
 
-    weights = np.exp(_log_weights(problem, lam, closed=False, bs=True))
     cands = _candidates(problem)
+    weights = np.exp(_log_weights(problem, lam, False, True, cands))
     A = cands.open_members.astype(float).T  # (|Z|, n_cand)
     res = linprog(c=weights, A_ub=-A, b_ub=-np.ones(len(problem.points)),
                   bounds=(0, None), method="highs")
@@ -227,8 +232,8 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
 
 def _packing_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
                       center_mask: np.ndarray | None) -> StructureValue:
-    log_w = _log_weights(problem, lam, closed=True, bs=bs)
     cands = _candidates(problem)
+    log_w = _log_weights(problem, lam, True, bs, cands)
     idx = [i for i, c in enumerate(cands.centers)
            if center_mask is None or center_mask[c]]
     if not idx:

@@ -190,6 +190,10 @@ def load_config_text(text: str) -> ExperimentConfig:
     T_schedule = parse_number_list(sched.get("T", ""))
     if not eps_schedule:
         raise ConfigurationError("schedule 'eps' must be nonempty")
+    for e in eps_schedule:  # 1/eps sizes per-scale alphabets
+        if not (0.0 < e < math.inf and math.isfinite(1.0 / e)):
+            raise ConfigurationError("schedule 'eps' entries must be positive "
+                                     f"with a finite 1/eps, got {e!r}")
     if sorted(eps_schedule, reverse=True) != list(eps_schedule):
         raise ConfigurationError("schedule 'eps' must be decreasing")
     if sorted(n_schedule) != list(n_schedule) or not n_schedule:

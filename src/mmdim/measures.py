@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import exit_orders, max_separated
+from .bowen import exit_orders, greedy_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
@@ -494,11 +494,9 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
 
     Product measures are snapshotted to an empirical sample first (flagged
     by exactness of the underlying measure); greedy picks the ball of
-    largest uncovered mass, with an exhaustive search below the cap.  The
-    membership matrix is read off the exit orders of ``_ball_exits``, so
-    the orders 1..max(n, window) of one (measure, pool, eps) share one
-    build.
-    """
+    largest uncovered mass, with an exhaustive search below the cap.  All
+    orders 1..max(n, window) of one (support, pool, eps), and PS on that
+    pool, read their membership off one ``_ball_exits`` build."""
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -524,21 +522,26 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     return KatokCount(count=count, exact=False, covered_mass=mass)
 
 
-@functools.lru_cache(maxsize=1)
 def _ball_exits(measure: MeasureModel,
                 candidate_pool: tuple[PointWindow, ...] | None, eps: float,
                 n_max: int) -> np.ndarray:
     """Open exit orders (``exit_orders``) of the support points from the
-    candidates' Bowen balls; the candidates default to the support.  One
-    entry is kept: a Katok sweep reads all its orders from one (measure,
-    pool, eps), and a second matrix alive would only raise peak memory.
-    """
+    candidates' Bowen balls (default: the support).  One build, freed before
+    the next, serves every order up to its ``n_max`` (Katok and PS)."""
     sys = measure.system
-    Z = sys.as_matrix(list(measure.support))
-    P = Z if candidate_pool is None else sys.as_matrix(list(candidate_pool))
-    exits = exit_orders(sys, P, Z, eps, n_max)[0]
-    exits.setflags(write=False)
-    return exits
+    key = (sys, candidate_pool, measure.support, eps)
+    if not _exits_memo or _exits_memo[0] != key or _exits_memo[1] < n_max:
+        _exits_memo.clear()
+        Z = sys.as_matrix(list(measure.support))
+        P = Z if candidate_pool is None else sys.as_matrix(candidate_pool)
+        exits = exit_orders(sys, P, Z, eps, n_max)[0]
+        exits.setflags(write=False)
+        _exits_memo[:] = key, n_max, exits
+    return _exits_memo[2]
+
+
+_exits_memo: list = []  # [(system, pool, support, eps), n_max, exits]
+_ball_exits.cache_clear = _exits_memo.clear
 
 
 def katok_entropy(measure: MeasureModel, eps: float, delta: float,
@@ -604,6 +607,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
     frequencies over steps 1..n stay within eta of the measure's marginals
     for every dictionary indicator; the estimate is the slope of
     log s_n over the schedule, reported at the smallest feasible eta.
+    s_n is ``greedy_separated`` over the pool's one ``_ball_exits`` matrix.
     """
     etas = sorted({float(e) for e in
                    (eta if isinstance(eta, (list, tuple)) else [eta])},
@@ -615,6 +619,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
     else:
         pool_pts = list(pool)
     mat = sys.as_matrix(pool_pts)
+    pool_measure = pool_pts and MeasureModel.empirical(sys, pool_pts)
     targets = [measure.indicator_integral(a) for a in default_dictionary(sys)]
     per_eta: dict[float, float] = {}
     per_eta_ci: dict[float, tuple[float, float]] = {}
@@ -623,14 +628,14 @@ def ps_entropy(measure: MeasureModel, eps: float,
     for eta_v in etas:
         logs, ns = [], []
         for n in n_schedule:
-            ok = _near_marginals(sys, mat, targets, n, eta_v + 1e-12, start=1)
-            members = [pool_pts[i] for i in np.flatnonzero(ok)]
-            if not members:
+            free = _near_marginals(sys, mat, targets, n, eta_v + 1e-12, 1)
+            if not free.any():
                 flags.append(f"empty-eta{eta_v}-n{n}")
                 continue
-            sep, _ = max_separated(sys, members, n, eps, mode="greedy")
-            per_scale[(n, eta_v)] = math.log(len(sep))
-            logs.append(math.log(len(sep)))
+            sys.check_order(n, eps)
+            exits = _ball_exits(pool_measure, None, eps, n_schedule[-1])
+            logs.append(math.log(len(greedy_separated(mat, exits, n, free))))
+            per_scale[(n, eta_v)] = logs[-1]
             ns.append(n)
         if len(ns) >= 2:
             per_eta[eta_v], per_eta_ci[eta_v] = _slope_ci(ns, logs)

@@ -3,8 +3,9 @@
 Separated and spanning sets, Katok counts and Caratheodory-Pesin values
 are weighted set covers (of every point, or of more than a target mass)
 or maximum-weight independent sets on a conflict graph.  Callers build
-the boolean matrices, rows being sets and columns points.  Tie rules, which
-fix the emitted choices and the order their weights are summed in:
+the boolean matrices, rows being sets and columns points, packed into
+int bitsets (``rows_as_bits``) for ``greedy_weighted_cover``.  Tie rules,
+which fix the emitted choices and the order their weights are summed in:
 
 * ``max_weight_independent``: depth first over the given order, "include"
   before "skip", the best replaced only on a strict improvement, so the
@@ -40,10 +41,15 @@ import numpy as np
 from .errors import ConfigurationError, PoolInsufficientError
 
 
+def rows_as_bits(matrix: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as ints whose bit j is entry j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _bits(row: np.ndarray) -> int:
     """A boolean vector as an int whose bit j is entry j."""
-    packed = np.packbits(np.asarray(row, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    return rows_as_bits(np.asarray(row)[None])[0]
 
 
 def _indices(bits: int) -> Iterator[int]:
@@ -79,7 +85,7 @@ def max_weight_independent(conflict: np.ndarray, weights: np.ndarray,
     order = [int(i) for i in order]
     w = [float(weights[i]) for i in order]
     # bit q of later[p]: position p rules out position q
-    later = [_bits(row) for row in conflict[np.ix_(order, order)]]
+    later = rows_as_bits(conflict[np.ix_(order, order)])
     best_val, best = 0.0, []
 
     def bound(cands: int) -> float:
@@ -125,8 +131,7 @@ def min_weight_cover(sets: np.ndarray, weights: np.ndarray,
     """
     sets = np.asarray(sets, dtype=bool)
     n_sets, m = sets.shape
-    masks = [_bits(row) for row in sets]
-    holders = [_bits(col) for col in sets.T]
+    masks, holders = rows_as_bits(sets), rows_as_bits(sets.T)
     by_count = sorted(range(m), key=lambda j: holders[j].bit_count())
     max_size = int(sets.sum(axis=1).max())
     min_w = float(weights.min())
@@ -192,34 +197,32 @@ def greedy_cover(sets: np.ndarray, tie_order: np.ndarray) -> list[int]:
     return [int(tie_order[pos]) for pos in sorted(chosen)]
 
 
-def greedy_weighted_cover(sets: np.ndarray, weights: np.ndarray) -> list[int]:
-    """Cost-effectiveness greedy cover with lazy score re-evaluation.
+def greedy_weighted_cover(sets: Sequence[int], weights: np.ndarray,
+                          columns: int) -> list[int]:
+    """Lazy cost-effectiveness greedy cover of ``columns`` by bitset rows.
 
     Coverage gains only shrink as points get covered, so weight/gain
     scores only grow and a stale heap top can be re-checked in isolation.
     """
-    uncovered = np.ones(sets.shape[1], dtype=bool)
-    # sets and uncovered are boolean, so ``gains`` is too: it says whether a
-    # ball covers anything, not how much, and each first key is the weight
-    # itself.  That overstates weight/gain for balls of more than one
-    # point, so an untouched ball can lose to one of worse true score; the
-    # keys stay as they are because true counts would move emitted values.
-    gains = sets @ uncovered
-    heap = list(zip(np.where(gains, weights, math.inf).tolist(),
-                    range(len(weights))))
+    uncovered = (1 << columns) - 1
+    w = weights.tolist()
+    # first keys are bare weights, not weight/gain, so an untouched ball can
+    # lose to one of worse true score; true gains would move emitted values
+    heap = list(zip([x if row else math.inf for x, row in zip(w, sets)],
+                    range(len(w))))
     heapq.heapify(heap)
     chosen: list[int] = []
-    while uncovered.any():
+    while uncovered:
         score, i = -1.0, -1
         while heap:
             score, i = heapq.heappop(heap)
-            gain = int((sets[i] & uncovered).sum())
-            fresh = weights[i] / gain if gain > 0 else math.inf
+            gain = (sets[i] & uncovered).bit_count()
+            fresh = w[i] / gain if gain > 0 else math.inf
             if not heap or fresh <= heap[0][0] + 1e-18:
                 score = fresh
                 break
             heapq.heappush(heap, (fresh, i))
-        if i < 0 or not np.isfinite(score):
+        if i < 0 or not math.isfinite(score):
             raise ConfigurationError("greedy cover stalled")
         chosen.append(i)
         uncovered &= ~sets[i]

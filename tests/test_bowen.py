@@ -10,13 +10,15 @@ from mmdim.bowen import (
     SetFamily,
     bowen_distance,
     count_separated_spanning,
+    exit_orders,
     five_r_disjointify,
+    greedy_separated,
     is_within,
     max_separated,
     min_spanning,
 )
 from mmdim.errors import ExactCapError
-from mmdim.systems import ShiftSystem, metric
+from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem, metric
 
 
 def full_shift(k=2, window=12, eps_min=0.1, **kw):
@@ -82,6 +84,27 @@ class TestSeparated:
             for z in pts:
                 assert any(is_within(sys, c, z, n, eps) or c.symbols == z.symbols
                            for c in kept)
+
+    @pytest.mark.parametrize("k,symbol_metric,eps",
+                             [(2, DISCRETE, 0.5), (2, DISCRETE, 1.0),
+                              (3, ABSOLUTE, 0.4), (3, ABSOLUTE, 1 / 3)])
+    def test_exit_order_scan_matches_greedy(self, k, symbol_metric, eps):
+        sys = full_shift(k=k, window=10, eps_min=0.05,
+                         symbol_metric=symbol_metric)
+        rng = np.random.default_rng(k)
+        rows = rng.integers(0, k, size=(60, sys.word_length))
+        rows = np.concatenate([rows, rows[:15]])  # repeated rows
+        pts = [sys.point(r) for r in rows[rng.permutation(len(rows))]]
+        Z = sys.as_matrix(pts)
+        exits = exit_orders(sys, Z, Z, eps, 4)[0]
+        for n in range(1, 5):
+            for free in (np.ones(len(pts), dtype=bool),
+                         rng.random(len(pts)) < 0.5):
+                kept = greedy_separated(Z, exits, n, free)
+                members = [pts[i] for i in np.flatnonzero(free)]
+                want, _ = max_separated(sys, members, n, eps, mode="greedy")
+                assert [pts[i].symbols for i in kept] == \
+                    [p.symbols for p in want]
 
     def test_exact_cap(self):
         sys = full_shift(window=12, eps_min=0.2)

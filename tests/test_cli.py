@@ -187,6 +187,23 @@ def test_potential_misfitting_a_scale_exits_1(tmp_path, capsys, kind, body):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("eps", ["0", "nan", "1e-320"],
+                         ids=["zero", "nan", "reciprocal-overflows"])
+def test_unusable_eps_exits_1(tmp_path, capsys, eps):
+    # each once crashed in the per-scale alphabet ceil(1/eps)
+    text = GRID_CONFIG.replace("eps = 2^-3 2^-4 2^-5 2^-6",
+                               f"eps = 2^-3 2^-4 {eps}")
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code = main(["estimate-mdim", "--config", str(path),
+                 "--out", str(tmp_path / "r.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: schedule 'eps' entries must be positive")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 FRESH_INTERPRETER = """
 import json
 import sys

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mmdim import bowen, measures
-from mmdim.bowen import ball_masks
-from mmdim.errors import ConfigurationError, PoolInsufficientError
+from mmdim.bowen import ball_masks, max_separated
+from mmdim.errors import (ConfigurationError, PoolInsufficientError,
+                          WindowExhaustedError)
 from mmdim.measures import (
     MeasureModel,
     ball_mass_bracket,
@@ -23,8 +24,8 @@ from mmdim.measures import (
     ps_entropy,
     wilson_interval,
 )
-from mmdim.solvers import greedy_weighted_cover
-from mmdim.systems import Potential, ShiftSystem
+from mmdim.solvers import _bits, greedy_weighted_cover
+from mmdim.systems import ABSOLUTE, DISCRETE, Potential, ShiftSystem
 
 
 def grid_system(eps, two_sided=False):
@@ -550,7 +551,8 @@ def test_greedy_cover_heap_matches_reference():
             weights = rng.choice([0.5, 1.0, 2.0], size=rows)  # ties
         else:
             weights = np.exp(rng.normal(size=rows))
-        assert greedy_weighted_cover(M, weights) == \
+        bits = [_bits(row) for row in M]
+        assert greedy_weighted_cover(bits, weights, cols) == \
             _reference_greedy_cover(M, weights)
 
 
@@ -616,6 +618,127 @@ class TestPS:
                                  pool=pool).extrapolated
                 assert kat2 <= bk_hi + 0.05
                 assert kat1 <= ps1 + 0.1
+
+
+def _reference_ps_cells(measure, eps, etas, n_schedule, pool):
+    """ps_entropy's (n, eta) cells, each from its own greedy
+    ``max_separated`` call over the cell's members."""
+    sys = measure.system
+    mat = sys.as_matrix(pool)
+    targets = [measure.indicator_integral(a)
+               for a in measures.default_dictionary(sys)]
+    per_scale, flags = {}, []
+    for eta in sorted(set(etas), reverse=True):
+        for n in n_schedule:
+            ok = measures._near_marginals(sys, mat, targets, n, eta + 1e-12,
+                                          start=1)
+            members = [pool[i] for i in np.flatnonzero(ok)]
+            if not members:
+                flags.append(f"empty-eta{eta}-n{n}")
+                continue
+            sep, _ = max_separated(sys, members, n, eps, mode="greedy")
+            per_scale[(n, eta)] = math.log(len(sep))
+    return per_scale, tuple(flags)
+
+
+def _ps_case(k, sidedness, metric, seed=0):
+    """A product measure and a pool with repeated rows on a k-symbol model."""
+    sys = ShiftSystem(kind="grid-shift", alphabet_size=k, window=12,
+                      sidedness=sidedness, symbol_metric=metric,
+                      eps_min=0.05)
+    rng = np.random.default_rng(seed + k)
+    rows = rng.integers(0, k, size=(120, sys.word_length))
+    rows[:, sys.origin_index + 2:] %= 2  # shared prefixes, close pairs
+    rows = np.concatenate([rows, rows[rng.integers(0, 120, size=40)]])
+    pool = [sys.point(row) for row in rows[rng.permutation(len(rows))]]
+    return sys, MeasureModel.product_uniform(sys, seed=seed), pool
+
+
+def _floor_radii(sys):
+    """The smallest symbol distance and one ulp either side of it."""
+    f = 1.0 if sys.symbol_metric == DISCRETE else 1.0 / sys.alphabet_size
+    return [float(np.nextafter(f, 0.0)), f, float(np.nextafter(f, 2.0))]
+
+
+PS_CASES = [(k, side, metric) for k in (2, 3, 4, 7)
+            for side in ("one-sided", "two-sided")
+            for metric in (DISCRETE, ABSOLUTE)]
+
+
+class TestPSExitOrders:
+    @pytest.mark.parametrize("k,sidedness,metric", PS_CASES)
+    def test_cells_match_per_cell_separation(self, k, sidedness, metric):
+        sys, mu, pool = _ps_case(k, sidedness, metric)
+        etas, ns = [2.0, 0.3, 0.0], [1, 2, 3, 4]
+        for eps in _floor_radii(sys):
+            measures._ball_exits.cache_clear()
+            est = ps_entropy(mu, eps, etas, ns, pool=pool)
+            per_scale, flags = _reference_ps_cells(mu, eps, etas, ns, pool)
+            assert est.per_scale == per_scale, eps
+            assert est.flags == flags
+        assert flags  # the eta = 0 cells at odd n are empty
+
+    def test_empty_pool_has_only_empty_cells(self):
+        sys, mu, _ = _ps_case(2, "one-sided", DISCRETE)
+        with pytest.raises(ConfigurationError, match="every"):
+            ps_entropy(mu, 0.5, [0.5], [1, 2], pool=[])
+
+    @pytest.mark.parametrize("k,sidedness,metric,eta",
+                             [(2, "one-sided", DISCRETE, 0.0),
+                              (7, "two-sided", ABSOLUTE, 0.4)])
+    def test_window_exhausted_at_the_same_cell(self, k, sidedness, metric,
+                                               eta, monkeypatch):
+        sys, mu, pool = _ps_case(k, sidedness, metric, seed=5)
+        eps = _floor_radii(sys)[1]
+        ns = list(range(1, sys.window + 1))
+        checks = ShiftSystem.check_order
+        runs = []
+
+        def run(estimate):
+            cells = []
+            monkeypatch.setattr(
+                ShiftSystem, "check_order",
+                lambda self, n, e: (cells.append(n), checks(self, n, e)))
+            with pytest.raises(WindowExhaustedError) as exc:
+                estimate(mu, eps, [eta], ns, pool=pool)
+            runs.append((cells, str(exc.value)))
+
+        measures._ball_exits.cache_clear()
+        run(ps_entropy)
+        run(_reference_ps_cells)
+        assert runs[0] == runs[1]
+        assert runs[0][0][-1] > sys.max_reliable_order(eps)
+        if eta == 0.0:  # odd orders have no member, so no check
+            assert runs[0][0] == [n for n in ns if n % 2 == 0
+                                  ][:len(runs[0][0])]
+
+    def test_one_engine_pass_per_pool_and_eps(self, monkeypatch):
+        sys, mu, snapshot = _memo_snapshot("grid-k3")
+        passes = []
+        engine = measures.exit_orders
+
+        def counted(system, C, Z, eps, n_max):
+            passes.append((len(C), len(Z), eps))
+            return engine(system, C, Z, eps, n_max)
+
+        monkeypatch.setattr(measures, "exit_orders", counted)
+        measures._ball_exits.cache_clear()
+        katok_entropy(snapshot, 0.4, 0.5, range(1, 6))
+        ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6),
+                   pool=snapshot.support)
+        size = len(snapshot.support)
+        assert passes == [(size, size, 0.4)]
+        fresh = mu.sample_points(200, stream=3)
+        ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6), pool=fresh)
+        assert passes[1:] == [(200, 200, 0.4)]
+        # a deeper request rebuilds; a shallower one reads the same matrix
+        support = MeasureModel.empirical(sys, fresh)
+        deep = measures._ball_exits(support, None, 0.4, 8)
+        assert len(passes) == 3
+        Z = sys.as_matrix(fresh)
+        assert np.array_equal(deep, engine(sys, Z, Z, 0.4, 8)[0])
+        assert measures._ball_exits(support, None, 0.4, 2) is deep
+        assert len(passes) == 3
 
 
 class TestGmuEstimate:

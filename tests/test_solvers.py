@@ -2,17 +2,19 @@
 
 Each reference below is the search one module ran before the solvers were
 shared: the maximum-clique search of exact separation, the include/skip
-packing search, the exact Katok count, the full set-cover search and the
-greedy packing.  The shared solvers must return the same sets, the same
+packing search, the exact Katok count, the full set-cover search, the
+greedy packing and the weighted greedy cover over a boolean matrix.  The shared solvers must return the same sets, the same
 totals bit for bit and the same counts.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +22,15 @@ from mmdim.bowen import ball_masks, max_separated
 from mmdim.caratheodory import (
     PACKING_P,
     OuterMeasureProblem,
+    _build_candidates,
     _candidates,
     _log_weights,
 )
+from mmdim.errors import ConfigurationError
 from mmdim.solvers import (
+    _bits,
     greedy_disjoint,
+    greedy_weighted_cover,
     max_weight_independent,
     min_weight_cover,
 )
@@ -121,6 +127,32 @@ def reference_katok_exact(member_matrix, weights, target):
 
     recurse(0, np.zeros(member_matrix.shape[1], dtype=bool), 0)
     return best
+
+
+def reference_greedy_weighted_cover(sets, weights):
+    """The lazy weighted greedy cover over a boolean membership matrix,
+    with its heap seeded from the boolean product ``sets @ uncovered``."""
+    uncovered = np.ones(sets.shape[1], dtype=bool)
+    gains = sets @ uncovered
+    heap = list(zip(np.where(gains, weights, math.inf).tolist(),
+                    range(len(weights))))
+    heapq.heapify(heap)
+    chosen = []
+    while uncovered.any():
+        score, i = -1.0, -1
+        while heap:
+            score, i = heapq.heappop(heap)
+            gain = int((sets[i] & uncovered).sum())
+            fresh = weights[i] / gain if gain > 0 else math.inf
+            if not heap or fresh <= heap[0][0] + 1e-18:
+                score = fresh
+                break
+            heapq.heappush(heap, (fresh, i))
+        if i < 0 or not np.isfinite(score):
+            raise ConfigurationError("greedy cover stalled")
+        chosen.append(i)
+        uncovered &= ~sets[i]
+    return chosen
 
 
 def reference_min_cover_exact(cover_sets, weights):
@@ -288,7 +320,8 @@ def test_packing_families_match_near_the_clip(k, eps, n_max, lam, seed):
     phi = Potential.from_table(rng.uniform(-2.0, 2.0, size=k))
     problem = OuterMeasureProblem(system=system, points=pts, phi=phi,
                                   eps=eps, n_max=n_max, structure=PACKING_P)
-    weights = np.exp(_log_weights(problem, lam, closed=True, bs=False))
+    weights = np.exp(_log_weights(problem, lam, closed=True, bs=False,
+                                  cands=_candidates(problem)))
     M = _candidates(problem).closed_members
     conflict = M @ M.T
     np.fill_diagonal(conflict, False)
@@ -381,3 +414,58 @@ def test_mass_target_counts_a_union_an_ulp_above_the_target():
     assert chosen == [6, 9]
     assert float(mass[sets[chosen].any(axis=0)].sum()) > 0.5
     assert reference_katok_exact(sets, mass, 0.5) == 3
+
+
+def bitset_cover(sets, weights):
+    return greedy_weighted_cover([_bits(row) for row in sets], weights,
+                                 sets.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 90), st.integers(1, 70), st.floats(0.01, 0.5),
+       st.sampled_from(["random", "close", "tied", "unit"]), st.integers(0, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_bitset_weighted_cover_matches_boolean_cover(rows, cols, density,
+                                                     kind, empty, seed):
+    rng = np.random.default_rng(seed)
+    sets = rng.random((rows, cols)) < density
+    sets[rng.integers(0, rows, size=empty)] = False  # rows covering nothing
+    sets[rng.integers(0, rows), :] |= ~sets.any(axis=0)  # coverable
+    weights = {"random": np.exp(rng.normal(size=rows)),
+               "close": 1.0 + 1e-3 * rng.random(rows),
+               "tied": rng.choice([0.25, 0.5, 1.0], size=rows),
+               "unit": np.ones(rows)}[kind]
+    assert bitset_cover(sets, weights) == \
+        reference_greedy_weighted_cover(sets, weights)
+
+
+@pytest.mark.parametrize("k,metric,eps", [(2, DISCRETE, 0.5),
+                                          (3, ABSOLUTE, 0.3),
+                                          (4, ABSOLUTE, 0.25)])
+def test_bitset_weighted_cover_matches_on_fixed_order_families(k, metric,
+                                                               eps):
+    system = ShiftSystem(kind="grid-shift", alphabet_size=k, window=12,
+                         symbol_metric=metric, eps_min=0.05)
+    pts = tuple(system.enumerate_points(3 if k < 4 else 2))
+    base = Potential.from_table(np.linspace(0.2, 1.0, k))
+    cands = _build_candidates(system, pts, base, eps, 1, 4)
+    rng = np.random.default_rng(k)
+    for N in (1, 2, 4):
+        idx = [i for i, n in enumerate(cands.orders) if n >= N]
+        fixed = [i for i, n in enumerate(cands.orders) if n == N]
+        for rows in (idx, fixed):
+            sets = cands.open_members[rows]
+            assert [cands.open_bits[i] for i in rows] == \
+                [_bits(row) for row in sets]
+            for weights in (np.exp(-N * rng.random() - cands.sup_open[rows]),
+                            np.ones(len(rows))):
+                assert greedy_weighted_cover(
+                    [cands.open_bits[i] for i in rows], weights,
+                    len(pts)) == reference_greedy_weighted_cover(sets, weights)
+
+
+def test_bitset_weighted_cover_stalls_on_an_uncoverable_point():
+    sets = np.array([[1, 0, 0], [0, 1, 0]], dtype=bool)
+    for cover in (bitset_cover, reference_greedy_weighted_cover):
+        with pytest.raises(ConfigurationError, match="stalled"):
+            cover(sets, np.ones(2))
