@@ -6,9 +6,12 @@ between two product sets, an inner box that constrains symbol distances to
 eps/6 on the coordinates 0..n-1+r (plus -r..-1 on two-sided models) with
 r = ceil(log2(4/eps)) + 1, and an outer box that constrains coordinates
 0..n-1 to symbol distance < eps.  Monte-Carlo estimation of the same
-masses is kept as an independent cross-check.  Entropy rates are extracted
-from per-step increments of -log(mass), which cancels the n-independent
-boundary factor that would otherwise bias small-n ratios.
+masses is kept as an independent cross-check.  Its samples are the
+symbols ``Generator.choice`` would draw from the same Philox stream, found
+by a guide-table inverse CDF in place of a binary search, with temporaries
+bounded per chunk of draws.  Entropy rates are extracted from per-step
+increments of -log(mass), which cancels the n-independent boundary factor
+that would otherwise bias small-n ratios.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ WILSON_Z99 = 2.5758293035489004
 SLOPE_Z95 = 1.96
 BOOTSTRAP_RESAMPLES = 200
 DICTIONARY_SIZE = 16
+SAMPLE_CHUNK = 1 << 15  # uniforms drawn and inverted per step
 
 PRODUCT_UNIFORM = "product-uniform"
 BERNOULLI = "bernoulli"
@@ -57,6 +61,10 @@ class MeasureModel:
 
     def __post_init__(self):
         if self.kind in (PRODUCT_UNIFORM, BERNOULLI):
+            if not all(0.0 <= v < math.inf for v in self.p):
+                raise ConfigurationError(
+                    "probability vector entries must be finite and "
+                    "non-negative")
             total = sum(self.p)
             if abs(total - 1.0) > 1e-12:
                 raise ConfigurationError("probability vector must sum to 1")
@@ -67,8 +75,9 @@ class MeasureModel:
                 raise ConfigurationError("empirical measure needs support")
             if len(self.support) != len(self.support_weights):
                 raise ConfigurationError("support and weights mismatch")
-            if any(w <= 0 for w in self.support_weights):
-                raise ConfigurationError("empirical weights must be positive")
+            if not all(0.0 < w < math.inf for w in self.support_weights):
+                raise ConfigurationError(
+                    "empirical weights must be positive and finite")
             total = sum(self.support_weights)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigurationError("empirical weights must sum to 1")
@@ -114,15 +123,29 @@ class MeasureModel:
         return np.random.Generator(
             np.random.Philox(np.random.SeedSequence((self.seed, stream))))
 
+    @functools.cached_property
+    def support_matrix(self) -> np.ndarray:
+        """The empirical support as one read-only symbol matrix."""
+        Z = self.system.as_matrix(list(self.support))
+        Z.setflags(write=False)
+        return Z
+
     def sample_matrix(self, count: int, stream: int = 0) -> np.ndarray:
+        """``count`` sampled words as an int64 ``(count, word_length)`` matrix.
+
+        Product kinds draw every coordinate from ``p``, the empirical kind
+        draws whole support words by weight.  The symbols are those that
+        ``rng.choice(k, size, p=p)`` gives on stream ``stream``: the same
+        uniforms in the same order, inverted through the same CDF by a
+        guide table (``_choice_into``), with temporaries bounded per chunk.
+        """
         rng = self.rng(stream)
-        L = self.system.word_length
         if self.is_product:
-            k = self.system.alphabet_size
-            return rng.choice(k, size=(count, L), p=np.asarray(self.p))
-        idx = rng.choice(len(self.support), size=count,
-                         p=np.asarray(self.support_weights))
-        return np.array([self.support[i].symbols for i in idx])
+            out = np.empty((count, self.system.word_length), dtype=np.int64)
+            return _choice_into(rng, self.p, out)
+        idx = _choice_into(rng, self.support_weights,
+                           np.empty(count, dtype=np.int64))
+        return self.support_matrix[idx]
 
     def sample_points(self, count: int, stream: int = 0) -> list[PointWindow]:
         mat = self.sample_matrix(count, stream)
@@ -160,10 +183,41 @@ class MeasureModel:
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
         sys = self.system
-        Z = sys.as_matrix(list(self.support))
-        exits = exit_orders(sys, sys.as_matrix([x]), Z, eps, n)[0][0]
+        exits = exit_orders(sys, sys.as_matrix([x]), self.support_matrix,
+                            eps, n)[0][0]
         w = np.asarray(self.support_weights)
         return float(w[exits > n].sum())
+
+
+def _choice_into(rng: np.random.Generator, p: Sequence[float],
+                 out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``rng.choice(len(p), size=out.shape, p=p)``.
+
+    The uniforms are ``rng.random`` doubles in C order, as ``choice`` reads
+    them, and the CDF is built as ``choice`` builds it, so every index is
+    the same ``searchsorted(cdf, u, side="right")``.  It is found by the
+    guide table of Chen & Asau (1974): with B >= 4k buckets (a power of
+    two, so ``floor(u*B)`` is exact for the 53-bit u), bucket b holds the
+    answer between ``lo[b] = #{cdf <= b/B}`` and ``hi[b] = #{cdf <
+    (b+1)/B}``, and ``max(hi - lo)`` steps of ``g += u >= cdf[g]`` reach it
+    from ``lo[b]`` (one step for uniform p).  Rows go in chunks of about
+    ``SAMPLE_CHUNK`` values, which read the stream in the same order.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (4 * len(cdf) - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    lo = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int64)
+    steps = int((np.searchsorted(cdf, edges[1:], side="left") - lo).max())
+    ext = np.append(cdf, np.inf)  # the sentinel stops g at k
+    rows = max(1, SAMPLE_CHUNK // math.prod(out.shape[1:]))
+    for start in range(0, len(out), rows):
+        u = rng.random(out[start:start + rows].shape)
+        g = lo[(u * buckets).astype(np.int64)]
+        for _ in range(steps):
+            g += u >= ext[g]
+        out[start:start + rows] = g
+    return out
 
 
 # -- ball-mass brackets ---------------------------------------------------------
@@ -233,15 +287,24 @@ def exact_cylinder_bracket(measure: MeasureModel, x: PointWindow, n: int,
     _check_bracket_model(measure, eps)
     if n == 0:
         return 0.0, 1.0
-    sys = measure.system
     r = bracket_reach(eps)
+    inner = _masses_within(measure, eps / 6.0)
     lower = 1.0
-    for i in _inner_coords(sys, n, r):
-        lower *= measure.coordinate_mass_within(x.coordinate(i), eps / 6.0)
+    for i in _inner_coords(measure.system, n, r):
+        lower *= inner[x.coordinate(i)]
+    outer = _masses_within(measure, eps)
     upper = 1.0
     for j in range(n):
-        upper *= measure.coordinate_mass_within(x.coordinate(j), eps)
+        upper *= outer[x.coordinate(j)]
     return lower, upper
+
+
+@functools.lru_cache(maxsize=16)
+def _masses_within(measure: MeasureModel,
+                   radius: float) -> tuple[float, ...]:
+    """``coordinate_mass_within(a, radius)`` for every symbol a."""
+    return tuple(measure.coordinate_mass_within(a, radius)
+                 for a in range(measure.system.alphabet_size))
 
 
 @dataclass(frozen=True)
@@ -532,7 +595,7 @@ def _ball_exits(measure: MeasureModel,
     key = (sys, candidate_pool, measure.support, eps)
     if not _exits_memo or _exits_memo[0] != key or _exits_memo[1] < n_max:
         _exits_memo.clear()
-        Z = sys.as_matrix(list(measure.support))
+        Z = measure.support_matrix
         P = Z if candidate_pool is None else sys.as_matrix(candidate_pool)
         exits = exit_orders(sys, P, Z, eps, n_max)[0]
         exits.setflags(write=False)

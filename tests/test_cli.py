@@ -187,6 +187,26 @@ def test_potential_misfitting_a_scale_exits_1(tmp_path, capsys, kind, body):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("quantity", ["katok", "bk", "ps"])
+@pytest.mark.parametrize("p", ["1.5 -0.5", "nan 0.5"],
+                         ids=["negative", "nan"])
+def test_bad_probability_vector_exits_1(tmp_path, capsys, p, quantity):
+    # both sum to 1 within the tolerance (nan compares false), and once
+    # reached Generator.choice, which raised a bare ValueError
+    shift = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    text = (shift / "shift.cfg").read_text()
+    assert "p = 0.5 0.5" in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace("p = 0.5 0.5", f"p = {p}"))
+    code = main(["entropy", "--config", str(path), "--quantity", quantity,
+                 "--out", str(tmp_path / "r.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: probability vector entries")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 @pytest.mark.parametrize("eps", ["0", "nan", "1e-320"],
                          ids=["zero", "nan", "reciprocal-overflows"])
 def test_unusable_eps_exits_1(tmp_path, capsys, eps):

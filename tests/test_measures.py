@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmdim import bowen, measures
 from mmdim.bowen import ball_masks, max_separated
@@ -47,11 +49,22 @@ class TestMeasureModel:
         with pytest.raises(ConfigurationError):
             MeasureModel.bernoulli(sys, [0.7, 0.7])
 
+    @pytest.mark.parametrize("p", [(1.5, -0.5), (math.nan, 0.5),
+                                   (math.inf, 0.0)])
+    def test_negative_or_non_finite_probabilities_rejected(self, p):
+        # the sums 1.0 and nan both pass the tolerance test on the sum
+        sys = full_shift()
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            MeasureModel.bernoulli(sys, p)
+
     def test_empirical_weights_checked(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
         with pytest.raises(ConfigurationError):
             MeasureModel.empirical(sys, pts, [0.5, 0.5, 0.5, 0.5])
+        for bad in ([math.nan, 0.5, 0.25, 0.25], [math.inf, 0, 0, 0]):
+            with pytest.raises(ConfigurationError, match="finite"):
+                MeasureModel.empirical(sys, pts, bad)
 
     def test_sampling_deterministic(self):
         sys = full_shift()
@@ -62,12 +75,129 @@ class TestMeasureModel:
         c = mu.sample_matrix(50, stream=3)
         assert not (a == c).all()
 
+    def test_support_matrix_is_built_once_and_read_only(self):
+        sys = full_shift()
+        pts = sys.enumerate_points(3)
+        mu = MeasureModel.empirical(sys, pts)
+        Z = mu.support_matrix
+        assert Z is mu.support_matrix
+        assert (Z == sys.as_matrix(pts)).all() and not Z.flags.writeable
+        assert mu == MeasureModel.empirical(sys, pts)
+
     def test_coordinate_mass(self):
         sys = grid_system(1.0 / 8)
         mu = MeasureModel.product_uniform(sys)
         k = sys.alphabet_size
         # symbols within open radius 1.5/k of symbol 0: {0, 1}
         assert mu.coordinate_mass_within(0, 1.5 / k) == pytest.approx(2.0 / k)
+
+
+def _choice_reference(mu, count, stream):
+    """``sample_matrix`` as ``Generator.choice`` draws it."""
+    rng = mu.rng(stream)
+    if mu.is_product:
+        return rng.choice(mu.system.alphabet_size,
+                          size=(count, mu.system.word_length),
+                          p=np.asarray(mu.p))
+    idx = rng.choice(len(mu.support), size=count,
+                     p=np.asarray(mu.support_weights))
+    return np.array([mu.support[i].symbols for i in idx])
+
+
+@st.composite
+def probability_vectors(draw, max_k=64, positive=False):
+    """Probability vectors with zeros, ties and skew: uniform, a few large
+    entries among tiny ones (several CDF points per guide bucket), or
+    arbitrary weights raised to a power."""
+    k = draw(st.integers(1, max_k))
+    low = 1e-9 if positive else 0.0
+    shape = draw(st.sampled_from(["uniform", "spiky", "power"]))
+    if shape == "uniform":
+        w = np.ones(k)
+    elif shape == "spiky":
+        w = np.array(draw(st.lists(st.sampled_from([low, 1e-6, 1e-3, 1.0]),
+                                   min_size=k, max_size=k)))
+    else:
+        w = np.array(draw(st.lists(st.floats(low, 1.0), min_size=k,
+                                   max_size=k)))
+        w **= draw(st.sampled_from([1, 4, 16]))
+        w = np.maximum(w, low)
+    if not w.any():
+        w[draw(st.integers(0, k - 1))] = 1.0
+    return tuple((w / w.sum()).tolist())
+
+
+def _count(chunk, which):
+    return {"one": 1, "below": chunk - 1, "at": chunk,
+            "above": chunk + 1}.get(which, which)
+
+
+SAMPLE_COUNTS = st.sampled_from(["one", "below", "at", "above"]) | \
+    st.integers(0, 300)
+
+
+class TestSampleMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(p=probability_vectors(), window=st.integers(4, 7),
+           which=SAMPLE_COUNTS, seed=st.integers(0, 2 ** 32 - 1),
+           stream=st.integers(0, 10 ** 6))
+    @example(p=(0.01, 0.01, 0.01, 0.97), window=4, which="above", seed=1,
+             stream=0)
+    @example(p=(0.0, 0.5, 0.0, 0.5, 0.0), window=5, which=40, seed=2,
+             stream=3)
+    def test_product_draws_match_generator_choice(self, p, window, which,
+                                                  seed, stream):
+        sys = ShiftSystem(kind="full-shift", alphabet_size=len(p),
+                          window=window, eps_min=0.9)
+        mu = MeasureModel.bernoulli(sys, p, seed=seed)
+        count = _count(measures.SAMPLE_CHUNK // window, which)
+        got = mu.sample_matrix(count, stream)
+        want = _choice_reference(mu, count, stream)
+        assert got.dtype == np.int64 and want.dtype == np.int64
+        assert got.shape == (count, window)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=probability_vectors(positive=True),
+           which=SAMPLE_COUNTS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_empirical_draws_match_generator_choice(self, w, which, seed):
+        sys = full_shift(k=2, window=6, eps_min=0.5)
+        pts = sys.enumerate_points(6)[:len(w)]
+        mu = MeasureModel.empirical(sys, pts, w, seed=seed)
+        count = _count(measures.SAMPLE_CHUNK, which)
+        got = mu.sample_matrix(count, stream=4)
+        if count:
+            want = _choice_reference(mu, count, stream=4)
+            assert want.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert got.dtype == np.int64 and got.shape == (count, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=probability_vectors())
+    @example(p=(0.5, 0.5))
+    @example(p=(0.25, 0.0, 0.0, 0.75))
+    def test_guide_table_inverts_the_cdf_at_its_own_points(self, p):
+        # uniforms that land exactly on a CDF point or a bucket edge, where
+        # searchsorted's side="right" decides the symbol
+        cdf = np.asarray(p).cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(1024) / 1024
+        u = np.concatenate([cdf, np.nextafter(cdf, 0), edges,
+                            np.nextafter(edges[1:], 0), [1 - 2.0 ** -53]])
+        u = u[u < 1.0]
+
+        class Uniforms:
+            def __init__(self):
+                self.at = 0
+
+            def random(self, shape):
+                n = math.prod(shape)
+                self.at += n
+                return u[self.at - n:self.at].reshape(shape)
+
+        got = measures._choice_into(Uniforms(), p,
+                                    np.empty(len(u), dtype=np.int64))
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
 
 class TestBallMassBracket:
@@ -104,6 +234,25 @@ class TestBallMassBracket:
                     clo, chi = ball_mass_bracket(mu, x, n, eps)
                     assert clo <= glo <= ghi <= chi
                     assert glo > 0
+
+    @pytest.mark.parametrize("p", [None, (0.1, 0.2, 0.3, 0.15, 0.25)])
+    def test_exact_bracket_is_the_product_of_marginals(self, p):
+        # the per-(measure, radius) marginals give the same bits as
+        # multiplying coordinate_mass_within coordinate by coordinate
+        eps = 2.0 ** -3
+        sys = grid_system(eps) if p is None else ShiftSystem(
+            kind="grid-shift", alphabet_size=5, window=16, eps_min=eps / 2)
+        mu = (MeasureModel.product_uniform(sys, seed=3) if p is None
+              else MeasureModel.bernoulli(sys, p, seed=3))
+        r = bracket_reach(eps)
+        for x in mu.sample_points(3, stream=2):
+            for n in range(1, 5):
+                lo = hi = 1.0
+                for i in range(n + r):
+                    lo *= mu.coordinate_mass_within(x.coordinate(i), eps / 6)
+                for j in range(n):
+                    hi *= mu.coordinate_mass_within(x.coordinate(j), eps)
+                assert exact_cylinder_bracket(mu, x, n, eps) == (lo, hi)
 
     def test_exact_bracket_contains_true_mass_small_model(self):
         # brute force over an enumerated two-symbol grid model
