@@ -32,8 +32,9 @@ import numpy as np
 from .bowen import exit_orders
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
-from .solvers import (greedy_disjoint, greedy_weighted_cover,
-                      max_weight_independent, min_weight_cover, rows_as_bits)
+from .solvers import (fractional_cover, greedy_disjoint,
+                      greedy_weighted_cover, max_weight_independent,
+                      min_weight_cover, rows_as_bits)
 from .systems import (PointWindow, Potential, ShiftSystem, birkhoff_sums,
                       check_genuine)
 
@@ -209,22 +210,14 @@ def bs_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
 
 def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     """Fractional cover LP: min sum c_i w_i with coverage >= 1 on Z, c >= 0."""
-    # scipy is imported here, its only use, so that no other path pays
-    # for loading it
-    from scipy.optimize import linprog
-
     cands = _candidates(problem)
     weights = np.exp(_log_weights(problem, lam, False, True, cands))
-    A = cands.open_members.astype(float).T  # (|Z|, n_cand)
-    res = linprog(c=weights, A_ub=-A, b_ub=-np.ones(len(problem.points)),
-                  bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise ConfigurationError(f"fractional cover LP failed: {res.message}")
+    value, x = fractional_cover(cands.open_members, weights)
     support = tuple(
         (cands.centers[i], cands.orders[i])
-        for i in np.flatnonzero(res.x > 1e-12)
+        for i in np.flatnonzero(x > 1e-12)
     )
-    return StructureValue(value=float(res.fun), exact=True, chosen=support)
+    return StructureValue(value=value, exact=True, chosen=support)
 
 
 # -- packings -------------------------------------------------------------------

@@ -26,6 +26,19 @@ which fix the emitted choices and the order their weights are summed in:
 
 The three greedy covers break ties differently; merging them would move
 emitted counts and bounds.
+
+``fractional_cover`` solves the weighted cover LP (min w.x, sets.T @ x
+>= 1, x >= 0) to round-off by a dense tableau simplex on its dual, the
+packing LP max 1.y subject to sets @ y <= w / max(w), y >= 0:
+
+* the all-slack basis is feasible because w > 0, so there is no phase 1;
+* Bland's rule picks both the entering column and the leaving row (the
+  lowest index), so the degenerate Bowen-ball covers, whose balls often
+  share members across orders, cannot cycle;
+* ratio-test ties are relative, since the ratios carry w's scale, and
+  coefficients below 1e-11 are round-off and set to zero after a pivot;
+* x is read from the final objective row under the slack columns and
+  does not scale with w; the optimum is max(w) times the objective.
 """
 
 from __future__ import annotations
@@ -251,3 +264,64 @@ def greedy_mass_cover(sets: np.ndarray, mass: np.ndarray,
         covered += fresh
         count += 1
     return count, covered
+
+
+# -- linear programming -------------------------------------------------------
+
+# tableau entries below this count as zero in the pricing and ratio tests
+_PIVOT_TOL = 1e-11
+# ratios within this relative distance of the least one tie
+_TIE_RTOL = 1e-12
+# Bland's rule ends in exact arithmetic; this only bounds a round-off loop
+_PIVOT_LIMIT = 10_000
+
+
+def fractional_cover(sets: np.ndarray, weights: np.ndarray,
+                     ) -> tuple[float, np.ndarray]:
+    """Minimum of w.x over x >= 0 with every column covered at least once
+    (sets.T @ x >= 1), and the x attaining it (w > 0)."""
+    top = float(weights.max())
+    objective, _, x = _packing_simplex(sets, weights / top)
+    return top * objective, x
+
+
+def _packing_simplex(sets: np.ndarray, b: np.ndarray,
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Max 1.y subject to sets @ y <= b, y >= 0, for b >= 0: the
+    objective, y, and the dual optimum x (sets.T @ x >= 1, x >= 0)."""
+    rows, cols = sets.shape
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:rows, :cols] = sets
+    tab[:rows, cols:-1] = np.eye(rows)
+    tab[:rows, -1] = b
+    tab[-1, :cols] = -1.0
+    basis = np.arange(cols, cols + rows)
+    for _ in range(_PIVOT_LIMIT):
+        entering = np.flatnonzero(tab[-1, :-1] < -_PIVOT_TOL)
+        if not len(entering):
+            y = np.zeros(cols)
+            in_basis = basis < cols
+            y[basis[in_basis]] = tab[:rows, -1][in_basis]
+            return float(tab[-1, -1]), y, tab[-1, cols:-1].copy()
+        e = int(entering[0])
+        column = tab[:rows, e]
+        able = np.flatnonzero(column > _PIVOT_TOL)
+        if not len(able):
+            # unbounded, which only a point that no set holds allows
+            raise ConfigurationError("fractional cover: a point lies in no set")
+        ratios = tab[able, -1] / column[able]
+        # an absolute tie tolerance would tie every row once b is tiny
+        tied = able[ratios <= ratios.min() * (1.0 + _TIE_RTOL)]
+        r = int(tied[np.argmin(basis[tied])])
+        pivot_row = tab[r] / tab[r, e]
+        tab -= np.outer(tab[:, e], pivot_row)
+        tab[r] = pivot_row
+        # coefficients are multiples of 1/det of a 0/1 basis, far above the
+        # tolerance on covers of a few dozen points, so anything under it
+        # is round-off; left in place, it carries a zero right-hand side
+        # below zero
+        coef = tab[:, :-1]
+        coef[np.abs(coef) < _PIVOT_TOL] = 0.0
+        tab[tied[tied != r], -1] = 0.0
+        basis[r] = e
+    raise ConfigurationError("fractional cover simplex did not converge")

@@ -292,17 +292,19 @@ def caratheodory_suite() -> list[AssertionResult]:
     out.append(AssertionResult("caratheodory", "cover(3eps) below packing(eps)",
                                chain_ok, float(chain_worst)))
 
-    # weighted: W <= R everywhere, R(lam+delta, 6eps) <= W(lam, eps)
+    # weighted: W <= R everywhere, R(lam+delta, 6eps) <= W(lam, eps); at
+    # lam = 20 and 40 both sides are below 1e-8, so W <= R is compared
+    # relatively and the slack is the least (R - W) / R
     phi_pos = Potential.from_table([0.5, 1.0])
     w_ok, w_worst = True, math.inf
     for eps in (0.6, 0.3):
-        for lam in (0.0, 0.4, 1.1):
+        for lam in (0.0, 0.4, 1.1, 20.0, 40.0):
             wp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
                                      eps=eps, n_max=2, structure=WEIGHTED_W)
-            gap = bs_value(wp.with_structure(BS_R), lam).value \
-                - weighted_value(wp, lam).value
-            w_ok &= gap >= -1e-9
-            w_worst = min(w_worst, gap)
+            r = bs_value(wp.with_structure(BS_R), lam).value
+            rel_gap = (r - weighted_value(wp, lam).value) / r
+            w_ok &= rel_gap >= -1e-9
+            w_worst = min(w_worst, rel_gap)
     out.append(AssertionResult("caratheodory", "W below R", w_ok,
                                float(w_worst)))
 

@@ -316,6 +316,19 @@ class TestWeighted:
                 assert weighted_value(w_prob, lam).value \
                     <= bs_value(b_prob, lam).value + 1e-9
 
+    @pytest.mark.parametrize("lam", [20.0, 40.0])
+    def test_weighted_below_bs_at_tiny_weights(self, lam):
+        # every weight is below 1e-8 here; an LP solved to absolute 1e-7
+        # tolerances read them all as zero and put W up to 1e9 times R
+        sys = full_shift()
+        pts = sys.enumerate_points(3)
+        phi = Potential.from_table([0.5, 1.0])
+        for eps in (0.6, 0.3):
+            w_prob = problem(sys, pts, phi, eps, n_max=2, structure=WEIGHTED_W)
+            w = weighted_value(w_prob, lam).value
+            r = bs_value(w_prob.with_structure(BS_R), lam).value
+            assert 0.0 < w <= r * (1.0 + 1e-12)
+
     def test_fractional_strictly_beats_integral(self):
         # all four depth-2 grid words at eps=0.6, order 1: each ball covers
         # everything except the opposite corner, so the integral cover needs

@@ -240,33 +240,39 @@ seen["after_grid"] = scipy_modules()
 seen["weighted"] = main(["subset-dim", "--config", sys.argv[3],
                          "--structure", "weighted", "--out", sys.argv[4]])
 seen["after_weighted"] = scipy_modules()
+seen["verify"] = main(["verify", "--suite", "all", "--out", sys.argv[5]])
+seen["after_verify"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_the_weighted_structure(tmp_path):
+def test_scipy_never_loads(tmp_path):
     grid, weighted = tmp_path / "grid.cfg", tmp_path / "weighted.cfg"
     grid.write_text(GRID_CONFIG)
     weighted.write_text(BASE_CONFIG.replace("value = 0\n", "value = 1\n", 1)
                         + "\n[subset-dim]\ndepth = 2\nn_max = 3\n")
     grid_out, weighted_out = tmp_path / "grid.jsonl", tmp_path / "w.jsonl"
+    verify_out = tmp_path / "verify.jsonl"
     src = str(Path(mmdim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(FRESH_INTERPRETER),
-         str(grid), str(grid_out), str(weighted), str(weighted_out)],
+         str(grid), str(grid_out), str(weighted), str(weighted_out),
+         str(verify_out)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == [] and seen["after_grid"] == []
-    assert seen["grid"] == 0 and seen["weighted"] == 0
-    assert "scipy.optimize" in seen["after_weighted"]
+    assert seen["grid"] == 0 and seen["weighted"] == 0 and seen["verify"] == 0
+    for stage in ("import", "after_grid", "after_weighted", "after_verify"):
+        assert seen[stage] == [], stage
     rows = [json.loads(line) for line in weighted_out.read_text().splitlines()]
     lams = [r for r in rows if r["quantity"] == "critical-lambda"]
     assert [r["key.eps"] for r in lams] == [0.6, 0.3, 0.15]
     assert all(r["key.structure"] == "weighted" for r in lams)
+    checks = [json.loads(line) for line in verify_out.read_text().splitlines()]
+    assert any(r["quantity"] == "W below R" for r in checks)
 
 
 class TestCli:

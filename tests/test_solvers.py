@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmdim.bowen import ball_masks, max_separated
@@ -29,6 +29,8 @@ from mmdim.caratheodory import (
 from mmdim.errors import ConfigurationError
 from mmdim.solvers import (
     _bits,
+    _packing_simplex,
+    fractional_cover,
     greedy_disjoint,
     greedy_weighted_cover,
     max_weight_independent,
@@ -469,3 +471,88 @@ def test_bitset_weighted_cover_stalls_on_an_uncoverable_point():
     for cover in (bitset_cover, reference_greedy_weighted_cover):
         with pytest.raises(ConfigurationError, match="stalled"):
             cover(sets, np.ones(2))
+
+
+# -- fractional cover -----------------------------------------------------------
+
+
+def random_cover_instance(rng, rows, cols, density, dup_rows, dup_cols,
+                          all_ones):
+    """A 0/1 cover of every column, with repeated rows and columns and,
+    optionally, a row that holds every column."""
+    sets = random_cover(rng, rows, cols, density)
+    sets = np.vstack([sets, sets[rng.integers(0, rows, size=dup_rows)]])
+    sets = np.hstack([sets, sets[:, rng.integers(0, cols, size=dup_cols)]])
+    if all_ones:
+        sets = np.vstack([sets, np.ones(sets.shape[1], dtype=bool)])
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 12), st.floats(0.05, 0.7),
+       st.integers(0, 6), st.integers(0, 3), st.booleans(),
+       st.floats(-700.0, 700.0), st.floats(-700.0, 700.0),
+       st.integers(0, 2 ** 32 - 1))
+# unit weights: pivot round-off once pushed a zero right-hand side below 0
+@example(15, 11, 0.53125, 0, 0, False, 0.0, 0.0, 139)
+def test_fractional_cover_is_certified_optimal(rows, cols, density, dup_rows,
+                                              dup_cols, all_ones, lo, hi,
+                                              seed):
+    rng = np.random.default_rng(seed)
+    sets = random_cover_instance(rng, rows, cols, density, dup_rows,
+                                 dup_cols, all_ones)
+    lo, hi = min(lo, hi), max(lo, hi)
+    weights = np.exp(rng.uniform(lo, hi, size=len(sets)))
+    value, x = fractional_cover(sets, weights)
+    assert math.isfinite(value) and value >= 0.0
+    # the primal cover
+    assert (x >= 0.0).all()
+    assert (sets.T.astype(float) @ x >= 1.0 - 1e-12).all()
+    # the dual packing, on the scale the simplex solves at
+    top = weights.max()
+    b = weights / top
+    objective, y, x_again = _packing_simplex(sets, b)
+    assert np.array_equal(x, x_again) and value == top * objective
+    assert (y >= 0.0).all()
+    assert (sets.astype(float) @ y <= b * (1.0 + 1e-12)).all()
+    primal = float(b @ x)
+    assert abs(primal - objective) <= 1e-12 * max(primal, objective)
+    assert abs(y.sum() - objective) <= 1e-12 * objective
+
+
+def test_fractional_cover_stays_finite_when_weights_underflow():
+    # w / max(w) is 0 for the two singletons, which cover both points
+    sets = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
+    weights = np.exp([-700.0, -700.0, 700.0])
+    assert (weights / weights.max())[:2].tolist() == [0.0, 0.0]
+    value, x = fractional_cover(sets, weights)
+    assert value == 0.0
+    assert x.tolist() == [1.0, 1.0, 0.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 12), st.floats(0.05, 0.7),
+       st.integers(0, 6), st.integers(0, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fractional_cover_matches_highs_on_moderate_weights(
+        rows, cols, density, dup_rows, dup_cols, all_ones, seed):
+    # HiGHS solves to absolute 1e-7 tolerances, which hold only while no
+    # weight is far from 1
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    sets = random_cover_instance(rng, rows, cols, density, dup_rows,
+                                 dup_cols, all_ones)
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, size=len(sets))
+    res = linprog(c=weights, A_ub=-sets.T.astype(float),
+                  b_ub=-np.ones(sets.shape[1]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    value, _ = fractional_cover(sets, weights)
+    assert value == pytest.approx(res.fun, rel=1e-7)
+
+
+def test_fractional_cover_rejects_an_uncoverable_point():
+    sets = np.array([[1, 0, 0], [0, 1, 0]], dtype=bool)
+    with pytest.raises(ConfigurationError, match="no set"):
+        fractional_cover(sets, np.ones(2))
