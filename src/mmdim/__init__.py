@@ -14,7 +14,6 @@ from .bowen import (
     bowen_distance,
     count_separated_spanning,
     five_r_disjointify,
-    is_within,
     max_separated,
     min_spanning,
 )
@@ -53,7 +52,6 @@ from .measures import (
     bs_entropy,
     estimate_ball_mass,
     exact_cylinder_bracket,
-    generic_point_test,
     gmu_mdim_estimate,
     katok_entropy,
     katok_rn,
@@ -77,6 +75,7 @@ from .pressure import (
     validate_pressure_oracle,
 )
 from .systems import (
+    Points,
     PointWindow,
     Potential,
     ShiftSystem,

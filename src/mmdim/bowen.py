@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigurationError, ExactCapError
 from .solvers import (greedy_cover, greedy_disjoint, max_weight_independent,
                       min_weight_cover)
-from .systems import DISCRETE, PointWindow, ShiftSystem
+from .systems import DISCRETE, Points, PointWindow, Pool, ShiftSystem
 
 DEFAULT_EXACT_CAP = 24
 
@@ -180,24 +180,12 @@ def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
 def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,
                    n: int) -> float:
     """max over j < n of the truncated metric between the shifted points."""
-    return float(distances_to(system, x, system.as_matrix([y]), n)[0])
-
-
-def distances_to(system: ShiftSystem, center: PointWindow, Z: np.ndarray,
-                 n: int) -> np.ndarray:
-    """Vector of Bowen-n distances from one center to every row of Z."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    C = system.as_matrix([center])
+    C, Z = system.as_points([x]).symbols, system.as_points([y]).symbols
     for _, order, d in distance_blocks(system, C, Z, n):
         if order == n:
-            return d[0].copy()
-
-
-def is_within(system: ShiftSystem, x: PointWindow, y: PointWindow, n: int,
-              eps: float, closed: bool = False) -> bool:
-    C, Z = system.as_matrix([x]), system.as_matrix([y])
-    return bool(ball_masks(system, C, Z, n, eps, closed)[0, 0])
+            return float(d[0, 0])
 
 
 # -- separated sets ----------------------------------------------------------
@@ -208,10 +196,9 @@ def _lex_order(Z: np.ndarray) -> np.ndarray:
     return np.lexsort(Z.T[::-1])
 
 
-def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
-                  eps: float, mode: str = "greedy",
-                  exact_cap: int = DEFAULT_EXACT_CAP,
-                  ) -> tuple[list[PointWindow], bool]:
+def max_separated(system: ShiftSystem, points: Pool, n: int, eps: float,
+                  mode: str = "greedy", exact_cap: int = DEFAULT_EXACT_CAP,
+                  ) -> tuple[Points, bool]:
     """An (n, eps)-separated subset of the given points.
 
     Greedy scans points in lexicographic symbol order and keeps every point
@@ -220,11 +207,11 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
     branch and bound on the separation graph and requires at most
     ``exact_cap`` points.  Returns (set, is_exact).
     """
-    pts = list(points)
+    pts = system.as_points(points)
     if not pts:
-        return [], True
+        return pts, True
     system.check_order(n, eps)
-    Z = system.as_matrix(pts)
+    Z = pts.symbols
     if mode == "exact":
         if len(pts) > exact_cap:
             raise ExactCapError(
@@ -235,12 +222,12 @@ def max_separated(system: ShiftSystem, points: Sequence[PointWindow], n: int,
         # fewest conflicts (most separations) first, ties by index
         order = np.argsort(conflict.sum(axis=1), kind="stable")
         best, _ = max_weight_independent(conflict, np.ones(len(pts)), order)
-        return [pts[i] for i in best], True
+        return pts[best], True
     if mode != "greedy":
         raise ConfigurationError(f"unknown mode {mode!r}")
     order = _lex_order(Z)
     kept = order[_greedy_scan(system, Z[order], n, eps)]
-    return [pts[i] for i in kept], False
+    return pts[kept], False
 
 
 def greedy_separated(Z: np.ndarray, exits: np.ndarray, n: int,
@@ -330,39 +317,38 @@ def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
 # -- spanning sets -----------------------------------------------------------
 
 
-def min_spanning(system: ShiftSystem, points: Sequence[PointWindow], n: int,
-                 eps: float, mode: str = "greedy",
-                 exact_cap: int = DEFAULT_EXACT_CAP,
-                 ) -> tuple[list[PointWindow], bool]:
+def min_spanning(system: ShiftSystem, points: Pool, n: int, eps: float,
+                 mode: str = "greedy", exact_cap: int = DEFAULT_EXACT_CAP,
+                 ) -> tuple[Points, bool]:
     """An (n, eps)-spanning set of the points, centers drawn from them.
 
     Exact mode solves the minimum set cover over the Bowen balls centered
     at the points; greedy mode is the standard best-coverage heuristic
     (within a ln factor).  Returns (centers, is_exact).
     """
-    pts = list(points)
+    pts = system.as_points(points)
     if not pts:
-        return [], True
+        return pts, True
     system.check_order(n, eps)
-    Z = system.as_matrix(pts)
+    Z = pts.symbols
     m = len(pts)
     cover_sets = exit_orders(system, Z, Z, eps, n)[0] > n
     if mode == "exact":
         if m > exact_cap:
             raise ExactCapError(f"{m} points exceed the exact cap {exact_cap}")
         chosen = min_weight_cover(cover_sets, np.ones(m))
-        return [pts[i] for i in sorted(chosen)], True
+        return pts[sorted(chosen)], True
     if mode != "greedy":
         raise ConfigurationError(f"unknown mode {mode!r}")
     chosen = greedy_cover(cover_sets, _lex_order(Z))
-    return [pts[i] for i in chosen], False
+    return pts[chosen], False
 
 
 # -- 5r covering selection ----------------------------------------------------
 
 
 def five_r_disjointify(system: ShiftSystem, family: SetFamily,
-                       universe: Sequence[PointWindow]) -> SetFamily:
+                       universe: Pool) -> SetFamily:
     """Greedy disjoint subfamily whose 5r inflations cover the family union.
 
     Balls must be closed and share a common order.  Processing by
@@ -379,9 +365,9 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
     if len(orders) > 1:
         raise ConfigurationError("5r selection expects a common order")
     n = balls[0].order
-    U = system.as_matrix(list(universe))
-    members = ball_masks(system, system.as_matrix([b.center for b in balls]),
-                         U, n, [b.radius for b in balls], closed=True)
+    centers = system.as_points([b.center for b in balls]).symbols
+    members = ball_masks(system, centers, system.as_points(universe).symbols,
+                         n, [b.radius for b in balls], closed=True)
     order = sorted(range(len(balls)),
                    key=lambda i: (-balls[i].radius, balls[i].center.symbols))
     kept = greedy_disjoint(members, order)
@@ -424,15 +410,12 @@ def covering_number_profile(system_factory, eps_schedule: Sequence[float],
     return out
 
 
-def count_separated_spanning(system: ShiftSystem,
-                             points: Sequence[PointWindow], n: int,
+def count_separated_spanning(system: ShiftSystem, points: Pool, n: int,
                              eps: float,
                              exact_cap: int = DEFAULT_EXACT_CAP,
                              ) -> SeparationCounts:
     """Greedy bounds plus exact values when the instance is small enough."""
-    pts = list(points)
-    if not pts:
-        return SeparationCounts(0, 0, 0, 0)
+    pts = system.as_points(points)
     greedy_sep, _ = max_separated(system, pts, n, eps, mode="greedy")
     greedy_span, _ = min_spanning(system, pts, n, eps, mode="greedy")
     s_exact = r_exact = None

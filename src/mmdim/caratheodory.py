@@ -35,7 +35,7 @@ from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (fractional_cover, greedy_disjoint,
                       greedy_weighted_cover, max_weight_independent,
                       min_weight_cover, rows_as_bits)
-from .systems import (PointWindow, Potential, ShiftSystem, birkhoff_sums,
+from .systems import (Points, Pool, Potential, ShiftSystem, birkhoff_sums,
                       check_genuine)
 
 COVER_M = "cover-M"
@@ -53,10 +53,11 @@ MAX_DOUBLINGS = 80
 
 @dataclass(frozen=True)
 class OuterMeasureProblem:
-    """A structure valuation instance on a finite point set."""
+    """A structure valuation instance on a finite point set; ``points``
+    may be given as point windows and is kept as ``Points``."""
 
     system: ShiftSystem
-    points: tuple[PointWindow, ...]
+    points: Points
     phi: Potential
     eps: float
     N: int = 1
@@ -65,12 +66,14 @@ class OuterMeasureProblem:
     exact_cap: int = 24
 
     def __post_init__(self):
+        object.__setattr__(self, "points", self.system.as_points(self.points))
         if not self.points:
             raise ConfigurationError("Z must be nonempty")
         if self.N > self.n_max:
             raise ConfigurationError("need N <= n_max")
         if self.N < 1:
             raise ConfigurationError("orders start at 1")
+        self.system.truncation_slack(self.n_max)  # the balls need it
         if self.structure not in STRUCTURES:
             raise ConfigurationError(f"unknown structure {self.structure!r}")
         if self.structure in (BS_R, PACKING_BS, WEIGHTED_W):
@@ -128,10 +131,10 @@ def _candidates(problem: OuterMeasureProblem) -> _Candidates:
 
 
 @functools.lru_cache(maxsize=256)
-def _build_candidates(system: ShiftSystem, points: tuple[PointWindow, ...],
+def _build_candidates(system: ShiftSystem, points: Points,
                       base: Potential, eps: float, N: int,
                       n_max: int) -> _Candidates:
-    Z = system.as_matrix(list(points))
+    Z = points.symbols
     check_genuine(base, points, range(N, n_max + 1))
     sums = birkhoff_sums(system, base, Z, n_max)  # column n: order n
     orders = np.arange(N, n_max + 1)
@@ -353,7 +356,8 @@ def critical_lambda(valuation: Callable[[float], float],
         raise BracketError(
             "valuation did not straddle the threshold; it may be constant"
         )
-    while hi - lo > tol:
+    # at a large enough lambda no double lies strictly between lo and hi
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         v_mid = valuation(mid)
         if v_mid >= threshold:
@@ -380,7 +384,7 @@ def structure_valuation(problem: OuterMeasureProblem,
     return lambda lam: fn(problem, lam).value
 
 
-def subset_mdim(system: ShiftSystem, points: Sequence[PointWindow],
+def subset_mdim(system: ShiftSystem, points: Pool,
                 phi: Potential, structure: str,
                 eps_schedule: Sequence[float], N: int = 1, n_max: int = 3,
                 tol: float = 1e-4, exact_cap: int = 24) -> DimensionEstimate:
@@ -395,10 +399,12 @@ def subset_mdim(system: ShiftSystem, points: Sequence[PointWindow],
     eps_schedule = tuple(sorted(set(eps_schedule), reverse=True))
     if len(eps_schedule) < 2:
         raise ConfigurationError("need at least 2 eps values")
-    lams = []
+    if 1.0 in eps_schedule:  # the ratios divide by log(1/eps)
+        raise ConfigurationError("subset dimensions need eps != 1")
+    points, lams = system.as_points(points), []
     for eps in eps_schedule:
         problem = OuterMeasureProblem(
-            system=system, points=tuple(points), phi=phi, eps=eps, N=N,
+            system=system, points=points, phi=phi, eps=eps, N=N,
             n_max=n_max, structure=structure, exact_cap=exact_cap,
         )
         lams.append(critical_lambda(structure_valuation(problem),

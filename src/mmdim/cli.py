@@ -22,7 +22,7 @@ from .caratheodory import (
 )
 from .config import ExperimentConfig, load_config, parse_int
 from .errors import MMDimError, ConfigurationError
-from .measures import brin_katok, bs_entropy, katok_entropy, ps_entropy
+from .measures import bs_entropy, katok_entropy, ps_entropy
 from .pressure import (
     induced_mdim_estimate,
     log_eps_fit,
@@ -83,7 +83,7 @@ def cmd_estimate_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
 
 
 def cmd_induced_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
-    phi = cfg.potential(getattr(args, "phi", None) or "phi")
+    phi = _phi(cfg, args)
     psi = cfg.potential(getattr(args, "psi", None) or "psi")
     if not cfg.T_schedule:
         raise ConfigurationError("schedule 'T' must be nonempty for "
@@ -145,7 +145,7 @@ def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     system = cfg.build_system()
     points = system.enumerate_points(depth)
     if structure in (BS_R, PACKING_BS, WEIGHTED_W):
-        phi = cfg.potential(getattr(args, "phi", None) or "phi")
+        phi = _phi(cfg, args)
     else:
         phi = cfg.potentials.get(getattr(args, "phi", None) or "phi",
                                  Potential.constant(0.0))
@@ -172,20 +172,20 @@ def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
     measure = cfg.build_measure(system)
     opts = cfg.options.get("entropy", {})
     x_samples = parse_int(opts.get("x_samples", "24"), "[entropy] x_samples")
+    # the sampled points are one pool, which the enumeration cap bounds
+    if not 1 <= x_samples <= cfg.enumeration_cap:
+        raise ConfigurationError(
+            f"[entropy] x_samples must lie in 1..{cfg.enumeration_cap} "
+            f"(the enumeration cap), got {x_samples}")
     h = cfg.config_hash()
     records, summary = [], []
     for eps in cfg.eps_schedule:
-        if args.quantity == "bk":
-            lo = brin_katok(measure, eps, cfg.n_schedule, x_samples, "lower")
-            hi = brin_katok(measure, eps, cfg.n_schedule, x_samples, "upper")
-            pairs = [("bk-lower", lo), ("bk-upper", hi)]
-        elif args.quantity == "bs":
-            phi = cfg.potential(getattr(args, "phi", None) or "phi")
-            lo = bs_entropy(measure, phi, eps, cfg.n_schedule, x_samples,
-                            "lower")
-            hi = bs_entropy(measure, phi, eps, cfg.n_schedule, x_samples,
-                            "upper")
-            pairs = [("bs-lower", lo), ("bs-upper", hi)]
+        if args.quantity in ("bk", "bs"):  # BK is BS at the unit potential
+            phi = (Potential.constant(1.0) if args.quantity == "bk"
+                   else _phi(cfg, args))
+            pairs = [(f"{args.quantity}-{bound}",
+                      bs_entropy(measure, phi, eps, cfg.n_schedule, x_samples,
+                                 bound)) for bound in ("lower", "upper")]
         elif args.quantity == "katok":
             est = katok_entropy(measure, eps, cfg.delta, cfg.n_schedule)
             pairs = [("katok", est)]

@@ -26,11 +26,9 @@ _POW_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)\^([+-]?\d+)$")
 def parse_number(text: str) -> float:
     text = text.strip()
     m = _POW_RE.match(text)
-    if m:
-        return float(m.group(1)) ** int(m.group(2))
     try:
-        return float(text)
-    except ValueError as exc:
+        return float(m.group(1)) ** int(m.group(2)) if m else float(text)
+    except (ValueError, OverflowError) as exc:
         raise ConfigurationError(f"cannot parse number {text!r}") from exc
 
 
@@ -194,6 +192,9 @@ def load_config_text(text: str) -> ExperimentConfig:
         if not (0.0 < e < math.inf and math.isfinite(1.0 / e)):
             raise ConfigurationError("schedule 'eps' entries must be positive "
                                      f"with a finite 1/eps, got {e!r}")
+    if not all(0.0 <= t < math.inf for t in T_schedule):  # T/min psi: a depth
+        raise ConfigurationError(
+            "schedule 'T' entries must be finite and non-negative")
     if sorted(eps_schedule, reverse=True) != list(eps_schedule):
         raise ConfigurationError("schedule 'eps' must be decreasing")
     if sorted(n_schedule) != list(n_schedule) or not n_schedule:

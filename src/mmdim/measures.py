@@ -27,8 +27,8 @@ from .bowen import exit_orders, greedy_separated
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
-from .systems import (ABSOLUTE, PointWindow, Potential, ShiftSystem,
-                      birkhoff_sums, check_genuine)
+from .systems import (ABSOLUTE, Points, PointWindow, Pool, Potential,
+                      ShiftSystem, birkhoff_sums, check_genuine)
 
 WILSON_Z99 = 2.5758293035489004
 SLOPE_Z95 = 1.96
@@ -55,11 +55,14 @@ class MeasureModel:
     kind: str
     system: ShiftSystem
     p: tuple[float, ...] = ()
-    support: tuple[PointWindow, ...] = ()
+    support: Points | None = None
     support_weights: tuple[float, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:  # a SeedSequence entropy must be non-negative
+            raise ConfigurationError(
+                f"seed must be non-negative, got {self.seed}")
         if self.kind in (PRODUCT_UNIFORM, BERNOULLI):
             if not all(0.0 <= v < math.inf for v in self.p):
                 raise ConfigurationError(
@@ -99,10 +102,10 @@ class MeasureModel:
                             p=tuple(float(v) for v in p), seed=seed)
 
     @staticmethod
-    def empirical(system: ShiftSystem, points: Sequence[PointWindow],
+    def empirical(system: ShiftSystem, points: Pool,
                   weights: Sequence[float] | None = None,
                   seed: int = 0) -> "MeasureModel":
-        pts = tuple(points)
+        pts = system.as_points(points)
         if weights is None:
             weights = (1.0 / len(pts),) * len(pts)
         return MeasureModel(kind=EMPIRICAL, system=system, support=pts,
@@ -123,13 +126,6 @@ class MeasureModel:
         return np.random.Generator(
             np.random.Philox(np.random.SeedSequence((self.seed, stream))))
 
-    @functools.cached_property
-    def support_matrix(self) -> np.ndarray:
-        """The empirical support as one read-only symbol matrix."""
-        Z = self.system.as_matrix(list(self.support))
-        Z.setflags(write=False)
-        return Z
-
     def sample_matrix(self, count: int, stream: int = 0) -> np.ndarray:
         """``count`` sampled words as an int64 ``(count, word_length)`` matrix.
 
@@ -145,14 +141,15 @@ class MeasureModel:
             return _choice_into(rng, self.p, out)
         idx = _choice_into(rng, self.support_weights,
                            np.empty(count, dtype=np.int64))
-        return self.support_matrix[idx]
+        return self.support.symbols[idx]
 
-    def sample_points(self, count: int, stream: int = 0) -> list[PointWindow]:
-        mat = self.sample_matrix(count, stream)
-        origin = self.system.origin_index
-        exact = not self.is_product
-        return [PointWindow(symbols=tuple(int(a) for a in row), origin=origin,
-                            exact_tail=exact) for row in mat]
+    def sample_points(self, count: int, stream: int = 0) -> Points:
+        """``sample_matrix`` as a pool: product samples are windows of
+        unknown tail, empirical ones keep exact tails."""
+        o = self.system.origin_index
+        right = self.system.word_length - o  # genuine coordinates of a sample
+        depth = np.full(count, right if self.is_product else math.inf)
+        return Points(self.sample_matrix(count, stream), depth, o)
 
     def to_empirical(self, size: int, stream: int = 0) -> "MeasureModel":
         pts = self.sample_points(size, stream)
@@ -174,17 +171,15 @@ class MeasureModel:
         """Integral of the coordinate-0 indicator of symbol a."""
         if self.is_product:
             return self.p[a]
-        return float(sum(
-            w for z, w in zip(self.support, self.support_weights)
-            if z.coordinate(0) == a
-        ))
+        at_a = self.support.symbols[:, self.support.origin] == a
+        return float(sum(np.asarray(self.support_weights)[at_a].tolist()))
 
     def empirical_ball_mass(self, x: PointWindow, n: int, eps: float) -> float:
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
         sys = self.system
-        exits = exit_orders(sys, sys.as_matrix([x]), self.support_matrix,
-                            eps, n)[0][0]
+        exits = exit_orders(sys, sys.as_points([x]).symbols,
+                            self.support.symbols, eps, n)[0][0]
         w = np.asarray(self.support_weights)
         return float(w[exits > n].sum())
 
@@ -373,7 +368,7 @@ def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
     every order.
     """
     sys = measure.system
-    center = sys.as_matrix([x])
+    center = sys.as_points([x]).symbols
     exited = np.zeros(n_max + 2, dtype=np.int64)  # samples per exit order
     block = 20_000
     for bi, done in enumerate(range(0, samples, block)):
@@ -497,23 +492,22 @@ def _bs_point_rates(measure: MeasureModel, phi: Potential, eps: float,
     pass over the sample.
     """
     if measure.kind == EMPIRICAL and len(measure.support) <= x_samples:
-        xs = list(measure.support)
+        xs = measure.support
     else:
         xs = measure.sample_points(x_samples, stream=stream)
     flags: list[str] = []
     lower_vals, upper_vals = [], []
     band_lo, band_hi = [], []
     per_scale: dict[int, list[float]] = {n: [] for n in n_schedule}
-    sums = birkhoff_sums(measure.system, phi, measure.system.as_matrix(xs),
-                         n_schedule[-1])
-    for x, S in zip(xs, sums):
+    sums = birkhoff_sums(measure.system, phi, xs.symbols, n_schedule[-1])
+    for i, (x, S) in enumerate(zip(xs, sums)):
         v_low, v_high = _mass_curves(measure, x, n_schedule, eps)
         usable = len(v_low)
         if usable < 2:
             flags.append("schedule-shrunk")
             continue
         ns = n_schedule[:usable]
-        check_genuine(phi, [x], [ns[-1]])
+        check_genuine(phi, xs[i:i + 1], [ns[-1]])
         span = S[ns[-1]] - S[ns[0]]
         lo_x = float((v_low[-1] - v_low[0]) / span)
         hi_x = max(float((v_high[-1] - v_high[0]) / span), lo_x)
@@ -550,7 +544,7 @@ class KatokCount:
 
 
 def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
-             candidate_pool: Sequence[PointWindow] | None = None,
+             candidate_pool: Pool | None = None,
              exact_cap: int = 14, stream: int = 11,
              pool_size: int = 512) -> KatokCount:
     """Minimal number of Bowen balls whose union has mass > 1 - delta.
@@ -567,7 +561,8 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(pool_size, stream)
     weights = np.asarray(measure.support_weights)
-    pool = tuple(candidate_pool) if candidate_pool is not None else None
+    pool = (None if candidate_pool is None
+            else measure.system.as_points(candidate_pool))
     n_max = max(n, measure.system.window)
     member_matrix = _ball_exits(measure, pool, eps, n_max) > n
     target = 1.0 - delta
@@ -586,7 +581,7 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
 
 
 def _ball_exits(measure: MeasureModel,
-                candidate_pool: tuple[PointWindow, ...] | None, eps: float,
+                candidate_pool: Points | None, eps: float,
                 n_max: int) -> np.ndarray:
     """Open exit orders (``exit_orders``) of the support points from the
     candidates' Bowen balls (default: the support).  One build, freed before
@@ -595,8 +590,8 @@ def _ball_exits(measure: MeasureModel,
     key = (sys, candidate_pool, measure.support, eps)
     if not _exits_memo or _exits_memo[0] != key or _exits_memo[1] < n_max:
         _exits_memo.clear()
-        Z = measure.support_matrix
-        P = Z if candidate_pool is None else sys.as_matrix(candidate_pool)
+        Z = measure.support.symbols
+        P = Z if candidate_pool is None else candidate_pool.symbols
         exits = exit_orders(sys, P, Z, eps, n_max)[0]
         exits.setflags(write=False)
         _exits_memo[:] = key, n_max, exits
@@ -662,7 +657,7 @@ def _near_marginals(system: ShiftSystem, pool: np.ndarray,
 def ps_entropy(measure: MeasureModel, eps: float,
                eta: float | Sequence[float], n_schedule: Sequence[int],
                pool_size: int = 1024,
-               pool: Sequence[PointWindow] | None = None,
+               pool: Pool | None = None,
                stream: int = 13) -> EntropyEstimate:
     """Separated-set growth restricted to near-generic points.
 
@@ -677,11 +672,9 @@ def ps_entropy(measure: MeasureModel, eps: float,
                   reverse=True)
     n_schedule = sorted(set(int(n) for n in n_schedule))
     sys = measure.system
-    if pool is None:
-        pool_pts = measure.sample_points(pool_size, stream)
-    else:
-        pool_pts = list(pool)
-    mat = sys.as_matrix(pool_pts)
+    pool_pts = (measure.sample_points(pool_size, stream) if pool is None
+                else sys.as_points(pool))
+    mat = pool_pts.symbols
     pool_measure = pool_pts and MeasureModel.empirical(sys, pool_pts)
     targets = [measure.indicator_integral(a) for a in default_dictionary(sys)]
     per_eta: dict[float, float] = {}
@@ -716,20 +709,15 @@ def ps_entropy(measure: MeasureModel, eps: float,
 # -- generic points ---------------------------------------------------------------
 
 
-def generic_point_test(system: ShiftSystem, x: PointWindow,
-                       measure: MeasureModel, n: int, tol: float) -> bool:
-    """Birkhoff averages over steps 0..n-1 match the integrals within tol."""
-    return bool(generic_subset(system, [x], measure, n, tol))
-
-
-def generic_subset(system: ShiftSystem, points: Sequence[PointWindow],
-                   measure: MeasureModel, n: int,
-                   tol: float) -> list[PointWindow]:
+def generic_subset(system: ShiftSystem, points: Pool, measure: MeasureModel,
+                   n: int, tol: float) -> Points:
+    """The points whose Birkhoff averages over steps 0..n-1 match the
+    integrals within tol."""
+    points = system.as_points(points)
     targets = [measure.indicator_integral(a)
                for a in default_dictionary(system)]
-    ok = _near_marginals(system, system.as_matrix(list(points)), targets, n,
-                         tol, start=0)
-    return [p for p, keep in zip(points, ok) if keep]
+    return points[_near_marginals(system, points.symbols, targets, n, tol,
+                                  start=0)]
 
 
 # -- generic-point mean dimension -----------------------------------------------
@@ -746,17 +734,10 @@ class GenericPointReport:
 
     def ratio_summary(self) -> dict[str, float]:
         """Mean of the per-eps ratios estimate(eps)/log(1/eps) per quantity."""
-        def mean_ratio(est):
-            ratios = list(est.details["ratios"].values())
-            return float(np.mean(ratios))
-
-        return {
-            "bowen-subset": mean_ratio(self.bowen_subset),
-            "ps": mean_ratio(self.ps_ratio),
-            "katok": mean_ratio(self.katok_ratio),
-            "bk-lower": mean_ratio(self.bk_lower_ratio),
-            "bk-upper": mean_ratio(self.bk_upper_ratio),
-        }
+        return {est.details["quantity"]:
+                float(np.mean(list(est.details["ratios"].values())))
+                for est in (self.bowen_subset, self.ps_ratio, self.katok_ratio,
+                            self.bk_lower_ratio, self.bk_upper_ratio)}
 
 
 def _ratio_estimate(per_eps: dict[float, float],
@@ -826,7 +807,7 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
         else:
             snapshot = mu_eps.to_empirical(1024, stream + 31 * ei) \
                 if mu_eps.is_product else mu_eps
-            pool = list(snapshot.support)
+            pool = snapshot.support
             flags.append(f"sampled-pool-eps{eps}")
         kat[eps] = katok_entropy(snapshot, eps, delta, n_schedule,
                                  stream=stream + ei).extrapolated
@@ -837,7 +818,7 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
             flags.append(f"generic-empty-eps{eps}")
             continue
         problem = OuterMeasureProblem(
-            system=sys_eps, points=tuple(zg), phi=Potential.constant(0.0),
+            system=sys_eps, points=zg, phi=Potential.constant(0.0),
             eps=eps, N=subset_orders[0], n_max=subset_orders[1],
             structure=COVER_M)
         bowen[eps] = critical_lambda(structure_valuation(problem),
@@ -854,15 +835,12 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
     )
 
 
-def _product_weights(measure: MeasureModel, pool: Sequence[PointWindow],
+def _product_weights(measure: MeasureModel, pool: Points,
                      depth: int) -> list[float]:
+    """Normalised product masses of the pool's depth-words: the factors
+    multiply in coordinate order and the total sums in row order."""
     p = np.asarray(measure.p)
-    origin = measure.system.origin_index
-    out = []
-    for z in pool:
-        w = 1.0
-        for j in range(depth):
-            w *= p[z.symbols[origin + j]]
-        out.append(float(w))
-    total = sum(out)
-    return [w / total for w in out]
+    w = np.ones(len(pool))
+    for j in range(depth):
+        w *= p[pool.symbols[:, pool.origin + j]]
+    return (w / sum(w.tolist())).tolist()

@@ -24,7 +24,8 @@ from .systems import (
     CONSTANT,
     DISCRETE,
     TABLE,
-    PointWindow,
+    Points,
+    Pool,
     Potential,
     ShiftSystem,
     birkhoff_sums,
@@ -102,13 +103,12 @@ def _logsumexp(values) -> float:
     return float(out)
 
 
-def pressure_sum(system: ShiftSystem, points: Sequence[PointWindow],
+def pressure_sum(system: ShiftSystem, points: Pool,
                  phi: Potential, n: int, eps: float) -> float:
     """log of sum over the witness set of (1/eps)^{S_n phi}, in log space."""
-    if not points:
-        return -math.inf
+    points = system.as_points(points)
     check_genuine(phi, points, [n])
-    S_n = birkhoff_sums(system, phi, system.as_matrix(points), n)[:, n]
+    S_n = birkhoff_sums(system, phi, points.symbols, n)[:, n]
     return _logsumexp(math.log(1.0 / eps) * S_n)
 
 
@@ -210,7 +210,7 @@ def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
     return OracleBracket(lo=lo, hi=max(hi, lo))
 
 
-def _witness_mode(points: Sequence[PointWindow], exact_cap: int) -> str:
+def _witness_mode(points: Points, exact_cap: int) -> str:
     """The witness search: exact up to ``exact_cap`` points, greedy above."""
     return "exact" if len(points) <= exact_cap else "greedy"
 
@@ -369,57 +369,54 @@ class TimeLevelPartition:
 
     T: float
     variant: str
-    levels: dict[int, tuple[PointWindow, ...]]
+    levels: dict[int, Points]
 
     @property
     def S_T(self) -> tuple[int, ...]:
         return tuple(sorted(self.levels))
 
 
-def time_level_partition(system: ShiftSystem, points: Sequence[PointWindow],
+def time_level_partition(system: ShiftSystem, points: Pool,
                          psi: Potential, T: float, variant: str = LEVEL,
                          tail_orders: Sequence[int] | None = None,
                          ) -> TimeLevelPartition:
     if psi.min <= 0:
         raise ConfigurationError("psi must be strictly positive")
+    points = system.as_points(points)
     if variant == LEVEL:
         n_cap = int(math.floor(T / psi.min)) + 1
-        S = birkhoff_sums(system, psi, system.as_matrix(points), n_cap + 1)
+        S = birkhoff_sums(system, psi, points.symbols, n_cap + 1)
         # column i: S_{i+1} psi <= T < S_{i+2} psi, so the level is i + 1
         cross = (S[:, 1:-1] <= T) & (T < S[:, 2:])
         found, level = cross.any(axis=1), cross.argmax(axis=1) + 1
         above = S[:, 1] > T  # below the first level; no n >= 1 qualifies
         # the orders 1, 2, ... are read in turn up to the first crossing
         reads = np.where(above, 1, np.where(found, level + 1, n_cap + 1))
-        levels: dict[int, list[PointWindow]] = {}
-        for z, skip, ok, n, read in zip(points, above, found, level.tolist(),
-                                        reads.tolist()):
-            check_genuine(psi, [z], range(1, read + 1))
-            if skip:
-                continue
-            if not ok:
-                raise ConfigurationError(
-                    f"no level found for point {z.symbols[:6]} at T={T}"
-                )
-            levels.setdefault(n, []).append(z)
-        return TimeLevelPartition(
-            T=T, variant=LEVEL,
-            levels={n: tuple(v) for n, v in levels.items()},
-        )
+        # check_genuine's rule at the last order each point reads
+        r = psi.effective_range()
+        exhausted = (reads - 1 + r > points.depth) & (psi.kind != CONSTANT)
+        bad = np.flatnonzero(exhausted | ~(above | found))
+        if len(bad):  # the first point that fails either check is named
+            i = bad[0]
+            check_genuine(psi, points[i:i + 1], range(1, reads[i] + 1))
+            raise ConfigurationError(
+                f"no level found for point {points[i].symbols[:6]} at T={T}"
+            )
+        keep = ~above
+        return TimeLevelPartition(T=T, variant=LEVEL, levels={
+            n: points[keep & (level == n)]
+            for n in dict.fromkeys(level[keep].tolist())})
     if variant == TAIL:
         if tail_orders is None:
             raise ConfigurationError("tail variant needs an order range")
         if any(n < 0 for n in tail_orders):
             raise ConfigurationError("n must be nonnegative")
         check_genuine(psi, points, tail_orders)
-        S = birkhoff_sums(system, psi, system.as_matrix(points),
+        S = birkhoff_sums(system, psi, points.symbols,
                           max(tail_orders, default=0))
-        levels = {}
-        for n in tail_orders:
-            members = tuple(z for z, up in zip(points, S[:, n] > T) if up)
-            if members:
-                levels[n] = members
-        return TimeLevelPartition(T=T, variant=TAIL, levels=levels)
+        levels = {n: points[S[:, n] > T] for n in tail_orders}
+        return TimeLevelPartition(T=T, variant=TAIL, levels={
+            n: members for n, members in levels.items() if members})
     raise ConfigurationError(f"unknown variant {variant!r}")
 
 
@@ -432,7 +429,7 @@ class InducedPressureValue:
     per_level: dict[int, float]
 
 
-def induced_pressure(system: ShiftSystem, points: Sequence[PointWindow],
+def induced_pressure(system: ShiftSystem, points: Pool,
                      phi: Potential, psi: Potential, T: float, eps: float,
                      witness: str = "separated",
                      exact_cap: int = DEFAULT_EXACT_CAP,
@@ -455,7 +452,6 @@ def induced_pressure(system: ShiftSystem, points: Sequence[PointWindow],
                                     witness=witness, per_level={})
     per_level: dict[int, float] = {}
     for n, members in sorted(part.levels.items()):
-        members = list(members)
         mode = _witness_mode(members, exact_cap)
         sep, _ = max_separated(system, members, n, eps, mode, exact_cap)
         sep_sum = pressure_sum(system, sep, phi, n, eps)

@@ -3,9 +3,12 @@
 A model is a one- or two-sided shift over ``k`` symbols.  Symbols either
 carry the discrete 0/1 distance ("full-shift") or sit on the grid
 ``{0, 1/k, ..., (k-1)/k}`` with the absolute difference ("grid-shift").
-Points are finite windows of symbols; coordinates beyond the window are
-handled by an explicit truncation budget so that ball-membership decisions
-at the configured radii are never corrupted by the missing tail.
+A point is a finite window of symbols (``PointWindow``); a pool of points
+is one read-only symbol matrix with a genuine depth per row (``Points``),
+and ``ShiftSystem.as_points`` is the one way from the first to the second.
+Coordinates beyond the window are handled by an explicit truncation budget
+so that ball-membership decisions at the configured radii are never
+corrupted by the missing tail.
 
 Every Birkhoff sum comes from one kernel, ``birkhoff_sums``: one running
 sum per row, in coordinate order, gives every order at once, and
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,8 +77,10 @@ class ShiftSystem:
             raise ConfigurationError("alphabet_size must be positive")
         if not 0.0 < self.weight_base < 1.0:
             raise ConfigurationError("weight_base must lie in (0, 1)")
-        if self.window < 1:
-            raise ConfigurationError("window must be positive")
+        if not (1 <= self.window and self.weight_base ** self.window > 0.0):
+            raise ConfigurationError(
+                "window must be positive, and small enough that weight_base "
+                "** window does not underflow to 0")
         if not 0.0 < self.eps_min:
             raise ConfigurationError("eps_min must be positive")
         if self.tail_weight(self.window) >= self.eps_min / 10.0:
@@ -113,7 +118,12 @@ class ShiftSystem:
         """
         if order < 1:
             raise ConfigurationError("order must be >= 1")
-        return self.tail_weight(self.window - (order - 1))
+        try:
+            return self.tail_weight(self.window - (order - 1))
+        except OverflowError:  # weight_base ** -(order - window) overflows
+            raise WindowExhaustedError(
+                f"order {order} lies too far past the window {self.window}"
+            ) from None
 
     def max_reliable_order(self, eps: float) -> int:
         """Largest Bowen order whose truncation slack stays below eps/10."""
@@ -156,8 +166,9 @@ class ShiftSystem:
         return PointWindow(symbols=symbols, origin=self.origin_index,
                            exact_tail=exact_tail)
 
-    def enumerate_points(self, depth: int) -> list["PointWindow"]:
-        """All words of length ``depth`` padded with zeros to the window.
+    def enumerate_points(self, depth: int) -> "Points":
+        """All words of length ``depth`` padded with zeros to the window, in
+        ``itertools.product`` order.
 
         The padded points are genuine elements of the model (the words end
         in an all-zero tail), so Birkhoff sums over them are exact at any
@@ -165,6 +176,10 @@ class ShiftSystem:
         """
         if depth < 1:
             raise ConfigurationError("depth must be positive")
+        if depth > self.word_length:
+            raise ConfigurationError(
+                f"depth {depth} exceeds window length {self.word_length}"
+            )
         count = self.alphabet_size ** depth
         if count > self.enumeration_cap:
             raise EnumerationCapError(
@@ -172,21 +187,34 @@ class ShiftSystem:
                 f"enumeration cap {self.enumeration_cap}; sample points "
                 f"instead of enumerating"
             )
-        if depth > self.word_length:
-            raise ConfigurationError(
-                f"depth {depth} exceeds window length {self.word_length}"
-            )
-        pad = (0,) * (self.word_length - depth)
-        origin = self.origin_index
-        return [
-            PointWindow(symbols=word + pad, origin=origin, exact_tail=True)
-            for word in itertools.product(range(self.alphabet_size), repeat=depth)
-        ]
+        Z = np.zeros((count, self.word_length), dtype=np.int64)
+        Z[:, :depth] = np.indices((self.alphabet_size,) * depth).reshape(
+            depth, count).T
+        return Points(Z, np.full(count, math.inf), self.origin_index)
 
-    def as_matrix(self, points: Sequence["PointWindow"]) -> np.ndarray:
-        rows = [p.symbols for p in points]
-        return (np.array(rows, dtype=np.int64) if rows
-                else np.empty((0, self.word_length), dtype=np.int64))
+    def as_points(self, points: "Pool") -> "Points":
+        """A pool as ``Points``: a ``Points`` as is, point windows stacked.
+
+        Points of another word length or origin raise ConfigurationError.
+        """
+        if isinstance(points, Points):
+            layouts = {(points.symbols.shape[1], points.origin)}
+        else:
+            points = list(points)
+            layouts = {(len(p.symbols), p.origin) for p in points}
+        foreign = layouts - {(self.word_length, self.origin_index)}
+        if foreign:
+            length, origin = min(foreign)
+            raise ConfigurationError(
+                f"a point of word length {length} and origin {origin} does "
+                f"not belong to this system (word length {self.word_length}, "
+                f"origin {self.origin_index})"
+            )
+        if isinstance(points, Points):
+            return points
+        Z = np.array([p.symbols for p in points], dtype=np.int64)
+        return Points(Z.reshape(len(points), self.word_length),
+                      [p.genuine_depth() for p in points], self.origin_index)
 
 
 @dataclass(frozen=True)
@@ -216,6 +244,60 @@ class PointWindow:
         return math.inf if self.exact_tail else float(right)
 
 
+class Points:
+    """A pool of points of one model: a read-only int64 symbol matrix, one
+    row per point, with each row's genuine depth (``PointWindow.
+    genuine_depth``: inf for exact tails) and the common origin.
+
+    Equal content gives equal pools and equal hashes, so pools key memos.
+    An integer index or iteration gives ``PointWindow``s; a slice, an index
+    array or a boolean mask gives ``Points``.
+    """
+
+    __slots__ = ("symbols", "depth", "origin", "_hash")
+
+    def __init__(self, symbols: np.ndarray, depth: np.ndarray | list[float],
+                 origin: int):
+        self.symbols = np.asarray(symbols, dtype=np.int64)
+        self.depth = np.asarray(depth, dtype=float)
+        self.origin = origin
+        self.symbols.setflags(write=False)
+        self.depth.setflags(write=False)
+        self._hash = None
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Points):
+            return NotImplemented
+        return (self is other or self.origin == other.origin
+                and np.array_equal(self.symbols, other.symbols)
+                and np.array_equal(self.depth, other.depth))
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.origin, self.symbols.shape,
+                               self.symbols.tobytes(), self.depth.tobytes()))
+        return self._hash
+
+    def __getitem__(self, key) -> "PointWindow | Points":
+        if not isinstance(key, (int, np.integer)):
+            return Points(self.symbols[key], self.depth[key], self.origin)
+        row, depth = self.symbols[key], float(self.depth[key])
+        exact = depth == math.inf
+        pads = 0 if exact else len(row) - self.origin - int(depth)
+        return PointWindow(symbols=tuple(row.tolist()), origin=self.origin,
+                           exact_tail=exact, pads=pads)
+
+    def __iter__(self) -> Iterator["PointWindow"]:
+        return (self[i] for i in range(len(self)))
+
+
+# what a function that takes a pool accepts: one of ``as_points``' forms
+Pool = Points | Iterable[PointWindow]
+
+
 def apply_map(system: ShiftSystem, x: PointWindow) -> PointWindow:
     """One step of the shift: drop coordinate 0, pad symbol 0 on the right.
 
@@ -232,10 +314,6 @@ def metric(system: ShiftSystem, x: PointWindow, y: PointWindow) -> float:
 
     This is the Bowen distance of order 1.
     """
-    if len(x.symbols) != system.word_length or len(y.symbols) != system.word_length:
-        raise ConfigurationError("points do not belong to this system")
-    if x.origin != y.origin:
-        raise ConfigurationError("mismatched window origins")
     from .bowen import bowen_distance
     return bowen_distance(system, x, y, 1)
 
@@ -274,6 +352,8 @@ class Potential:
             object.__setattr__(self, "table", ())
         elif not self.table:
             raise ConfigurationError("table potential needs values")
+        if not all(map(math.isfinite, (self.value,) + self.table)):
+            raise ConfigurationError("potential values must be finite")
 
     # -- constructors --------------------------------------------------
 
@@ -381,7 +461,7 @@ class Potential:
         return abs(self.scale) * best
 
 
-def check_genuine(phi: Potential, points: Iterable[PointWindow],
+def check_genuine(phi: Potential, points: Points,
                   orders: Iterable[int]) -> None:
     """Raise WindowExhaustedError where a Birkhoff sum reads past the genuine
     coordinates of a point (sampled windows and their shifts).
@@ -391,15 +471,14 @@ def check_genuine(phi: Potential, points: Iterable[PointWindow],
     """
     if phi.kind == CONSTANT:
         return
-    sampled = [x for x in points if not x.exact_tail]
     r = phi.effective_range()
     for n in orders:
-        for x in sampled:
-            if n - 1 + r > x.genuine_depth():
-                raise WindowExhaustedError(
-                    f"Birkhoff sum of order {n} reads {n - 1 + r} coordinates "
-                    f"but only {x.genuine_depth():.0f} are genuine"
-                )
+        short = np.flatnonzero(n - 1 + r > points.depth)
+        if len(short):
+            raise WindowExhaustedError(
+                f"Birkhoff sum of order {n} reads {n - 1 + r} coordinates "
+                f"but only {points.depth[short[0]]:.0f} are genuine"
+            )
 
 
 def birkhoff_sums(system: ShiftSystem, phi: Potential, Z: np.ndarray,
@@ -435,8 +514,9 @@ def birkhoff_sums(system: ShiftSystem, phi: Potential, Z: np.ndarray,
 def birkhoff_sum(system: ShiftSystem, phi: Potential, x: PointWindow,
                  n: int) -> float:
     """Sum of the potential along the first ``n`` steps of the orbit."""
-    check_genuine(phi, [x], [n])
-    return float(birkhoff_sums(system, phi, system.as_matrix([x]), n)[0, n])
+    P = system.as_points([x])
+    check_genuine(phi, P, [n])
+    return float(birkhoff_sums(system, phi, P.symbols, n)[0, n])
 
 
 def combine(phi: Potential, psi: Potential, coeff: float,

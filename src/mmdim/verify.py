@@ -100,10 +100,10 @@ def counting_suite() -> list[AssertionResult]:
 
     sys = _full_shift()
     pts = sys.enumerate_points(4)
-    Z = sys.as_matrix(pts)
+    Z = pts.symbols
     maximal_ok = True
     for n, eps in [(1, 0.6), (2, 0.6), (3, 0.9)]:
-        K = sys.as_matrix(max_separated(sys, pts, n, eps, mode="greedy")[0])
+        K = max_separated(sys, pts, n, eps, mode="greedy")[0].symbols
         same = (K[:, None, :] == Z[None, :, :]).all(axis=2)
         covered = ball_masks(sys, K, Z, n, eps) | same
         maximal_ok &= bool(covered.any(axis=0).all())
@@ -127,7 +127,7 @@ def counting_suite() -> list[AssertionResult]:
     universe = pts
 
     def members(balls, n, inflate=1.0):
-        centers = sys.as_matrix([b.center for b in balls])
+        centers = sys.as_points([b.center for b in balls]).symbols
         radii = [inflate * b.radius for b in balls]
         return ball_masks(sys, centers, Z, n, radii, closed=True)
 
@@ -241,7 +241,7 @@ def caratheodory_suite() -> list[AssertionResult]:
         pool = sys.enumerate_points(int(rng.integers(2, 4)))
         size = int(rng.integers(2, min(7, len(pool) + 1)))
         idx = sorted(rng.choice(len(pool), size=size, replace=False))
-        pts = tuple(pool[i] for i in idx)
+        pts = pool[idx]
         phi = Potential.from_table(rng.uniform(0.2, 1.5, size=k))
         eps = float(rng.choice([0.6, 0.3, 0.15]))
         lam = float(rng.uniform(0.0, 3.0))
@@ -262,7 +262,7 @@ def caratheodory_suite() -> list[AssertionResult]:
         ident_ok, 1e-10 - ident_worst))
 
     sys = _full_shift()
-    pts = tuple(sys.enumerate_points(2))
+    pts = sys.enumerate_points(2)
     bs_prob = OuterMeasureProblem(system=sys, points=pts,
                                   phi=Potential.constant(1.0), eps=0.6,
                                   n_max=3, structure=BS_R)
@@ -277,7 +277,7 @@ def caratheodory_suite() -> list[AssertionResult]:
         1e-6 - abs(c1 - c2)))
 
     # chain: cover at 3 eps below packing at eps (zero potential)
-    pool = tuple(sys.enumerate_points(3))
+    pool = sys.enumerate_points(3)
     chain_ok, chain_worst = True, math.inf
     for n in (1, 2):
         for lam in (0.0, 0.4, 1.0):

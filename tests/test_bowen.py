@@ -8,12 +8,12 @@ import pytest
 from mmdim.bowen import (
     BallSpec,
     SetFamily,
+    ball_masks,
     bowen_distance,
     count_separated_spanning,
     exit_orders,
     five_r_disjointify,
     greedy_separated,
-    is_within,
     max_separated,
     min_spanning,
 )
@@ -24,6 +24,12 @@ from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem, metric
 def full_shift(k=2, window=12, eps_min=0.1, **kw):
     return ShiftSystem(kind="full-shift", alphabet_size=k, window=window,
                        eps_min=eps_min, **kw)
+
+
+def is_within(sys, x, y, n, eps, closed=False):
+    """Whether y lies in B_n(x, eps): one pair of ``ball_masks``."""
+    C, Z = sys.as_points([x]).symbols, sys.as_points([y]).symbols
+    return bool(ball_masks(sys, C, Z, n, eps, closed)[0, 0])
 
 
 class TestBowenDistance:
@@ -95,7 +101,7 @@ class TestSeparated:
         rows = rng.integers(0, k, size=(60, sys.word_length))
         rows = np.concatenate([rows, rows[:15]])  # repeated rows
         pts = [sys.point(r) for r in rows[rng.permutation(len(rows))]]
-        Z = sys.as_matrix(pts)
+        Z = sys.as_points(pts).symbols
         exits = exit_orders(sys, Z, Z, eps, 4)[0]
         for n in range(1, 5):
             for free in (np.ones(len(pts), dtype=bool),

@@ -112,14 +112,14 @@ class TestFixedLength:
         prob = problem(sys, pts, phi, eps, N=N, n_max=N,
                        structure=COVER_FIXED)
         got = fixed_length_value(prob, 0.0)
-        from mmdim.bowen import is_within
+        from mmdim.bowen import ball_masks
         from mmdim.systems import birkhoff_sum
         L = math.log(1 / eps)
         best = math.inf
         for r in range(1, len(pts) + 1):
             for combo in itertools.combinations(range(len(pts)), r):
-                if all(any(is_within(sys, pts[c], z, N, eps) for c in combo)
-                       for z in pts):
+                if ball_masks(sys, pts[list(combo)].symbols, pts.symbols, N,
+                              eps).any(axis=0).all():
                     ssum = sum(
                         math.exp(L * birkhoff_sum(sys, phi, pts[c], N))
                         for c in combo)
@@ -497,8 +497,8 @@ def test_candidate_suprema_equal_scalar_sums_at_long_orders(sidedness, eps):
                          sidedness=sidedness, window=12, eps_min=0.3)
     rng = np.random.default_rng(4)
     base = Potential.from_table(rng.uniform(0.0, 1.0, 3))
-    pts = tuple(system.point(row) for row in
-                rng.integers(0, 3, size=(40, system.word_length)))
+    pts = system.as_points(system.point(row) for row in
+                           rng.integers(0, 3, size=(40, system.word_length)))
     cands = caratheodory._build_candidates(system, pts, base, eps, 1, 10)
     sums = {n: np.array([birkhoff_sum(system, base, z, n) for z in pts])
             for n in range(1, 11)}

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmdim
 from mmdim.cli import main
@@ -501,3 +507,125 @@ class TestCli:
         assert code == 1
         assert "error: need at least two distinct grid values" in captured.err
         assert not (tmp_path / "r.jsonl").exists()
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+# inputs the config fuzz below found; each once raised or hung
+FUZZ_FOUND = [
+    ("number-overflow", "grid.cfg", "eps = 2^-3", "eps = 2^2000",
+     "estimate-mdim", "cannot parse number '2^2000'"),
+    ("nan-time-level", "shift.cfg", "T = 2.5", "T = nan", "induced-mdim",
+     "schedule 'T' entries must be finite"),
+    ("infinite-time-level", "shift.cfg", "T = 2.5 3.5 4.5", "T = 2.5 3.5 inf",
+     "induced-mdim", "schedule 'T' entries must be finite"),
+    ("negative-time-level", "shift.cfg", "T = 2.5", "T = -1", "induced-mdim",
+     "schedule 'T' entries must be finite and non-negative"),
+    ("unit-eps-subset", "shift.cfg", "eps = 0.6", "eps = 1",
+     "subset-dim --structure bowen", "subset dimensions need eps != 1"),
+    ("nan-potential", "shift.cfg", "values = 1 2", "values = nan 2",
+     "induced-mdim", "potential values must be finite"),
+    ("tiny-psi-depth", "shift.cfg", "values = 1 2", "values = 1 1e-300",
+     "induced-mdim", "depth"),
+    ("oversized-window", "shift.cfg", "window = 14",
+     "window = 99999999999999999999", "entropy --quantity bk",
+     "window must be positive"),
+    ("negative-seed", "shift.cfg", "seed = 1", "seed = -1",
+     "entropy --quantity bk", "seed must be non-negative"),
+    ("negative-x-samples", "shift.cfg", "x_samples = 16", "x_samples = -1",
+     "entropy --quantity bk", "[entropy] x_samples must lie in"),
+    ("oversized-x-samples", "shift.cfg", "x_samples = 16",
+     "x_samples = 99999999999999999999", "entropy --quantity bk",
+     "[entropy] x_samples must lie in"),
+    ("n-max-past-window", "shift.cfg", "n_max = 3",
+     "n_max = 99999999999999999999", "subset-dim --structure bowen",
+     "too far past the window"),
+    ("katok-order-past-window", "shift.cfg", "n = 2 3 4 5",
+     "n = 2 3 4 99999999999999999999", "entropy --quantity katok",
+     "too far past the window"),
+    ("ps-order-past-window", "shift.cfg", "n = 2 3 4 5", "n = 2 3 4 1100",
+     "entropy --quantity ps", "too far past the window"),
+]
+
+
+@pytest.mark.parametrize("name,old,new,command,message",
+                         [case[1:] for case in FUZZ_FOUND],
+                         ids=[case[0] for case in FUZZ_FOUND])
+def test_fuzz_found_input_exits_1(tmp_path, capsys, name, old, new, command,
+                                  message):
+    text = (BENCH_CONFIGS / name).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    code = main([*command.split(), "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_huge_potential_ends_its_bisection(tmp_path, capsys):
+    # the critical lambda lies near 1e20, where bisection to tol never ended
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("values = 0.4 0.9", "values = 0.4 1e20"))
+    assert main(["subset-dim", "--structure", "bowen",
+                 "--config", str(path)]) == 0
+    assert "subset-dim-slope" in capsys.readouterr().err
+
+
+FUZZ_NUMBER = re.compile(
+    r"(?<![\w.^-])[-+]?\d+(?:\.\d+)?(?:\^[-+]?\d+)?(?![\w.])")
+# malformed, non-finite, overflowing, tiny and huge numbers; mid-sized
+# valid ones would only make a slow but well-formed run
+FUZZ_VALUES = ["", "x", "1,", "5 4", "-1", "0", "0.5", "1", "2", "3", "1.5",
+               "nan", "inf", "-inf", "1e308", "1e-300", "2^2000", "2^-1100",
+               "99999999999999999999"]
+FUZZ_KEYS = ["kind", "alphabet_size", "sidedness", "window", "weight_base",
+             "symbol_metric", "value", "values", "range", "eps", "n", "T",
+             "delta", "eta", "p", "depth", "n_max", "x_samples", "seed",
+             "enumeration", "exact_search"]
+FUZZ_COMMANDS = {"grid.cfg": ["estimate-mdim"],
+                 "shift.cfg": ["estimate-mdim", "induced-mdim"]}
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bench config with 1-3 of its numbers replaced, keys renamed or
+    lines dropped, and a cheap command to run it with."""
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    lines = (BENCH_CONFIGS / name).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(
+            [i for i, line in enumerate(lines) if "=" in line]))
+        key, value = lines[i].split("=", 1)
+        numbers = list(FUZZ_NUMBER.finditer(value))
+        op = draw(st.sampled_from(["number", "key", "drop"]))
+        if op == "number" and numbers:
+            m = draw(st.sampled_from(numbers))
+            lines[i] = (key + "=" + value[:m.start()]
+                        + draw(st.sampled_from(FUZZ_VALUES)) + value[m.end():])
+        elif op == "key":
+            lines[i] = draw(st.sampled_from(FUZZ_KEYS)) + " =" + value
+        else:
+            del lines[i]
+    command = draw(st.sampled_from(FUZZ_COMMANDS[name]))
+    return "\n".join(lines) + "\n", command
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_mutated_configs_exit_without_a_traceback(tmp_path_factory, case):
+    text, command = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    # numpy's overflow warnings stay warnings here, as on the command line
+    # (a potential value near 1e308 overflows the pressure: CHANGES.md)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:")

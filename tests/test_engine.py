@@ -25,9 +25,9 @@ from mmdim.bowen import (
     BallSpec,
     SetFamily,
     ball_masks,
+    bowen_distance,
     cylinder_blocks,
     distance_blocks,
-    distances_to,
     exit_orders,
     five_r_disjointify,
     max_separated,
@@ -139,8 +139,12 @@ def test_engine_bit_identical_at_every_order(sidedness, metric, w, k, window,
     assert {n for _, n in seen} == set(range(1, n_max + 1))
     center = PointWindow(symbols=tuple(int(a) for a in C[-1]),
                          origin=system.origin_index)
-    assert (distances_to(system, center, Z, n_max)
-            == reference_distances(system, C[-1:], Z, n_max)[0]).all()
+    ref = reference_distances(system, C[-1:], Z, n_max)[0]
+    for _, n, d in distance_blocks(system, C[-1:], Z, n_max):
+        if n == n_max:
+            assert (d[0] == ref).all()
+    assert [bowen_distance(system, center, system.point(z), n_max)
+            for z in Z[:3]] == ref[:3].tolist()
 
 
 def all_orders(system, C, Z, n_max) -> np.ndarray:
@@ -201,7 +205,7 @@ def seeded_pool(regime: str, size: int) -> list[PointWindow]:
 
 
 def reference_scan(system, pts, n, eps) -> list[int]:
-    Z = system.as_matrix(pts)
+    Z = system.as_points(pts).symbols
     slack = system.truncation_slack(n)
     kept, rows = [], []
     for i in sorted(range(len(pts)), key=lambda i: pts[i].symbols):
@@ -212,8 +216,10 @@ def reference_scan(system, pts, n, eps) -> list[int]:
 
 
 def indices(pts, chosen) -> list[int]:
-    where = {id(p): i for i, p in enumerate(pts)}
-    return [where[id(p)] for p in chosen]
+    where = {}
+    for i, p in enumerate(pts):
+        where.setdefault(p.symbols, i)
+    return [where[p.symbols] for p in chosen]
 
 
 def fingerprint(idx: list[int]) -> str:
@@ -412,7 +418,7 @@ def test_singleton_cylinders_need_no_engine_call(monkeypatch):
     got, exact = max_separated(FULL, shuffled, 5, 0.6, mode="greedy")
     assert not exact
     assert len(calls) == 0
-    assert got == sorted(shuffled, key=lambda p: p.symbols)
+    assert list(got) == sorted(shuffled, key=lambda p: p.symbols)
 
 
 # -- cylinder-pruned whole-pool callers ---------------------------------------
@@ -463,8 +469,8 @@ def prunes(system, Z, eps) -> bool:
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
 def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
-    P = system.as_matrix(grid_points(system, 90, k + 1))
-    Z = system.as_matrix(grid_points(system, 240, k))
+    P = system.as_points(grid_points(system, 90, k + 1)).symbols
+    Z = system.as_points(grid_points(system, 240, k)).symbols
     passes = []
     engine = bowen.distance_blocks
 
@@ -492,11 +498,11 @@ def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
     pts = grid_points(system, 240, k)
     snapshot = MeasureModel.empirical(system, pts)
-    pool = tuple(grid_points(system, 90, k + 1))
+    pool = system.as_points(grid_points(system, 90, k + 1))
     clear_memos()
     got = {(eps, p is None): measures._ball_exits(snapshot, p, eps, 8).copy()
            for eps in floor_radii(k) for p in (None, pool)}
-    assert [prunes(system, system.as_matrix(pts), eps)
+    assert [prunes(system, system.as_points(pts).symbols, eps)
             for eps in floor_radii(k)] == [True, True, False]
     dense(monkeypatch)
     for (eps, support), exits in got.items():
@@ -507,7 +513,7 @@ def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
 def test_pruned_candidates_match_dense(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
-    pts = tuple(grid_points(system, 150, 10 + k))
+    pts = system.as_points(grid_points(system, 150, 10 + k))
     base = Potential.from_table(np.random.default_rng(k).random(k))
     fields = ("open_members", "closed_members", "sup_open", "sup_closed")
     clear_memos()
@@ -577,6 +583,7 @@ def test_closed_ball_at_the_floor_reaches_across_cylinders():
     x, y = system.point([0]), system.point([1])
     caratheodory._build_candidates.cache_clear()
     cands = caratheodory._build_candidates(
-        system, (x, y), Potential.from_table([0.1, 0.7, 0.2]), 1.0 / 3, 1, 2)
+        system, system.as_points([x, y]),
+        Potential.from_table([0.1, 0.7, 0.2]), 1.0 / 3, 1, 2)
     assert cands.closed_members.all()
     assert not cands.open_members[np.arange(4), [1, 1, 0, 0]].any()

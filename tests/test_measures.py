@@ -19,7 +19,6 @@ from mmdim.measures import (
     bs_entropy,
     estimate_ball_mass,
     exact_cylinder_bracket,
-    generic_point_test,
     generic_subset,
     katok_entropy,
     katok_rn,
@@ -79,9 +78,9 @@ class TestMeasureModel:
         sys = full_shift()
         pts = sys.enumerate_points(3)
         mu = MeasureModel.empirical(sys, pts)
-        Z = mu.support_matrix
-        assert Z is mu.support_matrix
-        assert (Z == sys.as_matrix(pts)).all() and not Z.flags.writeable
+        Z = mu.support.symbols
+        assert Z is mu.support.symbols
+        assert (Z == pts.symbols).all() and not Z.flags.writeable
         assert mu == MeasureModel.empirical(sys, pts)
 
     def test_coordinate_mass(self):
@@ -263,13 +262,11 @@ class TestBallMassBracket:
         depth = 8
         pool = sys.enumerate_points(depth)
         # empirical snapshot of the product measure truncated to depth
-        from mmdim.bowen import distances_to
-        Z = sys.as_matrix(pool)
+        Z = pool.symbols
         for x in pool[:3]:
             for n in (1, 2):
-                d = distances_to(sys, x, Z, n)
-                slack = sys.truncation_slack(n)
-                mass = float((d + slack < eps).sum()) / len(pool)
+                inside = ball_masks(sys, sys.as_points([x]).symbols, Z, n, eps)
+                mass = float(inside.sum()) / len(pool)
                 lo, hi = exact_cylinder_bracket(mu, x, n, eps)
                 # the enumerated tail is all zeros, so compare loosely on
                 # the lower side and strictly on the necessary-condition side
@@ -331,10 +328,10 @@ class TestEstimateBallMass:
 def _reference_hits(mu, x, n, eps, samples, stream):
     """Hits of B_n(x, eps) summed over the estimator's sample blocks."""
     sys = mu.system
-    hits = 0
+    hits, C = 0, sys.as_points([x]).symbols
     for bi, done in enumerate(range(0, samples, 20_000)):
         Y = mu.sample_matrix(min(20_000, samples - done), stream * 1000 + bi)
-        hits += int(ball_masks(sys, sys.as_matrix([x]), Y, n, eps).sum())
+        hits += int(ball_masks(sys, C, Y, n, eps).sum())
     return hits
 
 
@@ -564,8 +561,8 @@ def _reference_katok_rn(measure, n, eps, delta, candidate_pool=None,
     support = list(measure.support)
     weights = np.asarray(measure.support_weights)
     pool = list(candidate_pool) if candidate_pool is not None else support
-    member_matrix = ball_masks(sys, sys.as_matrix(pool),
-                               sys.as_matrix(support), n, eps)
+    member_matrix = ball_masks(sys, sys.as_points(pool).symbols,
+                               sys.as_points(support).symbols, n, eps)
     target = 1.0 - delta
     if float(weights[member_matrix.any(axis=0)].sum()) <= target:
         raise PoolInsufficientError("pool cannot reach the target")
@@ -600,15 +597,15 @@ class TestKatokExitOrders:
     @pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
     def test_exit_orders_match_per_order_masks(self, name):
         sys, mu, snapshot = _memo_snapshot(name)
-        Z = sys.as_matrix(list(snapshot.support))
-        candidates = tuple(mu.sample_points(150, stream=9))
+        Z = snapshot.support.symbols
+        candidates = mu.sample_points(150, stream=9)
         n_max = sys.window + 2
         for eps in (0.45, 0.3):
             for pool in (None, candidates):
                 exits = measures._ball_exits(snapshot, pool, eps, n_max)
                 assert exits.dtype == np.uint8
                 assert not exits.flags.writeable
-                P = Z if pool is None else sys.as_matrix(list(pool))
+                P = Z if pool is None else pool.symbols
                 for n in range(1, n_max + 1):
                     expected = ball_masks(sys, P, Z, n, eps)
                     assert np.array_equal(exits > n, expected), (eps, n)
@@ -773,7 +770,7 @@ def _reference_ps_cells(measure, eps, etas, n_schedule, pool):
     """ps_entropy's (n, eta) cells, each from its own greedy
     ``max_separated`` call over the cell's members."""
     sys = measure.system
-    mat = sys.as_matrix(pool)
+    mat = sys.as_points(pool).symbols
     targets = [measure.indicator_integral(a)
                for a in measures.default_dictionary(sys)]
     per_scale, flags = {}, []
@@ -884,7 +881,7 @@ class TestPSExitOrders:
         support = MeasureModel.empirical(sys, fresh)
         deep = measures._ball_exits(support, None, 0.4, 8)
         assert len(passes) == 3
-        Z = sys.as_matrix(fresh)
+        Z = sys.as_points(fresh).symbols
         assert np.array_equal(deep, engine(sys, Z, Z, 0.4, 8)[0])
         assert measures._ball_exits(support, None, 0.4, 2) is deep
         assert len(passes) == 3
@@ -916,6 +913,11 @@ class TestGmuEstimate:
                                 subset_orders=(1, 3))
         for name, value in rep.ratio_summary().items():
             assert abs(value) < 0.05, name
+
+
+def generic_point_test(sys, x, mu, n, tol) -> bool:
+    """Whether x passes the generic-point test: a one-row generic_subset."""
+    return len(generic_subset(sys, [x], mu, n, tol)) == 1
 
 
 class TestGenericPoints:

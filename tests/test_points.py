@@ -1,0 +1,160 @@
+"""``Points``, the pool type, against the point windows it stands for.
+
+Each reference pool below is built one ``PointWindow`` at a time, the way
+``enumerate_points`` and ``sample_points`` built their lists before pools
+became one symbol matrix.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmdim.bowen import max_separated
+from mmdim.errors import ConfigurationError, WindowExhaustedError
+from mmdim.measures import MeasureModel
+from mmdim.systems import (
+    CONSTANT,
+    ONE_SIDED,
+    TWO_SIDED,
+    PointWindow,
+    Potential,
+    ShiftSystem,
+    apply_map,
+    check_genuine,
+)
+
+POOL_KINDS = ("enumerated", "product", "empirical", "shifted")
+
+
+def reference_windows(system: ShiftSystem, kind: str, data) -> tuple:
+    """``(pool, windows)``: a pool of the given kind and its point windows,
+    built one at a time."""
+    k, L, o = system.alphabet_size, system.word_length, system.origin_index
+    if kind == "enumerated":
+        depth = data.draw(st.integers(1, 3), label="depth")
+        windows = [PointWindow(symbols=word + (0,) * (L - depth), origin=o)
+                   for word in itertools.product(range(k), repeat=depth)]
+        return system.enumerate_points(depth), windows
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    if kind == "empirical":
+        support = system.enumerate_points(2)
+        weights = np.random.default_rng(seed).random(len(support)) + 0.1
+        mu = MeasureModel.empirical(system, support, weights / weights.sum())
+    else:
+        mu = MeasureModel.product_uniform(system, seed=seed)
+    count = data.draw(st.integers(0, 12), label="count")
+    stream = data.draw(st.integers(0, 5), label="stream")
+    windows = [PointWindow(symbols=tuple(int(a) for a in row), origin=o,
+                           exact_tail=not mu.is_product)
+               for row in mu.sample_matrix(count, stream)]
+    if kind != "shifted":
+        return mu.sample_points(count, stream), windows
+    for _ in range(data.draw(st.integers(1, L + 2), label="shifts")):
+        windows = [apply_map(system, x) for x in windows]
+    return system.as_points(windows), windows
+
+
+systems = st.builds(
+    lambda k, sidedness, window: ShiftSystem(
+        kind="full-shift", alphabet_size=k, sidedness=sidedness,
+        window=window, eps_min=1.0),
+    st.integers(2, 4), st.sampled_from([ONE_SIDED, TWO_SIDED]),
+    st.integers(5, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems, st.sampled_from(POOL_KINDS), st.data())
+def test_pool_rows_are_the_windows_built_one_at_a_time(system, kind, data):
+    pool, windows = reference_windows(system, kind, data)
+    assert len(pool) == len(windows)
+    for i, x in enumerate(windows):
+        got = pool[i]
+        assert got == x
+        assert (got.symbols, got.origin, got.exact_tail) == \
+            (x.symbols, x.origin, x.exact_tail)
+        assert got.genuine_depth() == x.genuine_depth() == pool.depth[i]
+    assert list(pool) == windows
+    again = system.as_points(list(pool))
+    assert again == pool and again is not pool
+    assert hash(again) == hash(pool)
+    assert system.as_points(windows) == pool and system.as_points(pool) is pool
+    mask = np.arange(len(pool)) % 2 == 0
+    assert pool[mask] == system.as_points(windows[::2]) == pool[::2]
+    assert pool[[i - 1 for i in range(len(pool))]] == \
+        system.as_points(windows[-1:] + windows[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems, st.integers(1, 3))
+def test_enumerated_rows_follow_product_order(system, depth):
+    pool = system.enumerate_points(depth)
+    words = list(itertools.product(range(system.alphabet_size),
+                                   repeat=depth))
+    assert [tuple(row[:depth]) for row in pool.symbols.tolist()] == words
+    assert not pool.symbols[:, depth:].any()
+    assert pool == system.enumerate_points(depth)
+    assert hash(pool) == hash(system.enumerate_points(depth))
+    assert not pool.symbols.flags.writeable and not pool.depth.flags.writeable
+
+
+def reference_check_genuine(phi: Potential, windows, orders) -> None:
+    """``check_genuine`` as a loop over point windows: the orders in turn,
+    each over every point."""
+    if phi.kind == CONSTANT:
+        return
+    sampled = [x for x in windows if not x.exact_tail]
+    r = phi.effective_range()
+    for n in orders:
+        for x in sampled:
+            if n - 1 + r > x.genuine_depth():
+                raise WindowExhaustedError(
+                    f"Birkhoff sum of order {n} reads {n - 1 + r} coordinates "
+                    f"but only {x.genuine_depth():.0f} are genuine")
+
+
+def outcome(fn) -> str:
+    try:
+        fn()
+    except WindowExhaustedError as exc:
+        return f"raised: {exc}"
+    return "passed"
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems, st.sampled_from(POOL_KINDS), st.integers(1, 3),
+       st.lists(st.integers(0, 12), max_size=4), st.data())
+def test_check_genuine_names_the_same_first_failure(system, kind, r, orders,
+                                                    data):
+    pool, windows = reference_windows(system, kind, data)
+    k = system.alphabet_size
+    phi = Potential.from_range_table(np.linspace(0.1, 1.0, k ** r), r)
+    got = outcome(lambda: check_genuine(phi, pool, orders))
+    assert got == outcome(lambda: reference_check_genuine(phi, windows,
+                                                           orders))
+
+
+def test_as_points_rejects_a_longer_window():
+    # max_separated once computed on the window-16 words as they were
+    system = ShiftSystem(window=14, eps_min=0.05)
+    words = list(ShiftSystem(window=16, eps_min=0.05).enumerate_points(3))
+    with pytest.raises(ConfigurationError, match="word length 16"):
+        max_separated(system, words, 2, 0.6)
+
+
+def test_as_points_rejects_a_mixed_list():
+    # numpy once raised a bare ValueError on the ragged rows
+    system = ShiftSystem(window=14, eps_min=0.05)
+    words = list(system.enumerate_points(2)) + list(
+        ShiftSystem(window=16, eps_min=0.05).enumerate_points(2))
+    with pytest.raises(ConfigurationError, match="word length 16"):
+        max_separated(system, words, 2, 0.6)
+    two_sided = ShiftSystem(sidedness=TWO_SIDED, window=14, eps_min=0.05)
+    with pytest.raises(ConfigurationError, match="origin 0"):
+        two_sided.as_points([two_sided.point([1]), PointWindow(
+            symbols=(0,) * two_sided.word_length, origin=0)])
+

@@ -147,6 +147,11 @@ def scalar_time_levels(system, points, psi, T, tail_orders=None) -> dict:
     return {n: tuple(v) for n, v in levels.items()}
 
 
+def tuples(levels: dict) -> dict:
+    """Time levels with each level's points as a tuple of point windows."""
+    return {n: tuple(members) for n, members in levels.items()}
+
+
 def outcome(fn):
     """fn()'s value, or the message of the WindowExhaustedError it raises."""
     try:
@@ -182,14 +187,15 @@ def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
     pool = points + [apply_map(system, p) for p in sampled]
     raised = []
     for T in (0.4, 1.2, 2.0, 3.0, 4.5):
-        got = outcome(lambda: time_level_partition(system, pool, psi,
-                                                   T).levels)
+        got = outcome(lambda: tuples(time_level_partition(system, pool, psi,
+                                                          T).levels))
         assert got == outcome(lambda: scalar_time_levels(system, pool, psi, T))
         raised.append(isinstance(got, str))
     for orders in ([1, 2], [3, 1, 2], [2, n_ok + 1, 1], [n_ok, n_ok + 1],
                    [n_ok + 2, 1, n_ok + 1]):
-        got = outcome(lambda: time_level_partition(
-            system, pool, psi, 1.0, variant="tail", tail_orders=orders).levels)
+        got = outcome(lambda: tuples(time_level_partition(
+            system, pool, psi, 1.0, variant="tail",
+            tail_orders=orders).levels))
         assert got == outcome(lambda: scalar_time_levels(
             system, pool, psi, 1.0, tail_orders=orders))
         raised.append(isinstance(got, str))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from mmdim.bowen import bowen_distance, is_within
+from mmdim.bowen import ball_masks, bowen_distance
 from mmdim.measures import wilson_interval
 from mmdim.pressure import _logsumexp, pressure_sum
 from mmdim.systems import Potential, ShiftSystem, birkhoff_sum, combine, metric
@@ -89,7 +89,8 @@ def test_wilson_interval_contains_point_estimate(hits, extra):
        st.floats(0.1, 1.5))
 def test_membership_consistent_with_distance(a, b, n, eps):
     x, y = GRID.point(a), GRID.point(b)
-    inside = is_within(GRID, x, y, n, eps)
+    C, Z = GRID.as_points([x]).symbols, GRID.as_points([y]).symbols
+    inside = bool(ball_masks(GRID, C, Z, n, eps)[0, 0])
     d = bowen_distance(GRID, x, y, n)
     if inside:
         assert d < eps

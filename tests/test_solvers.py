@@ -265,7 +265,7 @@ def test_unit_weights_match_max_clique_on_separation_graphs(k, metric, n, eps,
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, min(16, len(pool)) + 1))
     pts = [pool[i] for i in sorted(rng.choice(len(pool), size, replace=False))]
-    Z = system.as_matrix(pts)
+    Z = system.as_points(pts).symbols
     conflict = ball_masks(system, Z, Z, n, eps)
     np.fill_diagonal(conflict, False)
     assert_same_clique(conflict)
@@ -273,7 +273,7 @@ def test_unit_weights_match_max_clique_on_separation_graphs(k, metric, n, eps,
     np.fill_diagonal(sep, False)
     kept, exact = max_separated(system, pts, n, eps, mode="exact")
     assert exact
-    assert kept == [pts[i] for i in sorted(reference_max_clique(sep))]
+    assert list(kept) == [pts[i] for i in sorted(reference_max_clique(sep))]
 
 
 weight_lists = st.one_of(
@@ -448,7 +448,7 @@ def test_bitset_weighted_cover_matches_on_fixed_order_families(k, metric,
                                                                eps):
     system = ShiftSystem(kind="grid-shift", alphabet_size=k, window=12,
                          symbol_metric=metric, eps_min=0.05)
-    pts = tuple(system.enumerate_points(3 if k < 4 else 2))
+    pts = system.enumerate_points(3 if k < 4 else 2)
     base = Potential.from_table(np.linspace(0.2, 1.0, k))
     cands = _build_candidates(system, pts, base, eps, 1, 4)
     rng = np.random.default_rng(k)

@@ -235,7 +235,7 @@ def test_birkhoff_sums_columns_equal_the_loop_sum(sidedness, kind):
     points = [system.point(row) for row in
               rng.integers(0, 3, size=(40, system.word_length))]
     for phi in (base, base.scaled(-1.5).shifted(0.7)):
-        sums = birkhoff_sums(system, phi, system.as_matrix(points), 17)
+        sums = birkhoff_sums(system, phi, system.as_points(points).symbols, 17)
         assert sums.shape == (len(points), 18)
         for x, row in zip(points, sums):
             for n in range(18):
