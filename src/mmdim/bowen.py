@@ -27,11 +27,19 @@ reads membership across orders: it computes distances only within origin
 cylinders (``cylinder_blocks``), with the same bits, and spanning sets,
 ball masses, Katok and PS counts and Caratheodory candidates read its exit
 orders, so they know nothing of slack, comparisons or cylinders.
+
+``pool_exits`` is the one exit memo: it keeps the last whole-pool pass,
+open and closed, and answers shallower orders and sub-pools of its pools
+by slicing, which is exact because a pair's exit orders depend on the
+pair, the system and eps alone.  Katok at every order, PS and the
+Caratheodory candidates on a pool's generic subset so share one pass per
+(pool, eps), made at the deepest order asked for.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -175,6 +183,89 @@ def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
             c[rows] += reach <= eps
         opened[cell], closed[cell] = o, c
     return opened, closed
+
+
+@dataclass(frozen=True, eq=False)
+class _Exits:
+    """One ``exit_orders`` pass, read-only, with the pools it was made on."""
+
+    system: ShiftSystem
+    eps: float
+    centres: Points
+    points: Points
+    depth: int
+    opened: np.ndarray
+    closed: np.ndarray
+
+    @functools.cached_property
+    def centre_rows(self) -> dict[bytes, int]:
+        return _row_index(self.centres)
+
+    @functools.cached_property
+    def point_rows(self) -> dict[bytes, int]:
+        return _row_index(self.points)
+
+    def cut(self, C: Points, Z: Points) -> tuple | None:
+        """Where C and Z lie in the pools: ``()`` for the pools themselves,
+        else the indices of their rows, or None when some row is not
+        there.  Equal rows have equal exits, so any match serves."""
+        if C == self.centres and Z == self.points:
+            return ()
+        ci = _find_rows(C, self.centre_rows)
+        zi = None if ci is None else _find_rows(Z, self.point_rows)
+        return None if zi is None else (ci, zi)
+
+
+def _row_index(pts: Points) -> dict[bytes, int]:
+    return {row.tobytes(): i for i, row in enumerate(pts.symbols)}
+
+
+def _find_rows(pts: Points, index: dict[bytes, int]) -> np.ndarray | None:
+    found = [index.get(row.tobytes()) for row in pts.symbols]
+    return None if None in found else np.array(found, dtype=np.intp)
+
+
+def pool_exits(system: ShiftSystem, C: Points, Z: Points, eps: float,
+               n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``exit_orders`` of the rows of Z from the balls at the rows of C,
+    from one memoised pass.
+
+    The memo keeps the last pass, open and closed, read-only, keyed on
+    (system, C, Z, eps).  It answers any ``n_max`` up to the depth it was
+    built at, and pools whose rows all lie in its own, by slicing: a pair
+    gets the same double in any pool, and the cylinder rule depends on the
+    system, eps and the slacks only.  Any other request replaces it; the
+    old pass is freed before the new one is made.  The memo's own matrices
+    come back as they are; a slice or a shallower read is a fresh array.
+    """
+    memo = _exits_memo[0] if _exits_memo else None
+    cut = None
+    if (memo is not None and memo.system == system and memo.eps == eps
+            and memo.depth >= n_max):
+        cut = memo.cut(C, Z)
+    if cut is None:
+        memo = None  # so the old pass is freed before the new one is made
+        _exits_memo.clear()
+        opened, closed = exit_orders(system, C.symbols, Z.symbols, eps, n_max)
+        opened.setflags(write=False)
+        closed.setflags(write=False)
+        memo = _Exits(system, eps, C, Z, n_max, opened, closed)
+        _exits_memo.append(memo)
+        cut = ()
+    out = []
+    for exits in (memo.opened, memo.closed):
+        if cut:  # two takes beat one np.ix_ gather several times over
+            ci, zi = cut
+            exits = exits.take(ci, axis=0).take(zi, axis=1)
+        if n_max < memo.depth:  # against a row: a scalar takes a slow path
+            cap = np.full((1, exits.shape[1]), n_max + 1, dtype=exits.dtype)
+            exits = np.minimum(exits, cap)
+        out.append(exits)
+    return tuple(out)
+
+
+_exits_memo: list[_Exits] = []  # the one slot
+pool_exits.cache_clear = _exits_memo.clear
 
 
 def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,

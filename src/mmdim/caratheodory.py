@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import exit_orders
+from .bowen import pool_exits
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (fractional_cover, greedy_disjoint,
@@ -109,12 +109,42 @@ class CriticalValue:
 
 @dataclass(frozen=True)
 class _Candidates:
+    """Candidate c * len(levels) + i is the ball of order levels[i] at
+    centre c of Z.  Members and suprema are built per rule on first use,
+    so a cover-only run never builds the closed family."""
+
     centers: tuple[int, ...]          # index into Z
     orders: tuple[int, ...]
-    open_members: np.ndarray          # (n_cand, |Z|) bool
-    closed_members: np.ndarray        # (n_cand, |Z|) bool
-    sup_open: np.ndarray              # base-potential ball suprema
-    sup_closed: np.ndarray
+    levels: np.ndarray                # the orders N..n_max
+    open_exits: np.ndarray            # (|Z|, |Z|), n_max + 1 on the diagonal
+    closed_exits: np.ndarray
+    sums: np.ndarray                  # base-potential S_n phi, column n
+
+    def _members(self, exits: np.ndarray) -> np.ndarray:
+        """(n_cand, |Z|) bool membership of the candidate balls."""
+        return (exits[:, None, :] > self.levels[:, None]).reshape(
+            -1, exits.shape[1])
+
+    def _sups(self, exits: np.ndarray) -> np.ndarray:
+        """Base-potential ball suprema of the candidates."""
+        return np.stack([np.where(exits > n, self.sums[:, n], -np.inf)
+                         .max(axis=1) for n in self.levels], axis=1).ravel()
+
+    @functools.cached_property
+    def open_members(self) -> np.ndarray:
+        return self._members(self.open_exits)
+
+    @functools.cached_property
+    def closed_members(self) -> np.ndarray:
+        return self._members(self.closed_exits)
+
+    @functools.cached_property
+    def sup_open(self) -> np.ndarray:
+        return self._sups(self.open_exits)
+
+    @functools.cached_property
+    def sup_closed(self) -> np.ndarray:
+        return self._sups(self.closed_exits)
 
     @functools.cached_property
     def open_bits(self) -> list[int]:  # packed on the first greedy cover
@@ -134,23 +164,18 @@ def _candidates(problem: OuterMeasureProblem) -> _Candidates:
 def _build_candidates(system: ShiftSystem, points: Points,
                       base: Potential, eps: float, N: int,
                       n_max: int) -> _Candidates:
-    Z = points.symbols
     check_genuine(base, points, range(N, n_max + 1))
-    sums = birkhoff_sums(system, base, Z, n_max)  # column n: order n
+    exits = []
+    for shared in pool_exits(system, points, points, eps, n_max):
+        own = shared if shared.flags.writeable else shared.copy()
+        np.fill_diagonal(own, n_max + 1)  # a ball holds its centre
+        exits.append(own)
     orders = np.arange(N, n_max + 1)
-    members, sups = [], []
-    for exits in exit_orders(system, Z, Z, eps, n_max):
-        np.fill_diagonal(exits, n_max + 1)  # a ball holds its centre
-        # candidate c * len(orders) + i is the ball of order orders[i] at c
-        members.append((exits[:, None, :] > orders[:, None]).reshape(
-            -1, len(Z)))
-        sups.append(np.stack([np.where(exits > n, sums[:, n], -np.inf)
-                              .max(axis=1) for n in orders], axis=1).ravel())
     return _Candidates(
-        centers=tuple(np.repeat(np.arange(len(Z)), len(orders)).tolist()),
-        orders=tuple(orders.tolist()) * len(Z),
-        open_members=members[0], closed_members=members[1],
-        sup_open=sups[0], sup_closed=sups[1],
+        centers=tuple(np.repeat(np.arange(len(points)), len(orders)).tolist()),
+        orders=tuple(orders.tolist()) * len(points),
+        levels=orders, open_exits=exits[0], closed_exits=exits[1],
+        sums=birkhoff_sums(system, base, points.symbols, n_max),
     )
 
 
@@ -186,8 +211,10 @@ def _cover_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
     if exact:  # a ball holds its centre, so every point is coverable
         chosen_local = min_weight_cover(cands.open_members[idx], weights)
     else:
-        chosen_local = greedy_weighted_cover(
-            [cands.open_bits[i] for i in idx], weights, len(problem.points))
+        bits = (cands.open_bits if not fixed
+                else [cands.open_bits[i] for i in idx])
+        chosen_local = greedy_weighted_cover(bits, weights,
+                                             len(problem.points))
     chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
                    for i in chosen_local)
     value = float(weights[chosen_local].sum())

@@ -142,8 +142,16 @@ def _check_potentials(cfg: ExperimentConfig) -> None:
 
     A coordinate table is read at symbols 0..k-1, so it needs at least k
     values; a finite-range table is indexed by the words of its range, so
-    it needs exactly k**range.
+    it needs exactly k**range.  A Birkhoff sum over n steps reaches
+    n·max|value| and the estimators scale it by log(1/eps), so that
+    product must be finite at every configured order n (``[schedules] n``
+    and ``[subset-dim] n_max``) and eps.
     """
+    orders = list(cfg.n_schedule)
+    try:  # a malformed n_max is reported by the command that reads it
+        orders.append(int(cfg.options["subset-dim"]["n_max"].strip()))
+    except (KeyError, ValueError):
+        pass
     for eps in cfg.eps_schedule:
         k = cfg.alphabet_for(eps)
         for name, phi in cfg.potentials.items():
@@ -157,6 +165,16 @@ def _check_potentials(cfg: ExperimentConfig) -> None:
                     f"[potential.{name}] has {size} values but range "
                     f"{phi.range_len} over {k} symbols at eps = {eps:g} "
                     f"needs {k}^{phi.range_len}")
+            reach = abs(math.log(1.0 / eps)) * phi.norm
+            for n in orders:
+                try:
+                    finite = not reach or math.isfinite(n * reach)
+                except OverflowError:  # n is past every double
+                    finite = False
+                if not finite:
+                    raise ConfigurationError(
+                        f"[potential.{name}] overflows: n * max|value| * "
+                        f"log(1/eps) is not finite at n = {n}, eps = {eps:g}")
 
 
 def load_config_text(text: str) -> ExperimentConfig:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import exit_orders, greedy_separated
+from .bowen import exit_orders, greedy_separated, pool_exits
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
@@ -551,9 +551,9 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
 
     Product measures are snapshotted to an empirical sample first (flagged
     by exactness of the underlying measure); greedy picks the ball of
-    largest uncovered mass, with an exhaustive search below the cap.  All
-    orders 1..max(n, window) of one (support, pool, eps), and PS on that
-    pool, read their membership off one ``_ball_exits`` build."""
+    largest uncovered mass, with an exhaustive search below the cap.  The
+    membership is read off ``bowen.pool_exits``, so every order of one
+    (pool, support, eps) and PS on that pool share one engine pass."""
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -561,10 +561,9 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(pool_size, stream)
     weights = np.asarray(measure.support_weights)
-    pool = (None if candidate_pool is None
-            else measure.system.as_points(candidate_pool))
-    n_max = max(n, measure.system.window)
-    member_matrix = _ball_exits(measure, pool, eps, n_max) > n
+    sys, support = measure.system, measure.support
+    pool = support if candidate_pool is None else sys.as_points(candidate_pool)
+    member_matrix = pool_exits(sys, pool, support, eps, n)[0] > n
     target = 1.0 - delta
     total_reachable = float(weights[member_matrix.any(axis=0)].sum())
     if total_reachable <= target:
@@ -580,35 +579,17 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     return KatokCount(count=count, exact=False, covered_mass=mass)
 
 
-def _ball_exits(measure: MeasureModel,
-                candidate_pool: Points | None, eps: float,
-                n_max: int) -> np.ndarray:
-    """Open exit orders (``exit_orders``) of the support points from the
-    candidates' Bowen balls (default: the support).  One build, freed before
-    the next, serves every order up to its ``n_max`` (Katok and PS)."""
-    sys = measure.system
-    key = (sys, candidate_pool, measure.support, eps)
-    if not _exits_memo or _exits_memo[0] != key or _exits_memo[1] < n_max:
-        _exits_memo.clear()
-        Z = measure.support.symbols
-        P = Z if candidate_pool is None else candidate_pool.symbols
-        exits = exit_orders(sys, P, Z, eps, n_max)[0]
-        exits.setflags(write=False)
-        _exits_memo[:] = key, n_max, exits
-    return _exits_memo[2]
-
-
-_exits_memo: list = []  # [(system, pool, support, eps), n_max, exits]
-_ball_exits.cache_clear = _exits_memo.clear
-
-
 def katok_entropy(measure: MeasureModel, eps: float, delta: float,
                   n_schedule: Sequence[int], pool_size: int = 512,
                   stream: int = 11) -> EntropyEstimate:
-    """Slope of log r_n(mu; eps, delta) against n."""
+    """Slope of log r_n(mu; eps, delta) against n.  One engine pass at the
+    deepest order serves every order of the schedule."""
     n_schedule = sorted(set(int(n) for n in n_schedule))
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(pool_size, stream)
+    if n_schedule and n_schedule[0] >= 1:  # else katok_rn raises
+        pool_exits(measure.system, measure.support, measure.support, eps,
+                   n_schedule[-1])
     per_scale = {}
     flags = []
     counts = []
@@ -665,7 +646,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
     frequencies over steps 1..n stay within eta of the measure's marginals
     for every dictionary indicator; the estimate is the slope of
     log s_n over the schedule, reported at the smallest feasible eta.
-    s_n is ``greedy_separated`` over the pool's one ``_ball_exits`` matrix.
+    s_n is ``greedy_separated`` over the pool's one ``pool_exits`` matrix.
     """
     etas = sorted({float(e) for e in
                    (eta if isinstance(eta, (list, tuple)) else [eta])},
@@ -675,7 +656,6 @@ def ps_entropy(measure: MeasureModel, eps: float,
     pool_pts = (measure.sample_points(pool_size, stream) if pool is None
                 else sys.as_points(pool))
     mat = pool_pts.symbols
-    pool_measure = pool_pts and MeasureModel.empirical(sys, pool_pts)
     targets = [measure.indicator_integral(a) for a in default_dictionary(sys)]
     per_eta: dict[float, float] = {}
     per_eta_ci: dict[float, tuple[float, float]] = {}
@@ -689,7 +669,8 @@ def ps_entropy(measure: MeasureModel, eps: float,
                 flags.append(f"empty-eta{eta_v}-n{n}")
                 continue
             sys.check_order(n, eps)
-            exits = _ball_exits(pool_measure, None, eps, n_schedule[-1])
+            exits, _ = pool_exits(sys, pool_pts, pool_pts, eps,
+                                  n_schedule[-1])
             logs.append(math.log(len(greedy_separated(mat, exits, n, free))))
             per_scale[(n, eta_v)] = logs[-1]
             ns.append(n)

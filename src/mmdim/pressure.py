@@ -258,8 +258,12 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, floa
     if len(xs) < 2 or np.allclose(xs, xs[0]):
         raise DegenerateFitError("need at least two distinct grid values")
     coeffs = np.polyfit(xs, ys, 1)
-    fit = np.polyval(coeffs, xs)
-    residual = float(np.sqrt(np.mean((ys - fit) ** 2)))
+    miss = ys - np.polyval(coeffs, xs)
+    with np.errstate(over="ignore"):
+        residual = float(np.sqrt(np.mean(miss ** 2)))
+    if residual == math.inf and np.isfinite(miss).all():
+        top = np.abs(miss).max()  # the squares overflow; scale them first
+        residual = float(top * np.sqrt(np.mean((miss / top) ** 2)))
     return float(coeffs[0]), float(coeffs[1]), residual
 
 

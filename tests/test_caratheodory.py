@@ -247,6 +247,7 @@ class TestBSAndIdentities:
             return blocks(*args)
 
         monkeypatch.setattr(bowen, "distance_blocks", counted)
+        bowen.pool_exits.cache_clear()
         caratheodory._build_candidates.cache_clear()
         sys = full_shift(k=3)
         pts = sys.enumerate_points(2)[::2]
@@ -444,6 +445,18 @@ class TestCriticalLambda:
             tol=1e-7).lambda_star
         assert cu == pytest.approx(c1, abs=1e-6)
 
+
+    @pytest.mark.parametrize("depth", [3, 6])  # exact and greedy covers
+    def test_cover_only_run_never_builds_the_closed_family(self, depth):
+        from mmdim import caratheodory
+        sys = full_shift()
+        prob = problem(sys, sys.enumerate_points(depth),
+                       Potential.from_table([0.2, 0.7]), 0.4, n_max=3)
+        caratheodory._build_candidates.cache_clear()
+        critical_lambda(structure_valuation(prob), tol=1e-3)
+        built = vars(caratheodory._candidates(prob))
+        assert "open_members" in built and "sup_open" in built
+        assert "closed_members" not in built and "sup_closed" not in built
 
 class TestSubsetMdim:
     def test_finite_set_estimate_small(self):

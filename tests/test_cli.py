@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -571,6 +572,51 @@ def test_huge_potential_ends_its_bisection(tmp_path, capsys):
     assert main(["subset-dim", "--structure", "bowen",
                  "--config", str(path)]) == 0
     assert "subset-dim-slope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e307", "1e308"])
+def test_huge_potential_values_end_cleanly(tmp_path, value):
+    # a fresh interpreter, as a user runs it: numpy's overflow warnings
+    # stay warnings there, and only the exit code and records count
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("values = 0.4 0.9", f"values = {value} 0.9"))
+    src = str(Path(mmdim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for command in ("estimate-mdim", "induced-mdim", "entropy --quantity bs",
+                    "subset-dim --structure bowen"):
+        out = tmp_path / "records.jsonl"
+        out.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmdim.cli", *command.split(),
+             "--config", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert "Traceback" not in proc.stderr, (command, proc.stderr)
+        assert proc.returncode in (0, 1), (command, proc.stderr)
+        if proc.returncode == 0:
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert rows and all(math.isfinite(r["value"]) for r in rows)
+        elif value == "1e308":
+            assert "[potential.phi] overflows" in proc.stderr
+
+
+@pytest.mark.parametrize("edits,where", [
+    ({"values = 0.4 0.9": "values = 1e308 0.9"}, "n = 4, eps = 0.6"),
+    ({"values = 0.4 0.9": "values = 1e307 0.9", "n_max = 3": "n_max = 99"},
+     "n = 99, eps = 0.6"),
+], ids=["schedule-n", "subset-n-max"])
+def test_overflowing_potential_exits_1(tmp_path, capsys, edits, where):
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "huge.cfg"
+    path.write_text(text)
+    assert main(["estimate-mdim", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [potential.phi] overflows") and where in err
 
 
 FUZZ_NUMBER = re.compile(

@@ -39,6 +39,7 @@ from mmdim.systems import (
     DISCRETE,
     ONE_SIDED,
     TWO_SIDED,
+    Points,
     PointWindow,
     Potential,
     ShiftSystem,
@@ -453,7 +454,7 @@ def dense(monkeypatch):
 
 
 def clear_memos():
-    measures._ball_exits.cache_clear()
+    bowen.pool_exits.cache_clear()
     measures._sampled_hits.cache_clear()
     caratheodory._build_candidates.cache_clear()
 
@@ -497,17 +498,20 @@ def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
 def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
     pts = grid_points(system, 240, k)
-    snapshot = MeasureModel.empirical(system, pts)
+    support = system.as_points(pts)
     pool = system.as_points(grid_points(system, 90, k + 1))
     clear_memos()
-    got = {(eps, p is None): measures._ball_exits(snapshot, p, eps, 8).copy()
+    got = {(eps, p is None): bowen.pool_exits(
+               system, support if p is None else p, support, eps, 8)
            for eps in floor_radii(k) for p in (None, pool)}
-    assert [prunes(system, system.as_points(pts).symbols, eps)
+    assert [prunes(system, support.symbols, eps)
             for eps in floor_radii(k)] == [True, True, False]
     dense(monkeypatch)
-    for (eps, support), exits in got.items():
-        p = None if support else pool
-        assert (measures._ball_exits(snapshot, p, eps, 8) == exits).all()
+    for (eps, own), exits in got.items():
+        ref = bowen.pool_exits(system, support if own else pool, support,
+                               eps, 8)
+        for got_rule, ref_rule in zip(exits, ref):
+            assert (got_rule == ref_rule).all()
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
@@ -528,6 +532,38 @@ def test_pruned_candidates_match_dense(k, sidedness, monkeypatch):
         assert cands.centers == ref.centers and cands.orders == ref.orders
         for name in fields:
             assert np.array_equal(getattr(cands, name), getattr(ref, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ONE_SIDED, TWO_SIDED]),
+       st.sampled_from([DISCRETE, ABSOLUTE]), st.integers(2, 5),
+       st.integers(3, 8), st.integers(0, 2 ** 32 - 1), st.data())
+def test_memo_reads_of_sub_pools_equal_a_fresh_pass(sidedness, metric, k,
+                                                    window, seed, data):
+    system = make_system(sidedness, metric, 0.5, k, window)
+    floor = 1.0 if metric == DISCRETE else 1.0 / k
+    # the cylinder rule holds up to the floor and fails past it
+    eps = data.draw(st.sampled_from(
+        [0.6 * floor, float(np.nextafter(floor, 0.0)), floor,
+         float(np.nextafter(floor, 2.0)), 1.3 * floor]), label="eps")
+    depth = data.draw(st.integers(1, window), label="depth")
+    rng = np.random.default_rng(seed)
+    pools = [Points(rng.integers(0, k, size=(m, system.word_length)),
+                    np.full(m, np.inf), system.origin_index)
+             for m in rng.integers(20, 120, size=2)]
+    bowen.pool_exits.cache_clear()
+    bowen.pool_exits(system, pools[0], pools[1], eps, depth)
+    built = bowen._exits_memo[0]
+    for _ in range(3):
+        # rows in any order, repeats allowed, centres and points apart
+        C, Z = (pool[rng.integers(0, len(pool), size=rng.integers(1, 60))]
+                for pool in pools)
+        n = data.draw(st.integers(1, depth), label="n")
+        got = bowen.pool_exits(system, C, Z, eps, n)
+        assert bowen._exits_memo == [built]  # read, not rebuilt
+        fresh = exit_orders(system, C.symbols, Z.symbols, eps, n)
+        for read, ref in zip(got, fresh):
+            assert np.array_equal(read, ref)
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)

@@ -601,11 +601,12 @@ class TestKatokExitOrders:
         candidates = mu.sample_points(150, stream=9)
         n_max = sys.window + 2
         for eps in (0.45, 0.3):
-            for pool in (None, candidates):
-                exits = measures._ball_exits(snapshot, pool, eps, n_max)
+            for pool in (snapshot.support, candidates):
+                exits = bowen.pool_exits(sys, pool, snapshot.support, eps,
+                                         n_max)[0]
                 assert exits.dtype == np.uint8
                 assert not exits.flags.writeable
-                P = Z if pool is None else pool.symbols
+                P = pool.symbols
                 for n in range(1, n_max + 1):
                     expected = ball_masks(sys, P, Z, n, eps)
                     assert np.array_equal(exits > n, expected), (eps, n)
@@ -613,7 +614,7 @@ class TestKatokExitOrders:
     def test_entropy_matches_per_order_reference(self):
         sys, mu, _ = _memo_snapshot("grid-k3")
         snapshot = mu.to_empirical(512, stream=11)
-        measures._ball_exits.cache_clear()
+        bowen.pool_exits.cache_clear()
         for eps in (0.4, 0.25):
             est = katok_entropy(snapshot, eps, 0.5, range(1, 6))
             ref = [_reference_katok_rn(snapshot, n, eps, 0.5)
@@ -638,22 +639,22 @@ class TestKatokExitOrders:
             return blocks(*args)
 
         monkeypatch.setattr(bowen, "distance_blocks", counted)
-        measures._ball_exits.cache_clear()
+        bowen.pool_exits.cache_clear()
         est = katok_entropy(snapshot, 0.4, 0.5, range(1, 6))
         assert len(est.details["counts"]) == 5
-        assert calls == [sys.window]
+        assert calls == [5]  # the schedule's deepest order
 
     def test_order_zero_rejected_before_memo(self, monkeypatch):
         sys, mu, snapshot = _memo_snapshot("grid-k3", size=100)
         katok_rn(snapshot, 1, 0.4, 0.5)
         reads = []
-        exits = measures._ball_exits
+        exits = measures.pool_exits
 
         def counted(*args):
             reads.append(args)
             return exits(*args)
 
-        monkeypatch.setattr(measures, "_ball_exits", counted)
+        monkeypatch.setattr(measures, "pool_exits", counted)
         with pytest.raises(ConfigurationError):
             katok_rn(snapshot, 0, 0.4, 0.5)
         assert reads == []
@@ -817,7 +818,7 @@ class TestPSExitOrders:
         sys, mu, pool = _ps_case(k, sidedness, metric)
         etas, ns = [2.0, 0.3, 0.0], [1, 2, 3, 4]
         for eps in _floor_radii(sys):
-            measures._ball_exits.cache_clear()
+            bowen.pool_exits.cache_clear()
             est = ps_entropy(mu, eps, etas, ns, pool=pool)
             per_scale, flags = _reference_ps_cells(mu, eps, etas, ns, pool)
             assert est.per_scale == per_scale, eps
@@ -849,7 +850,7 @@ class TestPSExitOrders:
                 estimate(mu, eps, [eta], ns, pool=pool)
             runs.append((cells, str(exc.value)))
 
-        measures._ball_exits.cache_clear()
+        bowen.pool_exits.cache_clear()
         run(ps_entropy)
         run(_reference_ps_cells)
         assert runs[0] == runs[1]
@@ -861,14 +862,15 @@ class TestPSExitOrders:
     def test_one_engine_pass_per_pool_and_eps(self, monkeypatch):
         sys, mu, snapshot = _memo_snapshot("grid-k3")
         passes = []
-        engine = measures.exit_orders
+        engine = bowen.exit_orders
 
         def counted(system, C, Z, eps, n_max):
             passes.append((len(C), len(Z), eps))
             return engine(system, C, Z, eps, n_max)
 
-        monkeypatch.setattr(measures, "exit_orders", counted)
-        measures._ball_exits.cache_clear()
+        # every pass the memo makes goes through its module's exit_orders
+        monkeypatch.setattr(bowen, "exit_orders", counted)
+        bowen.pool_exits.cache_clear()
         katok_entropy(snapshot, 0.4, 0.5, range(1, 6))
         ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6),
                    pool=snapshot.support)
@@ -877,14 +879,16 @@ class TestPSExitOrders:
         fresh = mu.sample_points(200, stream=3)
         ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6), pool=fresh)
         assert passes[1:] == [(200, 200, 0.4)]
-        # a deeper request rebuilds; a shallower one reads the same matrix
-        support = MeasureModel.empirical(sys, fresh)
-        deep = measures._ball_exits(support, None, 0.4, 8)
+        # a deeper request rebuilds; a shallower one reads the same pass
+        deep = bowen.pool_exits(sys, fresh, fresh, 0.4, 8)
         assert len(passes) == 3
-        Z = sys.as_points(fresh).symbols
-        assert np.array_equal(deep, engine(sys, Z, Z, 0.4, 8)[0])
-        assert measures._ball_exits(support, None, 0.4, 2) is deep
+        for got, ref in zip(deep, engine(sys, fresh.symbols, fresh.symbols,
+                                         0.4, 8)):
+            assert np.array_equal(got, ref)
+        shallow = bowen.pool_exits(sys, fresh, fresh, 0.4, 2)
         assert len(passes) == 3
+        for got, full in zip(shallow, deep):
+            assert np.array_equal(got, np.minimum(full, 3))
 
 
 class TestGmuEstimate:
@@ -904,6 +908,34 @@ class TestGmuEstimate:
         bw = rep.bowen_subset.details["ratios"]
         for eps in bw:
             assert bk[eps] <= bw[eps] + 0.15
+
+    def test_one_engine_pass_per_eps(self, monkeypatch):
+        # Katok, PS and the Bowen subset cover share one exit pass per eps,
+        # made at the deepest order of the schedule; under the cylinder
+        # rule the pass calls the engine once per origin cylinder
+        from mmdim.measures import gmu_mdim_estimate
+        passes, depths = [], set()
+        engine, blocks = bowen.exit_orders, bowen.distance_blocks
+
+        def counted_pass(system, C, Z, eps, n_max):
+            passes.append((eps, n_max))
+            return engine(system, C, Z, eps, n_max)
+
+        def counted_blocks(*args):
+            depths.add(args[-1])
+            return blocks(*args)
+
+        monkeypatch.setattr(bowen, "exit_orders", counted_pass)
+        monkeypatch.setattr(bowen, "distance_blocks", counted_blocks)
+        bowen.pool_exits.cache_clear()
+        sys0, mu0 = self._factory(0.5)
+        rep = gmu_mdim_estimate(sys0, mu0, [0.5, 0.25], range(1, 6), tol=0.2,
+                                model_factory=self._factory,
+                                pool_depth=lambda e: 8 if e >= 0.5 else 4,
+                                subset_orders=(1, 5))
+        assert sorted(rep.bowen_subset.details["ratios"]) == [0.25, 0.5]
+        assert passes == [(0.5, 5), (0.25, 5)]
+        assert depths == {5}
 
     def test_point_mass_all_near_zero(self):
         from mmdim.measures import gmu_mdim_estimate

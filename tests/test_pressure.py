@@ -15,6 +15,7 @@ from mmdim.pressure import (
     analytic_oracle_pressure,
     induced_mdim_estimate,
     induced_pressure,
+    log_eps_fit,
     mdim_estimate,
     pressure_estimate,
     pressure_sum,
@@ -541,3 +542,13 @@ class TestRootSolver:
         psi = Potential.constant(1.0)
         with pytest.raises(BracketError):
             solve_bowen_root(lambda b: 1.0, psi, tol=1e-4)
+
+
+def test_fit_residual_of_huge_values_is_finite():
+    # the misses are near 1e307, so their squares overflow a double
+    eps = [0.6, 0.3, 0.15]
+    ys = [1e307, 5e307, 2e307]
+    fit = log_eps_fit(eps, ys)
+    assert math.isfinite(fit.residual)
+    small = log_eps_fit(eps, [y * 1e-300 for y in ys])
+    assert fit.residual == pytest.approx(small.residual * 1e300)
