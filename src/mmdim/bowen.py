@@ -33,7 +33,8 @@ open and closed, and answers shallower orders and sub-pools of its pools
 by slicing, which is exact because a pair's exit orders depend on the
 pair, the system and eps alone.  Katok at every order, PS and the
 Caratheodory candidates on a pool's generic subset so share one pass per
-(pool, eps), made at the deepest order asked for.
+(pool, eps), made at the deepest order asked for.  The candidate families
+are kept on the pass they read and go with it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -196,6 +197,7 @@ class _Exits:
     depth: int
     opened: np.ndarray
     closed: np.ndarray
+    families: dict = field(default_factory=dict)  # built on it, by callers
 
     @functools.cached_property
     def centre_rows(self) -> dict[bytes, int]:

@@ -14,9 +14,11 @@ Ball suprema of Birkhoff sums are evaluated on the base potential and
 mapped through the affine transform of the potential, so the one-parameter
 families used by the critical-exponent machinery share their maximizing
 points; this is exactly what makes the BS/cover and packing-BS/packing
-substitution identities hold to machine precision.  Critical exponents are
-extracted as the threshold-1 crossing of the (nonincreasing) value map,
-the standard finite-scale surrogate for the jump from infinity to zero.
+substitution identities hold to machine precision.  A family lives on
+the ``bowen.pool_exits`` pass it reads and goes with it.  Critical
+exponents are extracted as the threshold-1 crossing of the
+(nonincreasing) value map, the standard finite-scale surrogate for the
+jump from infinity to zero.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import pool_exits
+from .bowen import _BLOCK_BYTES, _exits_memo, pool_exits
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (fractional_cover, greedy_disjoint,
@@ -116,19 +118,25 @@ class _Candidates:
     centers: tuple[int, ...]          # index into Z
     orders: tuple[int, ...]
     levels: np.ndarray                # the orders N..n_max
-    open_exits: np.ndarray            # (|Z|, |Z|), n_max + 1 on the diagonal
+    open_exits: np.ndarray            # (|Z|, |Z|), pool_exits' own or a slice
     closed_exits: np.ndarray
     sums: np.ndarray                  # base-potential S_n phi, column n
 
     def _members(self, exits: np.ndarray) -> np.ndarray:
         """(n_cand, |Z|) bool membership of the candidate balls."""
-        return (exits[:, None, :] > self.levels[:, None]).reshape(
-            -1, exits.shape[1])
+        members = exits[:, None, :] > self.levels[:, None]
+        centres = np.arange(len(exits))
+        members[centres, :, centres] = True  # a ball holds its centre
+        return members.reshape(-1, exits.shape[1])
 
-    def _sups(self, exits: np.ndarray) -> np.ndarray:
-        """Base-potential ball suprema of the candidates."""
-        return np.stack([np.where(exits > n, self.sums[:, n], -np.inf)
-                         .max(axis=1) for n in self.levels], axis=1).ravel()
+    def _sups(self, members: np.ndarray) -> np.ndarray:
+        """Base-potential ball suprema of the candidates, a block of centres
+        at a time: a max is exact, so blocks change no bit."""
+        balls = members.reshape(-1, len(self.levels), members.shape[1])
+        step = max(1, _BLOCK_BYTES // (8 * balls[0].size))
+        return np.concatenate([np.where(
+            balls[s:s + step], self.sums.T[self.levels], -np.inf,
+        ).max(axis=2).ravel() for s in range(0, len(balls), step)])
 
     @functools.cached_property
     def open_members(self) -> np.ndarray:
@@ -140,11 +148,11 @@ class _Candidates:
 
     @functools.cached_property
     def sup_open(self) -> np.ndarray:
-        return self._sups(self.open_exits)
+        return self._sups(self.open_members)
 
     @functools.cached_property
     def sup_closed(self) -> np.ndarray:
-        return self._sups(self.closed_exits)
+        return self._sups(self.closed_members)
 
     @functools.cached_property
     def open_bits(self) -> list[int]:  # packed on the first greedy cover
@@ -160,23 +168,22 @@ def _candidates(problem: OuterMeasureProblem) -> _Candidates:
                              problem.eps, problem.N, problem.n_max)
 
 
-@functools.lru_cache(maxsize=256)
 def _build_candidates(system: ShiftSystem, points: Points,
                       base: Potential, eps: float, N: int,
                       n_max: int) -> _Candidates:
-    check_genuine(base, points, range(N, n_max + 1))
-    exits = []
-    for shared in pool_exits(system, points, points, eps, n_max):
-        own = shared if shared.flags.writeable else shared.copy()
-        np.fill_diagonal(own, n_max + 1)  # a ball holds its centre
-        exits.append(own)
-    orders = np.arange(N, n_max + 1)
-    return _Candidates(
-        centers=tuple(np.repeat(np.arange(len(points)), len(orders)).tolist()),
-        orders=tuple(orders.tolist()) * len(points),
-        levels=orders, open_exits=exits[0], closed_exits=exits[1],
-        sums=birkhoff_sums(system, base, points.symbols, n_max),
-    )
+    """The family of (points, base, eps, N..n_max), kept on the
+    ``pool_exits`` pass it reads and freed with it."""
+    key = (system, points, base, eps, N, n_max)
+    if not (_exits_memo and key in _exits_memo[0].families):
+        check_genuine(base, points, range(N, n_max + 1))
+        opened, closed = pool_exits(system, points, points, eps, n_max)
+        orders = np.arange(N, n_max + 1)
+        _exits_memo[0].families[key] = _Candidates(
+            centers=tuple(c for c in range(len(points)) for _ in orders),
+            orders=tuple(orders.tolist()) * len(points),
+            levels=orders, open_exits=opened, closed_exits=closed,
+            sums=birkhoff_sums(system, base, points.symbols, n_max))
+    return _exits_memo[0].families[key]
 
 
 def _log_weights(problem: OuterMeasureProblem, lam: float, closed: bool,
@@ -381,8 +388,10 @@ def critical_lambda(valuation: Callable[[float], float],
         grow += 1
     if v_lo < threshold or v_hi > threshold:
         raise BracketError(
-            "valuation did not straddle the threshold; it may be constant"
-        )
+            f"valuation did not cross {threshold:g} on [{lo:.6g}, "
+            f"{hi:.6g}] after {grow} doublings (values {v_lo:.6g} and "
+            f"{v_hi:.6g} at its ends): it is constant, or its root lies "
+            f"outside that bracket")
     # at a large enough lambda no double lies strictly between lo and hi
     while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)

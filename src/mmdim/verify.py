@@ -279,11 +279,12 @@ def caratheodory_suite() -> list[AssertionResult]:
     # chain: cover at 3 eps below packing at eps (zero potential)
     pool = sys.enumerate_points(3)
     chain_ok, chain_worst = True, math.inf
-    for n in (1, 2):
-        for lam in (0.0, 0.4, 1.0):
-            pk = packing_value(OuterMeasureProblem(
-                system=sys, points=pool, phi=Potential.constant(0.0),
-                eps=0.3, N=n, n_max=n, structure=PACKING_P), lam).value
+    for n in (1, 2):  # one side at a time, so each family is built once
+        pks = {lam: packing_value(OuterMeasureProblem(
+            system=sys, points=pool, phi=Potential.constant(0.0),
+            eps=0.3, N=n, n_max=n, structure=PACKING_P), lam).value
+            for lam in (0.0, 0.4, 1.0)}
+        for lam, pk in pks.items():
             cv = cover_value(OuterMeasureProblem(
                 system=sys, points=pool, phi=Potential.constant(0.0),
                 eps=0.9, N=n, n_max=n, structure=COVER_M), lam).value
@@ -310,12 +311,13 @@ def caratheodory_suite() -> list[AssertionResult]:
 
     infl_ok, infl_worst = True, math.inf
     eps = 0.15
+    wp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
+                             eps=eps, n_max=3, structure=WEIGHTED_W)
+    rp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
+                             eps=6 * eps, n_max=3, structure=BS_R)
+    ws = {lam: weighted_value(wp, lam).value for lam in (0.3, 0.8, 1.5)}
     for lam, dlt in [(0.3, 0.1), (0.8, 0.3), (1.5, 0.05)]:
-        wp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
-                                 eps=eps, n_max=3, structure=WEIGHTED_W)
-        rp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
-                                 eps=6 * eps, n_max=3, structure=BS_R)
-        gap = weighted_value(wp, lam).value - bs_value(rp, lam + dlt).value
+        gap = ws[lam] - bs_value(rp, lam + dlt).value
         infl_ok &= gap >= -1e-9
         infl_worst = min(infl_worst, gap)
     out.append(AssertionResult(

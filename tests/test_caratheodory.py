@@ -10,6 +10,7 @@ from mmdim.caratheodory import (
     BS_R,
     COVER_FIXED,
     COVER_M,
+    MAX_DOUBLINGS,
     PACKING_BS,
     PACKING_P,
     WEIGHTED_W,
@@ -26,9 +27,9 @@ from mmdim.caratheodory import (
     weighted_value,
 )
 from mmdim.bowen import min_spanning
-from mmdim.errors import ConfigurationError
-from mmdim.systems import (ONE_SIDED, TWO_SIDED, Potential, ShiftSystem,
-                           birkhoff_sum)
+from mmdim.errors import BracketError, ConfigurationError
+from mmdim.systems import (ONE_SIDED, TWO_SIDED, Points, Potential,
+                           ShiftSystem, birkhoff_sum, birkhoff_sums)
 
 
 def full_shift(k=2, window=14, eps_min=0.05, **kw):
@@ -247,8 +248,10 @@ class TestBSAndIdentities:
             return blocks(*args)
 
         monkeypatch.setattr(bowen, "distance_blocks", counted)
-        bowen.pool_exits.cache_clear()
-        caratheodory._build_candidates.cache_clear()
+        made, sums = [], caratheodory.birkhoff_sums  # once per family
+        monkeypatch.setattr(caratheodory, "birkhoff_sums",
+                            lambda *args: made.append(1) or sums(*args))
+        bowen.pool_exits.cache_clear()  # the families go with the pass
         sys = full_shift(k=3)
         pts = sys.enumerate_points(2)[::2]
         phi = Potential.from_table([0.3, 0.9, 1.4])
@@ -260,7 +263,8 @@ class TestBSAndIdentities:
         cover_value(cover_prob, 0.0)
         packing_bs_value(bs_prob.with_structure(PACKING_BS), lam)
         packing_value(cover_prob.with_structure(PACKING_P), 0.0)
-        assert caratheodory._build_candidates.cache_info().misses == 1
+        # one family built, kept on the one pass
+        assert len(made) == len(bowen._exits_memo[0].families) == 1
         # the one build makes one engine pass, at n_max = 3, per origin
         # cylinder of the points: words starting 0, 1 and 2
         assert builds == [3, 3, 3]
@@ -379,6 +383,20 @@ class TestChainComparison:
 
 
 class TestCriticalLambda:
+    @pytest.mark.parametrize("valuation,ends", [
+        (lambda lam: 3.0, "values 3 and 3"),
+        (lambda lam: 1.5 - lam / 2.0 ** 82, "values 1.5 and 1.25"),
+    ], ids=["constant", "root-past-the-bracket"])
+    def test_unbracketed_valuation_names_bracket_and_values(self, valuation,
+                                                            ends):
+        with pytest.raises(BracketError) as info:
+            critical_lambda(valuation)
+        message = str(info.value)
+        assert (f"on [-1, {2.0 ** MAX_DOUBLINGS:.6g}] after {MAX_DOUBLINGS}"
+                " doublings") in message
+        assert f"({ends} at its ends)" in message
+        assert "constant, or its root lies outside that bracket" in message
+
     def test_single_point_cover_crosses_at_zero(self):
         sys = full_shift()
         prob = problem(sys, [sys.point([0, 1])], Potential.constant(0.0), 0.5,
@@ -448,11 +466,11 @@ class TestCriticalLambda:
 
     @pytest.mark.parametrize("depth", [3, 6])  # exact and greedy covers
     def test_cover_only_run_never_builds_the_closed_family(self, depth):
-        from mmdim import caratheodory
+        from mmdim import bowen, caratheodory
         sys = full_shift()
         prob = problem(sys, sys.enumerate_points(depth),
                        Potential.from_table([0.2, 0.7]), 0.4, n_max=3)
-        caratheodory._build_candidates.cache_clear()
+        bowen.pool_exits.cache_clear()
         critical_lambda(structure_valuation(prob), tol=1e-3)
         built = vars(caratheodory._candidates(prob))
         assert "open_members" in built and "sup_open" in built
@@ -519,3 +537,59 @@ def test_candidate_suprema_equal_scalar_sums_at_long_orders(sidedness, eps):
         assert cands.open_members[i, c] and cands.closed_members[i, c]
         assert cands.sup_open[i] == sums[n][cands.open_members[i]].max()
         assert cands.sup_closed[i] == sums[n][cands.closed_members[i]].max()
+
+
+@pytest.mark.parametrize("n_max", [5, 10])
+@pytest.mark.parametrize("metric", ["discrete", "absolute-difference"])
+def test_blocked_suprema_equal_dense_bit_for_bit(metric, n_max):
+    # 1,600 centres span many blocks; the dense reference puts n_max + 1
+    # on the diagonal, as a ball holds its centre.  At order 10 the slack
+    # of the window-10 system (0.5) exceeds eps, so the ball rule alone
+    # would drop every centre.
+    from mmdim import bowen, caratheodory
+
+    system = full_shift(k=3, window=10, symbol_metric=metric)
+    rng = np.random.default_rng(11)
+    Z = rng.integers(0, 3, size=(1600, system.word_length))
+    pts = Points(Z, np.full(len(Z), np.inf), system.origin_index)
+    base = Potential.from_table(rng.uniform(-1.0, 1.0, 3))
+    N, eps = 2, 0.3
+    assert bowen._BLOCK_BYTES // (8 * (n_max - 1) * len(pts)) < len(pts)
+    bowen.pool_exits.cache_clear()
+    cands = caratheodory._build_candidates(system, pts, base, eps, N, n_max)
+    dropped = np.diagonal(cands.closed_exits) <= n_max
+    assert dropped.all() == (n_max == 10)
+    sums = birkhoff_sums(system, base, Z, n_max)
+    levels = range(N, n_max + 1)
+    for closed, (exits, members, sups) in enumerate([
+            (cands.open_exits, cands.open_members, cands.sup_open),
+            (cands.closed_exits, cands.closed_members, cands.sup_closed)]):
+        exits = exits.copy()
+        np.fill_diagonal(exits, n_max + 1)
+        dense = np.stack([np.where(exits > n, sums[:, n], -np.inf)
+                          .max(axis=1) for n in levels], axis=1).ravel()
+        assert sups.tobytes() == dense.tobytes(), closed
+        assert np.array_equal(members, (exits[:, None, :] > np.array(
+            levels)[:, None]).reshape(-1, len(pts))), closed
+
+
+def test_families_go_with_their_pass():
+    # the family of a critical-lambda search lives on the pass it read;
+    # a Katok pass at another eps on another pool frees both
+    import weakref
+
+    from mmdim import bowen, caratheodory
+    from mmdim.measures import MeasureModel, katok_entropy
+
+    system = full_shift()
+    prob = problem(system, system.enumerate_points(5),
+                   Potential.from_table([0.2, 0.7]), 0.4, n_max=3)
+    bowen.pool_exits.cache_clear()
+    critical_lambda(structure_valuation(prob), tol=1e-3)
+    family = weakref.ref(caratheodory._candidates(prob))
+    pass_made = weakref.ref(bowen._exits_memo[0])
+    cover_value(prob, 0.5)  # read again, not rebuilt
+    assert family() is caratheodory._candidates(prob)
+    mu = MeasureModel.empirical(system, system.enumerate_points(4))
+    katok_entropy(mu, 0.3, 0.5, range(1, 4))
+    assert pass_made() is None and family() is None

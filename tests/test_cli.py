@@ -574,6 +574,20 @@ def test_huge_potential_ends_its_bisection(tmp_path, capsys):
     assert "subset-dim-slope" in capsys.readouterr().err
 
 
+def test_unbracketed_subset_dimension_names_its_bracket(tmp_path, capsys):
+    # log weights near 1e300 clip at every lambda the bracket reaches, so
+    # the valuation is constant there and its root lies past 2^80
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("values = 0.4 0.9", "values = 1e300 0.9"))
+    assert main(["subset-dim", "--structure", "bowen",
+                 "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "did not cross 1 on [-1, 1.20893e+24] after 80 doublings" in err
+    assert "it is constant, or its root lies outside that bracket" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["1e300", "1e307", "1e308"])
 def test_huge_potential_values_end_cleanly(tmp_path, value):
     # a fresh interpreter, as a user runs it: numpy's overflow warnings

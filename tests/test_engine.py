@@ -454,9 +454,8 @@ def dense(monkeypatch):
 
 
 def clear_memos():
-    bowen.pool_exits.cache_clear()
+    bowen.pool_exits.cache_clear()  # and the candidate families on it
     measures._sampled_hits.cache_clear()
-    caratheodory._build_candidates.cache_clear()
 
 
 PRUNED_CASES = [(k, side) for k in (3, 5, 7)
@@ -617,7 +616,7 @@ def test_closed_ball_at_the_floor_reaches_across_cylinders():
     system = ShiftSystem(kind="grid-shift", alphabet_size=3, window=40,
                          weight_base=0.3, eps_min=0.1)
     x, y = system.point([0]), system.point([1])
-    caratheodory._build_candidates.cache_clear()
+    bowen.pool_exits.cache_clear()
     cands = caratheodory._build_candidates(
         system, system.as_points([x, y]),
         Potential.from_table([0.1, 0.7, 0.2]), 1.0 / 3, 1, 2)
