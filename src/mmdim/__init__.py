@@ -9,10 +9,8 @@ assertions.
 
 from .bowen import (
     BallSpec,
-    SeparationCounts,
     SetFamily,
     bowen_distance,
-    count_separated_spanning,
     five_r_disjointify,
     max_separated,
     min_spanning,
@@ -79,10 +77,8 @@ from .systems import (
     PointWindow,
     Potential,
     ShiftSystem,
-    apply_map,
     birkhoff_sum,
     combine,
-    metric,
 )
 from .verify import AssertionResult, run_suite
 

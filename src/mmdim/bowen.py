@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -469,55 +468,3 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
                     else tuple(family.weights[i] for i in kept))
     return SetFamily(balls=kept_balls, weights=kept_weights)
 
-
-# -- batched counts ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeparationCounts:
-    s_lower: int
-    s_exact: int | None
-    r_upper: int
-    r_exact: int | None
-
-
-def covering_number_profile(system_factory, eps_schedule: Sequence[float],
-                            theta: float, depth: int = 4,
-                            pool_cap: int = 1024) -> dict[float, float]:
-    """eps^theta * log r_1(eps) over the schedule (tame-growth profile).
-
-    r_1 is the greedy one-step spanning count of enumerated words of the
-    per-scale model (depth shrunk so the pool stays below the cap); on
-    metrics with tame growth of covering numbers the profile decays to 0
-    for every positive theta.
-    """
-    out = {}
-    for eps in sorted(set(eps_schedule), reverse=True):
-        system = system_factory(eps)
-        d = depth
-        while d > 1 and system.alphabet_size ** d > pool_cap:
-            d -= 1
-        pts = system.enumerate_points(d)
-        r1 = len(min_spanning(system, pts, 1, eps, mode="greedy")[0])
-        out[eps] = (eps ** theta) * math.log(max(r1, 1))
-    return out
-
-
-def count_separated_spanning(system: ShiftSystem, points: Pool, n: int,
-                             eps: float,
-                             exact_cap: int = DEFAULT_EXACT_CAP,
-                             ) -> SeparationCounts:
-    """Greedy bounds plus exact values when the instance is small enough."""
-    pts = system.as_points(points)
-    greedy_sep, _ = max_separated(system, pts, n, eps, mode="greedy")
-    greedy_span, _ = min_spanning(system, pts, n, eps, mode="greedy")
-    s_exact = r_exact = None
-    if len(pts) <= exact_cap:
-        s_exact = len(max_separated(system, pts, n, eps, mode="exact",
-                                    exact_cap=exact_cap)[0])
-        r_exact = len(min_spanning(system, pts, n, eps, mode="exact",
-                                   exact_cap=exact_cap)[0])
-    return SeparationCounts(
-        s_lower=len(greedy_sep), s_exact=s_exact,
-        r_upper=len(greedy_span), r_exact=r_exact,
-    )

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import _BLOCK_BYTES, _exits_memo, pool_exits
+from .bowen import (_BLOCK_BYTES, DEFAULT_EXACT_CAP, _exits_memo,
+                    pool_exits)
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (fractional_cover, greedy_disjoint,
@@ -65,7 +66,7 @@ class OuterMeasureProblem:
     N: int = 1
     n_max: int = 3
     structure: str = COVER_M
-    exact_cap: int = 24
+    exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "points", self.system.as_points(self.points))
@@ -423,7 +424,8 @@ def structure_valuation(problem: OuterMeasureProblem,
 def subset_mdim(system: ShiftSystem, points: Pool,
                 phi: Potential, structure: str,
                 eps_schedule: Sequence[float], N: int = 1, n_max: int = 3,
-                tol: float = 1e-4, exact_cap: int = 24) -> DimensionEstimate:
+                tol: float = 1e-4,
+                exact_cap: int = DEFAULT_EXACT_CAP) -> DimensionEstimate:
     """Critical exponent per eps, then regression against log(1/eps).
 
     The per-eps ratios lambda*(eps)/log(1/eps) are stored alongside the

@@ -15,8 +15,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
-
+from .bowen import DEFAULT_EXACT_CAP
 from .errors import ConfigurationError
 from .systems import FINITE_RANGE, TABLE, Potential, ShiftSystem
 
@@ -90,9 +89,6 @@ class ExperimentConfig:
             weight_base=self.weight_base, eps_min=min(self.eps_schedule),
             enumeration_cap=self.enumeration_cap,
         )
-
-    def system_factory(self) -> Callable[[float], ShiftSystem]:
-        return lambda eps: self.build_system(eps)
 
     def potential(self, name: str) -> Potential:
         if name not in self.potentials:
@@ -225,7 +221,8 @@ def load_config_text(text: str) -> ExperimentConfig:
     caps = parser["caps"] if "caps" in parser else {}
     enumeration_cap = parse_int(caps.get("enumeration", "2000000"),
                                 "[caps] enumeration")
-    exact_cap = parse_int(caps.get("exact_search", "24"), "[caps] exact_search")
+    exact_cap = parse_int(caps.get("exact_search", str(DEFAULT_EXACT_CAP)),
+                          "[caps] exact_search")
 
     potentials = {}
     for name in parser.sections():

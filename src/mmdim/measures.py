@@ -35,6 +35,9 @@ SLOPE_Z95 = 1.96
 BOOTSTRAP_RESAMPLES = 200
 DICTIONARY_SIZE = 16
 SAMPLE_CHUNK = 1 << 15  # uniforms drawn and inverted per step
+KATOK_EXACT_CAP = 14  # candidate balls searched exhaustively by katok_rn
+KATOK_POOL_SIZE = 512  # sampled support of a product measure's Katok count
+PS_POOL_SIZE = 1024  # sampled pool of ps_entropy when none is given
 
 PRODUCT_UNIFORM = "product-uniform"
 BERNOULLI = "bernoulli"
@@ -135,21 +138,25 @@ class MeasureModel:
         uniforms in the same order, inverted through the same CDF by a
         guide table (``_choice_into``), with temporaries bounded per chunk.
         """
-        rng = self.rng(stream)
         if self.is_product:
             out = np.empty((count, self.system.word_length), dtype=np.int64)
-            return _choice_into(rng, self.p, out)
-        idx = _choice_into(rng, self.support_weights,
-                           np.empty(count, dtype=np.int64))
-        return self.support.symbols[idx]
+            return _choice_into(self.rng(stream), self.p, out)
+        return self.support.symbols[self._support_draws(count, stream)]
+
+    def _support_draws(self, count: int, stream: int) -> np.ndarray:
+        """Indices of ``count`` support rows drawn by weight on ``stream``."""
+        return _choice_into(self.rng(stream), self.support_weights,
+                            np.empty(count, dtype=np.int64))
 
     def sample_points(self, count: int, stream: int = 0) -> Points:
         """``sample_matrix`` as a pool: product samples are windows of
-        unknown tail, empirical ones keep exact tails."""
+        unknown tail, empirical ones are support rows with their depths."""
+        if not self.is_product:
+            return self.support[self._support_draws(count, stream)]
         o = self.system.origin_index
         right = self.system.word_length - o  # genuine coordinates of a sample
-        depth = np.full(count, right if self.is_product else math.inf)
-        return Points(self.sample_matrix(count, stream), depth, o)
+        return Points(self.sample_matrix(count, stream),
+                      np.full(count, right), o)
 
     def to_empirical(self, size: int, stream: int = 0) -> "MeasureModel":
         pts = self.sample_points(size, stream)
@@ -545,8 +552,7 @@ class KatokCount:
 
 def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
              candidate_pool: Pool | None = None,
-             exact_cap: int = 14, stream: int = 11,
-             pool_size: int = 512) -> KatokCount:
+             stream: int = 11) -> KatokCount:
     """Minimal number of Bowen balls whose union has mass > 1 - delta.
 
     Product measures are snapshotted to an empirical sample first (flagged
@@ -559,7 +565,7 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
     if measure.kind != EMPIRICAL:
-        measure = measure.to_empirical(pool_size, stream)
+        measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     weights = np.asarray(measure.support_weights)
     sys, support = measure.system, measure.support
     pool = support if candidate_pool is None else sys.as_points(candidate_pool)
@@ -570,7 +576,7 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
         raise PoolInsufficientError(
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
-    if len(member_matrix) <= exact_cap:
+    if len(member_matrix) <= KATOK_EXACT_CAP:
         count = len(min_weight_cover(member_matrix,
                                      np.ones(len(member_matrix)),
                                      mass=weights, target=target))
@@ -580,13 +586,13 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
 
 
 def katok_entropy(measure: MeasureModel, eps: float, delta: float,
-                  n_schedule: Sequence[int], pool_size: int = 512,
+                  n_schedule: Sequence[int],
                   stream: int = 11) -> EntropyEstimate:
     """Slope of log r_n(mu; eps, delta) against n.  One engine pass at the
     deepest order serves every order of the schedule."""
     n_schedule = sorted(set(int(n) for n in n_schedule))
     if measure.kind != EMPIRICAL:
-        measure = measure.to_empirical(pool_size, stream)
+        measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     if n_schedule and n_schedule[0] >= 1:  # else katok_rn raises
         pool_exits(measure.system, measure.support, measure.support, eps,
                    n_schedule[-1])
@@ -637,7 +643,6 @@ def _near_marginals(system: ShiftSystem, pool: np.ndarray,
 
 def ps_entropy(measure: MeasureModel, eps: float,
                eta: float | Sequence[float], n_schedule: Sequence[int],
-               pool_size: int = 1024,
                pool: Pool | None = None,
                stream: int = 13) -> EntropyEstimate:
     """Separated-set growth restricted to near-generic points.
@@ -653,7 +658,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
                   reverse=True)
     n_schedule = sorted(set(int(n) for n in n_schedule))
     sys = measure.system
-    pool_pts = (measure.sample_points(pool_size, stream) if pool is None
+    pool_pts = (measure.sample_points(PS_POOL_SIZE, stream) if pool is None
                 else sys.as_points(pool))
     mat = pool_pts.symbols
     targets = [measure.indicator_integral(a) for a in default_dictionary(sys)]

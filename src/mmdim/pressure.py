@@ -375,10 +375,6 @@ class TimeLevelPartition:
     variant: str
     levels: dict[int, Points]
 
-    @property
-    def S_T(self) -> tuple[int, ...]:
-        return tuple(sorted(self.levels))
-
 
 def time_level_partition(system: ShiftSystem, points: Pool,
                          psi: Potential, T: float, variant: str = LEVEL,

@@ -60,11 +60,6 @@ def rows_as_bits(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _bits(row: np.ndarray) -> int:
-    """A boolean vector as an int whose bit j is entry j."""
-    return rows_as_bits(np.asarray(row)[None])[0]
-
-
 def _indices(bits: int) -> Iterator[int]:
     """The positions of the set bits, lowest first."""
     while bits:

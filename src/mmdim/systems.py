@@ -223,14 +223,12 @@ class PointWindow:
 
     ``symbols[origin + j]`` is coordinate ``j``.  ``exact_tail`` marks
     points whose coordinates beyond the stored word are genuinely zero
-    (enumerated words); sampled windows leave the tail unknown, and shifted
-    copies of them read deterministic pad zeros instead.
+    (enumerated words); sampled windows leave the tail unknown.
     """
 
     symbols: tuple[int, ...]
     origin: int = 0
     exact_tail: bool = True
-    pads: int = 0
 
     def coordinate(self, j: int) -> int:
         idx = self.origin + j
@@ -239,8 +237,8 @@ class PointWindow:
         return 0
 
     def genuine_depth(self) -> float:
-        """Coordinates from the origin onward that are not shift pads."""
-        right = len(self.symbols) - self.origin - self.pads
+        """Coordinates from the origin onward that are known."""
+        right = len(self.symbols) - self.origin
         return math.inf if self.exact_tail else float(right)
 
 
@@ -284,11 +282,9 @@ class Points:
     def __getitem__(self, key) -> "PointWindow | Points":
         if not isinstance(key, (int, np.integer)):
             return Points(self.symbols[key], self.depth[key], self.origin)
-        row, depth = self.symbols[key], float(self.depth[key])
-        exact = depth == math.inf
-        pads = 0 if exact else len(row) - self.origin - int(depth)
-        return PointWindow(symbols=tuple(row.tolist()), origin=self.origin,
-                           exact_tail=exact, pads=pads)
+        return PointWindow(symbols=tuple(self.symbols[key].tolist()),
+                           origin=self.origin,
+                           exact_tail=math.isinf(self.depth[key]))
 
     def __iter__(self) -> Iterator["PointWindow"]:
         return (self[i] for i in range(len(self)))
@@ -296,26 +292,6 @@ class Points:
 
 # what a function that takes a pool accepts: one of ``as_points``' forms
 Pool = Points | Iterable[PointWindow]
-
-
-def apply_map(system: ShiftSystem, x: PointWindow) -> PointWindow:
-    """One step of the shift: drop coordinate 0, pad symbol 0 on the right.
-
-    Two-sided windows keep their origin index; the contents slide left.
-    """
-    shifted = x.symbols[1:] + (0,)
-    pads = 0 if x.exact_tail else min(x.pads + 1, len(shifted))
-    return PointWindow(symbols=shifted, origin=x.origin,
-                       exact_tail=x.exact_tail, pads=pads)
-
-
-def metric(system: ShiftSystem, x: PointWindow, y: PointWindow) -> float:
-    """Truncated weighted sum of symbol distances over the retained window.
-
-    This is the Bowen distance of order 1.
-    """
-    from .bowen import bowen_distance
-    return bowen_distance(system, x, y, 1)
 
 
 # -- potentials -------------------------------------------------------------
@@ -379,22 +355,6 @@ class Potential:
         return Potential(kind=self.kind, value=self.value, table=self.table,
                          range_len=self.range_len, scale=self.scale,
                          offset=self.offset + a)
-
-    # -- pointwise evaluation -------------------------------------------
-
-    def base_at(self, x: PointWindow, coord: int = 0) -> float:
-        if self.kind == CONSTANT:
-            return self.value
-        if self.kind == TABLE:
-            return self.table[x.coordinate(coord)]
-        idx = 0
-        k = round(len(self.table) ** (1.0 / self.range_len))
-        for j in range(self.range_len):
-            idx = idx * k + x.coordinate(coord + j)
-        return self.table[idx]
-
-    def at(self, x: PointWindow) -> float:
-        return self.scale * self.base_at(x) + self.offset
 
     # -- bounds ----------------------------------------------------------
 
@@ -464,7 +424,7 @@ class Potential:
 def check_genuine(phi: Potential, points: Points,
                   orders: Iterable[int]) -> None:
     """Raise WindowExhaustedError where a Birkhoff sum reads past the genuine
-    coordinates of a point (sampled windows and their shifts).
+    coordinates of a point (sampled windows).
 
     The orders are taken in turn, each over every point, and the first
     failing (order, point) pair is named.  Constants never exhaust a window.

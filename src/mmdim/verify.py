@@ -62,9 +62,9 @@ class AssertionResult:
     detail: str = ""
 
 
-def _full_shift(k=2, window=14, eps_min=0.05, metric=""):
+def _full_shift(k=2, window=14, eps_min=0.05):
     return ShiftSystem(kind="full-shift", alphabet_size=k, window=window,
-                       eps_min=eps_min, symbol_metric=metric)
+                       eps_min=eps_min)
 
 
 def _grid_shift(k=2, window=14, eps_min=0.05):

@@ -10,7 +10,6 @@ from mmdim.bowen import (
     SetFamily,
     ball_masks,
     bowen_distance,
-    count_separated_spanning,
     exit_orders,
     five_r_disjointify,
     greedy_separated,
@@ -18,7 +17,7 @@ from mmdim.bowen import (
     min_spanning,
 )
 from mmdim.errors import ExactCapError
-from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem, metric
+from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem
 
 
 def full_shift(k=2, window=12, eps_min=0.1, **kw):
@@ -33,11 +32,6 @@ def is_within(sys, x, y, n, eps, closed=False):
 
 
 class TestBowenDistance:
-    def test_order_one_is_metric(self):
-        sys = full_shift()
-        x, y = sys.point([0, 1, 1]), sys.point([1, 1, 0])
-        assert bowen_distance(sys, x, y, 1) == pytest.approx(metric(sys, x, y))
-
     def test_shifted_difference_dominates(self):
         sys = full_shift()
         x, y = sys.point([0, 0]), sys.point([0, 1])
@@ -243,22 +237,3 @@ class TestFiveR:
                     assert any(is_within(sys, b.center, u, n, 5 * b.radius,
                                          closed=True) for b in out.balls)
 
-
-class TestCounts:
-    def test_small_instance_has_exact(self):
-        sys = full_shift()
-        counts = count_separated_spanning(sys, sys.enumerate_points(2), 2, 0.6)
-        assert counts.s_exact == 4
-        assert counts.r_exact is not None
-
-    def test_above_cap_flags_greedy_only(self):
-        sys = full_shift(window=14, eps_min=0.05)
-        pts = sys.enumerate_points(4)
-        counts = count_separated_spanning(sys, pts, 2, 0.6, exact_cap=8)
-        assert counts.s_exact is None and counts.r_exact is None
-        assert counts.s_lower > 0 and counts.r_upper > 0
-
-    def test_empty(self):
-        sys = full_shift()
-        counts = count_separated_spanning(sys, [], 2, 0.6)
-        assert (counts.s_lower, counts.r_upper) == (0, 0)

@@ -20,6 +20,7 @@ import mmdim
 from mmdim.cli import main
 from mmdim.config import load_config_text, parse_number
 from mmdim.errors import ConfigurationError
+from mmdim.systems import birkhoff_sum
 
 BASE_CONFIG = """\
 [system]
@@ -88,7 +89,9 @@ class TestConfig:
         cfg = load_config_text(BASE_CONFIG)
         assert cfg.seed == 1234
         assert cfg.eps_schedule == (0.6, 0.3, 0.15)
-        assert cfg.potential("psi").at(cfg.build_system().point([0])) == 1.0
+        system = cfg.build_system()
+        assert birkhoff_sum(system, cfg.potential("psi"), system.point([0]),
+                            1) == 1.0
 
     def test_missing_seed_names_key(self):
         bad = BASE_CONFIG.replace("[run]\nseed = 1234\n", "")
@@ -229,6 +232,26 @@ def test_unusable_eps_exits_1(tmp_path, capsys, eps):
     assert err.startswith("error: schedule 'eps' entries must be positive")
     assert "Traceback" not in err
     assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv,argument", [
+    (["entropy", "--quantity", "foo"], "--quantity"),
+    (["solve-root", "--phi", "phi", "--psi", "psi", "--tol", "abc"],
+     "--tol"),
+    (["verify", "--seed", "x"], "--seed"),
+], ids=["choice", "float", "int"])
+def test_bad_argument_exits_1(capsys, argv, argument):
+    # argparse once exited 2, the code of a failed verify assertion
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    argv = argv[:1] + ["--config", str(config / "shift.cfg")] + argv[1:]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: argument {argument}")
+    assert "Traceback" not in err
+    with pytest.raises(SystemExit) as help_exit:
+        main(argv[:1] + ["--help"])
+    assert help_exit.value.code == 0
 
 
 FRESH_INTERPRETER = """

@@ -25,7 +25,7 @@ from mmdim.measures import (
     ps_entropy,
     wilson_interval,
 )
-from mmdim.solvers import _bits, greedy_weighted_cover
+from mmdim.solvers import greedy_weighted_cover, rows_as_bits
 from mmdim.systems import ABSOLUTE, DISCRETE, Potential, ShiftSystem
 
 
@@ -698,7 +698,7 @@ def test_greedy_cover_heap_matches_reference():
             weights = rng.choice([0.5, 1.0, 2.0], size=rows)  # ties
         else:
             weights = np.exp(rng.normal(size=rows))
-        bits = [_bits(row) for row in M]
+        bits = [rows_as_bits(row[None])[0] for row in M]
         assert greedy_weighted_cover(bits, weights, cols) == \
             _reference_greedy_cover(M, weights)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mmdim.bowen import max_separated
 from mmdim.errors import ConfigurationError, WindowExhaustedError
 from mmdim.measures import MeasureModel
+from mmdim.pressure import pressure_sum
 from mmdim.systems import (
     CONSTANT,
     ONE_SIDED,
@@ -24,11 +25,10 @@ from mmdim.systems import (
     PointWindow,
     Potential,
     ShiftSystem,
-    apply_map,
     check_genuine,
 )
 
-POOL_KINDS = ("enumerated", "product", "empirical", "shifted")
+POOL_KINDS = ("enumerated", "product", "empirical")
 
 
 def reference_windows(system: ShiftSystem, kind: str, data) -> tuple:
@@ -52,11 +52,7 @@ def reference_windows(system: ShiftSystem, kind: str, data) -> tuple:
     windows = [PointWindow(symbols=tuple(int(a) for a in row), origin=o,
                            exact_tail=not mu.is_product)
                for row in mu.sample_matrix(count, stream)]
-    if kind != "shifted":
-        return mu.sample_points(count, stream), windows
-    for _ in range(data.draw(st.integers(1, L + 2), label="shifts")):
-        windows = [apply_map(system, x) for x in windows]
-    return system.as_points(windows), windows
+    return mu.sample_points(count, stream), windows
 
 
 systems = st.builds(
@@ -158,3 +154,17 @@ def test_as_points_rejects_a_mixed_list():
         two_sided.as_points([two_sided.point([1]), PointWindow(
             symbols=(0,) * two_sided.word_length, origin=0)])
 
+
+
+def test_empirical_draws_keep_their_support_depth():
+    # draws from a snapshot of sampled windows were once marked exact, so
+    # a sum past the window read zeros there where the snapshot raised
+    system = ShiftSystem(window=8, eps_min=1.0)
+    snapshot = MeasureModel.product_uniform(system, seed=3).to_empirical(16)
+    draws = snapshot.sample_points(32, stream=4)
+    assert np.array_equal(draws.symbols, snapshot.sample_matrix(32, stream=4))
+    assert set(snapshot.support.depth) == set(draws.depth) == {8.0}
+    phi = Potential.from_table([0.2, 0.7])
+    for pool in (snapshot.support, draws):
+        with pytest.raises(WindowExhaustedError):
+            pressure_sum(system, pool, phi, 12, 0.5)

@@ -28,13 +28,13 @@ from mmdim.caratheodory import (
 )
 from mmdim.errors import ConfigurationError
 from mmdim.solvers import (
-    _bits,
     _packing_simplex,
     fractional_cover,
     greedy_disjoint,
     greedy_weighted_cover,
     max_weight_independent,
     min_weight_cover,
+    rows_as_bits,
 )
 from mmdim.systems import ABSOLUTE, DISCRETE, Potential, ShiftSystem
 
@@ -419,8 +419,8 @@ def test_mass_target_counts_a_union_an_ulp_above_the_target():
 
 
 def bitset_cover(sets, weights):
-    return greedy_weighted_cover([_bits(row) for row in sets], weights,
-                                 sets.shape[1])
+    bits = [rows_as_bits(row[None])[0] for row in sets]
+    return greedy_weighted_cover(bits, weights, sets.shape[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,7 +458,7 @@ def test_bitset_weighted_cover_matches_on_fixed_order_families(k, metric,
         for rows in (idx, fixed):
             sets = cands.open_members[rows]
             assert [cands.open_bits[i] for i in rows] == \
-                [_bits(row) for row in sets]
+                [rows_as_bits(row[None])[0] for row in sets]
             for weights in (np.exp(-N * rng.random() - cands.sup_open[rows]),
                             np.ones(len(rows))):
                 assert greedy_weighted_cover(

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mmdim.bowen import bowen_distance
 from mmdim.errors import (
     ConfigurationError,
     EnumerationCapError,
@@ -15,11 +16,9 @@ from mmdim.systems import (
     TWO_SIDED,
     Potential,
     ShiftSystem,
-    apply_map,
     birkhoff_sum,
     birkhoff_sums,
     combine,
-    metric,
 )
 
 
@@ -55,34 +54,36 @@ class TestMetric:
     def test_identity(self):
         sys = full_shift()
         x = sys.point([0, 1, 0, 1])
-        assert metric(sys, x, x) == 0.0
+        assert bowen_distance(sys, x, x, 1) == 0.0
 
     def test_coordinate_zero_weight_one(self):
         sys = full_shift()
         x = sys.point([0, 0, 0])
         y = sys.point([1, 0, 0])
-        assert metric(sys, x, y) == pytest.approx(1.0)
+        assert bowen_distance(sys, x, y, 1) == pytest.approx(1.0)
 
     def test_single_difference_at_coordinate_one(self):
         sys = full_shift()
         x = sys.point([0, 1, 0])
         y = sys.point([0, 0, 0])
         # direct summation: only coordinate 1 differs, weight 2^-1
-        assert metric(sys, x, y) == pytest.approx(0.5)
+        assert bowen_distance(sys, x, y, 1) == pytest.approx(0.5)
 
     def test_symmetry_and_positivity_exhaustive(self):
         sys = full_shift(window=10, eps_min=0.2)
         pts = sys.enumerate_points(3)
         for x, y in itertools.combinations(pts, 2):
-            d = metric(sys, x, y)
+            d = bowen_distance(sys, x, y, 1)
             assert d > 0
-            assert d == pytest.approx(metric(sys, y, x))
+            assert d == pytest.approx(bowen_distance(sys, y, x, 1))
 
     def test_triangle_inequality_bruteforce(self):
         sys = full_shift(window=10, eps_min=0.2)
         pts = sys.enumerate_points(4)[:12]
         for x, y, z in itertools.permutations(pts, 3):
-            assert metric(sys, x, z) <= metric(sys, x, y) + metric(sys, y, z) + 1e-12
+            assert bowen_distance(sys, x, z, 1) <= (
+                bowen_distance(sys, x, y, 1) + bowen_distance(sys, y, z, 1)
+                + 1e-12)
 
     def test_depends_only_on_window_differences(self):
         sys = grid_shift(k=3, window=10, eps_min=0.2)
@@ -90,35 +91,14 @@ class TestMetric:
         y = sys.point([1, 1, 2, 0, 0])
         x2 = sys.point([0, 1, 2, 2, 1])
         y2 = sys.point([1, 1, 2, 2, 1])
-        assert metric(sys, x, y) == pytest.approx(metric(sys, x2, y2))
+        assert bowen_distance(sys, x, y, 1) == pytest.approx(
+            bowen_distance(sys, x2, y2, 1))
 
     def test_mismatched_systems_rejected(self):
         a = full_shift(window=10, eps_min=0.2)
         b = full_shift(window=12, eps_min=0.2)
         with pytest.raises(ConfigurationError):
-            metric(a, a.point([0]), b.point([0]))
-
-
-class TestShift:
-    def test_shift_pads_zero(self):
-        sys = full_shift()
-        x = sys.point([0, 1, 1, 0])
-        sx = apply_map(sys, x)
-        assert sx.symbols[:4] == (1, 1, 0, 0)
-
-    def test_constant_word(self):
-        sys = full_shift()
-        x = sys.point([1] * sys.word_length)
-        sx = apply_map(sys, x)
-        assert sx.symbols == (1,) * (sys.word_length - 1) + (0,)
-
-    def test_two_sided_origin_preserved(self):
-        sys = ShiftSystem(kind="full-shift", sidedness="two-sided", window=9,
-                          eps_min=0.2)
-        x = sys.point([0, 1] * 9 + [0])
-        sx = apply_map(sys, x)
-        assert sx.origin == x.origin
-        assert sx.symbols[:-1] == x.symbols[1:]
+            bowen_distance(a, a.point([0]), b.point([0]), 1)
 
 
 class TestBirkhoff:
@@ -146,9 +126,7 @@ class TestBirkhoff:
         x = sys.point([1, 0, 1, 1, 0, 1, 0, 0])
         for n, m in [(2, 3), (1, 4), (3, 3)]:
             lhs = birkhoff_sum(sys, phi, x, n + m)
-            sx = x
-            for _ in range(n):
-                sx = apply_map(sys, sx)
+            sx = sys.point(x.symbols[n:])  # sigma^n x
             rhs = birkhoff_sum(sys, phi, x, n) + birkhoff_sum(sys, phi, sx, m)
             assert lhs == pytest.approx(rhs)
 
@@ -200,7 +178,7 @@ class TestPotential:
         psi = Potential.constant(1.0)
         mix = combine(phi, psi, -0.5, sys)
         x = sys.point([1, 0])
-        assert mix.at(x) == pytest.approx(0.7 - 0.5)
+        assert birkhoff_sum(sys, mix, x, 1) == pytest.approx(0.7 - 0.5)
 
     def test_finite_range_table(self):
         sys = full_shift()
@@ -214,9 +192,14 @@ def loop_birkhoff_sum(phi: Potential, x, n: int) -> float:
     """S_n phi(x) as one Python loop over the coordinates, j = 0..n-1."""
     if phi.kind == "constant":
         return n * (phi.scale * phi.value + phi.offset)
+    r = phi.effective_range()
+    k = round(len(phi.table) ** (1.0 / r))
     total = 0.0
     for j in range(n):
-        total += phi.base_at(x, coord=j)
+        idx = 0
+        for t in range(r):
+            idx = idx * k + x.coordinate(j + t)
+        total += phi.table[idx]
     return phi.scale * total + n * phi.offset
 
 
