@@ -1,15 +1,20 @@
 """Command-line experiment runner.
 
 Commands: estimate-mdim, induced-mdim, solve-root, subset-dim, entropy,
-verify.  Records go to --out as JSON lines (sorted keys, one per cell);
-the summary table is printed as CSV on stdout.  Exit codes: 0 success,
-1 configuration error, 2 failed verification assertion.
+verify.  Each returns rows ``(quantity, keys, value, exact[, ci])`` and a
+summary; ``main`` makes every record from them, adding the command, the
+config hash and the run's one timestamp.  Records go to --out as JSON
+lines (sorted keys, one per cell); without it they go to stdout, except
+verify's, which then go nowhere.  The summary table is CSV on stdout, or
+on stderr when the records take stdout.  Exit codes: 0 success, 1
+configuration error, 2 failed verification assertion.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import NoReturn, Sequence
 
 from .caratheodory import (
@@ -30,7 +35,7 @@ from .pressure import (
     pressure_estimate,
     solve_bowen_root,
 )
-from .records import ResultRecord, stamp, summary_csv, write_jsonl
+from .records import ResultRecord, summary_csv, write_jsonl
 from .systems import Potential, combine
 from .verify import run_suite
 
@@ -43,69 +48,46 @@ STRUCTURE_NAMES = {
 }
 
 
-def _phi(cfg: ExperimentConfig, args) -> Potential:
-    name = getattr(args, "phi", None) or "phi"
-    return cfg.potential(name)
-
-
 def cmd_estimate_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
-    phi = _phi(cfg, args)
+    phi = cfg.potential(args.phi)
     if len(cfg.eps_schedule) < 2:
         raise ConfigurationError("estimate-mdim needs at least 2 eps values")
     estimates = [pressure_estimate(cfg.build_system(eps), phi, eps,
                                    cfg.n_schedule, exact_cap=cfg.exact_cap)
                  for eps in cfg.eps_schedule]
-    records = []
-    h = cfg.config_hash()
+    rows = []
     for est in estimates:
-        for rec in est.records:
-            records.append(ResultRecord(
-                command="estimate-mdim", config_hash=h, quantity="log-sum",
-                keys={"eps": rec.eps, "n": rec.n,
-                      "witness": rec.witness_kind},
-                value=rec.log_sum,
-                exact=rec.witness_kind in ("analytic-oracle",
-                                           "separated-exact")))
-        records.append(ResultRecord(
-            command="estimate-mdim", config_hash=h, quantity="pressure",
-            keys={"eps": est.eps}, value=est.slope,
-            exact=est.witness_kind == "analytic-oracle"))
+        rows += [("log-sum", {"eps": rec.eps, "n": rec.n,
+                              "witness": rec.witness_kind}, rec.log_sum,
+                  rec.witness_kind in ("analytic-oracle", "separated-exact"))
+                 for rec in est.records]
+        rows.append(("pressure", {"eps": est.eps}, est.slope,
+                     est.witness_kind == "analytic-oracle"))
     # the schedule is fitted as given: 2 eps values are enough here
     fit = log_eps_fit(cfg.eps_schedule, [est.slope for est in estimates])
-    records.append(ResultRecord(
-        command="estimate-mdim", config_hash=h, quantity="mdim-slope",
-        keys={}, value=fit.slope, exact=False))
+    rows.append(("mdim-slope", {}, fit.slope, False))
     summary = [{"quantity": "mdim-slope", "value": f"{fit.slope:.6f}",
                 "intercept": f"{fit.intercept:.6f}",
                 "residual": f"{fit.residual:.6f}"}]
-    return records, summary
+    return rows, summary
 
 
 def cmd_induced_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
-    phi = _phi(cfg, args)
-    psi = cfg.potential(getattr(args, "psi", None) or "psi")
+    phi, psi = cfg.potential(args.phi), cfg.potential(args.psi)
     if not cfg.T_schedule:
         raise ConfigurationError("schedule 'T' must be nonempty for "
                                  "induced-mdim")
     system = cfg.build_system()
     est = induced_mdim_estimate(system, phi, psi, cfg.eps_schedule,
                                 cfg.T_schedule, exact_cap=cfg.exact_cap)
-    h = cfg.config_hash()
-    records = []
-    for (eps, T), val in sorted(est.details["values"].items()):
-        records.append(ResultRecord(
-            command="induced-mdim", config_hash=h, quantity="induced-log-sum",
-            keys={"eps": eps, "T": T}, value=val.log_sum, exact=False))
-    for eps, rate in est.per_eps_pressure.items():
-        records.append(ResultRecord(
-            command="induced-mdim", config_hash=h, quantity="induced-rate",
-            keys={"eps": eps}, value=rate, exact=False))
-    records.append(ResultRecord(
-        command="induced-mdim", config_hash=h, quantity="induced-mdim-slope",
-        keys={}, value=est.slope, exact=False))
+    rows = [("induced-log-sum", {"eps": eps, "T": T}, val.log_sum, False)
+            for (eps, T), val in sorted(est.details["values"].items())]
+    rows += [("induced-rate", {"eps": eps}, rate, False)
+             for eps, rate in est.per_eps_pressure.items()]
+    rows.append(("induced-mdim-slope", {}, est.slope, False))
     summary = [{"quantity": "induced-mdim-slope", "value": f"{est.slope:.6f}",
                 "residual": f"{est.residual:.6f}"}]
-    return records, summary
+    return rows, summary
 
 
 def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
@@ -121,18 +103,12 @@ def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
         return est.slope
 
     res = solve_bowen_root(mdim_fn, psi, tol=args.tol)
-    h = cfg.config_hash()
-    records = [ResultRecord(
-        command="solve-root", config_hash=h, quantity="evaluation",
-        keys={"beta": b}, value=v, exact=False)
-        for b, v in res.evaluations]
-    records.append(ResultRecord(
-        command="solve-root", config_hash=h, quantity="root",
-        keys={"phi": args.phi, "psi": args.psi}, value=res.beta, exact=False))
+    rows = [("evaluation", {"beta": b}, v, False) for b, v in res.evaluations]
+    rows.append(("root", {"phi": args.phi, "psi": args.psi}, res.beta, False))
     summary = [{"quantity": "root", "value": f"{res.beta:.6f}",
                 "residual": f"{res.value:.3g}",
                 "iterations": str(res.iterations)}]
-    return records, summary
+    return rows, summary
 
 
 def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
@@ -144,26 +120,19 @@ def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     system = cfg.build_system()
     points = system.enumerate_points(depth)
     if structure in (BS_R, PACKING_BS, WEIGHTED_W):
-        phi = _phi(cfg, args)
+        phi = cfg.potential(args.phi)
     else:
-        phi = cfg.potentials.get(getattr(args, "phi", None) or "phi",
-                                 Potential.constant(0.0))
+        phi = cfg.potentials.get(args.phi, Potential.constant(0.0))
     est = subset_mdim(system, points, phi, structure,
                       cfg.eps_schedule, N=min(cfg.n_schedule), n_max=n_max,
                       exact_cap=cfg.exact_cap)
-    h = cfg.config_hash()
-    records = []
-    for eps, lam in est.per_eps_pressure.items():
-        records.append(ResultRecord(
-            command="subset-dim", config_hash=h, quantity="critical-lambda",
-            keys={"eps": eps, "structure": args.structure}, value=lam,
-            exact=False))
-    records.append(ResultRecord(
-        command="subset-dim", config_hash=h, quantity="subset-dim-slope",
-        keys={"structure": args.structure}, value=est.slope, exact=False))
+    rows = [("critical-lambda", {"eps": eps, "structure": args.structure},
+             lam, False) for eps, lam in est.per_eps_pressure.items()]
+    rows.append(("subset-dim-slope", {"structure": args.structure},
+                 est.slope, False))
     summary = [{"quantity": "subset-dim-slope", "structure": args.structure,
                 "value": f"{est.slope:.6f}"}]
-    return records, summary
+    return rows, summary
 
 
 def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
@@ -176,12 +145,11 @@ def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
         raise ConfigurationError(
             f"[entropy] x_samples must lie in 1..{cfg.enumeration_cap} "
             f"(the enumeration cap), got {x_samples}")
-    h = cfg.config_hash()
-    records, summary = [], []
+    rows, summary = [], []
     for eps in cfg.eps_schedule:
         if args.quantity in ("bk", "bs"):  # BK is BS at the unit potential
             phi = (Potential.constant(1.0) if args.quantity == "bk"
-                   else _phi(cfg, args))
+                   else cfg.potential(args.phi))
             pairs = [(f"{args.quantity}-{bound}",
                       bs_entropy(measure, phi, eps, cfg.n_schedule, x_samples,
                                  bound)) for bound in ("lower", "upper")]
@@ -192,27 +160,20 @@ def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
             est = ps_entropy(measure, eps, cfg.eta_schedule, cfg.n_schedule)
             pairs = [("ps", est)]
         for name, est in pairs:
-            records.append(ResultRecord(
-                command="entropy", config_hash=h, quantity=name,
-                keys={"eps": eps}, value=est.extrapolated,
-                exact=False, ci=est.ci))
+            rows.append((name, {"eps": eps}, est.extrapolated, False, est.ci))
             summary.append({"quantity": name, "eps": f"{eps:g}",
                             "value": f"{est.extrapolated:.6f}"})
-    return records, summary
+    return rows, summary
 
 
 def cmd_verify(cfg: ExperimentConfig | None, args) -> tuple[list, list, bool]:
     results = run_suite(args.suite)
-    h = cfg.config_hash() if cfg else "builtin"
-    records = [ResultRecord(
-        command="verify", config_hash=h, quantity=r.name,
-        keys={"suite": r.suite}, value=r.slack, exact=True)
-        for r in results]
+    rows = [(r.name, {"suite": r.suite}, r.slack, True) for r in results]
     summary = [{"suite": r.suite, "assertion": r.name,
                 "status": "pass" if r.passed else "FAIL",
                 "slack": f"{r.slack:.3g}"} for r in results]
     all_passed = all(r.passed for r in results)
-    return records, summary, all_passed
+    return rows, summary, all_passed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-mdim", help="whole-space mean dimension")
     common(p)
-    p.add_argument("--phi", default=None)
+    p.add_argument("--phi", default="phi")
 
     p = sub.add_parser("induced-mdim", help="induced mean dimension")
     common(p)
-    p.add_argument("--phi", default=None)
-    p.add_argument("--psi", default=None)
+    p.add_argument("--phi", default="phi")
+    p.add_argument("--psi", default="psi")
 
     p = sub.add_parser("solve-root", help="Bowen-equation root")
     common(p)
@@ -257,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--structure", required=True,
                    choices=sorted(STRUCTURE_NAMES))
-    p.add_argument("--phi", default=None)
+    p.add_argument("--phi", default="phi")
 
     p = sub.add_parser("entropy", help="measure entropy estimates")
     common(p)
     p.add_argument("--quantity", required=True,
                    choices=["bk", "bs", "katok", "ps"])
-    p.add_argument("--phi", default=None)
+    p.add_argument("--phi", default="phi")
 
     p = sub.add_parser("verify", help="run invariant suites")
     common(p, config_required=False)
@@ -282,6 +243,15 @@ COMMANDS = {
 }
 
 
+def _records(command: str, cfg: ExperimentConfig | None,
+             rows: list) -> list[ResultRecord]:
+    """The one maker of records: each row of a run with the command, the
+    config hash ("builtin" without a config) and the run's timestamp."""
+    h = cfg.config_hash() if cfg else "builtin"
+    now = time.time()
+    return [ResultRecord(command, h, *row, timestamp=now) for row in rows]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -289,14 +259,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config is not None:
             cfg = load_config(args.config, seed_override=args.seed)
         if args.command == "verify":
-            records, summary, ok = cmd_verify(cfg, args)
-            write_jsonl(stamp(records), args.out)
+            rows, summary, ok = cmd_verify(cfg, args)
+            write_jsonl(_records(args.command, cfg, rows), args.out)
             sys.stdout.write(summary_csv(summary))
             return 0 if ok else 2
-        if cfg is None:
-            raise ConfigurationError("--config is required")
-        records, summary = COMMANDS[args.command](cfg, args)
-        write_jsonl(stamp(records), args.out,
+        rows, summary = COMMANDS[args.command](cfg, args)
+        write_jsonl(_records(args.command, cfg, rows), args.out,
                     stream=None if args.out else sys.stdout)
         # keep piped record streams clean: summary moves to stderr when
         # the records are already on stdout

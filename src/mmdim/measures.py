@@ -520,10 +520,14 @@ def _bs_point_rates(measure: MeasureModel, phi: Potential, eps: float,
         hi_x = max(float((v_high[-1] - v_high[0]) / span), lo_x)
         lower_vals.append(lo_x)
         upper_vals.append(hi_x)
-        denoms = np.diff(S[list(ns)])
-        tail = max(1, (usable - 1) // 2)
-        band_lo.append(float((np.diff(v_low) / denoms)[-tail:].min()))
-        band_hi.append(float((np.diff(v_high) / denoms)[-tail:].max()))
+        steps = np.diff(S[list(ns)])
+        # the band reads the last steps whose increment did not round to 0
+        # (at sums near 1e300); only a zero span leaves none
+        kept = np.flatnonzero(steps)[-max(1, (usable - 1) // 2):]
+        lo_steps = np.diff(v_low)[kept] / steps[kept]
+        hi_steps = np.diff(v_high)[kept] / steps[kept]
+        band_lo.append(float(lo_steps.min(initial=np.inf)))
+        band_hi.append(float(hi_steps.max(initial=-np.inf)))
         for i, n in enumerate(ns):
             mid = 0.5 * (v_low[i] + v_high[i])
             per_scale[n].append(mid / (S[n] - S[0]))

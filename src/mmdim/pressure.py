@@ -34,8 +34,6 @@ from .systems import (
 
 SEPARATED_EXACT = "separated-exact"
 SEPARATED_GREEDY = "separated-greedy"
-SPANNING_EXACT = "spanning-exact"
-SPANNING_GREEDY = "spanning-greedy"
 ANALYTIC_ORACLE = "analytic-oracle"
 ROOT_MAX_ITER = 60  # bisection steps of solve_bowen_root
 
@@ -359,65 +357,43 @@ def mdim_estimate(system: ShiftSystem, phi: Potential,
 
 # -- induced pressure ------------------------------------------------------------
 
-LEVEL = "level"
-TAIL = "tail"
-
 
 @dataclass(frozen=True)
 class TimeLevelPartition:
-    """Assignment of points to Birkhoff time levels at threshold T.
-
-    Level variant: x sits at the unique n with S_n psi <= T < S_{n+1} psi.
-    Tail variant: x belongs to every Y_n = {S_n psi > T} in the order range.
-    """
+    """Assignment of points to Birkhoff time levels at threshold T: x sits
+    at the unique n with S_n psi <= T < S_{n+1} psi."""
 
     T: float
-    variant: str
     levels: dict[int, Points]
 
 
 def time_level_partition(system: ShiftSystem, points: Pool,
-                         psi: Potential, T: float, variant: str = LEVEL,
-                         tail_orders: Sequence[int] | None = None,
-                         ) -> TimeLevelPartition:
+                         psi: Potential, T: float) -> TimeLevelPartition:
     if psi.min <= 0:
         raise ConfigurationError("psi must be strictly positive")
     points = system.as_points(points)
-    if variant == LEVEL:
-        n_cap = int(math.floor(T / psi.min)) + 1
-        S = birkhoff_sums(system, psi, points.symbols, n_cap + 1)
-        # column i: S_{i+1} psi <= T < S_{i+2} psi, so the level is i + 1
-        cross = (S[:, 1:-1] <= T) & (T < S[:, 2:])
-        found, level = cross.any(axis=1), cross.argmax(axis=1) + 1
-        above = S[:, 1] > T  # below the first level; no n >= 1 qualifies
-        # the orders 1, 2, ... are read in turn up to the first crossing
-        reads = np.where(above, 1, np.where(found, level + 1, n_cap + 1))
-        # check_genuine's rule at the last order each point reads
-        r = psi.effective_range()
-        exhausted = (reads - 1 + r > points.depth) & (psi.kind != CONSTANT)
-        bad = np.flatnonzero(exhausted | ~(above | found))
-        if len(bad):  # the first point that fails either check is named
-            i = bad[0]
-            check_genuine(psi, points[i:i + 1], range(1, reads[i] + 1))
-            raise ConfigurationError(
-                f"no level found for point {points[i].symbols[:6]} at T={T}"
-            )
-        keep = ~above
-        return TimeLevelPartition(T=T, variant=LEVEL, levels={
-            n: points[keep & (level == n)]
-            for n in dict.fromkeys(level[keep].tolist())})
-    if variant == TAIL:
-        if tail_orders is None:
-            raise ConfigurationError("tail variant needs an order range")
-        if any(n < 0 for n in tail_orders):
-            raise ConfigurationError("n must be nonnegative")
-        check_genuine(psi, points, tail_orders)
-        S = birkhoff_sums(system, psi, points.symbols,
-                          max(tail_orders, default=0))
-        levels = {n: points[S[:, n] > T] for n in tail_orders}
-        return TimeLevelPartition(T=T, variant=TAIL, levels={
-            n: members for n, members in levels.items() if members})
-    raise ConfigurationError(f"unknown variant {variant!r}")
+    n_cap = int(math.floor(T / psi.min)) + 1
+    S = birkhoff_sums(system, psi, points.symbols, n_cap + 1)
+    # column i: S_{i+1} psi <= T < S_{i+2} psi, so the level is i + 1
+    cross = (S[:, 1:-1] <= T) & (T < S[:, 2:])
+    found, level = cross.any(axis=1), cross.argmax(axis=1) + 1
+    above = S[:, 1] > T  # below the first level; no n >= 1 qualifies
+    # the orders 1, 2, ... are read in turn up to the first crossing
+    reads = np.where(above, 1, np.where(found, level + 1, n_cap + 1))
+    # check_genuine's rule at the last order each point reads
+    r = psi.effective_range()
+    exhausted = (reads - 1 + r > points.depth) & (psi.kind != CONSTANT)
+    bad = np.flatnonzero(exhausted | ~(above | found))
+    if len(bad):  # the first point that fails either check is named
+        i = bad[0]
+        check_genuine(psi, points[i:i + 1], range(1, reads[i] + 1))
+        raise ConfigurationError(
+            f"no level found for point {points[i].symbols[:6]} at T={T}"
+        )
+    keep = ~above
+    return TimeLevelPartition(T=T, levels={
+        n: points[keep & (level == n)]
+        for n in dict.fromkeys(level[keep].tolist())})
 
 
 @dataclass(frozen=True)
@@ -433,20 +409,15 @@ def induced_pressure(system: ShiftSystem, points: Pool,
                      phi: Potential, psi: Potential, T: float, eps: float,
                      witness: str = "separated",
                      exact_cap: int = DEFAULT_EXACT_CAP,
-                     variant: str = LEVEL,
-                     tail_orders: Sequence[int] | None = None,
                      ) -> InducedPressureValue:
     """log of the double sum over levels of per-level witness sums.
 
     Separated witnesses give the P-side (a sup, evaluated on the maximal
     set); spanning witnesses give the Q-side, taking the smaller of the
     min-cover sum and the maximal-separated sum (a maximal separated set
-    spans, so Q <= P holds cell by cell).  The tail variant replaces the
-    level sets by Y_n = {S_n psi > T} over the given order range, the
-    auxiliary sum used by the root-identity machinery.
+    spans, so Q <= P holds cell by cell).
     """
-    part = time_level_partition(system, points, psi, T, variant=variant,
-                                tail_orders=tail_orders)
+    part = time_level_partition(system, points, psi, T)
     if not part.levels:
         return InducedPressureValue(T=T, eps=eps, log_sum=-math.inf,
                                     witness=witness, per_level={})

@@ -1,8 +1,10 @@
 """Result records: JSON lines with sorted keys, plus CSV summaries.
 
-One record per grid cell.  Values are rounded through ``repr`` of the
-float, so identical runs produce byte-identical lines; the timestamp is
-carried separately and excluded from equality comparisons.
+One record per grid cell.  ``cli.main`` alone makes them, from the rows
+each command returns, so every record of a run carries the same timestamp.
+Values are rounded through ``repr`` of the float, so identical runs
+produce byte-identical lines; the timestamp is excluded from equality
+comparisons.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,6 @@ class ResultRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.payload(), sort_keys=True)
-
-
-def stamp(records: Iterable[ResultRecord]) -> list[ResultRecord]:
-    now = time.time()
-    return [ResultRecord(**{**r.__dict__, "timestamp": now}) for r in records]
 
 
 def write_jsonl(records: Sequence[ResultRecord], path: str | None,

@@ -350,6 +350,38 @@ class TestCli:
 
         assert strip(out1) == strip(out2)
 
+    def test_one_run_shares_one_header(self, tmp_path, capsys):
+        # every record of a run carries the command, the config hash
+        # ("builtin" for verify without a config) and one timestamp
+        path = self._write(tmp_path, BASE_CONFIG)
+        runs = [(["estimate-mdim", "--config", path],
+                 load_config_text(BASE_CONFIG).config_hash()),
+                (["verify", "--suite", "counting"], "builtin")]
+        for argv, config in runs:
+            out = tmp_path / "records.jsonl"
+            assert main([*argv, "--out", str(out)]) == 0
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert len(rows) > 1
+            assert {(r["command"], r["config"]) for r in rows} == \
+                {(argv[0], config)}
+            assert len({r["timestamp"] for r in rows}) == 1
+
+    def test_stdout_records_equal_out_file(self, tmp_path, capsys):
+        path = self._write(tmp_path, BASE_CONFIG)
+        out = tmp_path / "records.jsonl"
+
+        def strip(lines):
+            return [{k: v for k, v in json.loads(line).items()
+                     if k != "timestamp"} for line in lines]
+
+        assert main(["estimate-mdim", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert main(["estimate-mdim", "--config", path, "--out",
+                     str(out)]) == 0
+        assert strip(captured.out.splitlines()) == \
+            strip(out.read_text().splitlines())
+        assert captured.err.startswith("intercept,quantity,residual,value")
+
     def test_exact_cap_reaches_the_witness_search(self, tmp_path, capsys):
         # a cap above the default 24 runs the 32-word pools at n = 5 exactly
         cfg = (BASE_CONFIG.replace("exact_search = 24", "exact_search = 40")
@@ -609,6 +641,18 @@ def test_unbracketed_subset_dimension_names_its_bracket(tmp_path, capsys):
     assert "did not cross 1 on [-1, 1.20893e+24] after 80 doublings" in err
     assert "it is constant, or its root lies outside that bracket" in err
     assert "Traceback" not in err
+
+
+def test_bs_entropy_band_skips_steps_lost_to_rounding(tmp_path, capsys):
+    # with phi = 1e300 on symbol 0 the Birkhoff sums reach 1e300 and a
+    # 0.9 step no longer changes them; the step band leaves such steps out
+    # instead of dividing by zero, which this suite would raise as an error
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("values = 0.4 0.9", "values = 1e300 0.9"))
+    assert main(["entropy", "--quantity", "bs", "--config", str(path)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 6 and all(math.isfinite(r["value"]) for r in rows)
 
 
 @pytest.mark.parametrize("value", ["1e300", "1e307", "1e308"])

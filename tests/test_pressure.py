@@ -123,17 +123,10 @@ def test_pressure_sum_matches_scalar_sums_at_long_orders(sidedness, n):
             scalar_pressure_sum(system, points, p, n, 0.3)
 
 
-def scalar_time_levels(system, points, psi, T, tail_orders=None) -> dict:
+def scalar_time_levels(system, points, psi, T) -> dict:
     """Time levels read one scalar Birkhoff sum at a time: S_1, S_2, ... per
-    point up to its level, or each tail order over every point."""
+    point up to its level."""
     levels = {}
-    if tail_orders is not None:
-        for n in tail_orders:
-            members = tuple(z for z in points
-                            if birkhoff_sum(system, psi, z, n) > T)
-            if members:
-                levels[n] = members
-        return levels
     for z in points:
         prev = birkhoff_sum(system, psi, z, 1)
         if prev > T:
@@ -182,7 +175,7 @@ def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
         pressure_sum(system, points, phi, n_ok + 1, 0.3)
     assert str(vector.value) == str(scalar.value)
 
-    # time levels and tails, on exact and sampled windows
+    # time levels, on exact and sampled windows
     psi = Potential.from_range_table(rng.uniform(0.5, 1.0, 9), 2)
     pool = points
     raised = []
@@ -190,14 +183,6 @@ def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
         got = outcome(lambda: tuples(time_level_partition(system, pool, psi,
                                                           T).levels))
         assert got == outcome(lambda: scalar_time_levels(system, pool, psi, T))
-        raised.append(isinstance(got, str))
-    for orders in ([1, 2], [3, 1, 2], [2, n_ok + 1, 1], [n_ok, n_ok + 1],
-                   [n_ok + 2, 1, n_ok + 1]):
-        got = outcome(lambda: tuples(time_level_partition(
-            system, pool, psi, 1.0, variant="tail",
-            tail_orders=orders).levels))
-        assert got == outcome(lambda: scalar_time_levels(
-            system, pool, psi, 1.0, tail_orders=orders))
         raised.append(isinstance(got, str))
     assert any(raised) and not all(raised)
 
@@ -355,14 +340,6 @@ class TestTimeLevels:
                 assert birkhoff_sum(sys, psi, z, n) <= 3.0
                 assert birkhoff_sum(sys, psi, z, n + 1) > 3.0
 
-    def test_tail_variant(self):
-        sys = full_shift()
-        pts = sys.enumerate_points(3)
-        psi = Potential.constant(1.0)
-        part = time_level_partition(sys, pts, psi, 2.5, variant="tail",
-                                    tail_orders=range(1, 6))
-        assert tuple(sorted(part.levels)) == (3, 4, 5)
-
     def test_nonpositive_psi_rejected(self):
         sys = full_shift()
         with pytest.raises(ConfigurationError):
@@ -415,22 +392,6 @@ class TestInducedPressure:
         val = induced_pressure(sys, [], Potential.constant(0.0),
                                Potential.constant(1.0), 2.5, 0.5)
         assert val.log_sum == -math.inf
-
-    def test_tail_variant_sums_over_exceedance_levels(self):
-        # with psi = 1 the tail sets Y_n are everything for n > T and
-        # empty otherwise, so the tail sum stacks the plain sums over
-        # orders above T
-        sys = full_shift()
-        pts = sys.enumerate_points(4)
-        eps = 0.6
-        val = induced_pressure(sys, pts, Potential.constant(0.0),
-                               Potential.constant(1.0), 2.5, eps,
-                               variant="tail", tail_orders=range(1, 5))
-        assert set(val.per_level) == {3, 4}
-        for n in (3, 4):
-            witness, _ = max_separated(sys, pts, n, eps, mode="exact")
-            assert val.per_level[n] == pytest.approx(
-                math.log(len(witness)))
 
 
 class TestInducedMdim:
