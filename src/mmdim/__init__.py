@@ -35,7 +35,6 @@ from .errors import (
     ConfigurationError,
     DegenerateFitError,
     EnumerationCapError,
-    ExactCapError,
     MMDimError,
     PoolInsufficientError,
     WindowExhaustedError,

@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ExactCapError
+from .errors import ConfigurationError
 from .solvers import (greedy_cover, greedy_disjoint, max_weight_independent,
                       min_weight_cover)
 from .systems import DISCRETE, Points, PointWindow, Pool, ShiftSystem
@@ -289,34 +289,28 @@ def _lex_order(Z: np.ndarray) -> np.ndarray:
 
 
 def max_separated(system: ShiftSystem, points: Pool, n: int, eps: float,
-                  mode: str = "greedy", exact_cap: int = DEFAULT_EXACT_CAP,
+                  exact_cap: int = DEFAULT_EXACT_CAP,
                   ) -> tuple[Points, bool]:
     """An (n, eps)-separated subset of the given points.
 
-    Greedy scans points in lexicographic symbol order and keeps every point
-    separated from all kept ones; the result is maximal, hence also an
-    (n, eps)-spanning set.  Exact mode finds a maximum-cardinality set via
-    branch and bound on the separation graph and requires at most
-    ``exact_cap`` points.  Returns (set, is_exact).
+    Up to ``exact_cap`` points, branch and bound on the separation graph
+    finds a maximum-cardinality set.  Above it, a greedy scan in
+    lexicographic symbol order keeps every point separated from all kept
+    ones; the result is maximal, hence also an (n, eps)-spanning set.
+    Returns (set, is_exact): is_exact says the exact search ran.
     """
     pts = system.as_points(points)
     if not pts:
         return pts, True
     system.check_order(n, eps)
     Z = pts.symbols
-    if mode == "exact":
-        if len(pts) > exact_cap:
-            raise ExactCapError(
-                f"{len(pts)} points exceed the exact cap {exact_cap}"
-            )
+    if len(pts) <= exact_cap:
         conflict = ball_masks(system, Z, Z, n, eps)
         np.fill_diagonal(conflict, False)
         # fewest conflicts (most separations) first, ties by index
         order = np.argsort(conflict.sum(axis=1), kind="stable")
         best, _ = max_weight_independent(conflict, np.ones(len(pts)), order)
         return pts[best], True
-    if mode != "greedy":
-        raise ConfigurationError(f"unknown mode {mode!r}")
     order = _lex_order(Z)
     kept = order[_greedy_scan(system, Z[order], n, eps)]
     return pts[kept], False
@@ -410,28 +404,24 @@ def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
 
 
 def min_spanning(system: ShiftSystem, points: Pool, n: int, eps: float,
-                 mode: str = "greedy", exact_cap: int = DEFAULT_EXACT_CAP,
+                 exact_cap: int = DEFAULT_EXACT_CAP,
                  ) -> tuple[Points, bool]:
     """An (n, eps)-spanning set of the points, centers drawn from them.
 
-    Exact mode solves the minimum set cover over the Bowen balls centered
-    at the points; greedy mode is the standard best-coverage heuristic
-    (within a ln factor).  Returns (centers, is_exact).
+    Up to ``exact_cap`` points this solves the minimum set cover over the
+    Bowen balls centered at the points; above it, the standard
+    best-coverage greedy (within a ln factor).  Returns (centers,
+    is_exact): is_exact says the exact search ran.
     """
     pts = system.as_points(points)
     if not pts:
         return pts, True
     system.check_order(n, eps)
     Z = pts.symbols
-    m = len(pts)
     cover_sets = exit_orders(system, Z, Z, eps, n)[0] > n
-    if mode == "exact":
-        if m > exact_cap:
-            raise ExactCapError(f"{m} points exceed the exact cap {exact_cap}")
-        chosen = min_weight_cover(cover_sets, np.ones(m))
+    if len(pts) <= exact_cap:
+        chosen = min_weight_cover(cover_sets, np.ones(len(pts)))
         return pts[sorted(chosen)], True
-    if mode != "greedy":
-        raise ConfigurationError(f"unknown mode {mode!r}")
     chosen = greedy_cover(cover_sets, _lex_order(Z))
     return pts[chosen], False
 

@@ -17,10 +17,6 @@ class EnumerationCapError(MMDimError):
     """Requested enumeration exceeds the configured cap; use sampling instead."""
 
 
-class ExactCapError(MMDimError):
-    """Instance too large for the exact combinatorial solver."""
-
-
 class PoolInsufficientError(MMDimError):
     """Candidate pool cannot reach the requested covered mass."""
 

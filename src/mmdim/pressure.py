@@ -125,15 +125,13 @@ class OracleBracket:
 
 def _symbol_table(system: ShiftSystem, phi: Potential) -> np.ndarray:
     k = system.alphabet_size
-    if phi.kind == CONSTANT:
-        return np.full(k, phi.scale * phi.value + phi.offset)
-    if phi.kind == TABLE:
-        if len(phi.table) != k:
-            raise ConfigurationError("potential table does not match alphabet")
-        return phi.scale * np.asarray(phi.table) + phi.offset
-    raise ConfigurationError(
-        "the pressure oracle needs a constant or coordinate-0 potential"
-    )
+    if phi.kind not in (CONSTANT, TABLE):
+        raise ConfigurationError(
+            "the pressure oracle needs a constant or coordinate-0 potential"
+        )
+    if phi.kind == TABLE and len(phi.table) != k:
+        raise ConfigurationError("potential table does not match alphabet")
+    return phi.symbol_values(k)
 
 
 def _best_separated_symbols(system: ShiftSystem, values: np.ndarray,
@@ -208,11 +206,6 @@ def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
     return OracleBracket(lo=lo, hi=max(hi, lo))
 
 
-def _witness_mode(points: Points, exact_cap: int) -> str:
-    """The witness search: exact up to ``exact_cap`` points, greedy above."""
-    return "exact" if len(points) <= exact_cap else "greedy"
-
-
 def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
                              n_max: int = 3,
                              exact_cap: int = DEFAULT_EXACT_CAP) -> dict:
@@ -231,8 +224,7 @@ def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
     slacks = {}
     for n in range(1, n_max + 1):
         pts = system.enumerate_points(n)
-        mode = _witness_mode(pts, exact_cap)
-        witness, _ = max_separated(system, pts, n, eps, mode, exact_cap)
+        witness, _ = max_separated(system, pts, n, eps, exact_cap)
         value = pressure_sum(system, witness, phi, n, eps)
         upper = n * bracket.hi + r_ext * math.log(max(len(net), 1))
         if value < n * bracket.lo - 1e-9:
@@ -284,20 +276,19 @@ def log_eps_fit(eps_schedule: Sequence[float], values: Sequence[float],
 
 
 def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
-                      n_schedule: Sequence[int], mode: str = "auto",
+                      n_schedule: Sequence[int],
                       exact_cap: int = DEFAULT_EXACT_CAP) -> PressureEstimate:
     """Estimate P(eps): oracle midpoint when exact, else witness slope.
 
-    ``mode`` is "auto", "oracle", or "witness".  The witness path
-    enumerates depth-n words per n, takes the maximal separated set
-    (exact below the cap), and fits log_sum against n.
+    Constant and table potentials take the analytic oracle.  Any other
+    potential takes the witness path: it enumerates depth-n words per n,
+    takes the maximal separated set (exact up to the cap), and fits
+    log_sum against n.
     """
     n_schedule = tuple(sorted(n_schedule))
     if len(set(n_schedule)) != len(n_schedule):
         raise ConfigurationError("n_schedule must be strictly increasing")
-    use_oracle = mode == "oracle" or (
-        mode == "auto" and phi.kind in (CONSTANT, TABLE))
-    if use_oracle:
+    if phi.kind in (CONSTANT, TABLE):
         bracket = analytic_oracle_pressure(system, phi, eps)
         records = tuple(
             PressureRecord(
@@ -314,8 +305,7 @@ def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
     records = []
     for n in n_schedule:
         pts = system.enumerate_points(n)
-        search = _witness_mode(pts, exact_cap)
-        witness, exact = max_separated(system, pts, n, eps, search, exact_cap)
+        witness, exact = max_separated(system, pts, n, eps, exact_cap)
         kind = SEPARATED_EXACT if exact else SEPARATED_GREEDY
         log_sum = pressure_sum(system, witness, phi, n, eps)
         records.append(PressureRecord(n=n, eps=eps, log_sum=log_sum,
@@ -333,7 +323,6 @@ def pressure_estimate(system: ShiftSystem, phi: Potential, eps: float,
 
 def mdim_estimate(system: ShiftSystem, phi: Potential,
                   eps_schedule: Sequence[float], n_schedule: Sequence[int],
-                  mode: str = "auto",
                   system_factory: Callable[[float], ShiftSystem] | None = None,
                   exact_cap: int = DEFAULT_EXACT_CAP) -> DimensionEstimate:
     """Fit per-eps pressure against log(1/eps); the slope estimates the
@@ -349,7 +338,7 @@ def mdim_estimate(system: ShiftSystem, phi: Potential,
     for eps in eps_schedule:
         sys_eps = system_factory(eps) if system_factory is not None else system
         estimates.append(pressure_estimate(sys_eps, phi, eps, n_schedule,
-                                           mode=mode, exact_cap=exact_cap))
+                                           exact_cap=exact_cap))
     return log_eps_fit(eps_schedule, [est.slope for est in estimates],
                        n_schedule=sorted(n_schedule),
                        details={"estimates": tuple(estimates)})
@@ -423,17 +412,17 @@ def induced_pressure(system: ShiftSystem, points: Pool,
                                     witness=witness, per_level={})
     per_level: dict[int, float] = {}
     for n, members in sorted(part.levels.items()):
-        mode = _witness_mode(members, exact_cap)
-        sep, _ = max_separated(system, members, n, eps, mode, exact_cap)
+        sep, exact = max_separated(system, members, n, eps, exact_cap)
         sep_sum = pressure_sum(system, sep, phi, n, eps)
         if witness == "separated":
             per_level[n] = sep_sum
         elif witness == "spanning":
-            span, _ = min_spanning(system, members, n, eps, mode, exact_cap)
+            span, _ = min_spanning(system, members, n, eps, exact_cap)
             span_sum = pressure_sum(system, span, phi, n, eps)
             # greedy separation is maximal; when ``sep`` is it, reuse its sum
-            maximal_sep_sum = sep_sum if mode == "greedy" else pressure_sum(
-                system, max_separated(system, members, n, eps)[0], phi, n, eps)
+            maximal_sep_sum = sep_sum if not exact else pressure_sum(
+                system, max_separated(system, members, n, eps, exact_cap=0)[0],
+                phi, n, eps)
             per_level[n] = min(span_sum, maximal_sep_sum)
         else:
             raise ConfigurationError(f"unknown witness {witness!r}")

@@ -1,4 +1,6 @@
-"""Combinatorial searches: every one in the package lives here.
+"""Combinatorial searches: every one in the package lives here, except
+the two greedy separated-set scans that read Bowen distances directly and
+stay in ``bowen`` (``_greedy_scan`` and ``greedy_separated``).
 
 Separated and spanning sets, Katok counts and Caratheodory-Pesin values
 are weighted set covers (of every point, or of more than a target mass)

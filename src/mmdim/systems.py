@@ -387,6 +387,13 @@ class Potential:
     def effective_range(self) -> int:
         return 1 if self.kind != FINITE_RANGE else self.range_len
 
+    def symbol_values(self, k: int) -> np.ndarray:
+        """Per-symbol values ``scale * table + offset`` of a coordinate-0
+        potential; a constant gives ``k`` copies of its value."""
+        if self.kind == CONSTANT:
+            return np.full(k, self.scale * self.value + self.offset)
+        return self.scale * np.asarray(self.table) + self.offset
+
     # -- modulus of continuity -------------------------------------------
 
     def modulus(self, system: ShiftSystem, rho: float) -> float:
@@ -499,10 +506,5 @@ def combine(phi: Potential, psi: Potential, coeff: float,
     if system is None:
         raise ConfigurationError("combining tables needs the system alphabet")
     k = system.alphabet_size
-
-    def table_of(p: Potential) -> np.ndarray:
-        if p.kind == CONSTANT:
-            return np.full(k, p.scale * p.value + p.offset)
-        return p.scale * np.asarray(p.table) + p.offset
-
-    return Potential.from_table(table_of(phi) + coeff * table_of(psi))
+    return Potential.from_table(phi.symbol_values(k)
+                                + coeff * psi.symbol_values(k))

@@ -87,10 +87,9 @@ def counting_suite() -> list[AssertionResult]:
             pts = sys.enumerate_points(depth)
             for n in (1, 2, 3):
                 for eps in (1.2, 0.9, 0.6, 0.3):
-                    s = len(max_separated(sys, pts, n, eps, mode="exact")[0])
-                    r = len(min_spanning(sys, pts, n, eps, mode="exact")[0])
-                    rh = len(min_spanning(sys, pts, n, eps / 2,
-                                          mode="exact")[0])
+                    s = len(max_separated(sys, pts, n, eps)[0])
+                    r = len(min_spanning(sys, pts, n, eps)[0])
+                    rh = len(min_spanning(sys, pts, n, eps / 2)[0])
                     ok &= r <= s <= rh
                     worst = min(worst, s - r, rh - s)
                     cases += 1
@@ -103,7 +102,7 @@ def counting_suite() -> list[AssertionResult]:
     Z = pts.symbols
     maximal_ok = True
     for n, eps in [(1, 0.6), (2, 0.6), (3, 0.9)]:
-        K = max_separated(sys, pts, n, eps, mode="greedy")[0].symbols
+        K = max_separated(sys, pts, n, eps, exact_cap=0)[0].symbols
         same = (K[:, None, :] == Z[None, :, :]).all(axis=2)
         covered = ball_masks(sys, K, Z, n, eps) | same
         maximal_ok &= bool(covered.any(axis=0).all())
@@ -113,10 +112,10 @@ def counting_suite() -> list[AssertionResult]:
 
     mono_ok = True
     for n in (1, 2):
-        sizes = [len(max_separated(sys, pts, n, e, mode="greedy")[0])
+        sizes = [len(max_separated(sys, pts, n, e, exact_cap=0)[0])
                  for e in (1.2, 0.9, 0.6, 0.3)]
         mono_ok &= sizes == sorted(sizes)
-    sizes_n = [len(max_separated(sys, pts, n, 0.6, mode="greedy")[0])
+    sizes_n = [len(max_separated(sys, pts, n, 0.6, exact_cap=0)[0])
                for n in (1, 2, 3)]
     mono_ok &= sizes_n == sorted(sizes_n)
     out.append(AssertionResult("counting", "separated-count monotonicity",
@@ -207,7 +206,7 @@ def pressure_suite() -> list[AssertionResult]:
         pool = sys.enumerate_points(n_i)
         val = induced_pressure(sys, pool, phi, Potential.constant(1.0),
                                n_i + 0.5, eps_i)
-        witness, _ = max_separated(sys, pool, n_i, eps_i, mode="exact")
+        witness, _ = max_separated(sys, pool, n_i, eps_i)
         plain = pressure_sum(sys, witness, phi, n_i, eps_i)
         unit_ok &= abs(val.log_sum - plain) < 1e-9
     out.append(AssertionResult("pressure", "unit-psi record equality",

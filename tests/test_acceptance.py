@@ -168,7 +168,7 @@ def test_criterion_5_induced_consistency():
     for n in (2, 3, 4):
         for eps in (0.6, 0.3):
             pool = sys.enumerate_points(n)
-            witness, exact = max_separated(sys, pool, n, eps, mode="exact")
+            witness, exact = max_separated(sys, pool, n, eps)
             plain = pressure_sum(sys, witness, phi, n, eps)
             induced = induced_pressure(sys, pool, phi, psi1, n + 0.5, eps)
             assert induced.per_level.keys() == {n}

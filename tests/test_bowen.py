@@ -16,7 +16,6 @@ from mmdim.bowen import (
     max_separated,
     min_spanning,
 )
-from mmdim.errors import ExactCapError
 from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem
 
 
@@ -59,28 +58,28 @@ class TestSeparated:
     def test_single_point(self):
         sys = full_shift()
         pts = [sys.point([0, 1])]
-        got, exact = max_separated(sys, pts, 2, 0.5, mode="exact")
+        got, exact = max_separated(sys, pts, 2, 0.5)
         assert len(got) == 1 and exact
 
     def test_depth2_n2_all_separated(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
         # any two distinct words differ at coordinate 0 or 1, so d_2 >= 1
-        got, _ = max_separated(sys, pts, 2, 0.6, mode="exact")
+        got, _ = max_separated(sys, pts, 2, 0.6)
         assert len(got) == 4
 
     def test_depth2_n1_two_remain(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
         # words differing only at coordinate 1 have d_1 = 0.5 < 0.6
-        got, _ = max_separated(sys, pts, 1, 0.6, mode="exact")
+        got, _ = max_separated(sys, pts, 1, 0.6)
         assert len(got) == 2
 
     def test_greedy_is_maximal_hence_spanning(self):
         sys = full_shift(window=12, eps_min=0.2)
         pts = sys.enumerate_points(4)
         for n, eps in [(1, 0.6), (2, 0.6), (2, 0.3), (3, 0.9)]:
-            kept, _ = max_separated(sys, pts, n, eps, mode="greedy")
+            kept, _ = max_separated(sys, pts, n, eps, exact_cap=0)
             for z in pts:
                 assert any(is_within(sys, c, z, n, eps) or c.symbols == z.symbols
                            for c in kept)
@@ -102,34 +101,42 @@ class TestSeparated:
                          rng.random(len(pts)) < 0.5):
                 kept = greedy_separated(Z, exits, n, free)
                 members = [pts[i] for i in np.flatnonzero(free)]
-                want, _ = max_separated(sys, members, n, eps, mode="greedy")
+                want, _ = max_separated(sys, members, n, eps, exact_cap=0)
                 assert [pts[i].symbols for i in kept] == \
                     [p.symbols for p in want]
 
     def test_exact_cap(self):
-        sys = full_shift(window=12, eps_min=0.2)
-        pts = sys.enumerate_points(4)  # 16 points
-        with pytest.raises(ExactCapError):
-            max_separated(sys, pts, 2, 0.5, mode="exact", exact_cap=8)
+        # both searches run exactly on a pool of exact_cap points and
+        # greedily on one more; on this pool the two give different sets
+        sys = full_shift(k=3, symbol_metric=ABSOLUTE)
+        pts = [sys.point(w) for w in
+               ([0, 1], [0, 2], [1, 0], [2, 0], [2, 1], [2, 2])]
+        cases = [(max_separated, [(0, 2), (1, 0), (2, 2)], [(0, 1), (2, 0)]),
+                 (min_spanning, [(0, 1), (2, 0)], [(0, 1), (1, 0), (2, 0)])]
+        for search, exact_words, greedy_words in cases:
+            got, exact = search(sys, pts, 1, 0.6, exact_cap=len(pts))
+            assert exact and [p.symbols[:2] for p in got] == exact_words
+            got, exact = search(sys, pts, 1, 0.6, exact_cap=len(pts) - 1)
+            assert not exact and [p.symbols[:2] for p in got] == greedy_words
 
     def test_greedy_no_worse_than_checkable(self):
         sys = full_shift(window=12, eps_min=0.2)
         pts = sys.enumerate_points(3)
-        greedy, _ = max_separated(sys, pts, 2, 0.6, mode="greedy")
-        exact, _ = max_separated(sys, pts, 2, 0.6, mode="exact")
+        greedy, _ = max_separated(sys, pts, 2, 0.6, exact_cap=0)
+        exact, _ = max_separated(sys, pts, 2, 0.6)
         assert len(greedy) <= len(exact)
 
 
 class TestSpanning:
     def test_single_point(self):
         sys = full_shift()
-        got, exact = min_spanning(sys, [sys.point([1, 1])], 1, 0.5, mode="exact")
+        got, exact = min_spanning(sys, [sys.point([1, 1])], 1, 0.5)
         assert len(got) == 1 and exact
 
     def test_depth2_large_radius_two_centers(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
-        got, _ = min_spanning(sys, pts, 2, 1.2, mode="exact")
+        got, _ = min_spanning(sys, pts, 2, 1.2)
         assert len(got) == 2
 
     def test_radius_beyond_diameter(self):
@@ -137,16 +144,15 @@ class TestSpanning:
         pts = sys.enumerate_points(2)
         diam = max(bowen_distance(sys, x, y, 1)
                    for x, y in itertools.combinations(pts, 2))
-        got, _ = min_spanning(sys, pts, 1, diam + 1.0, mode="exact")
+        got, _ = min_spanning(sys, pts, 1, diam + 1.0)
         assert len(got) == 1
 
     def test_every_point_covered(self):
         sys = full_shift(window=12, eps_min=0.2)
         pts = sys.enumerate_points(4)
-        for mode in ("greedy",):
-            centers, _ = min_spanning(sys, pts, 2, 0.7, mode=mode)
-            for z in pts:
-                assert any(is_within(sys, c, z, 2, 0.7) for c in centers)
+        centers, _ = min_spanning(sys, pts, 2, 0.7, exact_cap=0)
+        for z in pts:
+            assert any(is_within(sys, c, z, 2, 0.7) for c in centers)
 
 
 class TestComparisons:
@@ -158,10 +164,9 @@ class TestComparisons:
             pts = sys.enumerate_points(depth)
             for n in (1, 2, 3):
                 for eps in (1.2, 0.9, 0.6, 0.3):
-                    s = len(max_separated(sys, pts, n, eps, mode="exact")[0])
-                    r = len(min_spanning(sys, pts, n, eps, mode="exact")[0])
-                    r_half = len(min_spanning(sys, pts, n, eps / 2,
-                                              mode="exact")[0])
+                    s = len(max_separated(sys, pts, n, eps)[0])
+                    r = len(min_spanning(sys, pts, n, eps)[0])
+                    r_half = len(min_spanning(sys, pts, n, eps / 2)[0])
                     assert r <= s <= r_half
                     cases += 1
         assert cases == 36
@@ -170,14 +175,14 @@ class TestComparisons:
         sys = full_shift(window=12, eps_min=0.1)
         pts = sys.enumerate_points(3)
         for n in (1, 2):
-            sizes = [len(max_separated(sys, pts, n, e, mode="exact")[0])
+            sizes = [len(max_separated(sys, pts, n, e)[0])
                      for e in (1.2, 0.9, 0.6, 0.3)]
             assert sizes == sorted(sizes)
 
     def test_separated_monotone_in_order(self):
         sys = full_shift(window=12, eps_min=0.1)
         pts = sys.enumerate_points(4)
-        sizes = [len(max_separated(sys, pts, n, 0.6, mode="greedy")[0])
+        sizes = [len(max_separated(sys, pts, n, 0.6, exact_cap=0)[0])
                  for n in (1, 2, 3)]
         assert sizes == sorted(sizes)
 

@@ -62,7 +62,7 @@ class TestCoverValue:
         pts = sys.enumerate_points(2)
         prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=1)
         got = cover_value(prob, 0.0)
-        centers, _ = min_spanning(sys, pts, 1, 0.6, mode="exact")
+        centers, _ = min_spanning(sys, pts, 1, 0.6)
         assert got.value == pytest.approx(float(len(centers)))
         assert got.value == pytest.approx(2.0)
 
@@ -90,7 +90,7 @@ class TestFixedLength:
         prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=3,
                        structure=COVER_FIXED)
         got = fixed_length_value(prob, 0.0)
-        r = len(min_spanning(sys, pts, 1, 0.6, mode="exact")[0])
+        r = len(min_spanning(sys, pts, 1, 0.6)[0])
         assert got.value == pytest.approx(float(r))
 
     def test_single_point(self):

@@ -235,7 +235,7 @@ def test_greedy_scan_matches_naive_reference():
         system, n, eps = REGIMES[regime]
         pts = seeded_pool(regime, size)
         assert size > 4 * bowen._SCAN_ROWS
-        got, exact = max_separated(system, pts, n, eps, mode="greedy")
+        got, exact = max_separated(system, pts, n, eps, exact_cap=0)
         assert not exact
         kept = indices(pts, got)
         assert kept == reference_scan(system, pts, n, eps)
@@ -283,7 +283,7 @@ def seeded_family(pts, n, size) -> SetFamily:
 def routed_outputs(regime: str, size: int):
     system, n, eps = REGIMES[regime]
     pts = seeded_pool(regime, size)
-    span = indices(pts, min_spanning(system, pts, n, eps, mode="greedy")[0])
+    span = indices(pts, min_spanning(system, pts, n, eps, exact_cap=0)[0])
     family = seeded_family(pts, n, size)
     kept = five_r_disjointify(system, family, pts)
     five = [family.balls.index(b) for b in kept.balls]
@@ -416,7 +416,7 @@ def test_singleton_cylinders_need_no_engine_call(monkeypatch):
     monkeypatch.setattr(bowen, "distance_blocks", counting)
     pts = FULL.enumerate_points(5)
     shuffled = [pts[i] for i in np.random.default_rng(5).permutation(len(pts))]
-    got, exact = max_separated(FULL, shuffled, 5, 0.6, mode="greedy")
+    got, exact = max_separated(FULL, shuffled, 5, 0.6, exact_cap=0)
     assert not exact
     assert len(calls) == 0
     assert list(got) == sorted(shuffled, key=lambda p: p.symbols)
@@ -584,13 +584,13 @@ def test_pruned_spanning_matches_dense(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
     pts = grid_points(system, 200, 20 + k)
     small = pts[:12]
-    runs = [(pts, n, eps, "greedy") for n in (1, 3) for eps in floor_radii(k)]
-    runs += [(small, 2, eps, "exact") for eps in floor_radii(k)]
-    got = [min_spanning(system, p, n, eps, mode=mode)
-           for p, n, eps, mode in runs]
+    runs = [(pts, n, eps, 0) for n in (1, 3) for eps in floor_radii(k)]
+    runs += [(small, 2, eps, len(small)) for eps in floor_radii(k)]
+    got = [min_spanning(system, p, n, eps, exact_cap=cap)
+           for p, n, eps, cap in runs]
     dense(monkeypatch)
-    for (p, n, eps, mode), (chosen, exact) in zip(runs, got):
-        ref, ref_exact = min_spanning(system, p, n, eps, mode=mode)
+    for (p, n, eps, cap), (chosen, exact) in zip(runs, got):
+        ref, ref_exact = min_spanning(system, p, n, eps, exact_cap=cap)
         assert indices(p, chosen) == indices(p, ref) and exact == ref_exact
 
 

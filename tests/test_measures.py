@@ -783,7 +783,7 @@ def _reference_ps_cells(measure, eps, etas, n_schedule, pool):
             if not members:
                 flags.append(f"empty-eta{eta}-n{n}")
                 continue
-            sep, _ = max_separated(sys, members, n, eps, mode="greedy")
+            sep, _ = max_separated(sys, members, n, eps, exact_cap=0)
             per_scale[(n, eta)] = math.log(len(sep))
     return per_scale, tuple(flags)
 

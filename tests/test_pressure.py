@@ -263,14 +263,17 @@ class TestPressureEstimate:
 
     def test_witness_path_matches_oracle_small(self):
         sys = full_shift()
-        est_w = pressure_estimate(sys, Potential.constant(0.0), 0.6,
-                                  [1, 2, 3], mode="witness")
+        # a finite-range zero has no oracle and the constant's Birkhoff sums
+        zero = Potential.from_range_table([0.0] * 2, 1)
+        est_w = pressure_estimate(sys, zero, 0.6, [1, 2, 3])
+        assert est_w.witness_kind == "separated-exact"
         assert est_w.slope == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_single_point_system_zero(self):
         sys = full_shift(k=1)
-        est = pressure_estimate(sys, Potential.constant(0.0), 0.5, [1, 2, 3],
-                                mode="witness")
+        zero = Potential.from_range_table([0.0], 1)
+        est = pressure_estimate(sys, zero, 0.5, [1, 2, 3])
+        assert est.witness_kind == "separated-exact"
         assert est.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_potential_shifts_slope(self):
@@ -355,7 +358,7 @@ class TestInducedPressure:
             pts = sys.enumerate_points(n)
             val = induced_pressure(sys, pts, phi, Potential.constant(1.0),
                                    n + 0.5, eps)
-            witness, _ = max_separated(sys, pts, n, eps, mode="exact")
+            witness, _ = max_separated(sys, pts, n, eps)
             assert val.log_sum == pytest.approx(
                 pressure_sum(sys, witness, phi, n, eps))
 
@@ -377,7 +380,7 @@ class TestInducedPressure:
         eps = 0.6
         val = induced_pressure(sys, pts, Potential.constant(0.0),
                                Potential.constant(2.0), 5.0, eps)
-        witness, _ = max_separated(sys, pts, 2, eps, mode="exact")
+        witness, _ = max_separated(sys, pts, 2, eps)
         assert val.log_sum == pytest.approx(math.log(len(witness)))
 
     def test_nonempty_level_gives_finite_value(self):

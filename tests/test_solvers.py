@@ -271,7 +271,7 @@ def test_unit_weights_match_max_clique_on_separation_graphs(k, metric, n, eps,
     assert_same_clique(conflict)
     sep = ~conflict
     np.fill_diagonal(sep, False)
-    kept, exact = max_separated(system, pts, n, eps, mode="exact")
+    kept, exact = max_separated(system, pts, n, eps)
     assert exact
     assert list(kept) == [pts[i] for i in sorted(reference_max_clique(sep))]
 
