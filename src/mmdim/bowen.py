@@ -47,8 +47,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .solvers import (greedy_cover, greedy_disjoint, max_weight_independent,
-                      min_weight_cover)
+from .solvers import (_BLOCK_BYTES, greedy_cover, greedy_disjoint,
+                      max_weight_independent, min_weight_cover)
 from .systems import DISCRETE, Points, PointWindow, Pool, ShiftSystem
 
 DEFAULT_EXACT_CAP = 24
@@ -87,10 +87,8 @@ class SetFamily:
 
 # -- distance engine -----------------------------------------------------------
 
-# Byte budget of one block of centre rows (per pair, a double per shift
-# and a byte per position), so a block's temporaries stay within about
-# twice this whatever the pool size; a block this small also stays in cache.
-_BLOCK_BYTES = 1 << 20
+# A block of centre rows holds, per pair, a double per shift and a byte per
+# position, within ``_BLOCK_BYTES``.
 # Candidate rows resolved together by the greedy separation scan.
 _SCAN_ROWS = 64
 

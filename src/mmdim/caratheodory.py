@@ -27,15 +27,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bowen import (_BLOCK_BYTES, DEFAULT_EXACT_CAP, _exits_memo,
-                    pool_exits)
+from .bowen import DEFAULT_EXACT_CAP, _exits_memo, pool_exits
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
-from .solvers import (fractional_cover, greedy_disjoint,
+from .solvers import (_BLOCK_BYTES, fractional_cover, greedy_disjoint,
                       greedy_weighted_cover, max_weight_independent,
                       min_weight_cover, rows_as_bits)
 from .systems import (Points, Pool, Potential, ShiftSystem, birkhoff_sums,
@@ -113,8 +112,10 @@ class CriticalValue:
 @dataclass(frozen=True)
 class _Candidates:
     """Candidate c * len(levels) + i is the ball of order levels[i] at
-    centre c of Z.  Members and suprema are built per rule on first use,
-    so a cover-only run never builds the closed family."""
+    centre c of Z.  Bitsets and suprema are read off the exit matrices a
+    block of centres at a time; the dense member matrices are built only
+    on first use (exact searches, packings, the LP), so a greedy cover-only
+    run builds neither."""
 
     centers: tuple[int, ...]          # index into Z
     orders: tuple[int, ...]
@@ -123,41 +124,52 @@ class _Candidates:
     closed_exits: np.ndarray
     sums: np.ndarray                  # base-potential S_n phi, column n
 
-    def _members(self, exits: np.ndarray) -> np.ndarray:
-        """(n_cand, |Z|) bool membership of the candidate balls."""
-        members = exits[:, None, :] > self.levels[:, None]
-        centres = np.arange(len(exits))
-        members[centres, :, centres] = True  # a ball holds its centre
-        return members.reshape(-1, exits.shape[1])
+    def _members(self, exits: np.ndarray, start: int = 0,
+                 stop: int | None = None) -> np.ndarray:
+        """(centres, levels, |Z|) bool membership of the candidate balls
+        at centres start..stop-1."""
+        members = exits[start:stop, None, :] > self.levels[:, None]
+        centres = np.arange(len(members))
+        members[centres, :, start + centres] = True  # a ball holds its centre
+        return members
 
-    def _sups(self, members: np.ndarray) -> np.ndarray:
-        """Base-potential ball suprema of the candidates, a block of centres
-        at a time: a max is exact, so blocks change no bit."""
-        balls = members.reshape(-1, len(self.levels), members.shape[1])
-        step = max(1, _BLOCK_BYTES // (8 * balls[0].size))
-        return np.concatenate([np.where(
-            balls[s:s + step], self.sums.T[self.levels], -np.inf,
-        ).max(axis=2).ravel() for s in range(0, len(balls), step)])
+    def _blocks(self, exits: np.ndarray) -> Iterator[np.ndarray]:
+        """``_members`` a block of centres at a time, each block's bools
+        within an eighth of ``_BLOCK_BYTES``: the block is a pass's one
+        temporary, and a small one keeps the greedy cover's peak low."""
+        step = max(1, _BLOCK_BYTES // (8 * len(self.levels) * exits.shape[1]))
+        return (self._members(exits, s, s + step)
+                for s in range(0, len(exits), step))
+
+    def _sups(self, exits: np.ndarray) -> np.ndarray:
+        """Base-potential ball suprema of the candidates, a max over each
+        ball's members with no float copy: a max is exact, so neither the
+        blocks nor the mask change a bit."""
+        sums = self.sums.T[self.levels]
+        return np.concatenate([np.maximum.reduce(
+            np.broadcast_to(sums, balls.shape), axis=2, where=balls,
+            initial=-np.inf).ravel() for balls in self._blocks(exits)])
 
     @functools.cached_property
     def open_members(self) -> np.ndarray:
-        return self._members(self.open_exits)
+        return self._members(self.open_exits).reshape(len(self.centers), -1)
 
     @functools.cached_property
     def closed_members(self) -> np.ndarray:
-        return self._members(self.closed_exits)
+        return self._members(self.closed_exits).reshape(len(self.centers), -1)
 
     @functools.cached_property
     def sup_open(self) -> np.ndarray:
-        return self._sups(self.open_members)
+        return self._sups(self.open_exits)
 
     @functools.cached_property
     def sup_closed(self) -> np.ndarray:
-        return self._sups(self.closed_members)
+        return self._sups(self.closed_exits)
 
     @functools.cached_property
     def open_bits(self) -> list[int]:  # packed on the first greedy cover
-        return rows_as_bits(self.open_members)
+        return [bits for b in self._blocks(self.open_exits)
+                for bits in rows_as_bits(b.reshape(-1, b.shape[2]))]
 
 
 def _candidates(problem: OuterMeasureProblem) -> _Candidates:
@@ -178,7 +190,8 @@ def _build_candidates(system: ShiftSystem, points: Points,
     if not (_exits_memo and key in _exits_memo[0].families):
         check_genuine(base, points, range(N, n_max + 1))
         opened, closed = pool_exits(system, points, points, eps, n_max)
-        orders = np.arange(N, n_max + 1)
+        # in the exits' dtype, so the member compares cast nothing
+        orders = np.arange(N, n_max + 1, dtype=opened.dtype)
         _exits_memo[0].families[key] = _Candidates(
             centers=tuple(c for c in range(len(points)) for _ in orders),
             orders=tuple(orders.tolist()) * len(points),

@@ -581,10 +581,11 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
     if len(member_matrix) <= KATOK_EXACT_CAP:
-        count = len(min_weight_cover(member_matrix,
-                                     np.ones(len(member_matrix)),
-                                     mass=weights, target=target))
-        return KatokCount(count=count, exact=True, covered_mass=target)
+        chosen = min_weight_cover(member_matrix, np.ones(len(member_matrix)),
+                                  mass=weights, target=target)
+        union = member_matrix[chosen].any(axis=0)
+        return KatokCount(count=len(chosen), exact=True,
+                          covered_mass=float(weights[union].sum()))
     count, mass = greedy_mass_cover(member_matrix, weights, target)
     return KatokCount(count=count, exact=False, covered_mass=mass)
 

@@ -24,7 +24,11 @@ which fix the emitted choices and the order their weights are summed in:
 * ``greedy_weighted_cover``: lowest weight per new point, from a lazy heap
   keyed (score, row) and seeded with the weights themselves.
 * ``greedy_mass_cover``: largest uncovered mass, from a lazy heap keyed
-  (-gain, row).
+  (-gain, row); a popped row is taken when its fresh gain is within 1e-15
+  of the next key.  Every gain, first key or re-check, is numpy's pairwise
+  sum of ``mass`` over all of the row's columns with the covered ones
+  zeroed, with no BLAS call, so it has the same bits whatever the thread
+  count; the covered mass adds the gains in the order taken.
 
 The three greedy covers break ties differently; merging them would move
 emitted counts and bounds.
@@ -54,6 +58,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, PoolInsufficientError
+
+# Byte budget of one block of rows in a blocked pass (the distance engine,
+# the candidate suprema, the mass-cover gains), so a block's temporaries
+# stay within about twice this whatever the pool size; a block this small
+# also stays in cache.
+_BLOCK_BYTES = 1 << 20
 
 
 def rows_as_bits(matrix: np.ndarray) -> list[int]:
@@ -239,21 +249,31 @@ def greedy_weighted_cover(sets: Sequence[int], weights: np.ndarray,
     return chosen
 
 
+def _gains(rows: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The uncovered mass of a row, or of each row of a block: ``active``
+    times the row's 0/1 entries, summed along the row by numpy's pairwise
+    sum.  A row's sum has the same bits alone or in any block."""
+    return (rows * active).sum(axis=-1)
+
+
 def greedy_mass_cover(sets: np.ndarray, mass: np.ndarray,
                       target: float) -> tuple[int, float]:
     """Greedy count of rows whose union has mass above ``target``, and the
-    mass covered; uncovered-mass gains only shrink, so the heap is lazy.
-    The first keys are one BLAS gemv over a float64 copy of ``sets`` (8 MB
-    at 1,024 rows); their last bits can vary with BLAS's thread count."""
+    mass covered; uncovered-mass gains only shrink, so the heap is lazy."""
     active = mass.astype(float)
-    heap = [(-g, i) for i, g in enumerate(sets @ active)]
+    # first keys a block of rows at a time, each block's float temporary
+    # within _BLOCK_BYTES; a re-check of an untouched row repeats its key
+    step = max(1, _BLOCK_BYTES // (8 * sets.shape[1]))
+    gains = np.concatenate([_gains(sets[s:s + step], active)
+                            for s in range(0, len(sets), step)])
+    heap = [(-g, i) for i, g in enumerate(gains.tolist())]
     heapq.heapify(heap)
     count, covered = 0, 0.0
     while covered <= target:
         fresh, i = 0.0, -1
         while heap:
             _, i = heapq.heappop(heap)
-            fresh = float(sets[i] @ active)
+            fresh = float(_gains(sets[i], active))
             if not heap or fresh >= -heap[0][0] - 1e-15:
                 break
             heapq.heappush(heap, (-fresh, i))

@@ -28,6 +28,7 @@ from mmdim.caratheodory import (
 )
 from mmdim.bowen import min_spanning
 from mmdim.errors import BracketError, ConfigurationError
+from mmdim.solvers import rows_as_bits
 from mmdim.systems import (ONE_SIDED, TWO_SIDED, Points, Potential,
                            ShiftSystem, birkhoff_sum, birkhoff_sums)
 
@@ -473,7 +474,11 @@ class TestCriticalLambda:
         bowen.pool_exits.cache_clear()
         critical_lambda(structure_valuation(prob), tol=1e-3)
         built = vars(caratheodory._candidates(prob))
-        assert "open_members" in built and "sup_open" in built
+        # the exact search reads the dense open family, the greedy its bits
+        read, unread = {3: ("open_members", "open_bits"),
+                        6: ("open_bits", "open_members")}[depth]
+        assert read in built and "sup_open" in built
+        assert unread not in built
         assert "closed_members" not in built and "sup_closed" not in built
 
 class TestSubsetMdim:
@@ -571,6 +576,7 @@ def test_blocked_suprema_equal_dense_bit_for_bit(metric, n_max):
         assert sups.tobytes() == dense.tobytes(), closed
         assert np.array_equal(members, (exits[:, None, :] > np.array(
             levels)[:, None]).reshape(-1, len(pts))), closed
+    assert cands.open_bits == rows_as_bits(cands.open_members)
 
 
 def test_families_go_with_their_pass():
@@ -593,3 +599,31 @@ def test_families_go_with_their_pass():
     mu = MeasureModel.empirical(system, system.enumerate_points(4))
     katok_entropy(mu, 0.3, 0.5, range(1, 4))
     assert pass_made() is None and family() is None
+
+
+def test_greedy_cover_never_builds_the_dense_open_family():
+    # generic-points' eps = 0.5 subset: 912 points, orders 1..5.  Its dense
+    # open family is 912 x 5 x 912 bools (4.0 MiB); the first greedy
+    # valuation peaked at 5.2 MiB with it and peaks at 1.3 MiB without
+    import tracemalloc
+
+    from mmdim import bowen, caratheodory
+    from mmdim.measures import MeasureModel, generic_subset
+
+    system = ShiftSystem(kind="grid-shift", alphabet_size=2, window=16,
+                         eps_min=0.25)
+    zg = generic_subset(system, system.enumerate_points(10),
+                        MeasureModel.product_uniform(system, seed=1), 10, 0.2)
+    assert len(zg) == 912
+    prob = problem(system, zg, Potential.constant(0.0), 0.5, n_max=5)
+    bowen.pool_exits.cache_clear()
+    bowen.pool_exits(system, zg, zg, 0.5, 5)  # the pass the family reads
+    tracemalloc.start()
+    try:
+        sv = cover_value(prob, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sv.exact
+    assert "open_members" not in vars(caratheodory._candidates(prob))
+    assert peak < len(zg) * 5 * len(zg)

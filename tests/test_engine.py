@@ -262,12 +262,13 @@ FIVE_R = {
     ("grid", 300): [4, 8, 13, 29, 12],
     ("grid", 1000): [0, 18, 5, 6, 15],
 }
-# katok_rn at delta 0.5: (count, exact, covered mass)
+# katok_rn at delta 0.5: (count, exact, covered mass), each gain a row's own
+# pairwise sum
 KATOK = {
     ("full", 300): (150, False, 0.5000000000000012),
     ("full", 1000): (500, False, 0.5000000000000003),
     ("grid", 300): (2, False, 0.6566666666666667),
-    ("grid", 1000): (2, False, 0.6460000000000001),
+    ("grid", 1000): (2, False, 0.646),
 }
 
 

@@ -493,6 +493,36 @@ class TestKatok:
         kc = katok_rn(mu, 3, 0.9, 0.5)
         assert kc.count == 5
 
+    def test_exact_count_reports_the_mass_its_cover_reaches(self):
+        # the 8 words of depth 3 weigh 1/36..8/36; at order 2 and eps 0.4
+        # each ball holds its centre alone, so three balls are needed, and
+        # the three the search finds weigh 19/36, not the target 1/2
+        sys = full_shift()
+        mu = MeasureModel.empirical(sys, sys.enumerate_points(3),
+                                    (np.arange(1, 9) / 36).tolist())
+        kc = katok_rn(mu, 2, 0.4, 0.5)
+        assert (kc.count, kc.exact) == (3, True)
+        assert kc.covered_mass == pytest.approx(19 / 36) and \
+            kc.covered_mass > 0.5
+
+    def test_greedy_count_allocates_no_float_copy_of_the_balls(self):
+        # one |pool| x |support| float64 array of this 1,024-word pool is
+        # 8 MiB; the peak was 9.0 MiB with one and is 2.1 MiB without
+        import tracemalloc
+        sys = grid_system(0.5)
+        pool = sys.enumerate_points(10)
+        mu = MeasureModel.empirical(sys, pool)
+        bowen.pool_exits.cache_clear()
+        bowen.pool_exits(sys, pool, pool, 0.5, 3)  # as katok_entropy does
+        tracemalloc.start()
+        try:
+            kc = katok_rn(mu, 3, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (kc.count, kc.exact) == (5, False)
+        assert peak < 4 * 2 ** 20
+
     def test_monotonicity(self):
         sys, pool, mu = exact_cylinder_model(depth=8)
         # nonincreasing in eps
