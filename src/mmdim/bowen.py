@@ -29,9 +29,11 @@ ball masses, Katok and PS counts and Caratheodory candidates read its exit
 orders, so they know nothing of slack, comparisons or cylinders.
 
 ``pool_exits`` is the one exit memo: it keeps the last whole-pool pass,
-open and closed, and answers shallower orders and sub-pools of its pools
-by slicing, which is exact because a pair's exit orders depend on the
-pair, the system and eps alone.  Katok at every order, PS and the
+open and closed, and answers shallower orders as they are and sub-pools
+of its pools by slicing, which is exact because a pair's exit orders
+depend on the pair, the system and eps alone.  The closed matrix is the
+open one itself unless some pair's reach equals eps, so a pass without
+such a tie holds one matrix.  Katok at every order, PS and the
 Caratheodory candidates on a pool's generic subset so share one pass per
 (pool, eps), made at the deepest order asked for.  The candidate families
 are kept on the pass they read and go with it.
@@ -109,7 +111,7 @@ def distance_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
     discrete = system.symbol_metric == DISCRETE
     shifts = min(n_max, L)
     step = max(1, _BLOCK_BYTES // ((8 * shifts + L) * max(len(Z), 1)))
-    dtype = np.min_scalar_type(-system.alphabet_size)
+    dtype = system.symbol_dtype
     CT = np.ascontiguousarray(C.T, dtype=dtype)[:, :, None]
     ZT = np.ascontiguousarray(Z.T, dtype=dtype)[:, None, :]
     for start in range(0, len(C), step):
@@ -167,19 +169,28 @@ def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
     n_max + 1.  Distance and slack grow with n, so a row that has left a
     ball stays out and the order-n membership matrix is ``exits > n``.
     One engine pass per shared origin cylinder serves every order of both
-    rules; any other pair exits at order 1.
+    rules; any other pair exits at order 1.  The rules differ only where
+    some reach (distance plus slack) equals eps, so ``closed`` is the open
+    array itself until the first such tie, and a copy tracked on its own
+    from there.
     """
     slack = [system.truncation_slack(n) for n in range(1, n_max + 1)]
     opened = np.ones((len(C), len(Z)), dtype=np.min_scalar_type(n_max + 1))
-    closed = opened.copy()
+    closed = opened
     for ci, zi in cylinder_blocks(system, C, Z, eps, slack):
         cell = np.ix_(ci, zi)
-        o, c = opened[cell], closed[cell]
+        o = opened[cell]
+        c = o if closed is opened else closed[cell]
         for rows, n, d in distance_blocks(system, C[ci], Z[zi], n_max):
             reach = d + slack[n - 1]
+            if c is o and (reach == eps).any():  # the first tie
+                closed, c = opened.copy(), o.copy()
             o[rows] += reach < eps
-            c[rows] += reach <= eps
-        opened[cell], closed[cell] = o, c
+            if c is not o:
+                c[rows] += reach <= eps
+        opened[cell] = o
+        if closed is not opened:
+            closed[cell] = c
     return opened, closed
 
 
@@ -234,8 +245,13 @@ def pool_exits(system: ShiftSystem, C: Points, Z: Points, eps: float,
     built at, and pools whose rows all lie in its own, by slicing: a pair
     gets the same double in any pool, and the cylinder rule depends on the
     system, eps and the slacks only.  Any other request replaces it; the
-    old pass is freed before the new one is made.  The memo's own matrices
-    come back as they are; a slice or a shallower read is a fresh array.
+    old pass is freed before the new one is made.
+
+    A read equals a fresh pass at every order <= ``n_max``: entries above
+    ``n_max`` are the memo's own and are not capped, since every reader
+    compares them with an order of its own (``exits > n``).  The memo's
+    matrices come back as they are, a slice is a fresh array, and a
+    closed matrix that is the open one (no tie) is taken once.
     """
     memo = _exits_memo[0] if _exits_memo else None
     cut = None
@@ -251,16 +267,13 @@ def pool_exits(system: ShiftSystem, C: Points, Z: Points, eps: float,
         memo = _Exits(system, eps, C, Z, n_max, opened, closed)
         _exits_memo.append(memo)
         cut = ()
-    out = []
-    for exits in (memo.opened, memo.closed):
-        if cut:  # two takes beat one np.ix_ gather several times over
-            ci, zi = cut
-            exits = exits.take(ci, axis=0).take(zi, axis=1)
-        if n_max < memo.depth:  # against a row: a scalar takes a slow path
-            cap = np.full((1, exits.shape[1]), n_max + 1, dtype=exits.dtype)
-            exits = np.minimum(exits, cap)
-        out.append(exits)
-    return tuple(out)
+    if not cut:
+        return memo.opened, memo.closed
+    ci, zi = cut  # two takes beat one np.ix_ gather several times over
+    opened = memo.opened.take(ci, axis=0).take(zi, axis=1)
+    if memo.closed is memo.opened:
+        return opened, opened
+    return opened, memo.closed.take(ci, axis=0).take(zi, axis=1)
 
 
 _exits_memo: list[_Exits] = []  # the one slot

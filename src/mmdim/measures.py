@@ -34,7 +34,10 @@ WILSON_Z99 = 2.5758293035489004
 SLOPE_Z95 = 1.96
 BOOTSTRAP_RESAMPLES = 200
 DICTIONARY_SIZE = 16
-SAMPLE_CHUNK = 1 << 15  # uniforms drawn and inverted per step
+# Uniforms drawn and inverted per step: each float64 temporary of a chunk
+# is then 64 KiB, under glibc's 128 KiB mmap threshold, so the chunks reuse
+# heap memory in place of mapping and faulting in fresh pages every step.
+SAMPLE_CHUNK = 1 << 13
 KATOK_EXACT_CAP = 14  # candidate balls searched exhaustively by katok_rn
 KATOK_POOL_SIZE = 512  # sampled support of a product measure's Katok count
 PS_POOL_SIZE = 1024  # sampled pool of ps_entropy when none is given
@@ -130,7 +133,8 @@ class MeasureModel:
             np.random.Philox(np.random.SeedSequence((self.seed, stream))))
 
     def sample_matrix(self, count: int, stream: int = 0) -> np.ndarray:
-        """``count`` sampled words as an int64 ``(count, word_length)`` matrix.
+        """``count`` sampled words as a ``(count, word_length)`` matrix in
+        the system's ``symbol_dtype``, the distance engine's own.
 
         Product kinds draw every coordinate from ``p``, the empirical kind
         draws whole support words by weight.  The symbols are those that
@@ -138,10 +142,12 @@ class MeasureModel:
         uniforms in the same order, inverted through the same CDF by a
         guide table (``_choice_into``), with temporaries bounded per chunk.
         """
+        dtype = self.system.symbol_dtype
         if self.is_product:
-            out = np.empty((count, self.system.word_length), dtype=np.int64)
+            out = np.empty((count, self.system.word_length), dtype=dtype)
             return _choice_into(self.rng(stream), self.p, out)
-        return self.support.symbols[self._support_draws(count, stream)]
+        draws = self._support_draws(count, stream)
+        return self.support.symbols[draws].astype(dtype)
 
     def _support_draws(self, count: int, stream: int) -> np.ndarray:
         """Indices of ``count`` support rows drawn by weight on ``stream``."""
@@ -409,7 +415,18 @@ def _bootstrap_ci(values: np.ndarray,
         values[rng.integers(0, len(values), size=len(values))].mean()
         for _ in range(BOOTSTRAP_RESAMPLES)
     ])
-    return float(np.quantile(means, 0.025)), float(np.quantile(means, 0.975))
+    return _quantile(means, 0.025), _quantile(means, 0.975)
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` to the bit, without its ``np.unique``,
+    which imports ``numpy.ma``: the sorted values at (n - 1) q,
+    interpolated by numpy's ``_lerp`` rule."""
+    s = np.sort(values).tolist()
+    pos = (len(s) - 1) * q
+    i = math.floor(pos)
+    a, b, g = s[i], s[min(i + 1, len(s) - 1)], pos - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def _slope_ci(xs: Sequence[float],
@@ -563,7 +580,8 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     by exactness of the underlying measure); greedy picks the ball of
     largest uncovered mass, with an exhaustive search below the cap.  The
     membership is read off ``bowen.pool_exits``, so every order of one
-    (pool, support, eps) and PS on that pool share one engine pass."""
+    (pool, support, eps) and PS on that pool share one engine pass; only
+    the exact search builds the bool membership ``exits > n``."""
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -573,20 +591,23 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     weights = np.asarray(measure.support_weights)
     sys, support = measure.system, measure.support
     pool = support if candidate_pool is None else sys.as_points(candidate_pool)
-    member_matrix = pool_exits(sys, pool, support, eps, n)[0] > n
+    exits = pool_exits(sys, pool, support, eps, n)[0]
     target = 1.0 - delta
-    total_reachable = float(weights[member_matrix.any(axis=0)].sum())
+    # initial=0 keeps an empty pool's support unreachable
+    reachable = exits.max(axis=0, initial=0) > n
+    total_reachable = float(weights[reachable].sum())
     if total_reachable <= target:
         raise PoolInsufficientError(
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
-    if len(member_matrix) <= KATOK_EXACT_CAP:
-        chosen = min_weight_cover(member_matrix, np.ones(len(member_matrix)),
+    if len(exits) <= KATOK_EXACT_CAP:
+        members = exits > n
+        chosen = min_weight_cover(members, np.ones(len(members)),
                                   mass=weights, target=target)
-        union = member_matrix[chosen].any(axis=0)
+        union = members[chosen].any(axis=0)
         return KatokCount(count=len(chosen), exact=True,
                           covered_mass=float(weights[union].sum()))
-    count, mass = greedy_mass_cover(member_matrix, weights, target)
+    count, mass = greedy_mass_cover(exits, n, weights, target)
     return KatokCount(count=count, exact=False, covered_mass=mass)
 
 

@@ -6,7 +6,8 @@ Separated and spanning sets, Katok counts and Caratheodory-Pesin values
 are weighted set covers (of every point, or of more than a target mass)
 or maximum-weight independent sets on a conflict graph.  Callers build
 the boolean matrices, rows being sets and columns points, packed into
-int bitsets (``rows_as_bits``) for ``greedy_weighted_cover``.  Tie rules,
+int bitsets (``rows_as_bits``) for ``greedy_weighted_cover``;
+``greedy_mass_cover`` alone takes exit orders in their place.  Tie rules,
 which fix the emitted choices and the order their weights are summed in:
 
 * ``max_weight_independent``: depth first over the given order, "include"
@@ -28,7 +29,9 @@ which fix the emitted choices and the order their weights are summed in:
   of the next key.  Every gain, first key or re-check, is numpy's pairwise
   sum of ``mass`` over all of the row's columns with the covered ones
   zeroed, with no BLAS call, so it has the same bits whatever the thread
-  count; the covered mass adds the gains in the order taken.
+  count; the covered mass adds the gains in the order taken.  It reads
+  its balls off an exit-order matrix and an order, as
+  ``bowen.greedy_separated`` does, so the caller builds no bool matrix.
 
 The three greedy covers break ties differently; merging them would move
 emitted counts and bounds.
@@ -256,16 +259,20 @@ def _gains(rows: np.ndarray, active: np.ndarray) -> np.ndarray:
     return (rows * active).sum(axis=-1)
 
 
-def greedy_mass_cover(sets: np.ndarray, mass: np.ndarray,
+def greedy_mass_cover(exits: np.ndarray, n: int, mass: np.ndarray,
                       target: float) -> tuple[int, float]:
-    """Greedy count of rows whose union has mass above ``target``, and the
-    mass covered; uncovered-mass gains only shrink, so the heap is lazy."""
+    """Greedy count of balls whose union has mass above ``target``, and the
+    mass covered; uncovered-mass gains only shrink, so the heap is lazy.
+
+    Row i of ``exits`` holds exit orders (``bowen.exit_orders``), so ball
+    i is ``exits[i] > n``: the bool rows are made a block or a row at a
+    time, and no |rows| x |columns| membership is ever held."""
     active = mass.astype(float)
     # first keys a block of rows at a time, each block's float temporary
     # within _BLOCK_BYTES; a re-check of an untouched row repeats its key
-    step = max(1, _BLOCK_BYTES // (8 * sets.shape[1]))
-    gains = np.concatenate([_gains(sets[s:s + step], active)
-                            for s in range(0, len(sets), step)])
+    step = max(1, _BLOCK_BYTES // (8 * exits.shape[1]))
+    gains = np.concatenate([_gains(exits[s:s + step] > n, active)
+                            for s in range(0, len(exits), step)])
     heap = [(-g, i) for i, g in enumerate(gains.tolist())]
     heapq.heapify(heap)
     count, covered = 0, 0.0
@@ -273,13 +280,14 @@ def greedy_mass_cover(sets: np.ndarray, mass: np.ndarray,
         fresh, i = 0.0, -1
         while heap:
             _, i = heapq.heappop(heap)
-            fresh = float(_gains(sets[i], active))
+            ball = exits[i] > n
+            fresh = float(_gains(ball, active))
             if not heap or fresh >= -heap[0][0] - 1e-15:
                 break
             heapq.heappush(heap, (-fresh, i))
         if fresh <= 0:
             raise PoolInsufficientError("greedy mass cover stalled")
-        active[sets[i]] = 0.0
+        active[ball] = 0.0
         covered += fresh
         count += 1
     return count, covered

@@ -100,6 +100,12 @@ class ShiftSystem:
     def origin_index(self) -> int:
         return 0 if self.sidedness == ONE_SIDED else self.window
 
+    @property
+    def symbol_dtype(self) -> np.dtype:
+        """The narrowest integer dtype that holds every symbol and every
+        difference of two: the distance engine's and the samples' dtype."""
+        return np.min_scalar_type(-self.alphabet_size)
+
     def tail_weight(self, beyond: int) -> float:
         """Total weight of the coordinates at offsets > ``beyond``.
 

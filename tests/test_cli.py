@@ -305,6 +305,36 @@ def test_scipy_never_loads(tmp_path):
     assert any(r["quantity"] == "W below R" for r in checks)
 
 
+BOOTSTRAP_INTERPRETER = """
+import sys
+
+from mmdim.measures import MeasureModel, bs_entropy
+from mmdim.systems import Potential, ShiftSystem
+
+system = ShiftSystem(kind="full-shift", alphabet_size=2, window=14,
+                     eps_min=0.05)
+mu = MeasureModel.bernoulli(system, [0.5, 0.5], seed=5)
+est = bs_entropy(mu, Potential.from_table([0.5, 1.5]), 0.5, range(1, 6),
+                 x_samples=8)
+assert est.ci[0] < est.ci[1], est.ci  # the quantiles were taken
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_bootstrap_interval_never_loads_numpy_ma():
+    # np.quantile imports numpy.ma through np.unique: about 17 ms and
+    # 1.2 MB of peak RSS in every process that reports a bootstrap interval
+    src = str(Path(mmdim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(BOOTSTRAP_INTERPRETER)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 class TestCli:
     def _write(self, tmp_path, text, name="exp.cfg"):
         p = tmp_path / name

@@ -494,6 +494,43 @@ def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
             for eps in floor_radii(k)] == [True, True, False]
 
 
+def test_tie_free_pass_shares_one_matrix():
+    # every reach is dyadic here and eps = 0.6 is not, so the open and the
+    # closed rule agree on every pair and the pass holds one matrix
+    system = ShiftSystem(kind="full-shift", alphabet_size=2, window=12,
+                         eps_min=0.1)
+    Z = system.enumerate_points(6).symbols
+    opened, closed = exit_orders(system, Z, Z, 0.6, 6)
+    assert closed is opened
+    for n in range(1, 7):
+        assert np.array_equal(opened > n, ball_masks(system, Z, Z, n, 0.6))
+        assert np.array_equal(closed > n, ball_masks(system, Z, Z, n, 0.6,
+                                                     closed=True))
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_closed_exits_part_from_the_open_at_the_first_tie(k, sidedness):
+    system = grid(k, sidedness)
+    P = system.as_points(grid_points(system, 90, k + 1)).symbols
+    Z = system.as_points(grid_points(system, 240, k)).symbols
+    # eps is the order-3 reach of a pair of distinct rows, below the floor,
+    # in the last origin cylinder that has one: the closed matrix parts
+    # from the open one mid-pass, after other cylinders and orders
+    o, n = system.origin_index, 3
+    slack = system.truncation_slack(n)
+    reach = reference_distances(system, P, Z, n) + slack
+    ok = (reach > slack) & (reach < 1.0 / k)
+    ok &= P[:, o, None] == P[:, o][ok.any(axis=1)].max()
+    eps = float(reach[ok].max())
+    assert prunes(system, P, eps)
+    opened, closed = exit_orders(system, P, Z, eps, 8)
+    assert closed is not opened and (closed != opened).any()
+    for n in range(1, 9):
+        assert np.array_equal(opened > n, ball_masks(system, P, Z, n, eps))
+        assert np.array_equal(closed > n, ball_masks(system, P, Z, n, eps,
+                                                     closed=True))
+
+
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
 def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
@@ -563,7 +600,8 @@ def test_memo_reads_of_sub_pools_equal_a_fresh_pass(sidedness, metric, k,
         assert bowen._exits_memo == [built]  # read, not rebuilt
         fresh = exit_orders(system, C.symbols, Z.symbols, eps, n)
         for read, ref in zip(got, fresh):
-            assert np.array_equal(read, ref)
+            # a read is uncapped: it equals the fresh pass at orders <= n
+            assert np.array_equal(np.minimum(read, n + 1), ref)
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)

@@ -152,7 +152,7 @@ class TestSampleMatrix:
         count = _count(measures.SAMPLE_CHUNK // window, which)
         got = mu.sample_matrix(count, stream)
         want = _choice_reference(mu, count, stream)
-        assert got.dtype == np.int64 and want.dtype == np.int64
+        assert got.dtype == sys.symbol_dtype and want.dtype == np.int64
         assert got.shape == (count, window)
         assert np.array_equal(got, want)
 
@@ -169,7 +169,7 @@ class TestSampleMatrix:
             want = _choice_reference(mu, count, stream=4)
             assert want.dtype == np.int64
             assert np.array_equal(got, want)
-        assert got.dtype == np.int64 and got.shape == (count, 6)
+        assert got.dtype == sys.symbol_dtype and got.shape == (count, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(p=probability_vectors())
@@ -467,6 +467,26 @@ class TestBSEntropy:
             bs_entropy(mu, Potential.constant(0.0), 0.5, range(1, 5))
 
 
+# no signed zeros: numpy's partition and a sort may order 0.0 and -0.0
+# differently, and the quantile then differs in its sign bit alone
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda v: v + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(FINITE, min_size=1, max_size=60),
+       q=st.one_of(st.sampled_from([0.0, 0.025, 0.5, 0.975, 1.0]),
+                   st.floats(0.0, 1.0)))
+@example(values=[0.0, 1.0, 2.0, 3.0], q=0.5)
+@example(values=[1.0, 1e308, -1e308], q=0.975)
+def test_quantile_equals_numpy_bit_for_bit(values, q):
+    values = np.array(values)
+    want = np.quantile(values, q)
+    got = measures._quantile(values, q)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+        (got, want)
+
+
 def exact_cylinder_model(k=2, depth=10, seed=3):
     sys = ShiftSystem(kind="full-shift", alphabet_size=k, window=depth + 4,
                       eps_min=0.05)
@@ -522,6 +542,26 @@ class TestKatok:
             tracemalloc.stop()
         assert (kc.count, kc.exact) == (5, False)
         assert peak < 4 * 2 ** 20
+
+    def test_greedy_count_reads_the_exits_uncopied(self):
+        # below the pass's depth the count reads the memo's own exits, with
+        # no capped copy and no bool membership of the 1,024-word pool
+        # (1 MiB each, 2.15 MiB peak with both); the first gains' float
+        # block (1 MiB) is now the peak, about 1.3 MiB in all
+        import tracemalloc
+        sys = grid_system(0.5)
+        pool = sys.enumerate_points(10)
+        mu = MeasureModel.empirical(sys, pool)
+        bowen.pool_exits.cache_clear()
+        bowen.pool_exits(sys, pool, pool, 0.5, 3)  # as katok_entropy does
+        tracemalloc.start()
+        try:
+            kc = katok_rn(mu, 1, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (kc.count, kc.exact) == (2, False)
+        assert peak < 1.75 * 2 ** 20
 
     def test_monotonicity(self):
         sys, pool, mu = exact_cylinder_model(depth=8)
@@ -917,8 +957,10 @@ class TestPSExitOrders:
             assert np.array_equal(got, ref)
         shallow = bowen.pool_exits(sys, fresh, fresh, 0.4, 2)
         assert len(passes) == 3
-        for got, full in zip(shallow, deep):
-            assert np.array_equal(got, np.minimum(full, 3))
+        for got, ref in zip(shallow, engine(sys, fresh.symbols, fresh.symbols,
+                                            0.4, 2)):
+            # uncapped: it equals a fresh pass at every order <= 2
+            assert np.array_equal(np.minimum(got, 3), ref)
 
 
 class TestGmuEstimate:

@@ -441,7 +441,10 @@ def test_mass_cover_sums_each_row_on_its_own(seed):
     rng = np.random.default_rng(seed)
     sets = rng.random((200, 3000)) < 0.2
     mass = rng.dirichlet(np.ones(3000))
-    assert greedy_mass_cover(sets, mass, 0.9) == \
+    # exit orders whose balls at order 2 are the rows of ``sets``
+    exits = np.where(sets, rng.integers(3, 7, sets.shape),
+                     rng.integers(1, 3, sets.shape)).astype(np.uint8)
+    assert greedy_mass_cover(exits, 2, mass, 0.9) == \
         reference_greedy_mass_cover(sets, mass, 0.9)
 
 
