@@ -10,7 +10,6 @@ assertions.
 from .bowen import (
     BallSpec,
     SetFamily,
-    bowen_distance,
     five_r_disjointify,
     max_separated,
     min_spanning,
@@ -73,10 +72,8 @@ from .pressure import (
 )
 from .systems import (
     Points,
-    PointWindow,
     Potential,
     ShiftSystem,
-    birkhoff_sum,
     combine,
 )
 from .verify import AssertionResult, run_suite

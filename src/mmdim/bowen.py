@@ -51,21 +51,23 @@ import numpy as np
 from .errors import ConfigurationError
 from .solvers import (_BLOCK_BYTES, greedy_cover, greedy_disjoint,
                       max_weight_independent, min_weight_cover)
-from .systems import DISCRETE, Points, PointWindow, Pool, ShiftSystem
+from .systems import DISCRETE, Points, ShiftSystem
 
 DEFAULT_EXACT_CAP = 24
 
 
 @dataclass(frozen=True)
 class BallSpec:
-    """A Bowen ball: center point, order n, radius, open or closed."""
+    """A Bowen ball: one-point center, order n, radius, open or closed."""
 
-    center: PointWindow
+    center: Points
     order: int
     radius: float
     closed: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.center, Points) or len(self.center) != 1:
+            raise ConfigurationError("a ball's center must be one point")
         if self.order < 1:
             raise ConfigurationError("ball order must be >= 1")
         if self.radius <= 0:
@@ -280,17 +282,6 @@ _exits_memo: list[_Exits] = []  # the one slot
 pool_exits.cache_clear = _exits_memo.clear
 
 
-def bowen_distance(system: ShiftSystem, x: PointWindow, y: PointWindow,
-                   n: int) -> float:
-    """max over j < n of the truncated metric between the shifted points."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    C, Z = system.as_points([x]).symbols, system.as_points([y]).symbols
-    for _, order, d in distance_blocks(system, C, Z, n):
-        if order == n:
-            return float(d[0, 0])
-
-
 # -- separated sets ----------------------------------------------------------
 
 
@@ -299,7 +290,7 @@ def _lex_order(Z: np.ndarray) -> np.ndarray:
     return np.lexsort(Z.T[::-1])
 
 
-def max_separated(system: ShiftSystem, points: Pool, n: int, eps: float,
+def max_separated(system: ShiftSystem, points: Points, n: int, eps: float,
                   exact_cap: int = DEFAULT_EXACT_CAP,
                   ) -> tuple[Points, bool]:
     """An (n, eps)-separated subset of the given points.
@@ -414,7 +405,7 @@ def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
 # -- spanning sets -----------------------------------------------------------
 
 
-def min_spanning(system: ShiftSystem, points: Pool, n: int, eps: float,
+def min_spanning(system: ShiftSystem, points: Points, n: int, eps: float,
                  exact_cap: int = DEFAULT_EXACT_CAP,
                  ) -> tuple[Points, bool]:
     """An (n, eps)-spanning set of the points, centers drawn from them.
@@ -441,7 +432,7 @@ def min_spanning(system: ShiftSystem, points: Pool, n: int, eps: float,
 
 
 def five_r_disjointify(system: ShiftSystem, family: SetFamily,
-                       universe: Pool) -> SetFamily:
+                       universe: Points) -> SetFamily:
     """Greedy disjoint subfamily whose 5r inflations cover the family union.
 
     Balls must be closed and share a common order.  Processing by
@@ -458,11 +449,12 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
     if len(orders) > 1:
         raise ConfigurationError("5r selection expects a common order")
     n = balls[0].order
-    centers = system.as_points([b.center for b in balls]).symbols
+    centers = np.concatenate([system.as_points(b.center).symbols
+                              for b in balls])
     members = ball_masks(system, centers, system.as_points(universe).symbols,
                          n, [b.radius for b in balls], closed=True)
-    order = sorted(range(len(balls)),
-                   key=lambda i: (-balls[i].radius, balls[i].center.symbols))
+    order = sorted(range(len(balls)), key=lambda i: (
+        -balls[i].radius, balls[i].center.symbols[0].tolist()))
     kept = greedy_disjoint(members, order)
     kept_balls = tuple(balls[i] for i in kept)
     kept_weights = (None if family.weights is None

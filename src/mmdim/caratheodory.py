@@ -37,7 +37,7 @@ from .pressure import DimensionEstimate, log_eps_fit
 from .solvers import (_BLOCK_BYTES, fractional_cover, greedy_disjoint,
                       greedy_weighted_cover, max_weight_independent,
                       min_weight_cover, rows_as_bits)
-from .systems import (Points, Pool, Potential, ShiftSystem, birkhoff_sums,
+from .systems import (Points, Potential, ShiftSystem, birkhoff_sums,
                       check_genuine)
 
 COVER_M = "cover-M"
@@ -55,8 +55,7 @@ MAX_DOUBLINGS = 80
 
 @dataclass(frozen=True)
 class OuterMeasureProblem:
-    """A structure valuation instance on a finite point set; ``points``
-    may be given as point windows and is kept as ``Points``."""
+    """A structure valuation instance on a finite point set."""
 
     system: ShiftSystem
     points: Points
@@ -68,8 +67,7 @@ class OuterMeasureProblem:
     exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "points", self.system.as_points(self.points))
-        if not self.points:
+        if not self.system.as_points(self.points):
             raise ConfigurationError("Z must be nonempty")
         if self.N > self.n_max:
             raise ConfigurationError("need N <= n_max")
@@ -115,7 +113,8 @@ class _Candidates:
     centre c of Z.  Bitsets and suprema are read off the exit matrices a
     block of centres at a time; the dense member matrices are built only
     on first use (exact searches, packings, the LP), so a greedy cover-only
-    run builds neither."""
+    run builds neither.  When a pass without a tie gives one exit matrix
+    for both rules, the closed members and suprema are the open ones."""
 
     centers: tuple[int, ...]          # index into Z
     orders: tuple[int, ...]
@@ -156,6 +155,8 @@ class _Candidates:
 
     @functools.cached_property
     def closed_members(self) -> np.ndarray:
+        if self.closed_exits is self.open_exits:  # a pass without a tie
+            return self.open_members
         return self._members(self.closed_exits).reshape(len(self.centers), -1)
 
     @functools.cached_property
@@ -164,6 +165,8 @@ class _Candidates:
 
     @functools.cached_property
     def sup_closed(self) -> np.ndarray:
+        if self.closed_exits is self.open_exits:
+            return self.sup_open
         return self._sups(self.closed_exits)
 
     @functools.cached_property
@@ -434,7 +437,7 @@ def structure_valuation(problem: OuterMeasureProblem,
     return lambda lam: fn(problem, lam).value
 
 
-def subset_mdim(system: ShiftSystem, points: Pool,
+def subset_mdim(system: ShiftSystem, points: Points,
                 phi: Potential, structure: str,
                 eps_schedule: Sequence[float], N: int = 1, n_max: int = 3,
                 tol: float = 1e-4,
@@ -452,7 +455,7 @@ def subset_mdim(system: ShiftSystem, points: Pool,
         raise ConfigurationError("need at least 2 eps values")
     if 1.0 in eps_schedule:  # the ratios divide by log(1/eps)
         raise ConfigurationError("subset dimensions need eps != 1")
-    points, lams = system.as_points(points), []
+    lams = []
     for eps in eps_schedule:
         problem = OuterMeasureProblem(
             system=system, points=points, phi=phi, eps=eps, N=N,

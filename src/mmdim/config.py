@@ -110,7 +110,7 @@ class ExperimentConfig:
             return MeasureModel.bernoulli(system, p, seed=self.seed)
         if self.measure_kind == "point-mass":
             return MeasureModel.point_mass(
-                system, system.point([0] * system.word_length),
+                system, system.points([[0] * system.word_length]),
                 seed=self.seed)
         raise ConfigurationError(f"unknown measure kind {self.measure_kind!r}")
 

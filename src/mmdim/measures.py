@@ -27,8 +27,8 @@ from .bowen import exit_orders, greedy_separated, pool_exits
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
-from .systems import (ABSOLUTE, Points, PointWindow, Pool, Potential,
-                      ShiftSystem, birkhoff_sums, check_genuine)
+from .systems import (ABSOLUTE, Points, Potential, ShiftSystem,
+                      birkhoff_sums, check_genuine)
 
 WILSON_Z99 = 2.5758293035489004
 SLOPE_Z95 = 1.96
@@ -108,7 +108,7 @@ class MeasureModel:
                             p=tuple(float(v) for v in p), seed=seed)
 
     @staticmethod
-    def empirical(system: ShiftSystem, points: Pool,
+    def empirical(system: ShiftSystem, points: Points,
                   weights: Sequence[float] | None = None,
                   seed: int = 0) -> "MeasureModel":
         pts = system.as_points(points)
@@ -118,9 +118,9 @@ class MeasureModel:
                             support_weights=tuple(weights), seed=seed)
 
     @staticmethod
-    def point_mass(system: ShiftSystem, point: PointWindow,
+    def point_mass(system: ShiftSystem, point: Points,
                    seed: int = 0) -> "MeasureModel":
-        return MeasureModel.empirical(system, [point], [1.0], seed=seed)
+        return MeasureModel.empirical(system, point, [1.0], seed=seed)
 
     # -- sampling ---------------------------------------------------------
 
@@ -187,14 +187,20 @@ class MeasureModel:
         at_a = self.support.symbols[:, self.support.origin] == a
         return float(sum(np.asarray(self.support_weights)[at_a].tolist()))
 
-    def empirical_ball_mass(self, x: PointWindow, n: int, eps: float) -> float:
+    def empirical_ball_mass(self, x: Points, n: int, eps: float) -> float:
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
-        sys = self.system
-        exits = exit_orders(sys, sys.as_points([x]).symbols,
+        exits = exit_orders(self.system, _centre_row(self.system, x),
                             self.support.symbols, eps, n)[0][0]
         w = np.asarray(self.support_weights)
         return float(w[exits > n].sum())
+
+
+def _centre_row(system: ShiftSystem, x: Points) -> np.ndarray:
+    """A ball centre's one symbol row, as a (1, word length) matrix."""
+    if len(system.as_points(x)) != 1:
+        raise ConfigurationError(f"a centre is one point, not {len(x)}")
+    return x.symbols
 
 
 def _choice_into(rng: np.random.Generator, p: Sequence[float],
@@ -245,7 +251,7 @@ def _check_bracket_model(measure: MeasureModel, eps: float) -> None:
         raise ConfigurationError("mass brackets need eps < 1")
 
 
-def ball_mass_bracket(measure: MeasureModel, x: PointWindow, n: int,
+def ball_mass_bracket(measure: MeasureModel, x: Points, n: int,
                       eps: float) -> tuple[float, float]:
     """The closed-form bracket ((eps/6)^{n+2r}, (4 eps)^n) on mu(B_n(x, eps)).
 
@@ -283,27 +289,29 @@ def _inner_coords(system: ShiftSystem, n: int, r: int) -> range:
     return range(lo, hi + 1)
 
 
-def exact_cylinder_bracket(measure: MeasureModel, x: PointWindow, n: int,
+def exact_cylinder_bracket(measure: MeasureModel, x: Points, n: int,
                            eps: float) -> tuple[float, float]:
     """Exact product-set bracket on mu(B_n(x, eps)), grid-adapted.
 
     Lower: mass of the inner box (per-coordinate distance < eps/6 on the
     reach-extended coordinate range).  Upper: mass of the outer box
     (distance < eps on coordinates 0..n-1).  Both sides are exact product
-    masses, conservative in their respective directions.
+    masses, conservative in their respective directions.  Coordinates past
+    the stored word read 0.
     """
     _check_bracket_model(measure, eps)
     if n == 0:
         return 0.0, 1.0
-    r = bracket_reach(eps)
+    row = _centre_row(measure.system, x)[0].tolist() + [0] * n
+    o, r = x.origin, bracket_reach(eps)
     inner = _masses_within(measure, eps / 6.0)
     lower = 1.0
     for i in _inner_coords(measure.system, n, r):
-        lower *= inner[x.coordinate(i)]
+        lower *= inner[row[o + i]]
     outer = _masses_within(measure, eps)
     upper = 1.0
     for j in range(n):
-        upper *= outer[x.coordinate(j)]
+        upper *= outer[row[o + j]]
     return lower, upper
 
 
@@ -344,7 +352,7 @@ def wilson_interval(hits: int, samples: int) -> tuple[float, float]:
     return lo, hi
 
 
-def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
+def estimate_ball_mass(measure: MeasureModel, x: Points, n: int,
                        eps: float, samples: int = 100_000,
                        stream: int = 1) -> MassEstimate:
     """Empirical frequency of d_n(x, Y) < eps over iid Y ~ mu, Wilson CI.
@@ -371,7 +379,7 @@ def estimate_ball_mass(measure: MeasureModel, x: PointWindow, n: int,
 
 
 @functools.lru_cache(maxsize=64)
-def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
+def _sampled_hits(measure: MeasureModel, x: Points, eps: float,
                   samples: int, n_max: int, stream: int) -> tuple[int, ...]:
     """Sampled hit counts of B_n(x, eps) at every order n = 1..n_max.
 
@@ -381,7 +389,7 @@ def _sampled_hits(measure: MeasureModel, x: PointWindow, eps: float,
     every order.
     """
     sys = measure.system
-    center = sys.as_points([x]).symbols
+    center = _centre_row(sys, x)
     exited = np.zeros(n_max + 2, dtype=np.int64)  # samples per exit order
     block = 20_000
     for bi, done in enumerate(range(0, samples, block)):
@@ -442,7 +450,7 @@ def _slope_ci(xs: Sequence[float],
     return slope, (slope - SLOPE_Z95 * se, slope + SLOPE_Z95 * se)
 
 
-def _mass_curves(measure: MeasureModel, x: PointWindow, n_schedule,
+def _mass_curves(measure: MeasureModel, x: Points, n_schedule,
                  eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(-log upper mass, -log lower mass) per n: rate brackets from below
     and above."""
@@ -524,14 +532,14 @@ def _bs_point_rates(measure: MeasureModel, phi: Potential, eps: float,
     band_lo, band_hi = [], []
     per_scale: dict[int, list[float]] = {n: [] for n in n_schedule}
     sums = birkhoff_sums(measure.system, phi, xs.symbols, n_schedule[-1])
-    for i, (x, S) in enumerate(zip(xs, sums)):
+    for x, S in zip(xs, sums):
         v_low, v_high = _mass_curves(measure, x, n_schedule, eps)
         usable = len(v_low)
         if usable < 2:
             flags.append("schedule-shrunk")
             continue
         ns = n_schedule[:usable]
-        check_genuine(phi, xs[i:i + 1], [ns[-1]])
+        check_genuine(phi, x, [ns[-1]])
         span = S[ns[-1]] - S[ns[0]]
         lo_x = float((v_low[-1] - v_low[0]) / span)
         hi_x = max(float((v_high[-1] - v_high[0]) / span), lo_x)
@@ -572,7 +580,7 @@ class KatokCount:
 
 
 def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
-             candidate_pool: Pool | None = None,
+             candidate_pool: Points | None = None,
              stream: int = 11) -> KatokCount:
     """Minimal number of Bowen balls whose union has mass > 1 - delta.
 
@@ -669,7 +677,7 @@ def _near_marginals(system: ShiftSystem, pool: np.ndarray,
 
 def ps_entropy(measure: MeasureModel, eps: float,
                eta: float | Sequence[float], n_schedule: Sequence[int],
-               pool: Pool | None = None,
+               pool: Points | None = None,
                stream: int = 13) -> EntropyEstimate:
     """Separated-set growth restricted to near-generic points.
 
@@ -721,7 +729,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
 # -- generic points ---------------------------------------------------------------
 
 
-def generic_subset(system: ShiftSystem, points: Pool, measure: MeasureModel,
+def generic_subset(system: ShiftSystem, points: Points, measure: MeasureModel,
                    n: int, tol: float) -> Points:
     """The points whose Birkhoff averages over steps 0..n-1 match the
     integrals within tol."""

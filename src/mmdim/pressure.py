@@ -25,7 +25,6 @@ from .systems import (
     DISCRETE,
     TABLE,
     Points,
-    Pool,
     Potential,
     ShiftSystem,
     birkhoff_sums,
@@ -101,7 +100,7 @@ def _logsumexp(values) -> float:
     return float(out)
 
 
-def pressure_sum(system: ShiftSystem, points: Pool,
+def pressure_sum(system: ShiftSystem, points: Points,
                  phi: Potential, n: int, eps: float) -> float:
     """log of sum over the witness set of (1/eps)^{S_n phi}, in log space."""
     points = system.as_points(points)
@@ -356,7 +355,7 @@ class TimeLevelPartition:
     levels: dict[int, Points]
 
 
-def time_level_partition(system: ShiftSystem, points: Pool,
+def time_level_partition(system: ShiftSystem, points: Points,
                          psi: Potential, T: float) -> TimeLevelPartition:
     if psi.min <= 0:
         raise ConfigurationError("psi must be strictly positive")
@@ -377,7 +376,8 @@ def time_level_partition(system: ShiftSystem, points: Pool,
         i = bad[0]
         check_genuine(psi, points[i:i + 1], range(1, reads[i] + 1))
         raise ConfigurationError(
-            f"no level found for point {points[i].symbols[:6]} at T={T}"
+            f"no level found for point {tuple(points.symbols[i, :6].tolist())}"
+            f" at T={T}"
         )
     keep = ~above
     return TimeLevelPartition(T=T, levels={
@@ -394,7 +394,7 @@ class InducedPressureValue:
     per_level: dict[int, float]
 
 
-def induced_pressure(system: ShiftSystem, points: Pool,
+def induced_pressure(system: ShiftSystem, points: Points,
                      phi: Potential, psi: Potential, T: float, eps: float,
                      witness: str = "separated",
                      exact_cap: int = DEFAULT_EXACT_CAP,

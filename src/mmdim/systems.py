@@ -3,9 +3,9 @@
 A model is a one- or two-sided shift over ``k`` symbols.  Symbols either
 carry the discrete 0/1 distance ("full-shift") or sit on the grid
 ``{0, 1/k, ..., (k-1)/k}`` with the absolute difference ("grid-shift").
-A point is a finite window of symbols (``PointWindow``); a pool of points
-is one read-only symbol matrix with a genuine depth per row (``Points``),
-and ``ShiftSystem.as_points`` is the one way from the first to the second.
+Points are one read-only symbol matrix with a genuine depth per row
+(``Points``); a single point is a one-row ``Points``, and
+``ShiftSystem.as_points`` checks that a pool belongs to the system.
 Coordinates beyond the window are handled by an explicit truncation budget
 so that ball-membership decisions at the configured radii are never
 corrupted by the missing tail.
@@ -14,7 +14,7 @@ Every Birkhoff sum comes from one kernel, ``birkhoff_sums``: one running
 sum per row, in coordinate order, gives every order at once, and
 coordinates past the stored word read 0.  ``check_genuine`` is the one
 place that decides when a sampled window has too few genuine coordinates
-for a sum; the scalar ``birkhoff_sum`` is that check plus a one-row call.
+for a sum.
 """
 
 from __future__ import annotations
@@ -161,16 +161,22 @@ class ShiftSystem:
 
     # -- points -----------------------------------------------------------
 
-    def point(self, word: Sequence[int], exact_tail: bool = True) -> "PointWindow":
-        symbols = tuple(int(a) for a in word)
-        if len(symbols) > self.word_length:
-            raise ConfigurationError(
-                f"word of length {len(symbols)} exceeds window length "
-                f"{self.word_length}"
-            )
-        symbols = symbols + (0,) * (self.word_length - len(symbols))
-        return PointWindow(symbols=symbols, origin=self.origin_index,
-                           exact_tail=exact_tail)
+    def points(self, words: Iterable[Sequence[int]],
+               exact_tail: bool = True) -> "Points":
+        """The words padded with zeros to the window, one row each; a point
+        is ``points([word])``.  With ``exact_tail`` the coordinates past the
+        window are genuine zeros (depth inf), else they are unknown."""
+        rows = [[int(a) for a in word] for word in words]
+        Z = np.zeros((len(rows), self.word_length), dtype=np.int64)
+        for i, row in enumerate(rows):
+            if len(row) > self.word_length:
+                raise ConfigurationError(
+                    f"word of length {len(row)} exceeds window length "
+                    f"{self.word_length}")
+            Z[i, :len(row)] = row
+        right = self.word_length - self.origin_index
+        depth = np.full(len(rows), math.inf if exact_tail else right)
+        return Points(Z, depth, self.origin_index)
 
     def enumerate_points(self, depth: int) -> "Points":
         """All words of length ``depth`` padded with zeros to the window, in
@@ -198,64 +204,31 @@ class ShiftSystem:
             depth, count).T
         return Points(Z, np.full(count, math.inf), self.origin_index)
 
-    def as_points(self, points: "Pool") -> "Points":
-        """A pool as ``Points``: a ``Points`` as is, point windows stacked.
-
-        Points of another word length or origin raise ConfigurationError.
-        """
-        if isinstance(points, Points):
-            layouts = {(points.symbols.shape[1], points.origin)}
-        else:
-            points = list(points)
-            layouts = {(len(p.symbols), p.origin) for p in points}
-        foreign = layouts - {(self.word_length, self.origin_index)}
-        if foreign:
-            length, origin = min(foreign)
+    def as_points(self, points: "Points") -> "Points":
+        """``points`` itself once checked to be a ``Points`` of this system's
+        word length and origin; anything else raises ConfigurationError."""
+        if not isinstance(points, Points):
+            raise ConfigurationError(
+                f"expected Points, got {type(points).__name__}")
+        length, origin = points.symbols.shape[1], points.origin
+        if (length, origin) != (self.word_length, self.origin_index):
             raise ConfigurationError(
                 f"a point of word length {length} and origin {origin} does "
                 f"not belong to this system (word length {self.word_length}, "
                 f"origin {self.origin_index})"
             )
-        if isinstance(points, Points):
-            return points
-        Z = np.array([p.symbols for p in points], dtype=np.int64)
-        return Points(Z.reshape(len(points), self.word_length),
-                      [p.genuine_depth() for p in points], self.origin_index)
-
-
-@dataclass(frozen=True)
-class PointWindow:
-    """A point of the model at finite resolution.
-
-    ``symbols[origin + j]`` is coordinate ``j``.  ``exact_tail`` marks
-    points whose coordinates beyond the stored word are genuinely zero
-    (enumerated words); sampled windows leave the tail unknown.
-    """
-
-    symbols: tuple[int, ...]
-    origin: int = 0
-    exact_tail: bool = True
-
-    def coordinate(self, j: int) -> int:
-        idx = self.origin + j
-        if 0 <= idx < len(self.symbols):
-            return self.symbols[idx]
-        return 0
-
-    def genuine_depth(self) -> float:
-        """Coordinates from the origin onward that are known."""
-        right = len(self.symbols) - self.origin
-        return math.inf if self.exact_tail else float(right)
+        return points
 
 
 class Points:
     """A pool of points of one model: a read-only int64 symbol matrix, one
-    row per point, with each row's genuine depth (``PointWindow.
-    genuine_depth``: inf for exact tails) and the common origin.
+    row per point, with each row's genuine depth (the coordinates from the
+    origin onward that are known: inf for exact tails) and the common
+    origin.  A single point is a one-row pool.
 
     Equal content gives equal pools and equal hashes, so pools key memos.
-    An integer index or iteration gives ``PointWindow``s; a slice, an index
-    array or a boolean mask gives ``Points``.
+    A slice, an index array or a boolean mask gives those rows, and an
+    integer index the one-row pool of its slice, as iteration does.
     """
 
     __slots__ = ("symbols", "depth", "origin", "_hash")
@@ -285,19 +258,13 @@ class Points:
                                self.symbols.tobytes(), self.depth.tobytes()))
         return self._hash
 
-    def __getitem__(self, key) -> "PointWindow | Points":
-        if not isinstance(key, (int, np.integer)):
-            return Points(self.symbols[key], self.depth[key], self.origin)
-        return PointWindow(symbols=tuple(self.symbols[key].tolist()),
-                           origin=self.origin,
-                           exact_tail=math.isinf(self.depth[key]))
+    def __getitem__(self, key) -> "Points":
+        if isinstance(key, (int, np.integer)):
+            key = (key, None)  # the row as a one-row view, negative or not
+        return Points(self.symbols[key], self.depth[key], self.origin)
 
-    def __iter__(self) -> Iterator["PointWindow"]:
+    def __iter__(self) -> Iterator["Points"]:
         return (self[i] for i in range(len(self)))
-
-
-# what a function that takes a pool accepts: one of ``as_points``' forms
-Pool = Points | Iterable[PointWindow]
 
 
 # -- potentials -------------------------------------------------------------
@@ -460,8 +427,8 @@ def birkhoff_sums(system: ShiftSystem, phi: Potential, Z: np.ndarray,
 
     Column n is S_n phi: one running sum of the base values in j order,
     then ``scale * sum + n * offset``; a constant gives ``n * c``.
-    Coordinates past the stored word read 0, as ``PointWindow.coordinate``
-    does; whether they are genuine is ``check_genuine``'s question.
+    Coordinates past the stored word read 0; whether they are genuine is
+    ``check_genuine``'s question.
     """
     if n_max < 0:
         raise ConfigurationError("n must be nonnegative")
@@ -482,14 +449,6 @@ def birkhoff_sums(system: ShiftSystem, phi: Potential, Z: np.ndarray,
     sums *= phi.scale
     sums += n * phi.offset
     return sums
-
-
-def birkhoff_sum(system: ShiftSystem, phi: Potential, x: PointWindow,
-                 n: int) -> float:
-    """Sum of the potential along the first ``n`` steps of the orbit."""
-    P = system.as_points([x])
-    check_genuine(phi, P, [n])
-    return float(birkhoff_sums(system, phi, P.symbols, n)[0, n])
 
 
 def combine(phi: Potential, psi: Potential, coeff: float,

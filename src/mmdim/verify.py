@@ -126,7 +126,7 @@ def counting_suite() -> list[AssertionResult]:
     universe = pts
 
     def members(balls, n, inflate=1.0):
-        centers = sys.as_points([b.center for b in balls]).symbols
+        centers = np.concatenate([b.center.symbols for b in balls])
         radii = [inflate * b.radius for b in balls]
         return ball_masks(sys, centers, Z, n, radii, closed=True)
 

@@ -202,7 +202,7 @@ def test_criterion_6_caratheodory_identities():
         pool = sys.enumerate_points(int(rng.integers(2, 4)))
         size = int(rng.integers(2, min(7, len(pool) + 1)))
         idx = sorted(rng.choice(len(pool), size=size, replace=False))
-        pts = tuple(pool[i] for i in idx)
+        pts = pool[idx]
         phi = Potential.from_table(rng.uniform(0.2, 1.5, size=k))
         eps = float(rng.choice([0.6, 0.3, 0.15]))
         lam = float(rng.uniform(0.0, 3.0))
@@ -219,7 +219,7 @@ def test_criterion_6_caratheodory_identities():
         worst = max(worst, r1, r2)
     # critical-value agreement at unit potential
     sys = full_shift()
-    pts = tuple(sys.enumerate_points(2))
+    pts = sys.enumerate_points(2)
     tol = 1e-7
     c_bs = critical_lambda(structure_valuation(OuterMeasureProblem(
         system=sys, points=pts, phi=Potential.constant(1.0), eps=0.6,

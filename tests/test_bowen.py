@@ -9,14 +9,15 @@ from mmdim.bowen import (
     BallSpec,
     SetFamily,
     ball_masks,
-    bowen_distance,
     exit_orders,
     five_r_disjointify,
     greedy_separated,
     max_separated,
     min_spanning,
 )
+from mmdim.errors import ConfigurationError
 from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem
+from pointwise import bowen_distance
 
 
 def full_shift(k=2, window=12, eps_min=0.1, **kw):
@@ -26,20 +27,19 @@ def full_shift(k=2, window=12, eps_min=0.1, **kw):
 
 def is_within(sys, x, y, n, eps, closed=False):
     """Whether y lies in B_n(x, eps): one pair of ``ball_masks``."""
-    C, Z = sys.as_points([x]).symbols, sys.as_points([y]).symbols
-    return bool(ball_masks(sys, C, Z, n, eps, closed)[0, 0])
+    return bool(ball_masks(sys, x.symbols, y.symbols, n, eps, closed)[0, 0])
 
 
 class TestBowenDistance:
     def test_shifted_difference_dominates(self):
         sys = full_shift()
-        x, y = sys.point([0, 0]), sys.point([0, 1])
+        x, y = sys.points([[0, 0]]), sys.points([[0, 1]])
         # d(x, y) = 0.5, d(sigma x, sigma y) = 1
         assert bowen_distance(sys, x, y, 2) == pytest.approx(1.0)
 
     def test_zero_on_diagonal(self):
         sys = full_shift()
-        x = sys.point([1, 0, 1])
+        x = sys.points([[1, 0, 1]])
         for n in range(1, 5):
             assert bowen_distance(sys, x, x, n) == 0.0
 
@@ -57,7 +57,7 @@ class TestBowenDistance:
 class TestSeparated:
     def test_single_point(self):
         sys = full_shift()
-        pts = [sys.point([0, 1])]
+        pts = sys.points([[0, 1]])
         got, exact = max_separated(sys, pts, 2, 0.5)
         assert len(got) == 1 and exact
 
@@ -81,7 +81,7 @@ class TestSeparated:
         for n, eps in [(1, 0.6), (2, 0.6), (2, 0.3), (3, 0.9)]:
             kept, _ = max_separated(sys, pts, n, eps, exact_cap=0)
             for z in pts:
-                assert any(is_within(sys, c, z, n, eps) or c.symbols == z.symbols
+                assert any(is_within(sys, c, z, n, eps) or c == z
                            for c in kept)
 
     @pytest.mark.parametrize("k,symbol_metric,eps",
@@ -93,31 +93,28 @@ class TestSeparated:
         rng = np.random.default_rng(k)
         rows = rng.integers(0, k, size=(60, sys.word_length))
         rows = np.concatenate([rows, rows[:15]])  # repeated rows
-        pts = [sys.point(r) for r in rows[rng.permutation(len(rows))]]
-        Z = sys.as_points(pts).symbols
+        pts = sys.points(rows[rng.permutation(len(rows))])
+        Z = pts.symbols
         exits = exit_orders(sys, Z, Z, eps, 4)[0]
         for n in range(1, 5):
             for free in (np.ones(len(pts), dtype=bool),
                          rng.random(len(pts)) < 0.5):
                 kept = greedy_separated(Z, exits, n, free)
-                members = [pts[i] for i in np.flatnonzero(free)]
-                want, _ = max_separated(sys, members, n, eps, exact_cap=0)
-                assert [pts[i].symbols for i in kept] == \
-                    [p.symbols for p in want]
+                want, _ = max_separated(sys, pts[free], n, eps, exact_cap=0)
+                assert Z[kept].tolist() == want.symbols.tolist()
 
     def test_exact_cap(self):
         # both searches run exactly on a pool of exact_cap points and
         # greedily on one more; on this pool the two give different sets
         sys = full_shift(k=3, symbol_metric=ABSOLUTE)
-        pts = [sys.point(w) for w in
-               ([0, 1], [0, 2], [1, 0], [2, 0], [2, 1], [2, 2])]
-        cases = [(max_separated, [(0, 2), (1, 0), (2, 2)], [(0, 1), (2, 0)]),
-                 (min_spanning, [(0, 1), (2, 0)], [(0, 1), (1, 0), (2, 0)])]
+        pts = sys.points([[0, 1], [0, 2], [1, 0], [2, 0], [2, 1], [2, 2]])
+        cases = [(max_separated, [[0, 2], [1, 0], [2, 2]], [[0, 1], [2, 0]]),
+                 (min_spanning, [[0, 1], [2, 0]], [[0, 1], [1, 0], [2, 0]])]
         for search, exact_words, greedy_words in cases:
             got, exact = search(sys, pts, 1, 0.6, exact_cap=len(pts))
-            assert exact and [p.symbols[:2] for p in got] == exact_words
+            assert exact and got.symbols[:, :2].tolist() == exact_words
             got, exact = search(sys, pts, 1, 0.6, exact_cap=len(pts) - 1)
-            assert not exact and [p.symbols[:2] for p in got] == greedy_words
+            assert not exact and got.symbols[:, :2].tolist() == greedy_words
 
     def test_greedy_no_worse_than_checkable(self):
         sys = full_shift(window=12, eps_min=0.2)
@@ -130,7 +127,7 @@ class TestSeparated:
 class TestSpanning:
     def test_single_point(self):
         sys = full_shift()
-        got, exact = min_spanning(sys, [sys.point([1, 1])], 1, 0.5)
+        got, exact = min_spanning(sys, sys.points([[1, 1]]), 1, 0.5)
         assert len(got) == 1 and exact
 
     def test_depth2_large_radius_two_centers(self):
@@ -195,13 +192,13 @@ class TestFiveR:
 
     def test_single_ball(self):
         sys = full_shift()
-        fam = self._family(sys, [sys.point([0, 1])], [0.5], 1)
+        fam = self._family(sys, [sys.points([[0, 1]])], [0.5], 1)
         out = five_r_disjointify(sys, fam, sys.enumerate_points(2))
         assert len(out.balls) == 1
 
     def test_duplicate_balls_merge(self):
         sys = full_shift()
-        c = sys.point([0, 1])
+        c = sys.points([[0, 1]])
         fam = self._family(sys, [c, c], [0.5, 0.5], 1)
         universe = sys.enumerate_points(2)
         out = five_r_disjointify(sys, fam, universe)
@@ -214,6 +211,13 @@ class TestFiveR:
             if inside_original:
                 assert is_within(sys, kept.center, u, kept.order,
                                  5 * kept.radius, closed=True)
+
+    def test_a_center_is_one_point(self):
+        sys = full_shift()
+        with pytest.raises(ConfigurationError):
+            BallSpec(center=sys.enumerate_points(1), order=1, radius=0.5)
+        with pytest.raises(ConfigurationError):
+            BallSpec(center=sys.points([]), order=1, radius=0.5)
 
     def test_postconditions_random_families(self):
         sys = full_shift(window=14, eps_min=0.05)
@@ -229,7 +233,7 @@ class TestFiveR:
             # pairwise disjoint over the universe
             member_sets = []
             for b in out.balls:
-                members = {u.symbols for u in universe
+                members = {u.symbols.tobytes() for u in universe
                            if is_within(sys, b.center, u, n, b.radius,
                                         closed=True)}
                 member_sets.append(members)

@@ -30,7 +30,8 @@ from mmdim.bowen import min_spanning
 from mmdim.errors import BracketError, ConfigurationError
 from mmdim.solvers import rows_as_bits
 from mmdim.systems import (ONE_SIDED, TWO_SIDED, Points, Potential,
-                           ShiftSystem, birkhoff_sum, birkhoff_sums)
+                           ShiftSystem, birkhoff_sums)
+from pointwise import birkhoff_sum
 
 
 def full_shift(k=2, window=14, eps_min=0.05, **kw):
@@ -39,7 +40,7 @@ def full_shift(k=2, window=14, eps_min=0.05, **kw):
 
 
 def problem(sys, pts, phi, eps, N=1, n_max=3, structure=COVER_M, **kw):
-    return OuterMeasureProblem(system=sys, points=tuple(pts), phi=phi,
+    return OuterMeasureProblem(system=sys, points=pts, phi=phi,
                                eps=eps, N=N, n_max=n_max,
                                structure=structure, **kw)
 
@@ -47,12 +48,12 @@ def problem(sys, pts, phi, eps, N=1, n_max=3, structure=COVER_M, **kw):
 class TestCoverValue:
     def test_single_point_lambda_zero(self):
         sys = full_shift()
-        prob = problem(sys, [sys.point([0, 1])], Potential.constant(0.0), 0.5)
+        prob = problem(sys, sys.points([[0, 1]]), Potential.constant(0.0), 0.5)
         assert cover_value(prob, 0.0).value == pytest.approx(1.0)
 
     def test_single_point_positive_lambda_deepest_ball(self):
         sys = full_shift()
-        prob = problem(sys, [sys.point([0, 1])], Potential.constant(0.0), 0.5,
+        prob = problem(sys, sys.points([[0, 1]]), Potential.constant(0.0), 0.5,
                        N=1, n_max=4)
         lam = 0.7
         assert cover_value(prob, lam).value == pytest.approx(
@@ -75,7 +76,7 @@ class TestCoverValue:
         for _ in range(6):
             size = int(rng.integers(2, len(pts)))
             sub_idx = sorted(rng.choice(len(pts), size=size, replace=False))
-            sub = [pts[i] for i in sub_idx]
+            sub = pts[sub_idx]
             for lam in (0.0, 0.5, 1.5):
                 v_sub = cover_value(
                     problem(sys, sub, phi, 0.5, n_max=2), lam).value
@@ -96,7 +97,7 @@ class TestFixedLength:
 
     def test_single_point(self):
         sys = full_shift()
-        prob = problem(sys, [sys.point([1, 0])], Potential.constant(0.0), 0.5,
+        prob = problem(sys, sys.points([[1, 0]]), Potential.constant(0.0), 0.5,
                        N=3, n_max=3, structure=COVER_FIXED)
         lam = 0.9
         assert fixed_length_value(prob, lam).value == pytest.approx(
@@ -115,7 +116,6 @@ class TestFixedLength:
                        structure=COVER_FIXED)
         got = fixed_length_value(prob, 0.0)
         from mmdim.bowen import ball_masks
-        from mmdim.systems import birkhoff_sum
         L = math.log(1 / eps)
         best = math.inf
         for r in range(1, len(pts) + 1):
@@ -132,7 +132,7 @@ class TestFixedLength:
 class TestPacking:
     def test_single_point(self):
         sys = full_shift()
-        prob = problem(sys, [sys.point([0, 0])], Potential.constant(0.0), 0.5,
+        prob = problem(sys, sys.points([[0, 0]]), Potential.constant(0.0), 0.5,
                        structure=PACKING_P)
         assert packing_value(prob, 0.0).value == pytest.approx(1.0)
 
@@ -199,7 +199,7 @@ class TestBSAndIdentities:
 
     def test_single_point_bs(self):
         sys = full_shift()
-        prob = problem(sys, [sys.point([1, 1])], Potential.constant(1.0), 0.5,
+        prob = problem(sys, sys.points([[1, 1]]), Potential.constant(1.0), 0.5,
                        structure=BS_R)
         assert bs_value(prob, 0.0).value == pytest.approx(1.0)
 
@@ -217,7 +217,7 @@ class TestBSAndIdentities:
             pool = sys.enumerate_points(depth)
             size = int(rng.integers(2, min(7, len(pool) + 1)))
             idx = sorted(rng.choice(len(pool), size=size, replace=False))
-            pts = [pool[i] for i in idx]
+            pts = pool[idx]
             phi = Potential.from_table(rng.uniform(0.2, 1.5, size=k))
             eps = float(rng.choice([0.6, 0.3, 0.15]))
             lam = float(rng.uniform(0.0, 3.0))
@@ -283,29 +283,28 @@ class TestBSAndIdentities:
 
     def test_packing_bs_single_point(self):
         sys = full_shift()
-        z = sys.point([1, 0])
+        z = sys.points([[1, 0]])
         phi = Potential.from_table([0.5, 1.0])
-        prob = problem(sys, [z], phi, 0.4, N=2, n_max=2, structure=PACKING_BS)
+        prob = problem(sys, z, phi, 0.4, N=2, n_max=2, structure=PACKING_BS)
         lam = 0.8
         got = packing_bs_value(prob, lam)
         # sup over the closed ball around the single point is S_2 phi(z)
-        from mmdim.systems import birkhoff_sum
         expected = math.exp(-lam * birkhoff_sum(sys, phi, z, 2))
         assert got.value == pytest.approx(expected)
 
     def test_bs_requires_positive_phi(self):
         sys = full_shift()
         with pytest.raises(ConfigurationError):
-            problem(sys, [sys.point([0])], Potential.constant(0.0), 0.5,
+            problem(sys, sys.points([[0]]), Potential.constant(0.0), 0.5,
                     structure=BS_R)
 
 
 class TestWeighted:
     def test_single_point_cheapest_ball(self):
         sys = full_shift()
-        z = sys.point([1, 1])
+        z = sys.points([[1, 1]])
         phi = Potential.constant(1.0)
-        prob = problem(sys, [z], phi, 0.5, N=1, n_max=3, structure=WEIGHTED_W)
+        prob = problem(sys, z, phi, 0.5, N=1, n_max=3, structure=WEIGHTED_W)
         lam = 0.6
         got = weighted_value(prob, lam)
         assert got.value == pytest.approx(math.exp(-lam * 3.0))
@@ -400,7 +399,7 @@ class TestCriticalLambda:
 
     def test_single_point_cover_crosses_at_zero(self):
         sys = full_shift()
-        prob = problem(sys, [sys.point([0, 1])], Potential.constant(0.0), 0.5,
+        prob = problem(sys, sys.points([[0, 1]]), Potential.constant(0.0), 0.5,
                        N=1, n_max=4)
         crit = critical_lambda(structure_valuation(prob), tol=1e-6)
         assert crit.lambda_star == pytest.approx(0.0, abs=1e-5)
@@ -421,7 +420,7 @@ class TestCriticalLambda:
         # Z of two points far apart at order 1: cover needs both balls, so
         # the value is 2 e^{-lam} at n_max = N = 1 and crosses 1 at log 2.
         sys = full_shift()
-        pts = [sys.point([0, 0]), sys.point([1, 1])]
+        pts = sys.points([[0, 0], [1, 1]])
         prob = problem(sys, pts, Potential.constant(0.0), 0.5, N=1, n_max=1)
         crit = critical_lambda(structure_valuation(prob), tol=1e-8)
         assert crit.lambda_star == pytest.approx(math.log(2.0), abs=1e-6)
@@ -460,7 +459,8 @@ class TestCriticalLambda:
         c1 = critical_lambda(structure_valuation(
             problem(sys, z1, phi, 0.4, n_max=2)), tol=1e-7).lambda_star
         cu = critical_lambda(structure_valuation(
-            problem(sys, list(z1) + list(z2), phi, 0.4, n_max=2)),
+            problem(sys, pts[np.r_[0:len(z1), 0:len(z2)]], phi, 0.4,
+                    n_max=2)),
             tol=1e-7).lambda_star
         assert cu == pytest.approx(c1, abs=1e-6)
 
@@ -502,7 +502,7 @@ class TestSubsetMdim:
             sys = ShiftSystem(kind="grid-shift", alphabet_size=k, window=16,
                               eps_min=eps / 2)
             mu = MeasureModel.product_uniform(sys, seed=99)
-            pool = tuple(mu.sample_points(1500, stream=5))
+            pool = mu.sample_points(1500, stream=5)
             prob = problem(sys, pool, Potential.constant(0.0), eps,
                            N=1, n_max=5, exact_cap=8)
             crit = critical_lambda(structure_valuation(prob), tol=1e-3)
@@ -533,8 +533,7 @@ def test_candidate_suprema_equal_scalar_sums_at_long_orders(sidedness, eps):
                          sidedness=sidedness, window=12, eps_min=0.3)
     rng = np.random.default_rng(4)
     base = Potential.from_table(rng.uniform(0.0, 1.0, 3))
-    pts = system.as_points(system.point(row) for row in
-                           rng.integers(0, 3, size=(40, system.word_length)))
+    pts = system.points(rng.integers(0, 3, size=(40, system.word_length)))
     cands = caratheodory._build_candidates(system, pts, base, eps, 1, 10)
     sums = {n: np.array([birkhoff_sum(system, base, z, n) for z in pts])
             for n in range(1, 11)}

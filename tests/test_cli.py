@@ -20,7 +20,7 @@ import mmdim
 from mmdim.cli import main
 from mmdim.config import load_config_text, parse_number
 from mmdim.errors import ConfigurationError
-from mmdim.systems import birkhoff_sum
+from mmdim.systems import birkhoff_sums
 
 BASE_CONFIG = """\
 [system]
@@ -90,8 +90,16 @@ class TestConfig:
         assert cfg.seed == 1234
         assert cfg.eps_schedule == (0.6, 0.3, 0.15)
         system = cfg.build_system()
-        assert birkhoff_sum(system, cfg.potential("psi"), system.point([0]),
-                            1) == 1.0
+        x = system.points([[0]])
+        assert birkhoff_sums(system, cfg.potential("psi"), x.symbols,
+                             1)[0, 1] == 1.0
+
+    def test_point_mass_sits_on_the_zero_word(self):
+        cfg = load_config_text(BASE_CONFIG + "\n[measure]\nkind = point-mass\n")
+        system = cfg.build_system()
+        mu = cfg.build_measure(system)
+        assert mu.support == system.points([[0] * system.word_length])
+        assert mu.support_weights == (1.0,) and mu.seed == 1234
 
     def test_missing_seed_names_key(self):
         bad = BASE_CONFIG.replace("[run]\nseed = 1234\n", "")

@@ -25,7 +25,6 @@ from mmdim.bowen import (
     BallSpec,
     SetFamily,
     ball_masks,
-    bowen_distance,
     cylinder_blocks,
     distance_blocks,
     exit_orders,
@@ -40,7 +39,6 @@ from mmdim.systems import (
     ONE_SIDED,
     TWO_SIDED,
     Points,
-    PointWindow,
     Potential,
     ShiftSystem,
 )
@@ -138,14 +136,13 @@ def test_engine_bit_identical_at_every_order(sidedness, metric, w, k, window,
         seen.add((rows.start, n))
     assert len({start for start, _ in seen}) >= 3
     assert {n for _, n in seen} == set(range(1, n_max + 1))
-    center = PointWindow(symbols=tuple(int(a) for a in C[-1]),
-                         origin=system.origin_index)
     ref = reference_distances(system, C[-1:], Z, n_max)[0]
     for _, n, d in distance_blocks(system, C[-1:], Z, n_max):
         if n == n_max:
             assert (d[0] == ref).all()
-    assert [bowen_distance(system, center, system.point(z), n_max)
-            for z in Z[:3]] == ref[:3].tolist()
+    assert [float(d[0, 0]) for z in Z[:3]
+            for _, n, d in distance_blocks(system, C[-1:], z[None], n_max)
+            if n == n_max] == ref[:3].tolist()
 
 
 def all_orders(system, C, Z, n_max) -> np.ndarray:
@@ -195,21 +192,20 @@ GRID = ShiftSystem(kind="grid-shift", alphabet_size=4, window=12,
 REGIMES = {"full": (FULL, 5, 0.6), "grid": (GRID, 2, 0.5)}
 
 
-def seeded_pool(regime: str, size: int) -> list[PointWindow]:
+def seeded_pool(regime: str, size: int) -> Points:
     """``size`` distinct depth-5 words (full) or random windows (grid)."""
     rng = np.random.default_rng(size)
     if regime == "full":
         words = FULL.enumerate_points(5)
-        return [words[i] for i in rng.choice(len(words), size, replace=False)]
-    return [GRID.point(row) for row in
-            rng.integers(0, 4, size=(size, GRID.word_length))]
+        return words[rng.choice(len(words), size, replace=False)]
+    return GRID.points(rng.integers(0, 4, size=(size, GRID.word_length)))
 
 
 def reference_scan(system, pts, n, eps) -> list[int]:
-    Z = system.as_points(pts).symbols
+    Z = pts.symbols
     slack = system.truncation_slack(n)
     kept, rows = [], []
-    for i in sorted(range(len(pts)), key=lambda i: pts[i].symbols):
+    for i in sorted(range(len(pts)), key=lambda i: Z[i].tolist()):
         if all(row[i] + slack >= eps for row in rows):
             kept.append(i)
             rows.append(reference_distances(system, Z[i:i + 1], Z, n)[0])
@@ -218,9 +214,9 @@ def reference_scan(system, pts, n, eps) -> list[int]:
 
 def indices(pts, chosen) -> list[int]:
     where = {}
-    for i, p in enumerate(pts):
-        where.setdefault(p.symbols, i)
-    return [where[p.symbols] for p in chosen]
+    for i, row in enumerate(pts.symbols.tolist()):
+        where.setdefault(tuple(row), i)
+    return [where[tuple(row)] for row in chosen.symbols.tolist()]
 
 
 def fingerprint(idx: list[int]) -> str:
@@ -416,11 +412,11 @@ def test_singleton_cylinders_need_no_engine_call(monkeypatch):
 
     monkeypatch.setattr(bowen, "distance_blocks", counting)
     pts = FULL.enumerate_points(5)
-    shuffled = [pts[i] for i in np.random.default_rng(5).permutation(len(pts))]
+    shuffled = pts[np.random.default_rng(5).permutation(len(pts))]
     got, exact = max_separated(FULL, shuffled, 5, 0.6, exact_cap=0)
     assert not exact
     assert len(calls) == 0
-    assert list(got) == sorted(shuffled, key=lambda p: p.symbols)
+    assert got.symbols.tolist() == sorted(shuffled.symbols.tolist())
 
 
 # -- cylinder-pruned whole-pool callers ---------------------------------------
@@ -438,13 +434,13 @@ def floor_radii(k: int) -> list[float]:
     return [float(np.nextafter(f, 0.0)), f, float(np.nextafter(f, 1.0))]
 
 
-def grid_points(system: ShiftSystem, m: int, seed: int) -> list[PointWindow]:
+def grid_points(system: ShiftSystem, m: int, seed: int) -> Points:
     """m random windows whose first coordinates share few prefixes."""
     rng = np.random.default_rng(seed)
     k, L, o = system.alphabet_size, system.word_length, system.origin_index
     Z = rng.integers(0, k, size=(m, L))
     Z[:, o + 1:o + 3] = rng.integers(0, 2, size=(m, 2))
-    return [system.point(row) for row in Z]
+    return system.points(Z)
 
 
 def dense(monkeypatch):
@@ -506,6 +502,20 @@ def test_tie_free_pass_shares_one_matrix():
         assert np.array_equal(opened > n, ball_masks(system, Z, Z, n, 0.6))
         assert np.array_equal(closed > n, ball_masks(system, Z, Z, n, 0.6,
                                                      closed=True))
+
+
+def test_tie_free_family_reads_its_closed_balls_off_the_open():
+    # on one shared exit matrix the closed members and suprema are the
+    # open ones, not a second computation of the same bits
+    system = ShiftSystem(kind="full-shift", alphabet_size=2, window=12,
+                         eps_min=0.1)
+    bowen.pool_exits.cache_clear()
+    cands = caratheodory._build_candidates(
+        system, system.enumerate_points(4), Potential.from_table([0.2, 0.7]),
+        0.6, 1, 3)
+    assert cands.closed_exits is cands.open_exits
+    assert cands.sup_closed is cands.sup_open
+    assert cands.closed_members is cands.open_members
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
@@ -654,10 +664,9 @@ def test_closed_ball_at_the_floor_reaches_across_cylinders():
     # step away at the origin and equal elsewhere is on the closed sphere
     system = ShiftSystem(kind="grid-shift", alphabet_size=3, window=40,
                          weight_base=0.3, eps_min=0.1)
-    x, y = system.point([0]), system.point([1])
     bowen.pool_exits.cache_clear()
     cands = caratheodory._build_candidates(
-        system, system.as_points([x, y]),
+        system, system.points([[0], [1]]),
         Potential.from_table([0.1, 0.7, 0.2]), 1.0 / 3, 1, 2)
     assert cands.closed_members.all()
     assert not cands.open_members[np.arange(4), [1, 1, 0, 0]].any()

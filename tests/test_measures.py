@@ -100,7 +100,7 @@ def _choice_reference(mu, count, stream):
                           p=np.asarray(mu.p))
     idx = rng.choice(len(mu.support), size=count,
                      p=np.asarray(mu.support_weights))
-    return np.array([mu.support[i].symbols for i in idx])
+    return mu.support.symbols[idx]
 
 
 @st.composite
@@ -245,12 +245,13 @@ class TestBallMassBracket:
               else MeasureModel.bernoulli(sys, p, seed=3))
         r = bracket_reach(eps)
         for x in mu.sample_points(3, stream=2):
+            word = x.symbols[0, x.origin:].tolist()
             for n in range(1, 5):
                 lo = hi = 1.0
                 for i in range(n + r):
-                    lo *= mu.coordinate_mass_within(x.coordinate(i), eps / 6)
+                    lo *= mu.coordinate_mass_within(word[i], eps / 6)
                 for j in range(n):
-                    hi *= mu.coordinate_mass_within(x.coordinate(j), eps)
+                    hi *= mu.coordinate_mass_within(word[j], eps)
                 assert exact_cylinder_bracket(mu, x, n, eps) == (lo, hi)
 
     def test_exact_bracket_contains_true_mass_small_model(self):
@@ -265,7 +266,7 @@ class TestBallMassBracket:
         Z = pool.symbols
         for x in pool[:3]:
             for n in (1, 2):
-                inside = ball_masks(sys, sys.as_points([x]).symbols, Z, n, eps)
+                inside = ball_masks(sys, x.symbols, Z, n, eps)
                 mass = float(inside.sum()) / len(pool)
                 lo, hi = exact_cylinder_bracket(mu, x, n, eps)
                 # the enumerated tail is all zeros, so compare loosely on
@@ -328,7 +329,7 @@ class TestEstimateBallMass:
 def _reference_hits(mu, x, n, eps, samples, stream):
     """Hits of B_n(x, eps) summed over the estimator's sample blocks."""
     sys = mu.system
-    hits, C = 0, sys.as_points([x]).symbols
+    hits, C = 0, x.symbols
     for bi, done in enumerate(range(0, samples, 20_000)):
         Y = mu.sample_matrix(min(20_000, samples - done), stream * 1000 + bi)
         hits += int(ball_masks(sys, C, Y, n, eps).sum())
@@ -386,6 +387,59 @@ class TestBallMassMemo:
         assert sum(calls) == samples
 
 
+class TestCentre:
+    """A ball's centre is a one-row ``Points``; the values below are those
+    of the same sampled centre read as a single point window."""
+
+    def model(self):
+        eps = 2.0 ** -3
+        sys = ShiftSystem(kind="grid-shift", alphabet_size=8, window=16,
+                          eps_min=eps / 2)
+        mu = MeasureModel.product_uniform(sys, seed=3)
+        return sys, mu, mu.sample_points(4, stream=2), eps
+
+    def test_pinned_values(self):
+        sys, mu, pool, eps = self.model()
+        x = pool[1]
+        est = estimate_ball_mass(mu, x, 2, eps, samples=20_000, stream=5)
+        assert (est.hits, est.p_hat, est.ci) == (
+            17, 0.00085, (0.00045961106902227245, 0.0015714599637142114))
+        assert ball_mass_bracket(mu, x, 3, eps) == (6.044793084158974e-26,
+                                                    0.125)
+        assert exact_cylinder_bracket(mu, x, 3, eps) == (
+            7.450580596923828e-09, 0.001953125)
+        # past the stored word (n > window) the coordinates read 0
+        assert exact_cylinder_bracket(mu, x, sys.window + 3, eps) == (
+            3.552713678800501e-15, 6.938893903907228e-18)
+        emp = MeasureModel.empirical(sys, pool)
+        assert emp.empirical_ball_mass(x, 1, 0.6) == 0.75
+        assert estimate_ball_mass(emp, x, 1, 0.6).p_hat == 0.75
+
+    def test_an_equal_centre_hits_the_memo(self):
+        sys, mu, pool, eps = self.model()
+        measures._sampled_hits.cache_clear()
+        first = estimate_ball_mass(mu, pool[1], 2, eps, samples=20_000)
+        again = sys.points([pool.symbols[1].tolist()], exact_tail=False)
+        assert again is not pool[1] and again == pool[1]
+        assert estimate_ball_mass(mu, again, 2, eps,
+                                  samples=20_000) == first
+        assert measures._sampled_hits.cache_info().hits == 1
+
+    def test_a_centre_is_one_point_of_the_system(self):
+        sys, mu, pool, eps = self.model()
+        other = ShiftSystem(kind="grid-shift", alphabet_size=8, window=17,
+                            eps_min=eps / 2).points([[0]])
+        # (ball_mass_bracket is a closed form that never reads its centre)
+        for x in (pool[:2], other):
+            with pytest.raises(ConfigurationError):
+                exact_cylinder_bracket(mu, x, 3, eps)
+            with pytest.raises(ConfigurationError):
+                estimate_ball_mass(mu, x, 2, eps, samples=20_000)
+            with pytest.raises(ConfigurationError):
+                MeasureModel.empirical(sys, pool).empirical_ball_mass(
+                    x, 1, 0.6)
+
+
 class TestBrinKatok:
     def test_uniform_bernoulli_log_k(self):
         for k in (2, 3):
@@ -408,7 +462,7 @@ class TestBrinKatok:
 
     def test_point_mass_zero(self):
         sys = full_shift()
-        mu = MeasureModel.point_mass(sys, sys.point([0] * 8))
+        mu = MeasureModel.point_mass(sys, sys.points([[0] * 8]))
         est = brin_katok(mu, 0.5, range(1, 6), bound="lower")
         assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
 
@@ -584,7 +638,7 @@ class TestKatok:
             katok_rn(mu, 2, 0.4, 0.1, candidate_pool=pts[:1])
         for eps in (0.4, 1.5):  # with and without the cylinder rule
             with pytest.raises(PoolInsufficientError):
-                katok_rn(mu, 2, eps, 0.1, candidate_pool=[])
+                katok_rn(mu, 2, eps, 0.1, candidate_pool=sys.points([]))
 
     def test_entropy_slope_log2(self):
         sys, pool, mu = exact_cylinder_model(depth=10)
@@ -594,7 +648,7 @@ class TestKatok:
 
     def test_point_mass_zero(self):
         sys = full_shift()
-        mu = MeasureModel.point_mass(sys, sys.point([1] * 8))
+        mu = MeasureModel.point_mass(sys, sys.points([[1] * 8]))
         est = katok_entropy(mu, 0.5, 0.5, range(1, 5))
         assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
 
@@ -628,11 +682,10 @@ def _reference_katok_rn(measure, n, eps, delta, candidate_pool=None,
     the exit-order memo."""
     import heapq
     sys = measure.system
-    support = list(measure.support)
+    support = measure.support
     weights = np.asarray(measure.support_weights)
-    pool = list(candidate_pool) if candidate_pool is not None else support
-    member_matrix = ball_masks(sys, sys.as_points(pool).symbols,
-                               sys.as_points(support).symbols, n, eps)
+    pool = candidate_pool if candidate_pool is not None else support
+    member_matrix = ball_masks(sys, pool.symbols, support.symbols, n, eps)
     target = 1.0 - delta
     if float(weights[member_matrix.any(axis=0)].sum()) <= target:
         raise PoolInsufficientError("pool cannot reach the target")
@@ -816,9 +869,10 @@ class TestPS:
 
     def test_point_mass_small_eta_zero(self):
         sys = full_shift()
-        fixed = sys.point([0] * 10)
-        mu = MeasureModel.point_mass(sys, fixed)
-        est = ps_entropy(mu, 0.5, 0.05, range(2, 5), pool=[fixed] * 4)
+        fixed = [0] * 10
+        mu = MeasureModel.point_mass(sys, sys.points([fixed]))
+        est = ps_entropy(mu, 0.5, 0.05, range(2, 5),
+                         pool=sys.points([fixed] * 4))
         assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
 
     def test_inequality_suite_scales(self):
@@ -849,7 +903,7 @@ def _reference_ps_cells(measure, eps, etas, n_schedule, pool):
         for n in n_schedule:
             ok = measures._near_marginals(sys, mat, targets, n, eta + 1e-12,
                                           start=1)
-            members = [pool[i] for i in np.flatnonzero(ok)]
+            members = pool[ok]
             if not members:
                 flags.append(f"empty-eta{eta}-n{n}")
                 continue
@@ -867,7 +921,7 @@ def _ps_case(k, sidedness, metric, seed=0):
     rows = rng.integers(0, k, size=(120, sys.word_length))
     rows[:, sys.origin_index + 2:] %= 2  # shared prefixes, close pairs
     rows = np.concatenate([rows, rows[rng.integers(0, 120, size=40)]])
-    pool = [sys.point(row) for row in rows[rng.permutation(len(rows))]]
+    pool = sys.points(rows[rng.permutation(len(rows))])
     return sys, MeasureModel.product_uniform(sys, seed=seed), pool
 
 
@@ -898,7 +952,7 @@ class TestPSExitOrders:
     def test_empty_pool_has_only_empty_cells(self):
         sys, mu, _ = _ps_case(2, "one-sided", DISCRETE)
         with pytest.raises(ConfigurationError, match="every"):
-            ps_entropy(mu, 0.5, [0.5], [1, 2], pool=[])
+            ps_entropy(mu, 0.5, [0.5], [1, 2], pool=sys.points([]))
 
     @pytest.mark.parametrize("k,sidedness,metric,eta",
                              [(2, "one-sided", DISCRETE, 0.0),
@@ -1012,7 +1066,7 @@ class TestGmuEstimate:
     def test_point_mass_all_near_zero(self):
         from mmdim.measures import gmu_mdim_estimate
         sys = full_shift(window=16, eps_min=0.05)
-        mu = MeasureModel.point_mass(sys, sys.point([0] * sys.word_length))
+        mu = MeasureModel.point_mass(sys, sys.points([[0] * sys.word_length]))
         rep = gmu_mdim_estimate(sys, mu, [0.5, 0.25], range(1, 5), tol=0.2,
                                 subset_orders=(1, 3))
         for name, value in rep.ratio_summary().items():
@@ -1021,7 +1075,7 @@ class TestGmuEstimate:
 
 def generic_point_test(sys, x, mu, n, tol) -> bool:
     """Whether x passes the generic-point test: a one-row generic_subset."""
-    return len(generic_subset(sys, [x], mu, n, tol)) == 1
+    return len(generic_subset(sys, x, mu, n, tol)) == 1
 
 
 class TestGenericPoints:
@@ -1035,14 +1089,14 @@ class TestGenericPoints:
     def test_fixed_point_not_generic(self):
         sys = full_shift()
         mu = MeasureModel.bernoulli(sys, [0.5, 0.5], seed=8)
-        x = sys.point([0] * sys.word_length)
+        x = sys.points([[0] * sys.word_length])
         # indicator of symbol 1 averages 0 against integral 1/2
         assert not generic_point_test(sys, x, mu, 10, tol=0.1)
 
     def test_balanced_word_generic(self):
         sys = full_shift()
         mu = MeasureModel.bernoulli(sys, [0.5, 0.5], seed=8)
-        x = sys.point([0, 1, 1, 0, 1, 0, 0, 1, 0, 1])  # balanced de-Bruijn-ish
+        x = sys.points([[0, 1, 1, 0, 1, 0, 0, 1, 0, 1]])  # balanced de-Bruijn-ish
         assert generic_point_test(sys, x, mu, 10, tol=0.1)
 
     def test_generic_subset_filters(self):

@@ -1,13 +1,15 @@
-"""``Points``, the pool type, against the point windows it stands for.
+"""``Points``, the one point type, against the point windows it stands for.
 
-Each reference pool below is built one ``PointWindow`` at a time, the way
-``enumerate_points`` and ``sample_points`` built their lists before pools
-became one symbol matrix.
+Each reference pool below is built one ``Window`` at a time, the way
+``enumerate_points`` and ``sample_points`` built their lists of single
+points before a point became a one-row pool.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from mmdim.systems import (
     CONSTANT,
     ONE_SIDED,
     TWO_SIDED,
-    PointWindow,
+    Points,
     Potential,
     ShiftSystem,
     check_genuine,
@@ -31,13 +33,33 @@ from mmdim.systems import (
 POOL_KINDS = ("enumerated", "product", "empirical")
 
 
+@dataclass(frozen=True)
+class Window:
+    """A single point as a word padded to the window, coordinate j at
+    ``symbols[origin + j]``; ``exact_tail`` marks the coordinates past the
+    word as genuine zeros (enumerated words) or unknown (samples)."""
+
+    symbols: tuple[int, ...]
+    origin: int = 0
+    exact_tail: bool = True
+
+    def genuine_depth(self) -> float:
+        """Coordinates from the origin onward that are known."""
+        right = len(self.symbols) - self.origin
+        return math.inf if self.exact_tail else float(right)
+
+
+def stack(system: ShiftSystem, windows, exact_tail: bool) -> Points:
+    return system.points([x.symbols for x in windows], exact_tail)
+
+
 def reference_windows(system: ShiftSystem, kind: str, data) -> tuple:
     """``(pool, windows)``: a pool of the given kind and its point windows,
     built one at a time."""
     k, L, o = system.alphabet_size, system.word_length, system.origin_index
     if kind == "enumerated":
         depth = data.draw(st.integers(1, 3), label="depth")
-        windows = [PointWindow(symbols=word + (0,) * (L - depth), origin=o)
+        windows = [Window(symbols=word + (0,) * (L - depth), origin=o)
                    for word in itertools.product(range(k), repeat=depth)]
         return system.enumerate_points(depth), windows
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
@@ -49,8 +71,8 @@ def reference_windows(system: ShiftSystem, kind: str, data) -> tuple:
         mu = MeasureModel.product_uniform(system, seed=seed)
     count = data.draw(st.integers(0, 12), label="count")
     stream = data.draw(st.integers(0, 5), label="stream")
-    windows = [PointWindow(symbols=tuple(int(a) for a in row), origin=o,
-                           exact_tail=not mu.is_product)
+    windows = [Window(symbols=tuple(int(a) for a in row), origin=o,
+                      exact_tail=not mu.is_product)
                for row in mu.sample_matrix(count, stream)]
     return mu.sample_points(count, stream), windows
 
@@ -67,22 +89,24 @@ systems = st.builds(
 @given(systems, st.sampled_from(POOL_KINDS), st.data())
 def test_pool_rows_are_the_windows_built_one_at_a_time(system, kind, data):
     pool, windows = reference_windows(system, kind, data)
+    exact = kind != "product"
     assert len(pool) == len(windows)
     for i, x in enumerate(windows):
         got = pool[i]
-        assert got == x
-        assert (got.symbols, got.origin, got.exact_tail) == \
-            (x.symbols, x.origin, x.exact_tail)
-        assert got.genuine_depth() == x.genuine_depth() == pool.depth[i]
-    assert list(pool) == windows
-    again = system.as_points(list(pool))
+        assert got == pool[i:i + 1] == pool[i - len(pool)]
+        assert hash(got) == hash(pool[i:i + 1]) == hash(pool[i - len(pool)])
+        assert (tuple(got.symbols[0].tolist()), got.origin, got.depth[0]) == \
+            (x.symbols, x.origin, x.genuine_depth())
+        assert x.exact_tail == exact and got == stack(system, [x], exact)
+    assert list(pool) == [pool[i] for i in range(len(pool))]
+    again = stack(system, windows, exact)
     assert again == pool and again is not pool
     assert hash(again) == hash(pool)
-    assert system.as_points(windows) == pool and system.as_points(pool) is pool
+    assert system.as_points(pool) is pool
     mask = np.arange(len(pool)) % 2 == 0
-    assert pool[mask] == system.as_points(windows[::2]) == pool[::2]
+    assert pool[mask] == stack(system, windows[::2], exact) == pool[::2]
     assert pool[[i - 1 for i in range(len(pool))]] == \
-        system.as_points(windows[-1:] + windows[:-1])
+        stack(system, windows[-1:] + windows[:-1], exact)
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,23 +161,23 @@ def test_check_genuine_names_the_same_first_failure(system, kind, r, orders,
 def test_as_points_rejects_a_longer_window():
     # max_separated once computed on the window-16 words as they were
     system = ShiftSystem(window=14, eps_min=0.05)
-    words = list(ShiftSystem(window=16, eps_min=0.05).enumerate_points(3))
+    words = ShiftSystem(window=16, eps_min=0.05).enumerate_points(3)
     with pytest.raises(ConfigurationError, match="word length 16"):
         max_separated(system, words, 2, 0.6)
 
 
 def test_as_points_rejects_a_mixed_list():
-    # numpy once raised a bare ValueError on the ragged rows
+    # numpy once raised a bare ValueError on the ragged rows; a pool is one
+    # ``Points`` now, and a list of them is no pool
     system = ShiftSystem(window=14, eps_min=0.05)
     words = list(system.enumerate_points(2)) + list(
         ShiftSystem(window=16, eps_min=0.05).enumerate_points(2))
-    with pytest.raises(ConfigurationError, match="word length 16"):
+    with pytest.raises(ConfigurationError, match="expected Points, got list"):
         max_separated(system, words, 2, 0.6)
     two_sided = ShiftSystem(sidedness=TWO_SIDED, window=14, eps_min=0.05)
     with pytest.raises(ConfigurationError, match="origin 0"):
-        two_sided.as_points([two_sided.point([1]), PointWindow(
-            symbols=(0,) * two_sided.word_length, origin=0)])
-
+        two_sided.as_points(Points(np.zeros((1, two_sided.word_length)),
+                                   [math.inf], 0))
 
 
 def test_empirical_draws_keep_their_support_depth():

@@ -26,11 +26,11 @@ from mmdim.pressure import (
 from mmdim.systems import (
     ONE_SIDED,
     TWO_SIDED,
-    PointWindow,
+    Points,
     Potential,
     ShiftSystem,
-    birkhoff_sum,
 )
+from pointwise import birkhoff_sum
 
 
 def full_shift(k=2, window=14, eps_min=0.05, **kw):
@@ -48,7 +48,7 @@ def grid_system(eps: float) -> ShiftSystem:
 class TestPressureSum:
     def test_two_points_constant_potential(self):
         sys = full_shift()
-        pts = [sys.point([0, 0]), sys.point([1, 1])]
+        pts = sys.points([[0, 0], [1, 1]])
         # 2 * (1/eps)^{2} with eps = 1/2 and phi = 1: 2 * 4 = 8
         got = pressure_sum(sys, pts, Potential.constant(1.0), 2, 0.5)
         assert got == pytest.approx(math.log(8.0))
@@ -69,7 +69,8 @@ class TestPressureSum:
 
     def test_empty_witness(self):
         sys = full_shift()
-        assert pressure_sum(sys, [], Potential.constant(0.0), 2, 0.5) == -math.inf
+        assert pressure_sum(sys, sys.points([]), Potential.constant(0.0), 2,
+                            0.5) == -math.inf
 
 
 def scalar_pressure_sum(system, points, phi, n, eps) -> float:
@@ -103,7 +104,7 @@ def test_pressure_sum_matches_scalar_sums(sidedness, k, window, kind, scale,
     n = data.draw(st.integers(1, system.word_length + 3), label="n")
     rows = rng.integers(0, k, size=(int(rng.integers(1, 40)),
                                     system.word_length))
-    points = [system.point(row) for row in rows]
+    points = system.points(rows)
     got = pressure_sum(system, points, phi, n, eps)
     assert got == scalar_pressure_sum(system, points, phi, n, eps)
 
@@ -116,8 +117,7 @@ def test_pressure_sum_matches_scalar_sums_at_long_orders(sidedness, n):
                          sidedness=sidedness, window=14, eps_min=0.3)
     rng = np.random.default_rng(n)
     phi = Potential.from_range_table(rng.uniform(0.0, 1.0, 16), 2)
-    points = [system.point(row) for row in
-              rng.integers(0, 4, size=(300, system.word_length))]
+    points = system.points(rng.integers(0, 4, size=(300, system.word_length)))
     for p in (phi, phi.scaled(-1.5).shifted(0.7)):
         assert pressure_sum(system, points, p, n, 0.3) == \
             scalar_pressure_sum(system, points, p, n, 0.3)
@@ -141,7 +141,7 @@ def scalar_time_levels(system, points, psi, T) -> dict:
 
 
 def tuples(levels: dict) -> dict:
-    """Time levels with each level's points as a tuple of point windows."""
+    """Time levels with each level's points as a tuple of one-row pools."""
     return {n: tuple(members) for n, members in levels.items()}
 
 
@@ -159,16 +159,15 @@ def test_pressure_sum_sampled_windows_raise_as_scalar(sidedness):
                          sidedness=sidedness, window=5, eps_min=1.0)
     rng = np.random.default_rng(3)
     phi = Potential.from_range_table(rng.uniform(0.0, 1.0, 9), 2).scaled(-1.0)
-    exact = [system.point(row) for row in rng.integers(0, 3, size=(6, 11))
-             [:, :system.word_length]]
-    sampled = [PointWindow(symbols=p.symbols, origin=p.origin,
-                           exact_tail=False) for p in exact]
+    rows = rng.integers(0, 3, size=(6, 11))[:, :system.word_length]
     right = system.word_length - system.origin_index
-    # a sampled window holds `right` genuine coordinates from the origin
+    # two exact words, then the six as sampled windows, which hold `right`
+    # genuine coordinates from the origin
+    points = Points(np.concatenate([rows[:2], rows]),
+                    [math.inf] * 2 + [right] * len(rows), system.origin_index)
     n_ok = right - 1
-    assert pressure_sum(system, exact[:2] + sampled, phi, n_ok, 0.3) == \
-        scalar_pressure_sum(system, exact[:2] + sampled, phi, n_ok, 0.3)
-    points = exact[:2] + sampled
+    assert pressure_sum(system, points, phi, n_ok, 0.3) == \
+        scalar_pressure_sum(system, points, phi, n_ok, 0.3)
     with pytest.raises(WindowExhaustedError) as scalar:
         scalar_pressure_sum(system, points, phi, n_ok + 1, 0.3)
     with pytest.raises(WindowExhaustedError) as vector:
@@ -392,7 +391,7 @@ class TestInducedPressure:
 
     def test_empty_points_minus_infinity(self):
         sys = full_shift()
-        val = induced_pressure(sys, [], Potential.constant(0.0),
+        val = induced_pressure(sys, sys.points([]), Potential.constant(0.0),
                                Potential.constant(1.0), 2.5, 0.5)
         assert val.log_sum == -math.inf
 

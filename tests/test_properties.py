@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from mmdim.bowen import ball_masks, bowen_distance
+from mmdim.bowen import ball_masks
 from mmdim.measures import wilson_interval
 from mmdim.pressure import _logsumexp, pressure_sum
-from mmdim.systems import Potential, ShiftSystem, birkhoff_sum, combine
+from mmdim.systems import Potential, ShiftSystem, combine
+from pointwise import birkhoff_sum, bowen_distance
 
 SYS = ShiftSystem(kind="full-shift", alphabet_size=2, window=12, eps_min=0.2)
 GRID = ShiftSystem(kind="grid-shift", alphabet_size=3, window=12, eps_min=0.2)
@@ -24,7 +25,7 @@ grid_words = st.lists(st.integers(0, 2), min_size=1, max_size=10)
 @settings(max_examples=80, deadline=None)
 @given(words, words, words)
 def test_metric_triangle_inequality(a, b, c):
-    x, y, z = SYS.point(a), SYS.point(b), SYS.point(c)
+    x, y, z = SYS.points([a]), SYS.points([b]), SYS.points([c])
     assert bowen_distance(SYS, x, z, 1) <= (
         bowen_distance(SYS, x, y, 1) + bowen_distance(SYS, y, z, 1) + 1e-12)
 
@@ -32,11 +33,11 @@ def test_metric_triangle_inequality(a, b, c):
 @settings(max_examples=80, deadline=None)
 @given(grid_words, grid_words, st.integers(1, 4))
 def test_bowen_metric_axioms(a, b, n):
-    x, y = GRID.point(a), GRID.point(b)
+    x, y = GRID.points([a]), GRID.points([b])
     d = bowen_distance(GRID, x, y, n)
     assert d >= 0
     assert d == pytest.approx(bowen_distance(GRID, y, x, n))
-    if tuple(x.symbols) == tuple(y.symbols):
+    if x == y:
         assert d == 0.0
     if n > 1:
         assert d >= bowen_distance(GRID, x, y, n - 1) - 1e-12
@@ -46,8 +47,8 @@ def test_bowen_metric_axioms(a, b, n):
 @given(grid_words, st.integers(1, 3), st.integers(1, 3))
 def test_birkhoff_cocycle(word, n, m):
     phi = Potential.from_table([0.2, 0.7, 0.4])
-    x = GRID.point(word)
-    sx = GRID.point(x.symbols[n:])  # sigma^n x
+    x = GRID.points([word])
+    sx = GRID.points([x.symbols[0, n:]])  # sigma^n x
     lhs = birkhoff_sum(GRID, phi, x, n + m)
     rhs = birkhoff_sum(GRID, phi, x, n) + birkhoff_sum(GRID, phi, sx, m)
     assert lhs == pytest.approx(rhs)
@@ -86,9 +87,8 @@ def test_wilson_interval_contains_point_estimate(hits, extra):
 @given(grid_words, grid_words, st.integers(1, 3),
        st.floats(0.1, 1.5))
 def test_membership_consistent_with_distance(a, b, n, eps):
-    x, y = GRID.point(a), GRID.point(b)
-    C, Z = GRID.as_points([x]).symbols, GRID.as_points([y]).symbols
-    inside = bool(ball_masks(GRID, C, Z, n, eps)[0, 0])
+    x, y = GRID.points([a]), GRID.points([b])
+    inside = bool(ball_masks(GRID, x.symbols, y.symbols, n, eps)[0, 0])
     d = bowen_distance(GRID, x, y, n)
     if inside:
         assert d < eps

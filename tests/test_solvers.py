@@ -279,8 +279,8 @@ def test_unit_weights_match_max_clique_on_separation_graphs(k, metric, n, eps,
     pool = system.enumerate_points(3 if k == 2 else 2)
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, min(16, len(pool)) + 1))
-    pts = [pool[i] for i in sorted(rng.choice(len(pool), size, replace=False))]
-    Z = system.as_points(pts).symbols
+    pts = pool[sorted(rng.choice(len(pool), size, replace=False))]
+    Z = pts.symbols
     conflict = ball_masks(system, Z, Z, n, eps)
     np.fill_diagonal(conflict, False)
     assert_same_clique(conflict)
@@ -288,7 +288,7 @@ def test_unit_weights_match_max_clique_on_separation_graphs(k, metric, n, eps,
     np.fill_diagonal(sep, False)
     kept, exact = max_separated(system, pts, n, eps)
     assert exact
-    assert list(kept) == [pts[i] for i in sorted(reference_max_clique(sep))]
+    assert kept == pts[sorted(reference_max_clique(sep))]
 
 
 weight_lists = st.one_of(
@@ -332,8 +332,7 @@ def test_packing_families_match_near_the_clip(k, eps, n_max, lam, seed):
     pool = system.enumerate_points(2)
     rng = np.random.default_rng(seed)
     size = int(rng.integers(2, min(8, len(pool)) + 1))
-    pts = tuple(pool[i] for i in
-                sorted(rng.choice(len(pool), size, replace=False)))
+    pts = pool[sorted(rng.choice(len(pool), size, replace=False))]
     phi = Potential.from_table(rng.uniform(-2.0, 2.0, size=k))
     problem = OuterMeasureProblem(system=system, points=pts, phi=phi,
                                   eps=eps, n_max=n_max, structure=PACKING_P)

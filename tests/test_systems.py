@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from mmdim.bowen import bowen_distance
 from mmdim.errors import (
     ConfigurationError,
     EnumerationCapError,
@@ -16,10 +15,10 @@ from mmdim.systems import (
     TWO_SIDED,
     Potential,
     ShiftSystem,
-    birkhoff_sum,
     birkhoff_sums,
     combine,
 )
+from pointwise import birkhoff_sum, bowen_distance
 
 
 def full_shift(k=2, window=12, eps_min=0.1, **kw):
@@ -53,19 +52,19 @@ class TestConstruction:
 class TestMetric:
     def test_identity(self):
         sys = full_shift()
-        x = sys.point([0, 1, 0, 1])
+        x = sys.points([[0, 1, 0, 1]])
         assert bowen_distance(sys, x, x, 1) == 0.0
 
     def test_coordinate_zero_weight_one(self):
         sys = full_shift()
-        x = sys.point([0, 0, 0])
-        y = sys.point([1, 0, 0])
+        x = sys.points([[0, 0, 0]])
+        y = sys.points([[1, 0, 0]])
         assert bowen_distance(sys, x, y, 1) == pytest.approx(1.0)
 
     def test_single_difference_at_coordinate_one(self):
         sys = full_shift()
-        x = sys.point([0, 1, 0])
-        y = sys.point([0, 0, 0])
+        x = sys.points([[0, 1, 0]])
+        y = sys.points([[0, 0, 0]])
         # direct summation: only coordinate 1 differs, weight 2^-1
         assert bowen_distance(sys, x, y, 1) == pytest.approx(0.5)
 
@@ -87,10 +86,10 @@ class TestMetric:
 
     def test_depends_only_on_window_differences(self):
         sys = grid_shift(k=3, window=10, eps_min=0.2)
-        x = sys.point([0, 1, 2, 0, 0])
-        y = sys.point([1, 1, 2, 0, 0])
-        x2 = sys.point([0, 1, 2, 2, 1])
-        y2 = sys.point([1, 1, 2, 2, 1])
+        x = sys.points([[0, 1, 2, 0, 0]])
+        y = sys.points([[1, 1, 2, 0, 0]])
+        x2 = sys.points([[0, 1, 2, 2, 1]])
+        y2 = sys.points([[1, 1, 2, 2, 1]])
         assert bowen_distance(sys, x, y, 1) == pytest.approx(
             bowen_distance(sys, x2, y2, 1))
 
@@ -98,42 +97,42 @@ class TestMetric:
         a = full_shift(window=10, eps_min=0.2)
         b = full_shift(window=12, eps_min=0.2)
         with pytest.raises(ConfigurationError):
-            bowen_distance(a, a.point([0]), b.point([0]), 1)
+            a.as_points(b.points([[0]]))
 
 
 class TestBirkhoff:
     def test_constant(self):
         sys = full_shift()
         phi = Potential.constant(0.3)
-        x = sys.point([1, 0, 1])
+        x = sys.points([[1, 0, 1]])
         assert birkhoff_sum(sys, phi, x, 5) == pytest.approx(1.5)
 
     def test_identity_table(self):
         sys = full_shift()
         phi = Potential.from_table([0.0, 1.0])
-        x = sys.point([1, 0, 1, 1])
+        x = sys.points([[1, 0, 1, 1]])
         assert birkhoff_sum(sys, phi, x, 3) == pytest.approx(2.0)
 
     def test_table_direct(self):
         sys = full_shift()
         phi = Potential.from_table([0.2, 0.7])
-        x = sys.point([1, 1, 0])
+        x = sys.points([[1, 1, 0]])
         assert birkhoff_sum(sys, phi, x, 2) == pytest.approx(1.4)
 
     def test_cocycle_additivity(self):
         sys = full_shift(window=12, eps_min=0.2)
         phi = Potential.from_table([0.2, 0.7])
-        x = sys.point([1, 0, 1, 1, 0, 1, 0, 0])
+        x = sys.points([[1, 0, 1, 1, 0, 1, 0, 0]])
         for n, m in [(2, 3), (1, 4), (3, 3)]:
             lhs = birkhoff_sum(sys, phi, x, n + m)
-            sx = sys.point(x.symbols[n:])  # sigma^n x
+            sx = sys.points([x.symbols[0, n:]])  # sigma^n x
             rhs = birkhoff_sum(sys, phi, x, n) + birkhoff_sum(sys, phi, sx, m)
             assert lhs == pytest.approx(rhs)
 
     def test_window_exhausted_for_sampled_points(self):
         sys = full_shift()
         phi = Potential.from_table([0.2, 0.7])
-        x = sys.point([1] * sys.word_length, exact_tail=False)
+        x = sys.points([[1] * sys.word_length], exact_tail=False)
         with pytest.raises(WindowExhaustedError):
             birkhoff_sum(sys, phi, x, sys.word_length + 1)
         # constants never exhaust the window
@@ -177,28 +176,34 @@ class TestPotential:
         phi = Potential.from_table([0.2, 0.7])
         psi = Potential.constant(1.0)
         mix = combine(phi, psi, -0.5, sys)
-        x = sys.point([1, 0])
+        x = sys.points([[1, 0]])
         assert birkhoff_sum(sys, mix, x, 1) == pytest.approx(0.7 - 0.5)
 
     def test_finite_range_table(self):
         sys = full_shift()
         # phi(x) = x0 XOR x1
         phi = Potential.from_range_table([0.0, 1.0, 1.0, 0.0], range_len=2)
-        x = sys.point([0, 1, 1, 0])
+        x = sys.points([[0, 1, 1, 0]])
         assert birkhoff_sum(sys, phi, x, 3) == pytest.approx(1.0 + 0.0 + 1.0)
 
 
 def loop_birkhoff_sum(phi: Potential, x, n: int) -> float:
-    """S_n phi(x) as one Python loop over the coordinates, j = 0..n-1."""
+    """S_n phi(x) of a one-row pool as one Python loop over the coordinates,
+    j = 0..n-1, where coordinates past the stored word read 0."""
     if phi.kind == "constant":
         return n * (phi.scale * phi.value + phi.offset)
+    word = x.symbols[0].tolist()
+
+    def coordinate(j):
+        return word[x.origin + j] if x.origin + j < len(word) else 0
+
     r = phi.effective_range()
     k = round(len(phi.table) ** (1.0 / r))
     total = 0.0
     for j in range(n):
         idx = 0
         for t in range(r):
-            idx = idx * k + x.coordinate(j + t)
+            idx = idx * k + coordinate(j + t)
         total += phi.table[idx]
     return phi.scale * total + n * phi.offset
 
@@ -215,10 +220,9 @@ def test_birkhoff_sums_columns_equal_the_loop_sum(sidedness, kind):
             "table": Potential.from_table(rng.uniform(-1.0, 2.0, 3)),
             "range": Potential.from_range_table(rng.uniform(-1.0, 2.0, 27),
                                                 3)}[kind]
-    points = [system.point(row) for row in
-              rng.integers(0, 3, size=(40, system.word_length))]
+    points = system.points(rng.integers(0, 3, size=(40, system.word_length)))
     for phi in (base, base.scaled(-1.5).shifted(0.7)):
-        sums = birkhoff_sums(system, phi, system.as_points(points).symbols, 17)
+        sums = birkhoff_sums(system, phi, points.symbols, 17)
         assert sums.shape == (len(points), 18)
         for x, row in zip(points, sums):
             for n in range(18):
