@@ -9,7 +9,6 @@ assertions.
 
 from .bowen import (
     BallSpec,
-    SetFamily,
     five_r_disjointify,
     max_separated,
     min_spanning,

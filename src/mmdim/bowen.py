@@ -28,11 +28,11 @@ cylinders (``cylinder_blocks``), with the same bits, and spanning sets,
 ball masses, Katok and PS counts and Caratheodory candidates read its exit
 orders, so they know nothing of slack, comparisons or cylinders.
 
-``pool_exits`` is the one exit memo: it keeps the last whole-pool pass,
-open and closed, and answers shallower orders as they are and sub-pools
-of its pools by slicing, which is exact because a pair's exit orders
-depend on the pair, the system and eps alone.  The closed matrix is the
-open one itself unless some pair's reach equals eps, so a pass without
+``pool_exits`` is the one exit memo: it keeps the last pass of one pool
+against itself, open and closed, and answers shallower orders as they are
+and sub-pools of the pool by slicing, which is exact because a pair's exit
+orders depend on the pair, the system and eps alone.  The closed matrix is
+the open one itself unless some pair's reach equals eps, so a pass without
 such a tie holds one matrix.  Katok at every order, PS and the
 Caratheodory candidates on a pool's generic subset so share one pass per
 (pool, eps), made at the deepest order asked for.  The candidate families
@@ -72,21 +72,6 @@ class BallSpec:
             raise ConfigurationError("ball order must be >= 1")
         if self.radius <= 0:
             raise ConfigurationError("ball radius must be positive")
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """A finite family of Bowen balls with optional positive weights."""
-
-    balls: tuple[BallSpec, ...]
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.weights is not None:
-            if len(self.weights) != len(self.balls):
-                raise ConfigurationError("weights must match balls")
-            if any(w <= 0 for w in self.weights):
-                raise ConfigurationError("weights must be strictly positive")
 
 
 # -- distance engine -----------------------------------------------------------
@@ -198,11 +183,10 @@ def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class _Exits:
-    """One ``exit_orders`` pass, read-only, with the pools it was made on."""
+    """One ``exit_orders`` pass of a pool against itself, read-only."""
 
     system: ShiftSystem
     eps: float
-    centres: Points
     points: Points
     depth: int
     opened: np.ndarray
@@ -210,40 +194,23 @@ class _Exits:
     families: dict = field(default_factory=dict)  # built on it, by callers
 
     @functools.cached_property
-    def centre_rows(self) -> dict[bytes, int]:
-        return _row_index(self.centres)
+    def rows(self) -> dict[bytes, int]:
+        return {row.tobytes(): i for i, row in enumerate(self.points.symbols)}
 
-    @functools.cached_property
-    def point_rows(self) -> dict[bytes, int]:
-        return _row_index(self.points)
-
-    def cut(self, C: Points, Z: Points) -> tuple | None:
-        """Where C and Z lie in the pools: ``()`` for the pools themselves,
-        else the indices of their rows, or None when some row is not
-        there.  Equal rows have equal exits, so any match serves."""
-        if C == self.centres and Z == self.points:
-            return ()
-        ci = _find_rows(C, self.centre_rows)
-        zi = None if ci is None else _find_rows(Z, self.point_rows)
-        return None if zi is None else (ci, zi)
+    def cut(self, Z: Points) -> np.ndarray | None:
+        """The indices of Z's rows in the pool, or None when some row is
+        not there.  Equal rows have equal exits, so any match serves."""
+        found = [self.rows.get(row.tobytes()) for row in Z.symbols]
+        return None if None in found else np.array(found, dtype=np.intp)
 
 
-def _row_index(pts: Points) -> dict[bytes, int]:
-    return {row.tobytes(): i for i, row in enumerate(pts.symbols)}
-
-
-def _find_rows(pts: Points, index: dict[bytes, int]) -> np.ndarray | None:
-    found = [index.get(row.tobytes()) for row in pts.symbols]
-    return None if None in found else np.array(found, dtype=np.intp)
-
-
-def pool_exits(system: ShiftSystem, C: Points, Z: Points, eps: float,
+def pool_exits(system: ShiftSystem, Z: Points, eps: float,
                n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """``exit_orders`` of the rows of Z from the balls at the rows of C,
+    """``exit_orders`` of the rows of Z from the balls at the rows of Z,
     from one memoised pass.
 
     The memo keeps the last pass, open and closed, read-only, keyed on
-    (system, C, Z, eps).  It answers any ``n_max`` up to the depth it was
+    (system, Z, eps).  It answers any ``n_max`` up to the depth it was
     built at, and pools whose rows all lie in its own, by slicing: a pair
     gets the same double in any pool, and the cylinder rule depends on the
     system, eps and the slacks only.  Any other request replaces it; the
@@ -256,26 +223,25 @@ def pool_exits(system: ShiftSystem, C: Points, Z: Points, eps: float,
     closed matrix that is the open one (no tie) is taken once.
     """
     memo = _exits_memo[0] if _exits_memo else None
-    cut = None
+    zi = None
     if (memo is not None and memo.system == system and memo.eps == eps
             and memo.depth >= n_max):
-        cut = memo.cut(C, Z)
-    if cut is None:
+        if Z == memo.points:
+            return memo.opened, memo.closed
+        zi = memo.cut(Z)
+    if zi is None:
         memo = None  # so the old pass is freed before the new one is made
         _exits_memo.clear()
-        opened, closed = exit_orders(system, C.symbols, Z.symbols, eps, n_max)
+        opened, closed = exit_orders(system, Z.symbols, Z.symbols, eps, n_max)
         opened.setflags(write=False)
         closed.setflags(write=False)
-        memo = _Exits(system, eps, C, Z, n_max, opened, closed)
-        _exits_memo.append(memo)
-        cut = ()
-    if not cut:
-        return memo.opened, memo.closed
-    ci, zi = cut  # two takes beat one np.ix_ gather several times over
-    opened = memo.opened.take(ci, axis=0).take(zi, axis=1)
+        _exits_memo.append(_Exits(system, eps, Z, n_max, opened, closed))
+        return opened, closed
+    # two takes beat one np.ix_ gather several times over
+    opened = memo.opened.take(zi, axis=0).take(zi, axis=1)
     if memo.closed is memo.opened:
         return opened, opened
-    return opened, memo.closed.take(ci, axis=0).take(zi, axis=1)
+    return opened, memo.closed.take(zi, axis=0).take(zi, axis=1)
 
 
 _exits_memo: list[_Exits] = []  # the one slot
@@ -431,8 +397,8 @@ def min_spanning(system: ShiftSystem, points: Points, n: int, eps: float,
 # -- 5r covering selection ----------------------------------------------------
 
 
-def five_r_disjointify(system: ShiftSystem, family: SetFamily,
-                       universe: Points) -> SetFamily:
+def five_r_disjointify(system: ShiftSystem, balls: Sequence[BallSpec],
+                       universe: Points) -> tuple[BallSpec, ...]:
     """Greedy disjoint subfamily whose 5r inflations cover the family union.
 
     Balls must be closed and share a common order.  Processing by
@@ -440,9 +406,8 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
     any kept ball; every point of the original union then lies within 5
     radii of some kept center.
     """
-    balls = family.balls
     if not balls:
-        return SetFamily(balls=())
+        return ()
     if any(not b.closed for b in balls):
         raise ConfigurationError("5r selection expects closed balls")
     orders = {b.order for b in balls}
@@ -455,9 +420,4 @@ def five_r_disjointify(system: ShiftSystem, family: SetFamily,
                          n, [b.radius for b in balls], closed=True)
     order = sorted(range(len(balls)), key=lambda i: (
         -balls[i].radius, balls[i].center.symbols[0].tolist()))
-    kept = greedy_disjoint(members, order)
-    kept_balls = tuple(balls[i] for i in kept)
-    kept_weights = (None if family.weights is None
-                    else tuple(family.weights[i] for i in kept))
-    return SetFamily(balls=kept_balls, weights=kept_weights)
-
+    return tuple(balls[i] for i in greedy_disjoint(members, order))

@@ -74,6 +74,7 @@ class OuterMeasureProblem:
         if self.N < 1:
             raise ConfigurationError("orders start at 1")
         self.system.truncation_slack(self.n_max)  # the balls need it
+        self.system.check_order(self.n_max, self.eps)
         if self.structure not in STRUCTURES:
             raise ConfigurationError(f"unknown structure {self.structure!r}")
         if self.structure in (BS_R, PACKING_BS, WEIGHTED_W):
@@ -99,7 +100,6 @@ class StructureValue:
 class CriticalValue:
     lambda_star: float
     bracket: tuple[float, float]
-    threshold: float = 1.0
     value_lo: float = math.inf
     value_hi: float = 0.0
 
@@ -192,7 +192,7 @@ def _build_candidates(system: ShiftSystem, points: Points,
     key = (system, points, base, eps, N, n_max)
     if not (_exits_memo and key in _exits_memo[0].families):
         check_genuine(base, points, range(N, n_max + 1))
-        opened, closed = pool_exits(system, points, points, eps, n_max)
+        opened, closed = pool_exits(system, points, eps, n_max)
         # in the exits' dtype, so the member compares cast nothing
         orders = np.arange(N, n_max + 1, dtype=opened.dtype)
         _exits_memo[0].families[key] = _Candidates(
@@ -312,10 +312,10 @@ def packing_value(problem: OuterMeasureProblem, lam: float,
     return _packing_optimize(problem, lam, False, center_mask)
 
 
-def packing_bs_value(problem: OuterMeasureProblem, lam: float,
-                     center_mask: np.ndarray | None = None) -> StructureValue:
+def packing_bs_value(problem: OuterMeasureProblem,
+                     lam: float) -> StructureValue:
     """Packing with BS weights exp(-lam sup S_n phi) over closed balls."""
-    return _packing_optimize(problem, lam, True, center_mask)
+    return _packing_optimize(problem, lam, True, None)
 
 
 def _partitions(indices: list[int], max_blocks: int):
@@ -332,16 +332,13 @@ def _partitions(indices: list[int], max_blocks: int):
 
 
 def refined_packing_value(problem: OuterMeasureProblem, lam: float,
-                          partition_cap: int = 4,
-                          packer: Callable[..., StructureValue] | None = None,
-                          ) -> StructureValue:
+                          partition_cap: int = 4) -> StructureValue:
     """Minimum over partitions of Z of the per-block packing values.
 
     Exact over all partitions (up to ``partition_cap`` blocks) when Z is
     small; greedy agglomerative otherwise, which still yields a valid
     upper bound for the infimum.
     """
-    packer = packer or packing_value
     m = len(problem.points)
 
     def split(blocks) -> StructureValue:
@@ -350,14 +347,14 @@ def refined_packing_value(problem: OuterMeasureProblem, lam: float,
         for block in blocks:
             mask = np.zeros(m, dtype=bool)
             mask[block] = True
-            sv = packer(problem, lam, center_mask=mask)
+            sv = packing_value(problem, lam, center_mask=mask)
             total += sv.value
             exact_all &= sv.exact
             chosen.extend(sv.chosen)
         return StructureValue(value=total, exact=exact_all,
                               chosen=tuple(chosen))
 
-    trivial = packer(problem, lam)
+    trivial = packing_value(problem, lam)
     best = trivial
     if m <= PARTITION_EXACT:
         for part in _partitions(list(range(m)), partition_cap):
@@ -418,7 +415,7 @@ def critical_lambda(valuation: Callable[[float], float],
         else:
             hi, v_hi = mid, v_mid
     return CriticalValue(lambda_star=0.5 * (lo + hi), bracket=(lo, hi),
-                         threshold=threshold, value_lo=v_lo, value_hi=v_hi)
+                         value_lo=v_lo, value_hi=v_hi)
 
 
 _VALUATIONS = {

@@ -261,6 +261,7 @@ def ball_mass_bracket(measure: MeasureModel, x: Points, n: int,
     applies.
     """
     _check_bracket_model(measure, eps)
+    _centre_row(measure.system, x)
     if measure.kind != PRODUCT_UNIFORM:
         raise ConfigurationError("the closed-form bracket is for the "
                                  "product-uniform measure")
@@ -580,16 +581,16 @@ class KatokCount:
 
 
 def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
-             candidate_pool: Points | None = None,
              stream: int = 11) -> KatokCount:
     """Minimal number of Bowen balls whose union has mass > 1 - delta.
 
     Product measures are snapshotted to an empirical sample first (flagged
     by exactness of the underlying measure); greedy picks the ball of
     largest uncovered mass, with an exhaustive search below the cap.  The
-    membership is read off ``bowen.pool_exits``, so every order of one
-    (pool, support, eps) and PS on that pool share one engine pass; only
-    the exact search builds the bool membership ``exits > n``."""
+    balls are centred at the support points, and the membership is read
+    off ``bowen.pool_exits``, so every order of one (support, eps) and PS
+    on that pool share one engine pass; only the exact search builds the
+    bool membership ``exits > n``."""
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -597,12 +598,9 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     weights = np.asarray(measure.support_weights)
-    sys, support = measure.system, measure.support
-    pool = support if candidate_pool is None else sys.as_points(candidate_pool)
-    exits = pool_exits(sys, pool, support, eps, n)[0]
+    exits = pool_exits(measure.system, measure.support, eps, n)[0]
     target = 1.0 - delta
-    # initial=0 keeps an empty pool's support unreachable
-    reachable = exits.max(axis=0, initial=0) > n
+    reachable = exits.max(axis=0) > n
     total_reachable = float(weights[reachable].sum())
     if total_reachable <= target:
         raise PoolInsufficientError(
@@ -628,8 +626,7 @@ def katok_entropy(measure: MeasureModel, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     if n_schedule and n_schedule[0] >= 1:  # else katok_rn raises
-        pool_exits(measure.system, measure.support, measure.support, eps,
-                   n_schedule[-1])
+        pool_exits(measure.system, measure.support, eps, n_schedule[-1])
     per_scale = {}
     flags = []
     counts = []
@@ -708,8 +705,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
                 flags.append(f"empty-eta{eta_v}-n{n}")
                 continue
             sys.check_order(n, eps)
-            exits, _ = pool_exits(sys, pool_pts, pool_pts, eps,
-                                  n_schedule[-1])
+            exits, _ = pool_exits(sys, pool_pts, eps, n_schedule[-1])
             logs.append(math.log(len(greedy_separated(mat, exits, n, free))))
             per_scale[(n, eta_v)] = logs[-1]
             ns.append(n)

@@ -173,9 +173,26 @@ def _net_symbols(system: ShiftSystem, eps: float) -> np.ndarray:
     s = max(1, int(math.floor(eps * k / 2.0 - 1e-12)))
     while s > 1 and (s // 2) / k >= eps / 4.0:
         s -= 1
-    if (s // 2) / k >= eps / 4.0:
-        s = 1
     return np.arange(0, k, s)
+
+
+def _modulus(system: ShiftSystem, phi: Potential, rho: float) -> float:
+    """Upper bound on sup{|phi(x) - phi(y)| : d(x, y) <= rho} for a constant
+    or coordinate-0 potential.
+
+    d(x, y) <= rho bounds the symbol distance at coordinate 0 by rho, so
+    the bound is the largest table difference over symbol pairs that close.
+    """
+    if phi.kind == CONSTANT or phi.base_min() == phi.base_max():
+        return 0.0
+    k = system.alphabet_size
+    if system.symbol_metric == DISCRETE:
+        sd = 1.0 - np.eye(k)
+    else:
+        vals = np.arange(k, dtype=float) / k
+        sd = np.abs(vals[:, None] - vals[None, :])
+    diffs = np.abs(np.subtract.outer(phi.table, phi.table))
+    return float(abs(phi.scale) * diffs[sd <= rho + 1e-15].max())
 
 
 def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
@@ -198,7 +215,7 @@ def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
     L = math.log(1.0 / eps)
     lo = _best_separated_symbols(system, values, eps, L)
     net = _net_symbols(system, eps)
-    gamma = phi.modulus(system, eps / 2.0)
+    gamma = _modulus(system, phi, eps / 2.0)
     hi = _logsumexp(L * values[net]) + gamma * L
     if hi < lo - 1e-9:
         raise ConfigurationError("oracle bracket inverted; invalid inputs")

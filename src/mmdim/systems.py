@@ -19,7 +19,6 @@ for a sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -152,13 +151,6 @@ class ShiftSystem:
             return 0.0 if a == b else 1.0
         return abs(a - b) / self.alphabet_size
 
-    def symbol_distance_matrix(self) -> np.ndarray:
-        k = self.alphabet_size
-        if self.symbol_metric == DISCRETE:
-            return 1.0 - np.eye(k)
-        vals = np.arange(k, dtype=float) / k
-        return np.abs(vals[:, None] - vals[None, :])
-
     # -- points -----------------------------------------------------------
 
     def points(self, words: Iterable[Sequence[int]],
@@ -276,7 +268,7 @@ FINITE_RANGE = "finite-range"
 
 @dataclass(frozen=True)
 class Potential:
-    """A continuous potential with a known modulus of continuity.
+    """A continuous potential that reads finitely many coordinates.
 
     Kinds: a constant ``c``, a per-symbol table read at coordinate 0, or a
     finite-range table over the first ``range_len`` coordinates.  Every
@@ -324,11 +316,6 @@ class Potential:
                          range_len=self.range_len, scale=self.scale * c,
                          offset=self.offset * c)
 
-    def shifted(self, a: float) -> "Potential":
-        return Potential(kind=self.kind, value=self.value, table=self.table,
-                         range_len=self.range_len, scale=self.scale,
-                         offset=self.offset + a)
-
     # -- bounds ----------------------------------------------------------
 
     def base_min(self) -> float:
@@ -353,10 +340,6 @@ class Potential:
     def norm(self) -> float:
         return max(abs(self.min), abs(self.max))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == CONSTANT or self.base_min() == self.base_max()
-
     def effective_range(self) -> int:
         return 1 if self.kind != FINITE_RANGE else self.range_len
 
@@ -366,39 +349,6 @@ class Potential:
         if self.kind == CONSTANT:
             return np.full(k, self.scale * self.value + self.offset)
         return self.scale * np.asarray(self.table) + self.offset
-
-    # -- modulus of continuity -------------------------------------------
-
-    def modulus(self, system: ShiftSystem, rho: float) -> float:
-        """Upper bound on sup{|phi(x)-phi(y)| : d(x,y) <= rho}.
-
-        d(x, y) <= rho forces the symbol distance at coordinate ``j`` to be
-        at most ``rho / weight(j)``; the bound maximizes over all symbol
-        words compatible with those per-coordinate constraints.
-        """
-        if self.is_constant:
-            return 0.0
-        k = system.alphabet_size
-        sd = system.symbol_distance_matrix()
-        if self.kind == TABLE:
-            allowed = sd <= rho + 1e-15
-            diffs = np.abs(np.subtract.outer(self.table, self.table))
-            return float(abs(self.scale) * diffs[allowed].max())
-        # Finite range: per-coordinate allowance rho / w^j, enumerated.
-        best = 0.0
-        words = list(itertools.product(range(k), repeat=self.range_len))
-        w = system.weight_base
-        for u in words:
-            for v in words:
-                ok = all(
-                    sd[u[j], v[j]] <= rho / (w ** j) + 1e-15
-                    for j in range(self.range_len)
-                )
-                if ok:
-                    du = self.table[np.ravel_multi_index(u, (k,) * len(u))]
-                    dv = self.table[np.ravel_multi_index(v, (k,) * len(v))]
-                    best = max(best, abs(du - dv))
-        return abs(self.scale) * best
 
 
 def check_genuine(phi: Potential, points: Points,

@@ -14,7 +14,6 @@ import numpy as np
 
 from .bowen import (
     BallSpec,
-    SetFamily,
     ball_masks,
     five_r_disjointify,
     max_separated,
@@ -59,7 +58,6 @@ class AssertionResult:
     name: str
     passed: bool
     slack: float
-    detail: str = ""
 
 
 def _full_shift(k=2, window=14, eps_min=0.05):
@@ -136,15 +134,15 @@ def counting_suite() -> list[AssertionResult]:
         m = int(rng.integers(2, 7))
         idx = rng.choice(len(universe), size=m, replace=False)
         radii = rng.choice([0.15, 0.3, 0.6, 0.9], size=m)
-        fam = SetFamily(balls=tuple(
+        balls = tuple(
             BallSpec(center=universe[i], order=n, radius=float(r), closed=True)
-            for i, r in zip(idx, radii)))
-        kept = five_r_disjointify(sys, fam, universe)
+            for i, r in zip(idx, radii))
+        kept = five_r_disjointify(sys, balls, universe)
         # kept balls pairwise disjoint over the universe
-        five_ok &= bool(members(kept.balls, n).sum(axis=0).max() <= 1)
+        five_ok &= bool(members(kept, n).sum(axis=0).max() <= 1)
         # 5r inflations of the kept balls cover the original union
-        union = members(fam.balls, n).any(axis=0)
-        inflated = members(kept.balls, n, 5.0).any(axis=0)
+        union = members(balls, n).any(axis=0)
+        inflated = members(kept, n, 5.0).any(axis=0)
         five_ok &= bool((inflated | ~union).all())
     out.append(AssertionResult(
         "counting", "5r disjointify postconditions on 100 families",

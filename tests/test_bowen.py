@@ -7,7 +7,6 @@ import pytest
 
 from mmdim.bowen import (
     BallSpec,
-    SetFamily,
     ball_masks,
     exit_orders,
     five_r_disjointify,
@@ -186,15 +185,14 @@ class TestComparisons:
 
 class TestFiveR:
     def _family(self, sys, centers, radii, n):
-        balls = tuple(BallSpec(center=c, order=n, radius=r, closed=True)
-                      for c, r in zip(centers, radii))
-        return SetFamily(balls=balls)
+        return tuple(BallSpec(center=c, order=n, radius=r, closed=True)
+                     for c, r in zip(centers, radii))
 
     def test_single_ball(self):
         sys = full_shift()
         fam = self._family(sys, [sys.points([[0, 1]])], [0.5], 1)
         out = five_r_disjointify(sys, fam, sys.enumerate_points(2))
-        assert len(out.balls) == 1
+        assert len(out) == 1
 
     def test_duplicate_balls_merge(self):
         sys = full_shift()
@@ -202,12 +200,12 @@ class TestFiveR:
         fam = self._family(sys, [c, c], [0.5, 0.5], 1)
         universe = sys.enumerate_points(2)
         out = five_r_disjointify(sys, fam, universe)
-        assert len(out.balls) == 1
-        kept = out.balls[0]
+        assert len(out) == 1
+        kept = out[0]
         for u in universe:
             inside_original = any(
                 is_within(sys, b.center, u, b.order, b.radius, closed=True)
-                for b in fam.balls)
+                for b in fam)
             if inside_original:
                 assert is_within(sys, kept.center, u, kept.order,
                                  5 * kept.radius, closed=True)
@@ -232,7 +230,7 @@ class TestFiveR:
             out = five_r_disjointify(sys, fam, universe)
             # pairwise disjoint over the universe
             member_sets = []
-            for b in out.balls:
+            for b in out:
                 members = {u.symbols.tobytes() for u in universe
                            if is_within(sys, b.center, u, n, b.radius,
                                         closed=True)}
@@ -242,7 +240,7 @@ class TestFiveR:
             # 5r inflations cover the original union
             for u in universe:
                 if any(is_within(sys, b.center, u, n, b.radius, closed=True)
-                       for b in fam.balls):
+                       for b in fam):
                     assert any(is_within(sys, b.center, u, n, 5 * b.radius,
-                                         closed=True) for b in out.balls)
+                                         closed=True) for b in out)
 

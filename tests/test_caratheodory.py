@@ -27,7 +27,8 @@ from mmdim.caratheodory import (
     weighted_value,
 )
 from mmdim.bowen import min_spanning
-from mmdim.errors import BracketError, ConfigurationError
+from mmdim.errors import (BracketError, ConfigurationError,
+                          WindowExhaustedError)
 from mmdim.solvers import rows_as_bits
 from mmdim.systems import (ONE_SIDED, TWO_SIDED, Points, Potential,
                            ShiftSystem, birkhoff_sums)
@@ -43,6 +44,20 @@ def problem(sys, pts, phi, eps, N=1, n_max=3, structure=COVER_M, **kw):
     return OuterMeasureProblem(system=sys, points=pts, phi=phi,
                                eps=eps, N=N, n_max=n_max,
                                structure=structure, **kw)
+
+
+def test_orders_past_the_reliable_depth_are_rejected():
+    # on a window of 14 the slack reaches eps / 10 = 0.06 at order 11, and
+    # 0.5 at order 14, where the candidate balls no longer measure distance
+    sys = full_shift()
+    pts = sys.enumerate_points(3)
+    phi = Potential.constant(0.0)
+    problem(sys, pts, phi, 0.6, n_max=10)
+    for n_max in (11, 14):
+        with pytest.raises(WindowExhaustedError,
+                           match=f"order {n_max} at radius 0.6 exceeds "
+                                 "reliable depth 10 for window 14"):
+            problem(sys, pts, phi, 0.6, n_max=n_max)
 
 
 class TestCoverValue:
@@ -616,7 +631,7 @@ def test_greedy_cover_never_builds_the_dense_open_family():
     assert len(zg) == 912
     prob = problem(system, zg, Potential.constant(0.0), 0.5, n_max=5)
     bowen.pool_exits.cache_clear()
-    bowen.pool_exits(system, zg, zg, 0.5, 5)  # the pass the family reads
+    bowen.pool_exits(system, zg, 0.5, 5)  # the pass the family reads
     tracemalloc.start()
     try:
         sv = cover_value(prob, 1.0)

@@ -657,6 +657,21 @@ def test_fuzz_found_input_exits_1(tmp_path, capsys, name, old, new, command,
     assert "Traceback" not in err
 
 
+def test_subset_order_past_the_reliable_depth_exits_1(tmp_path, capsys):
+    # at order 14 on a window of 14 the truncation slack (0.5), not the
+    # distance, decides which points a candidate ball holds
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    assert text.count("n_max = 3") == 1
+    path = tmp_path / "deep.cfg"
+    path.write_text(text.replace("n_max = 3", "n_max = 14"))
+    code = main(["subset-dim", "--structure", "bowen", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: order 14 at radius 0.6 exceeds reliable "
+                          "depth 10 for window 14")
+    assert "Traceback" not in err
+
+
 def test_huge_potential_ends_its_bisection(tmp_path, capsys):
     # the critical lambda lies near 1e20, where bisection to tol never ended
     text = (BENCH_CONFIGS / "shift.cfg").read_text()

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from mmdim import bowen, caratheodory, measures
 from mmdim.bowen import (
     BallSpec,
-    SetFamily,
     ball_masks,
     cylinder_blocks,
     distance_blocks,
@@ -268,13 +267,13 @@ KATOK = {
 }
 
 
-def seeded_family(pts, n, size) -> SetFamily:
+def seeded_family(pts, n, size) -> tuple[BallSpec, ...]:
     rng = np.random.default_rng(size + 1)
     idx = rng.choice(len(pts), 30, replace=False)
     radii = rng.choice([0.15, 0.3, 0.6, 0.9], size=30)
-    return SetFamily(balls=tuple(
+    return tuple(
         BallSpec(center=pts[i], order=n, radius=float(r), closed=True)
-        for i, r in zip(idx, radii)))
+        for i, r in zip(idx, radii))
 
 
 def routed_outputs(regime: str, size: int):
@@ -283,7 +282,7 @@ def routed_outputs(regime: str, size: int):
     span = indices(pts, min_spanning(system, pts, n, eps, exact_cap=0)[0])
     family = seeded_family(pts, n, size)
     kept = five_r_disjointify(system, family, pts)
-    five = [family.balls.index(b) for b in kept.balls]
+    five = [family.index(b) for b in kept]
     kc = katok_rn(MeasureModel.empirical(system, pts), n, eps, 0.5)
     return ((len(span), fingerprint(span)), five,
             (kc.count, kc.exact, kc.covered_mass))
@@ -548,16 +547,20 @@ def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
     support = system.as_points(pts)
     pool = system.as_points(grid_points(system, 90, k + 1))
     clear_memos()
-    got = {(eps, p is None): bowen.pool_exits(
-               system, support if p is None else p, support, eps, 8)
-           for eps in floor_radii(k) for p in (None, pool)}
+
+    def exits(own, eps):
+        """The memo's pass of the support, or two pools' exits."""
+        if own:
+            return bowen.pool_exits(system, support, eps, 8)
+        return exit_orders(system, pool.symbols, support.symbols, eps, 8)
+
+    got = {(eps, own): exits(own, eps)
+           for eps in floor_radii(k) for own in (True, False)}
     assert [prunes(system, support.symbols, eps)
             for eps in floor_radii(k)] == [True, True, False]
     dense(monkeypatch)
-    for (eps, own), exits in got.items():
-        ref = bowen.pool_exits(system, support if own else pool, support,
-                               eps, 8)
-        for got_rule, ref_rule in zip(exits, ref):
+    for (eps, own), pair in got.items():
+        for got_rule, ref_rule in zip(pair, exits(own, eps)):
             assert (got_rule == ref_rule).all()
 
 
@@ -595,20 +598,19 @@ def test_memo_reads_of_sub_pools_equal_a_fresh_pass(sidedness, metric, k,
          float(np.nextafter(floor, 2.0)), 1.3 * floor]), label="eps")
     depth = data.draw(st.integers(1, window), label="depth")
     rng = np.random.default_rng(seed)
-    pools = [Points(rng.integers(0, k, size=(m, system.word_length)),
-                    np.full(m, np.inf), system.origin_index)
-             for m in rng.integers(20, 120, size=2)]
+    m = int(rng.integers(20, 120))
+    pool = Points(rng.integers(0, k, size=(m, system.word_length)),
+                  np.full(m, np.inf), system.origin_index)
     bowen.pool_exits.cache_clear()
-    bowen.pool_exits(system, pools[0], pools[1], eps, depth)
+    bowen.pool_exits(system, pool, eps, depth)
     built = bowen._exits_memo[0]
     for _ in range(3):
-        # rows in any order, repeats allowed, centres and points apart
-        C, Z = (pool[rng.integers(0, len(pool), size=rng.integers(1, 60))]
-                for pool in pools)
+        # rows in any order, repeats allowed
+        Z = pool[rng.integers(0, len(pool), size=rng.integers(1, 60))]
         n = data.draw(st.integers(1, depth), label="n")
-        got = bowen.pool_exits(system, C, Z, eps, n)
+        got = bowen.pool_exits(system, Z, eps, n)
         assert bowen._exits_memo == [built]  # read, not rebuilt
-        fresh = exit_orders(system, C.symbols, Z.symbols, eps, n)
+        fresh = exit_orders(system, Z.symbols, Z.symbols, eps, n)
         for read, ref in zip(got, fresh):
             # a read is uncapped: it equals the fresh pass at orders <= n
             assert np.array_equal(np.minimum(read, n + 1), ref)

@@ -429,7 +429,6 @@ class TestCentre:
         sys, mu, pool, eps = self.model()
         other = ShiftSystem(kind="grid-shift", alphabet_size=8, window=17,
                             eps_min=eps / 2).points([[0]])
-        # (ball_mass_bracket is a closed form that never reads its centre)
         for x in (pool[:2], other):
             with pytest.raises(ConfigurationError):
                 exact_cylinder_bracket(mu, x, 3, eps)
@@ -438,6 +437,16 @@ class TestCentre:
             with pytest.raises(ConfigurationError):
                 MeasureModel.empirical(sys, pool).empirical_ball_mass(
                     x, 1, 0.6)
+
+    def test_the_closed_form_checks_its_centre(self):
+        # the bound does not depend on the centre, but a centre that is not
+        # one point of the system is rejected as by the other three
+        sys, mu, pool, eps = self.model()
+        other = ShiftSystem(kind="grid-shift", alphabet_size=8, window=17,
+                            eps_min=eps / 2).points([[0]])
+        for x in (pool[:2], [0] * sys.word_length, other):
+            with pytest.raises(ConfigurationError):
+                ball_mass_bracket(mu, x, 3, eps)
 
 
 class TestBrinKatok:
@@ -533,9 +542,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False).map(
                    st.floats(0.0, 1.0)))
 @example(values=[0.0, 1.0, 2.0, 3.0], q=0.5)
 @example(values=[1.0, 1e308, -1e308], q=0.975)
+@example(values=[1.7976931348623155e+308, -2.9937604643020797e+292], q=0.0)
 def test_quantile_equals_numpy_bit_for_bit(values, q):
     values = np.array(values)
-    want = np.quantile(values, q)
+    # numpy warns where b - a overflows, which _quantile does not; the
+    # reference is computed without the warning, and must match to the bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.quantile(values, q)
     got = measures._quantile(values, q)
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
         (got, want)
@@ -587,7 +600,7 @@ class TestKatok:
         pool = sys.enumerate_points(10)
         mu = MeasureModel.empirical(sys, pool)
         bowen.pool_exits.cache_clear()
-        bowen.pool_exits(sys, pool, pool, 0.5, 3)  # as katok_entropy does
+        bowen.pool_exits(sys, pool, 0.5, 3)  # as katok_entropy does
         tracemalloc.start()
         try:
             kc = katok_rn(mu, 3, 0.5, 0.5)
@@ -607,7 +620,7 @@ class TestKatok:
         pool = sys.enumerate_points(10)
         mu = MeasureModel.empirical(sys, pool)
         bowen.pool_exits.cache_clear()
-        bowen.pool_exits(sys, pool, pool, 0.5, 3)  # as katok_entropy does
+        bowen.pool_exits(sys, pool, 0.5, 3)  # as katok_entropy does
         tracemalloc.start()
         try:
             kc = katok_rn(mu, 1, 0.5, 0.5)
@@ -631,14 +644,15 @@ class TestKatok:
         assert c4 >= c1
 
     def test_pool_insufficient(self):
+        # two orders past the window the truncation slack is 2, above
+        # either eps, so no point lies even in its own open ball
         sys = full_shift()
-        pts = sys.enumerate_points(3)
-        mu = MeasureModel.empirical(sys, pts)
-        with pytest.raises(PoolInsufficientError):
-            katok_rn(mu, 2, 0.4, 0.1, candidate_pool=pts[:1])
+        mu = MeasureModel.empirical(sys, sys.enumerate_points(3))
+        n = sys.window + 2
+        assert sys.truncation_slack(n) == 2.0
         for eps in (0.4, 1.5):  # with and without the cylinder rule
             with pytest.raises(PoolInsufficientError):
-                katok_rn(mu, 2, eps, 0.1, candidate_pool=sys.points([]))
+                katok_rn(mu, n, eps, 0.1)
 
     def test_entropy_slope_log2(self):
         sys, pool, mu = exact_cylinder_model(depth=10)
@@ -676,20 +690,18 @@ def _reference_katok_exact(member_matrix, weights, target):
     return best
 
 
-def _reference_katok_rn(measure, n, eps, delta, candidate_pool=None,
-                        exact_cap=14):
+def _reference_katok_rn(measure, n, eps, delta, exact_cap=14):
     """katok_rn with one ``ball_masks`` call per order, as it ran before
     the exit-order memo."""
     import heapq
     sys = measure.system
     support = measure.support
     weights = np.asarray(measure.support_weights)
-    pool = candidate_pool if candidate_pool is not None else support
-    member_matrix = ball_masks(sys, pool.symbols, support.symbols, n, eps)
+    member_matrix = ball_masks(sys, support.symbols, support.symbols, n, eps)
     target = 1.0 - delta
     if float(weights[member_matrix.any(axis=0)].sum()) <= target:
         raise PoolInsufficientError("pool cannot reach the target")
-    if len(pool) <= exact_cap:
+    if len(support) <= exact_cap:
         return _reference_katok_exact(member_matrix, weights, target), True
     active = weights.astype(float).copy()
     heap = [(-g, i) for i, g in enumerate(member_matrix @ active)]
@@ -721,18 +733,14 @@ class TestKatokExitOrders:
     def test_exit_orders_match_per_order_masks(self, name):
         sys, mu, snapshot = _memo_snapshot(name)
         Z = snapshot.support.symbols
-        candidates = mu.sample_points(150, stream=9)
         n_max = sys.window + 2
         for eps in (0.45, 0.3):
-            for pool in (snapshot.support, candidates):
-                exits = bowen.pool_exits(sys, pool, snapshot.support, eps,
-                                         n_max)[0]
-                assert exits.dtype == np.uint8
-                assert not exits.flags.writeable
-                P = pool.symbols
-                for n in range(1, n_max + 1):
-                    expected = ball_masks(sys, P, Z, n, eps)
-                    assert np.array_equal(exits > n, expected), (eps, n)
+            exits = bowen.pool_exits(sys, snapshot.support, eps, n_max)[0]
+            assert exits.dtype == np.uint8
+            assert not exits.flags.writeable
+            for n in range(1, n_max + 1):
+                expected = ball_masks(sys, Z, Z, n, eps)
+                assert np.array_equal(exits > n, expected), (eps, n)
 
     def test_entropy_matches_per_order_reference(self):
         sys, mu, _ = _memo_snapshot("grid-k3")
@@ -745,12 +753,12 @@ class TestKatokExitOrders:
             assert est.details["counts"] == ref
             assert est.per_scale == {n: math.log(c) for n, (c, _) in
                                      zip(range(1, 6), ref)}
-        small = MeasureModel.empirical(sys, snapshot.support[:200])
-        candidates = snapshot.support[200:212]
+        # a support of 12 points takes the exact search
+        small = MeasureModel.empirical(sys, snapshot.support[200:212])
         for n in (2, 1, 3):
-            kc = katok_rn(small, n, 0.4, 0.8, candidate_pool=candidates)
+            kc = katok_rn(small, n, 0.4, 0.8)
             assert (kc.count, kc.exact) == _reference_katok_rn(
-                small, n, 0.4, 0.8, candidate_pool=candidates)
+                small, n, 0.4, 0.8)
 
     def test_one_engine_pass_per_sweep(self, monkeypatch):
         sys, mu, snapshot = _memo_snapshot("grid-k3")
@@ -1004,12 +1012,12 @@ class TestPSExitOrders:
         ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6), pool=fresh)
         assert passes[1:] == [(200, 200, 0.4)]
         # a deeper request rebuilds; a shallower one reads the same pass
-        deep = bowen.pool_exits(sys, fresh, fresh, 0.4, 8)
+        deep = bowen.pool_exits(sys, fresh, 0.4, 8)
         assert len(passes) == 3
         for got, ref in zip(deep, engine(sys, fresh.symbols, fresh.symbols,
                                          0.4, 8)):
             assert np.array_equal(got, ref)
-        shallow = bowen.pool_exits(sys, fresh, fresh, 0.4, 2)
+        shallow = bowen.pool_exits(sys, fresh, 0.4, 2)
         assert len(passes) == 3
         for got, ref in zip(shallow, engine(sys, fresh.symbols, fresh.symbols,
                                             0.4, 2)):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mmdim.errors import BracketError, ConfigurationError, WindowExhaustedError
 from mmdim.measures import MeasureModel, bs_entropy
 from mmdim.pressure import (
     _logsumexp,
+    _modulus,
     analytic_oracle_pressure,
     induced_mdim_estimate,
     induced_pressure,
@@ -99,7 +101,8 @@ def test_pressure_sum_matches_scalar_sums(sidedness, k, window, kind, scale,
     system = ShiftSystem(kind="full-shift", alphabet_size=k,
                          sidedness=sidedness, window=window, eps_min=3.0)
     rng = np.random.default_rng(seed)
-    phi = drawn_potential(rng, kind, k).scaled(scale).shifted(shift)
+    phi = drawn_potential(rng, kind, k).scaled(scale)
+    phi = replace(phi, offset=phi.offset + shift)
     # orders up to and past the stored word: exact tails read zeros there
     n = data.draw(st.integers(1, system.word_length + 3), label="n")
     rows = rng.integers(0, k, size=(int(rng.integers(1, 40)),
@@ -118,7 +121,7 @@ def test_pressure_sum_matches_scalar_sums_at_long_orders(sidedness, n):
     rng = np.random.default_rng(n)
     phi = Potential.from_range_table(rng.uniform(0.0, 1.0, 16), 2)
     points = system.points(rng.integers(0, 4, size=(300, system.word_length)))
-    for p in (phi, phi.scaled(-1.5).shifted(0.7)):
+    for p in (phi, replace(phi.scaled(-1.5), offset=0.7)):
         assert pressure_sum(system, points, p, n, 0.3) == \
             scalar_pressure_sum(system, points, p, n, 0.3)
 
@@ -249,6 +252,36 @@ class TestOracle:
         phi = Potential.from_range_table([0.0, 1.0, 1.0, 0.0], range_len=2)
         with pytest.raises(ConfigurationError):
             analytic_oracle_pressure(sys, phi, 0.5)
+
+    def test_constant_modulus_zero(self):
+        sys = full_shift()
+        assert _modulus(sys, Potential.constant(3.0), 0.5) == 0.0
+
+    def test_table_modulus(self):
+        sys = full_shift()
+        phi = Potential.from_table([0.2, 0.7])
+        assert _modulus(sys, phi, 0.5) == 0.0
+        assert _modulus(sys, phi, 1.0) == pytest.approx(0.5)
+
+    def test_modulus_pinned(self):
+        # values pinned from the former Potential.modulus
+        full = full_shift(k=3)
+        grid = ShiftSystem(kind="grid-shift", alphabet_size=5, window=14,
+                           eps_min=0.05)
+
+        def affine(table, scale, offset):
+            return replace(Potential.from_table(table).scaled(scale),
+                           offset=offset)
+
+        phi = affine([0.3, -1.2, 2.5], -1.7, 0.4)
+        assert [_modulus(full, phi, r) for r in (0.5, 1.0, 1.3)] == [
+            0.0, 6.29, 6.29]
+        # rho = 0.2 ties the grid spacing: adjacent symbols are in reach
+        phi = affine([0.0, 0.35, 0.9, 1.1, 2.45], -0.8, -2.0)
+        assert [_modulus(grid, phi, r) for r in (0.1, 0.2, 0.4, 0.6, 0.8)] \
+            == [0.0, 1.08, 1.2400000000000002, 1.6800000000000002,
+                1.9600000000000002]
+        assert _modulus(grid, affine([0.7] * 5, -3.0, 1.5), 0.3) == 0.0
 
 
 class TestPressureEstimate:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,16 +162,6 @@ class TestPotential:
         assert neg.max == pytest.approx(-0.4)
         assert neg.norm == pytest.approx(1.4)
 
-    def test_constant_modulus_zero(self):
-        sys = full_shift()
-        assert Potential.constant(3.0).modulus(sys, 0.5) == 0.0
-
-    def test_table_modulus(self):
-        sys = full_shift()
-        phi = Potential.from_table([0.2, 0.7])
-        assert phi.modulus(sys, 0.5) == 0.0
-        assert phi.modulus(sys, 1.0) == pytest.approx(0.5)
-
     def test_combine_tables(self):
         sys = full_shift()
         phi = Potential.from_table([0.2, 0.7])
@@ -221,7 +212,7 @@ def test_birkhoff_sums_columns_equal_the_loop_sum(sidedness, kind):
             "range": Potential.from_range_table(rng.uniform(-1.0, 2.0, 27),
                                                 3)}[kind]
     points = system.points(rng.integers(0, 3, size=(40, system.word_length)))
-    for phi in (base, base.scaled(-1.5).shifted(0.7)):
+    for phi in (base, replace(base.scaled(-1.5), offset=0.7)):
         sums = birkhoff_sums(system, phi, points.symbols, 17)
         assert sums.shape == (len(points), 18)
         for x, row in zip(points, sums):
