@@ -73,7 +73,6 @@ class OuterMeasureProblem:
             raise ConfigurationError("need N <= n_max")
         if self.N < 1:
             raise ConfigurationError("orders start at 1")
-        self.system.truncation_slack(self.n_max)  # the balls need it
         self.system.check_order(self.n_max, self.eps)
         if self.structure not in STRUCTURES:
             raise ConfigurationError(f"unknown structure {self.structure!r}")

@@ -13,6 +13,8 @@ configuration error, 2 failed verification assertion.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 import time
 from typing import NoReturn, Sequence
@@ -253,6 +255,14 @@ def _records(command: str, cfg: ExperimentConfig | None,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Freeze the heap at exit: the interpreter's final collections then
+    # skip the ~22k objects numpy and mmdim made at import, and a run exits
+    # in ~9 ms where it took 23-32 ms (2 cores, Python 3.11).  Registered
+    # here, not at import, so library users keep the normal exit; never
+    # frozen now, so an in-process caller's garbage stays collectable.
+    # Every file is closed before main returns, so no output is lost.
+    atexit.unregister(gc.freeze)  # one registration however often main runs
+    atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
         cfg = None

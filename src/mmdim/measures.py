@@ -590,11 +590,13 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     balls are centred at the support points, and the membership is read
     off ``bowen.pool_exits``, so every order of one (support, eps) and PS
     on that pool share one engine pass; only the exact search builds the
-    bool membership ``exits > n``."""
+    bool membership ``exits > n``.  An order past the window's reliable
+    depth at ``eps`` raises ``WindowExhaustedError``."""
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
+    measure.system.check_order(n, eps)
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     weights = np.asarray(measure.support_weights)
@@ -626,6 +628,8 @@ def katok_entropy(measure: MeasureModel, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     if n_schedule and n_schedule[0] >= 1:  # else katok_rn raises
+        # the deepest order first, so that a bad one costs no engine pass
+        measure.system.check_order(n_schedule[-1], eps)
         pool_exits(measure.system, measure.support, eps, n_schedule[-1])
     per_scale = {}
     flags = []

@@ -139,6 +139,7 @@ class ShiftSystem:
 
     def check_order(self, order: int, eps: float) -> None:
         if order > self.max_reliable_order(eps):
+            self.truncation_slack(order)  # raises far past the window
             raise WindowExhaustedError(
                 f"order {order} at radius {eps} exceeds reliable depth "
                 f"{self.max_reliable_order(eps)} for window {self.window}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -284,6 +285,15 @@ print(json.dumps(seen))
 """
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this mmdim."""
+    src = str(Path(mmdim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_scipy_never_loads(tmp_path):
     grid, weighted = tmp_path / "grid.cfg", tmp_path / "weighted.cfg"
     grid.write_text(GRID_CONFIG)
@@ -291,15 +301,11 @@ def test_scipy_never_loads(tmp_path):
                         + "\n[subset-dim]\ndepth = 2\nn_max = 3\n")
     grid_out, weighted_out = tmp_path / "grid.jsonl", tmp_path / "w.jsonl"
     verify_out = tmp_path / "verify.jsonl"
-    src = str(Path(mmdim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(FRESH_INTERPRETER),
          str(grid), str(grid_out), str(weighted), str(weighted_out),
          str(verify_out)],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["grid"] == 0 and seen["weighted"] == 0 and seen["verify"] == 0
@@ -332,15 +338,75 @@ print("numpy.ma" in sys.modules)
 def test_bootstrap_interval_never_loads_numpy_ma():
     # np.quantile imports numpy.ma through np.unique: about 17 ms and
     # 1.2 MB of peak RSS in every process that reports a bootstrap interval
-    src = str(Path(mmdim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(BOOTSTRAP_INTERPRETER)],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+EXIT_FREEZE_INTERPRETER = """
+import atexit
+import gc
+
+calls = []
+freeze = gc.freeze
+
+
+def counted_freeze():
+    calls.append(1)
+    freeze()
+
+
+gc.freeze = counted_freeze
+# hooks run last in, first out: this one runs after every hook mmdim adds
+atexit.register(lambda: print("exit", len(calls), gc.get_freeze_count()))
+
+from mmdim.cli import main
+
+codes = [main(["verify", "--suite", "counting"]) for _ in range(2)]
+print("codes", *codes)
+"""
+
+
+def test_main_freezes_the_heap_once_at_exit():
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(EXIT_FREEZE_INTERPRETER)],
+        capture_output=True, text=True, env=fresh_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "codes 0 0"
+    word, calls, frozen = lines[-1].split()
+    # one freeze however often main ran, and it held the import's objects
+    assert (word, calls) == ("exit", "1")
+    assert int(frozen) > 0
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    # the freeze waits for exit: a caller's garbage stays collectable
+    before = gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["verify", "--suite", "counting"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_piped_records_survive_the_exit_freeze(tmp_path):
+    # without --out the records are the last bytes the process writes
+    config = str(BENCH_CONFIGS / "grid.cfg")
+    out = tmp_path / "records.jsonl"
+    runs = [subprocess.run(
+        [sys.executable, "-m", "mmdim.cli", "estimate-mdim", "--config",
+         config, *extra], capture_output=True, text=True, env=fresh_env(),
+        timeout=300) for extra in ([], ["--out", str(out)])]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+
+    def strip(lines):
+        return [{k: v for k, v in json.loads(line).items()
+                 if k != "timestamp"} for line in lines]
+
+    piped = runs[0].stdout.splitlines()
+    assert piped and strip(piped) == strip(out.read_text().splitlines())
 
 
 class TestCli:
@@ -672,6 +738,21 @@ def test_subset_order_past_the_reliable_depth_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_katok_order_past_the_reliable_depth_exits_1(tmp_path, capsys):
+    # order 12 lies past the reliable depth at every eps of the schedule;
+    # the Katok sweep used to count balls there and exit 0
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    assert text.count("n = 2 3 4 5\n") == 1
+    path = tmp_path / "deep.cfg"
+    path.write_text(text.replace("n = 2 3 4 5\n", "n = 2 3 4 12\n"))
+    code = main(["entropy", "--quantity", "katok", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: order 12 at radius 0.6 exceeds reliable "
+                          "depth 10 for window 14")
+    assert "Traceback" not in err
+
+
 def test_huge_potential_ends_its_bisection(tmp_path, capsys):
     # the critical lambda lies near 1e20, where bisection to tol never ended
     text = (BENCH_CONFIGS / "shift.cfg").read_text()
@@ -715,10 +796,7 @@ def test_huge_potential_values_end_cleanly(tmp_path, value):
     text = (BENCH_CONFIGS / "shift.cfg").read_text()
     path = tmp_path / "huge.cfg"
     path.write_text(text.replace("values = 0.4 0.9", f"values = {value} 0.9"))
-    src = str(Path(mmdim.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = fresh_env()
     for command in ("estimate-mdim", "induced-mdim", "entropy --quantity bs",
                     "subset-dim --structure bowen"):
         out = tmp_path / "records.jsonl"

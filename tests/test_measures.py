@@ -643,16 +643,23 @@ class TestKatok:
         c4 = katok_rn(mu, 4, 0.9, 0.5).count
         assert c4 >= c1
 
-    def test_pool_insufficient(self):
+    def test_order_past_reliable_depth(self):
         # two orders past the window the truncation slack is 2, above
-        # either eps, so no point lies even in its own open ball
+        # either eps, so no point would lie even in its own open ball: the
+        # order is refused, not blamed on the pool
         sys = full_shift()
         mu = MeasureModel.empirical(sys, sys.enumerate_points(3))
         n = sys.window + 2
         assert sys.truncation_slack(n) == 2.0
         for eps in (0.4, 1.5):  # with and without the cylinder rule
-            with pytest.raises(PoolInsufficientError):
+            with pytest.raises(WindowExhaustedError):
                 katok_rn(mu, n, eps, 0.1)
+        # one past the reliable depth, where every ball still holds its
+        # centre, is refused as well
+        depth = sys.max_reliable_order(0.6)
+        katok_rn(mu, depth, 0.6, 0.5)
+        with pytest.raises(WindowExhaustedError, match="reliable depth"):
+            katok_rn(mu, depth + 1, 0.6, 0.5)
 
     def test_entropy_slope_log2(self):
         sys, pool, mu = exact_cylinder_model(depth=10)
@@ -788,6 +795,24 @@ class TestKatokExitOrders:
         monkeypatch.setattr(measures, "pool_exits", counted)
         with pytest.raises(ConfigurationError):
             katok_rn(snapshot, 0, 0.4, 0.5)
+        assert reads == []
+
+    def test_deep_order_rejected_before_the_pass(self, monkeypatch):
+        # shift.cfg's system with n = 2 3 4 12: order 12 lies past the
+        # reliable depth (10 at eps 0.6), so the sweep fails before its
+        # engine pass and before any count
+        sys = full_shift()
+        mu = MeasureModel.bernoulli(sys, [0.5, 0.5], seed=1)
+        reads = []
+        exits = measures.pool_exits
+
+        def counted(*args):
+            reads.append(args)
+            return exits(*args)
+
+        monkeypatch.setattr(measures, "pool_exits", counted)
+        with pytest.raises(WindowExhaustedError, match="order 12 at radius"):
+            katok_entropy(mu, 0.6, 0.5, [2, 3, 4, 12])
         assert reads == []
 
 

@@ -26,7 +26,7 @@ from mmdim.caratheodory import (
     _candidates,
     _log_weights,
 )
-from mmdim.errors import ConfigurationError
+from mmdim.errors import ConfigurationError, PoolInsufficientError
 from mmdim.solvers import (
     _packing_simplex,
     fractional_cover,
@@ -447,6 +447,14 @@ def test_mass_cover_sums_each_row_on_its_own(seed):
         reference_greedy_mass_cover(sets, mass, 0.9)
 
 
+def test_mass_cover_stalls_below_the_target():
+    # ball 0 holds the 0.3-mass point and ball 1 is empty at order 1, so
+    # the reachable mass 0.3 never exceeds the target 0.5
+    exits = np.array([[3, 1], [1, 1]], dtype=np.uint8)
+    with pytest.raises(PoolInsufficientError, match="stalled"):
+        greedy_mass_cover(exits, 1, np.array([0.3, 0.7]), 0.5)
+
+
 def bitset_cover(sets, weights):
     bits = [rows_as_bits(row[None])[0] for row in sets]
     return greedy_weighted_cover(bits, weights, sets.shape[1])
@@ -500,6 +508,20 @@ def test_bitset_weighted_cover_stalls_on_an_uncoverable_point():
     for cover in (bitset_cover, reference_greedy_weighted_cover):
         with pytest.raises(ConfigurationError, match="stalled"):
             cover(sets, np.ones(2))
+
+
+@pytest.mark.xfail(strict=True, reason="the heap is seeded with bare "
+                   "weights, not weight / popcount")
+def test_weighted_cover_within_chvatal_bound():
+    # three unit singletons and one row of all three at weight 1.5: the
+    # bare-weight seed takes the singletons (3.0) where the optimum is the
+    # full row (1.5), past greedy's H(3) guarantee
+    sets = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=bool)
+    weights = np.array([1.0, 1.0, 1.0, 1.5])
+    optimum = weights[min_weight_cover(sets, weights)].sum()
+    assert optimum == 1.5
+    greedy = weights[bitset_cover(sets, weights)].sum()
+    assert greedy <= (1 + 1 / 2 + 1 / 3) * optimum
 
 
 # -- fractional cover -----------------------------------------------------------
