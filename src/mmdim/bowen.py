@@ -24,19 +24,22 @@ open (n, eps)-ball lies in its centre's n-cylinder (``_prefix_runs``).
 The greedy scan keeps each point alone in its n-cylinder and scans the
 others within their cylinders.  ``exit_orders`` is the one place that
 reads membership across orders: it computes distances only within origin
-cylinders (``cylinder_blocks``), with the same bits, and spanning sets,
-ball masses, Katok and PS counts and Caratheodory candidates read its exit
-orders, so they know nothing of slack, comparisons or cylinders.
+cylinders (``cylinder_blocks``), with the same bits, and keeps one dense
+block of exit orders per cylinder (``Exits``).  Spanning sets, ball
+masses, Katok and PS counts and Caratheodory candidates read each ball
+inside its own block, and a pool's readers inside its centre's
+n-cylinder, so they know nothing of slack or comparisons.
 
 ``pool_exits`` is the one exit memo: it keeps the last pass of one pool
 against itself, open and closed, and answers shallower orders as they are
-and sub-pools of the pool by slicing, which is exact because a pair's exit
-orders depend on the pair, the system and eps alone.  The closed matrix is
-the open one itself unless some pair's reach equals eps, so a pass without
-such a tie holds one matrix.  Katok at every order, PS and the
-Caratheodory candidates on a pool's generic subset so share one pass per
-(pool, eps), made at the deepest order asked for.  The candidate families
-are kept on the pass they read and go with it.
+and sub-pools of the pool by reading inside its blocks, which is exact
+because a pair's exit orders depend on the pair, the system and eps
+alone.  A block's closed array is its open one unless some pair's reach
+in it equals eps, so a block without such a tie holds one array.  Katok
+at every order, PS and the Caratheodory candidates on a pool's generic
+subset so share one pass per (pool, eps), made at the deepest order
+asked for.  The candidate families are kept on the pass they read and go
+with it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,34 +79,54 @@ class BallSpec:
 
 # -- distance engine -----------------------------------------------------------
 
-# A block of centre rows holds, per pair, a double per shift and a byte per
-# position, within ``_BLOCK_BYTES``.
 # Candidate rows resolved together by the greedy separation scan.
 _SCAN_ROWS = 64
+# Rows and columns of a tile mirrored at once: 16 KiB of exit orders.
+_MIRROR_TILE = 128
+# Fewest positions of a block that a reader of exit orders takes at once:
+# below this a numpy call costs more than its columns.
+_MIN_SPAN = 256
 
 
 def distance_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
-                    n_max: int) -> Iterator[tuple[slice, int, np.ndarray]]:
+                    n_max: int, symmetric: bool = False,
+                    ) -> Iterator[tuple[slice, int, np.ndarray]]:
     """Bowen distances from the rows of C to the rows of Z, all orders.
 
     Yields ``(rows, n, d)`` for consecutive blocks of centre rows and, per
     block, every order n = 1..n_max in turn: ``d`` holds the order-n
-    distances from ``C[rows]`` to every row of Z.  At shift j, position
-    t >= j weighs ``w^|t - origin - j|``: shift j reads the sweep's
-    ``S_{origin + j}`` and, two-sided, adds the left part over positions
-    j..origin+j-1.  Absolute-difference sums run over |a - b| and are
-    divided by k at the end.  Shifts past the word add nothing.
+    distances from ``C[rows]`` to every row of Z, or with ``symmetric``
+    (C and Z the same rows) to the rows of Z from ``rows.start`` on: a
+    pair's symbol distances are the same both ways round, so its distance
+    is the same double, and the caller mirrors the rest.  A block's
+    temporaries, with the caller's reach (``d`` plus a slack) and its
+    compares, stay within ``_BLOCK_BYTES`` whenever one row fits.
+
+    At shift j, position t >= j weighs ``w^|t - origin - j|``: shift j
+    reads the sweep's ``S_{origin + j}`` and, two-sided, adds the left
+    part over positions j..origin+j-1.  Absolute-difference sums run over
+    |a - b| and are divided by k at the end.  Shifts past the word add
+    nothing.
     """
     L, o, w = system.word_length, system.origin_index, system.weight_base
     discrete = system.symbol_metric == DISCRETE
     shifts = min(n_max, L)
-    step = max(1, _BLOCK_BYTES // ((8 * shifts + L) * max(len(Z), 1)))
     dtype = system.symbol_dtype
+    # per pair: the symbol distances (a difference and its absolute value),
+    # a double per shift, S, T and the caller's reach, and two bool compares
+    sd_bytes = 1 if discrete else 2 * np.dtype(dtype).itemsize
+    pair_bytes = L * sd_bytes + 8 * (shifts + 3) + 2
     CT = np.ascontiguousarray(C.T, dtype=dtype)[:, :, None]
     ZT = np.ascontiguousarray(Z.T, dtype=dtype)[:, None, :]
-    for start in range(0, len(C), step):
-        rows = slice(start, min(start + step, len(C)))
-        sd = CT[:, rows] != ZT if discrete else np.abs(CT[:, rows] - ZT)
+    start = 0
+    while start < len(C):
+        first = start if symmetric else 0
+        width = max(len(Z) - first, 1)
+        rows = slice(start, min(start + max(1, _BLOCK_BYTES // (
+            pair_bytes * width)), len(C)))
+        start = rows.stop
+        zt = ZT[:, :, first:]
+        sd = CT[:, rows] != zt if discrete else np.abs(CT[:, rows] - zt)
         sums = np.zeros((shifts,) + sd.shape[1:])
         S = np.zeros(sd.shape[1:])
         for t in range(L - 1, o - 1, -1):
@@ -147,38 +170,199 @@ def ball_masks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray, n: int,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class ExitBlock:
+    """The exit orders of one origin cylinder: row ``rows[i]`` of C against
+    column ``cols[j]`` of Z is entry (i, j) of ``opened`` (``closed``).
+    ``closed`` is ``opened`` itself until some reach in the block equals
+    eps.  A pool's block against itself lists its points in lexicographic
+    order from the origin, for rows and columns alike, and ``edges[n - 1]``
+    bounds its n-cylinders, each a run of positions that holds every
+    order-n ball of its centres; a block without edges is read whole.
+    A sub-pool's block reads a pool block's own arrays at ``at``, its
+    points' positions there, and copies nothing until read."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    opened: np.ndarray
+    closed: np.ndarray
+    edges: tuple[np.ndarray, ...] = ()
+    at: np.ndarray | None = None
+
+    def read(self, closed: bool = False, rows: slice = slice(None),
+             cols: slice = slice(None)) -> np.ndarray:
+        """Exit orders at block positions ``rows`` x ``cols``: a view of a
+        pass's own array, or a copy of a sub-pool's cell."""
+        a = self.closed if closed else self.opened
+        if self.at is None:
+            return a[rows, cols]
+        return a.take(self.at[rows], axis=0).take(self.at[cols], axis=1)
+
+    def cylinders(self, n: int) -> list[tuple[slice, slice]]:
+        """The block positions ``(rows, cols)`` of each run of whole
+        n-cylinders that a reader takes at once: consecutive cylinders
+        narrower than ``_MIN_SPAN`` positions are read together."""
+        if not self.edges:
+            return [(slice(0, len(self.rows)), slice(0, len(self.cols)))]
+        spans, first = [], 0
+        for stop in self.edges[n - 1].tolist()[1:]:
+            if stop - first >= _MIN_SPAN or stop == len(self.rows):
+                spans.append((slice(first, stop), slice(first, stop)))
+                first = stop
+        return spans
+
+    def cells(self, n: int, pair_bytes: int, closed: bool = False,
+              ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """``(rows, cols, exits)``: a run of the rows of one n-cylinder at
+        the cylinder's columns, for a caller whose temporaries take
+        ``pair_bytes`` per entry, within ``_BLOCK_BYTES``."""
+        for span, cols in self.cylinders(n):
+            step = max(1, _BLOCK_BYTES // (pair_bytes * max(
+                cols.stop - cols.start, 1)))
+            for start in range(span.start, span.stop, step):
+                rows = slice(start, min(start + step, span.stop))
+                yield rows, cols, self.read(closed, rows, cols)
+
+
+@dataclass(frozen=True, eq=False)
+class Exits:
+    """Exit orders of the rows of C from the balls at the rows of Z, one
+    dense block per origin cylinder of C.  Every row of C lies in one
+    block, and no column lies in two; a pair in no block exits at order 1.
+    Without the cylinder rule the one block is every pair."""
+
+    shape: tuple[int, int]
+    blocks: tuple[ExitBlock, ...]
+    dtype: np.dtype
+
+    @functools.cached_property
+    def where(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's block and its position in that block."""
+        block = np.zeros(self.shape[0], dtype=np.intp)
+        pos = np.zeros(self.shape[0], dtype=np.intp)
+        for b, blk in enumerate(self.blocks):
+            block[blk.rows] = b
+            pos[blk.rows] = np.arange(len(blk.rows))
+        return block, pos
+
+    @property
+    def tied(self) -> bool:
+        """Whether the closed rule parts from the open one in some block."""
+        return any(b.closed is not b.opened for b in self.blocks)
+
+    def balls(self, n: int,
+              ) -> Callable[[int], tuple[int, ExitBlock, slice, np.ndarray]]:
+        """The order-n ball of a row: its block's index, the block, the
+        columns of the row's n-cylinder there and its open exits at them."""
+        block, pos = self.where
+        cylinders = [b.cylinders(n) for b in self.blocks]
+        starts = [[rows.start for rows, _ in c] for c in cylinders]
+
+        def ball(i: int) -> tuple[int, ExitBlock, slice, np.ndarray]:
+            b, p = block[i], pos[i]
+            _, cols = cylinders[b][bisect.bisect_right(starts[b], p) - 1]
+            blk = self.blocks[b]
+            return b, blk, cols, blk.read(False, slice(p, p + 1), cols)[0]
+        return ball
+
+    def dense(self, closed: bool = False) -> np.ndarray:
+        """The whole |C| x |Z| matrix, for the searches that read every
+        pair of a few points and for one-centre reads."""
+        out = np.ones(self.shape, dtype=self.dtype)
+        for b in self.blocks:
+            out[np.ix_(b.rows, b.cols)] = b.read(closed)
+        return out
+
+
 def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
-                eps: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exit orders ``(open, closed)`` of the rows of Z from B_n(c, eps).
+                eps: float, n_max: int) -> Exits:
+    """Exit orders, open and closed, of the rows of Z from B_n(c, eps).
 
     Entry (c, z) is the first order n <= n_max at which row z fails the
     ``ball_masks`` rule for the open (closed) ball at row c of C, else
     n_max + 1.  Distance and slack grow with n, so a row that has left a
     ball stays out and the order-n membership matrix is ``exits > n``.
-    One engine pass per shared origin cylinder serves every order of both
-    rules; any other pair exits at order 1.  The rules differ only where
-    some reach (distance plus slack) equals eps, so ``closed`` is the open
-    array itself until the first such tie, and a copy tracked on its own
-    from there.
+    One engine pass per shared origin cylinder writes its block and serves
+    every order of both rules; any other pair exits at order 1.  The rules
+    differ only where some reach (distance plus slack) equals eps, so a
+    block's ``closed`` is its open array itself until the block's first
+    such tie, and a copy tracked on its own from there.  A pool against
+    itself (C is Z) gets blocks in lexicographic order with the bounds of
+    their n-cylinders, and each block's pass fills its upper triangle.
     """
     slack = [system.truncation_slack(n) for n in range(1, n_max + 1)]
-    opened = np.ones((len(C), len(Z)), dtype=np.min_scalar_type(n_max + 1))
-    closed = opened
-    for ci, zi in cylinder_blocks(system, C, Z, eps, slack):
-        cell = np.ix_(ci, zi)
-        o = opened[cell]
-        c = o if closed is opened else closed[cell]
-        for rows, n, d in distance_blocks(system, C[ci], Z[zi], n_max):
+    dtype = np.min_scalar_type(n_max + 1)
+    symmetric = C is Z
+    cells = (_pool_cylinders(system, Z, eps, slack) if symmetric else
+             [(ci, zi, ()) for ci, zi in cylinder_blocks(system, C, Z, eps,
+                                                         slack)])
+    blocks = []
+    for ci, zi, edges in cells:
+        o = np.ones((len(ci), len(zi)), dtype=dtype)
+        c = o
+        for rows, n, d in distance_blocks(system, C[ci], Z[zi], n_max,
+                                          symmetric):
+            cell = (rows, slice(rows.start if symmetric else 0, None))
             reach = d + slack[n - 1]
-            if c is o and (reach == eps).any():  # the first tie
-                closed, c = opened.copy(), o.copy()
-            o[rows] += reach < eps
+            if c is o and (reach == eps).any():  # the block's first tie
+                c = o.copy()
+            o[cell] += reach < eps
             if c is not o:
-                c[rows] += reach <= eps
-        opened[cell] = o
-        if closed is not opened:
-            closed[cell] = c
-    return opened, closed
+                c[cell] += reach <= eps
+        if symmetric:
+            _mirror(o)
+            if c is not o:
+                _mirror(c)
+        blocks.append(ExitBlock(ci, zi, o, c, edges))
+    return Exits((len(C), len(Z)), tuple(blocks), dtype)
+
+
+def _pool_cylinders(system: ShiftSystem, Z: np.ndarray, eps: float,
+                    slacks: Sequence[float],
+                    ) -> list[tuple[np.ndarray, np.ndarray, tuple]]:
+    """``(rows, rows, edges)`` of each origin cylinder of a pool, its rows
+    in lexicographic order from the origin and ``edges[n - 1]`` the bounds
+    of its n-cylinders for n = 1..len(slacks); without the cylinder rule
+    the one block is every row, with no edges."""
+    n_max = len(slacks)
+    runs = _prefix_runs(system, Z, n_max, eps, slacks)
+    if runs is None:
+        rows = np.arange(len(Z))
+        return [(rows, rows, ())]
+    perm, _ = runs
+    o = system.origin_index
+    head = Z[perm, o:o + n_max]
+    # column j: the row starts a new (j + 1)-cylinder
+    new = np.logical_or.accumulate(head[1:] != head[:-1], axis=1)
+    starts = [np.r_[0, np.flatnonzero(new[:, min(n, head.shape[1]) - 1]) + 1,
+                    len(Z)] for n in range(1, n_max + 1)]
+    cells = []
+    for first, stop in zip(starts[0], starts[0][1:]):  # origin cylinders
+        rows = perm[first:stop]
+        edges = tuple(e[(e >= first) & (e <= stop)] - first for e in starts)
+        cells.append((rows, rows, edges))
+    return cells
+
+
+def _row_keys(Z: np.ndarray) -> np.ndarray:
+    """Each row of a symbol matrix as one byte string, so rows compare,
+    sort and search as values."""
+    Z = np.ascontiguousarray(Z)
+    return Z.view(np.dtype((np.void, Z.dtype.itemsize * Z.shape[1]))).ravel()
+
+
+def _mirror(a: np.ndarray) -> None:
+    """Copy the upper triangle of a square byte array onto the lower one,
+    a square tile at a time, so that a tile and its transpose stay in
+    cache."""
+    for i in range(0, len(a), _MIRROR_TILE):
+        rows = slice(i, i + _MIRROR_TILE)
+        for j in range(i + _MIRROR_TILE, len(a), _MIRROR_TILE):
+            cols = slice(j, j + _MIRROR_TILE)
+            a[cols, rows] = a[rows, cols].T
+        square = a[rows, rows]
+        np.copyto(square, square.T, where=np.tri(len(square), k=-1,
+                                                 dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,59 +373,73 @@ class _Exits:
     eps: float
     points: Points
     depth: int
-    opened: np.ndarray
-    closed: np.ndarray
+    exits: Exits
     families: dict = field(default_factory=dict)  # built on it, by callers
 
     @functools.cached_property
-    def rows(self) -> dict[bytes, int]:
-        return {row.tobytes(): i for i, row in enumerate(self.points.symbols)}
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool's rows as sorted byte strings, and their indices."""
+        keys = _row_keys(self.points.symbols)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
 
-    def cut(self, Z: Points) -> np.ndarray | None:
-        """The indices of Z's rows in the pool, or None when some row is
-        not there.  Equal rows have equal exits, so any match serves."""
-        found = [self.rows.get(row.tobytes()) for row in Z.symbols]
-        return None if None in found else np.array(found, dtype=np.intp)
+    def cut(self, Z: Points) -> Exits | None:
+        """The exits of Z's rows against themselves, read inside the
+        pass's blocks, or None when some row is not in the pool.  Equal
+        rows have equal exits, so any match serves."""
+        keys, order = self.rows
+        want = _row_keys(Z.symbols)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if not len(keys) or (keys[at] != want).any():
+            return None
+        block, pos = self.exits.where
+        at_block, at_pos = block[order[at]], pos[order[at]]
+        blocks = []
+        for b, blk in enumerate(self.exits.blocks):
+            mine = np.flatnonzero(at_block == b)
+            if len(mine):
+                # in the pool block's order, so its cylinders stay runs
+                mine = mine[np.argsort(at_pos[mine], kind="stable")]
+                at = at_pos[mine]
+                # a cylinder with none of the sub-pool's points is empty
+                edges = tuple(np.searchsorted(at, e) for e in blk.edges)
+                blocks.append(ExitBlock(mine, mine, blk.opened, blk.closed,
+                                        edges, at))
+        return Exits((len(Z), len(Z)), tuple(blocks), self.exits.dtype)
 
 
 def pool_exits(system: ShiftSystem, Z: Points, eps: float,
-               n_max: int) -> tuple[np.ndarray, np.ndarray]:
+               n_max: int) -> Exits:
     """``exit_orders`` of the rows of Z from the balls at the rows of Z,
     from one memoised pass.
 
-    The memo keeps the last pass, open and closed, read-only, keyed on
-    (system, Z, eps).  It answers any ``n_max`` up to the depth it was
-    built at, and pools whose rows all lie in its own, by slicing: a pair
+    The memo keeps the last pass, read-only, keyed on (system, Z, eps).
+    It answers any ``n_max`` up to the depth it was built at, and pools
+    whose rows all lie in its own, by reading inside its blocks: a pair
     gets the same double in any pool, and the cylinder rule depends on the
     system, eps and the slacks only.  Any other request replaces it; the
     old pass is freed before the new one is made.
 
     A read equals a fresh pass at every order <= ``n_max``: entries above
     ``n_max`` are the memo's own and are not capped, since every reader
-    compares them with an order of its own (``exits > n``).  The memo's
-    matrices come back as they are, a slice is a fresh array, and a
-    closed matrix that is the open one (no tie) is taken once.
+    compares them with an order of its own (``exits > n``).
     """
     memo = _exits_memo[0] if _exits_memo else None
-    zi = None
     if (memo is not None and memo.system == system and memo.eps == eps
             and memo.depth >= n_max):
         if Z == memo.points:
-            return memo.opened, memo.closed
-        zi = memo.cut(Z)
-    if zi is None:
-        memo = None  # so the old pass is freed before the new one is made
-        _exits_memo.clear()
-        opened, closed = exit_orders(system, Z.symbols, Z.symbols, eps, n_max)
-        opened.setflags(write=False)
-        closed.setflags(write=False)
-        _exits_memo.append(_Exits(system, eps, Z, n_max, opened, closed))
-        return opened, closed
-    # two takes beat one np.ix_ gather several times over
-    opened = memo.opened.take(zi, axis=0).take(zi, axis=1)
-    if memo.closed is memo.opened:
-        return opened, opened
-    return opened, memo.closed.take(zi, axis=0).take(zi, axis=1)
+            return memo.exits
+        cut = memo.cut(Z)
+        if cut is not None:
+            return cut
+    memo = None  # so the old pass is freed before the new one is made
+    _exits_memo.clear()
+    exits = exit_orders(system, Z.symbols, Z.symbols, eps, n_max)
+    for b in exits.blocks:
+        b.opened.setflags(write=False)
+        b.closed.setflags(write=False)
+    _exits_memo.append(_Exits(system, eps, Z, n_max, exits))
+    return exits
 
 
 _exits_memo: list[_Exits] = []  # the one slot
@@ -284,16 +482,20 @@ def max_separated(system: ShiftSystem, points: Points, n: int, eps: float,
     return pts[kept], False
 
 
-def greedy_separated(Z: np.ndarray, exits: np.ndarray, n: int,
+def greedy_separated(Z: np.ndarray, exits: Exits, n: int,
                      free: np.ndarray) -> list[int]:
     """``max_separated``'s greedy scan of the ``free`` rows of Z over their
     open ``exit_orders``: in lexicographic order, a free row is kept and
-    the rows inside its (n, eps)-ball stop being free."""
-    free, kept = free.copy(), []
+    the rows inside its (n, eps)-ball, all in its own n-cylinder, stop
+    being free."""
+    block, pos = exits.where
+    ball, kept = exits.balls(n), []
+    free = [free[b.cols] for b in exits.blocks]  # each block's, in its order
     for row in _lex_order(Z).tolist():
-        if free[row]:
+        if free[block[row]][pos[row]]:
             kept.append(row)
-            free &= exits[row] <= n
+            b, _, cols, exits_row = ball(row)
+            free[b][cols] &= exits_row <= n
     return kept
 
 
@@ -386,7 +588,7 @@ def min_spanning(system: ShiftSystem, points: Points, n: int, eps: float,
         return pts, True
     system.check_order(n, eps)
     Z = pts.symbols
-    cover_sets = exit_orders(system, Z, Z, eps, n)[0] > n
+    cover_sets = exit_orders(system, Z, Z, eps, n).dense() > n
     if len(pts) <= exact_cap:
         chosen = min_weight_cover(cover_sets, np.ones(len(pts)))
         return pts[sorted(chosen)], True

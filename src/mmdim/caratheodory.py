@@ -31,10 +31,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bowen import DEFAULT_EXACT_CAP, _exits_memo, pool_exits
+from .bowen import (DEFAULT_EXACT_CAP, Exits, ExitBlock, _exits_memo,
+                    pool_exits)
 from .errors import BracketError, ConfigurationError
 from .pressure import DimensionEstimate, log_eps_fit
-from .solvers import (_BLOCK_BYTES, fractional_cover, greedy_disjoint,
+from .solvers import (Bitsets, fractional_cover, greedy_disjoint,
                       greedy_weighted_cover, max_weight_independent,
                       min_weight_cover, rows_as_bits)
 from .systems import (Points, Potential, ShiftSystem, birkhoff_sums,
@@ -109,69 +110,89 @@ class CriticalValue:
 @dataclass(frozen=True)
 class _Candidates:
     """Candidate c * len(levels) + i is the ball of order levels[i] at
-    centre c of Z.  Bitsets and suprema are read off the exit matrices a
-    block of centres at a time; the dense member matrices are built only
-    on first use (exact searches, packings, the LP), so a greedy cover-only
-    run builds neither.  When a pass without a tie gives one exit matrix
-    for both rules, the closed members and suprema are the open ones."""
+    centre c of Z.  Bitsets and suprema are read off the exit blocks a run
+    of centres at a time, each ball over its own n-cylinder's columns;
+    the dense member matrices are built only on first use (exact
+    searches, packings, the LP), so a greedy cover-only run builds
+    neither.  When no block's closed rule parts from its open one, the
+    closed members and suprema are the open ones."""
 
     centers: tuple[int, ...]          # index into Z
     orders: tuple[int, ...]
     levels: np.ndarray                # the orders N..n_max
-    open_exits: np.ndarray            # (|Z|, |Z|), pool_exits' own or a slice
-    closed_exits: np.ndarray
+    exits: Exits                      # pool_exits' own or a sub-pool's
     sums: np.ndarray                  # base-potential S_n phi, column n
 
-    def _members(self, exits: np.ndarray, start: int = 0,
-                 stop: int | None = None) -> np.ndarray:
-        """(centres, levels, |Z|) bool membership of the candidate balls
-        at centres start..stop-1."""
-        members = exits[start:stop, None, :] > self.levels[:, None]
+    def _members(self, closed: bool) -> np.ndarray:
+        """(candidates, |Z|) bool membership of every candidate ball."""
+        members = self.exits.dense(closed)[:, None, :] > self.levels[:, None]
         centres = np.arange(len(members))
-        members[centres, :, start + centres] = True  # a ball holds its centre
-        return members
+        members[centres, :, centres] = True  # a ball holds its centre
+        return members.reshape(len(self.centers), -1)
 
-    def _blocks(self, exits: np.ndarray) -> Iterator[np.ndarray]:
-        """``_members`` a block of centres at a time, each block's bools
-        within an eighth of ``_BLOCK_BYTES``: the block is a pass's one
-        temporary, and a small one keeps the greedy cover's peak low."""
-        step = max(1, _BLOCK_BYTES // (8 * len(self.levels) * exits.shape[1]))
-        return (self._members(exits, s, s + step)
-                for s in range(0, len(exits), step))
+    def _balls(self, block: ExitBlock, n: int, closed: bool,
+               ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """``(rows, cols, balls)``: the order-n balls of a run of the
+        block's centres over their n-cylinder's columns, a ball holding
+        its centre, the run's exits and bools within ``_BLOCK_BYTES``."""
+        for rows, cols, cell in block.cells(n, 2, closed):
+            balls = cell > n
+            # a pool's block has its rows for columns, in one order
+            centres = np.arange(len(balls))
+            balls[centres, rows.start - cols.start + centres] = True
+            yield rows, cols, balls
 
-    def _sups(self, exits: np.ndarray) -> np.ndarray:
+    def _sups(self, closed: bool) -> np.ndarray:
         """Base-potential ball suprema of the candidates, a max over each
         ball's members with no float copy: a max is exact, so neither the
-        blocks nor the mask change a bit."""
-        sums = self.sums.T[self.levels]
-        return np.concatenate([np.maximum.reduce(
-            np.broadcast_to(sums, balls.shape), axis=2, where=balls,
-            initial=-np.inf).ravel() for balls in self._blocks(exits)])
+        cells nor the mask change a bit."""
+        out = np.empty((self.exits.shape[0], len(self.levels)))
+        for level, n in enumerate(self.levels.tolist()):
+            for b in self.exits.blocks:
+                sums = self.sums[b.cols, n]
+                for rows, cols, balls in self._balls(b, n, closed):
+                    out[b.rows[rows], level] = np.maximum.reduce(
+                        np.broadcast_to(sums[cols], balls.shape), axis=1,
+                        where=balls, initial=-np.inf)
+        return out.ravel()
 
     @functools.cached_property
     def open_members(self) -> np.ndarray:
-        return self._members(self.open_exits).reshape(len(self.centers), -1)
+        return self._members(False)
 
     @functools.cached_property
     def closed_members(self) -> np.ndarray:
-        if self.closed_exits is self.open_exits:  # a pass without a tie
+        if not self.exits.tied:
             return self.open_members
-        return self._members(self.closed_exits).reshape(len(self.centers), -1)
+        return self._members(True)
 
     @functools.cached_property
     def sup_open(self) -> np.ndarray:
-        return self._sups(self.open_exits)
+        return self._sups(False)
 
     @functools.cached_property
     def sup_closed(self) -> np.ndarray:
-        if self.closed_exits is self.open_exits:
+        if not self.exits.tied:
             return self.sup_open
-        return self._sups(self.closed_exits)
+        return self._sups(True)
 
     @functools.cached_property
-    def open_bits(self) -> list[int]:  # packed on the first greedy cover
-        return [bits for b in self._blocks(self.open_exits)
-                for bits in rows_as_bits(b.reshape(-1, b.shape[2]))]
+    def open_bits(self) -> Bitsets:
+        """The open balls as bitsets, packed on the first greedy cover:
+        block p is part p, and a ball spans its members within its own
+        n-cylinder."""
+        size = len(self.centers)
+        bits, part, low = [0] * size, [0] * size, [0] * size
+        levels = len(self.levels)
+        for level, n in enumerate(self.levels.tolist()):
+            for p, b in enumerate(self.exits.blocks):
+                for rows, cols, balls in self._balls(b, n, False):
+                    at = (b.rows[rows] * levels + level).tolist()
+                    lows, spans = Bitsets.spans(rows_as_bits(balls))
+                    for i, j, x in zip(at, lows, spans):
+                        bits[i], part[i], low[i] = x, p, cols.start + j
+        return Bitsets(bits, part, low,
+                       tuple(len(b.cols) for b in self.exits.blocks))
 
 
 def _candidates(problem: OuterMeasureProblem) -> _Candidates:
@@ -191,13 +212,13 @@ def _build_candidates(system: ShiftSystem, points: Points,
     key = (system, points, base, eps, N, n_max)
     if not (_exits_memo and key in _exits_memo[0].families):
         check_genuine(base, points, range(N, n_max + 1))
-        opened, closed = pool_exits(system, points, eps, n_max)
+        exits = pool_exits(system, points, eps, n_max)
         # in the exits' dtype, so the member compares cast nothing
-        orders = np.arange(N, n_max + 1, dtype=opened.dtype)
+        orders = np.arange(N, n_max + 1, dtype=exits.dtype)
         _exits_memo[0].families[key] = _Candidates(
             centers=tuple(c for c in range(len(points)) for _ in orders),
             orders=tuple(orders.tolist()) * len(points),
-            levels=orders, open_exits=opened, closed_exits=closed,
+            levels=orders, exits=exits,
             sums=birkhoff_sums(system, base, points.symbols, n_max))
     return _exits_memo[0].families[key]
 
@@ -234,10 +255,8 @@ def _cover_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
     if exact:  # a ball holds its centre, so every point is coverable
         chosen_local = min_weight_cover(cands.open_members[idx], weights)
     else:
-        bits = (cands.open_bits if not fixed
-                else [cands.open_bits[i] for i in idx])
-        chosen_local = greedy_weighted_cover(bits, weights,
-                                             len(problem.points))
+        bits = cands.open_bits.take(idx) if fixed else cands.open_bits
+        chosen_local = greedy_weighted_cover(bits, weights)
     chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
                    for i in chosen_local)
     value = float(weights[chosen_local].sum())

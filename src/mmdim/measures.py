@@ -191,7 +191,7 @@ class MeasureModel:
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
         exits = exit_orders(self.system, _centre_row(self.system, x),
-                            self.support.symbols, eps, n)[0][0]
+                            self.support.symbols, eps, n).dense()[0]
         w = np.asarray(self.support_weights)
         return float(w[exits > n].sum())
 
@@ -396,7 +396,7 @@ def _sampled_hits(measure: MeasureModel, x: Points, eps: float,
     for bi, done in enumerate(range(0, samples, block)):
         Y = measure.sample_matrix(min(block, samples - done),
                                   stream=stream * 1000 + bi)
-        exits = exit_orders(sys, center, Y, eps, n_max)[0][0]
+        exits = exit_orders(sys, center, Y, eps, n_max).dense()[0]
         exited += np.bincount(exits, minlength=n_max + 2)
         del Y, exits  # free this block before the next one is drawn
     inside = np.cumsum(exited[::-1])[::-1]  # samples exiting at n or later
@@ -589,8 +589,9 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     largest uncovered mass, with an exhaustive search below the cap.  The
     balls are centred at the support points, and the membership is read
     off ``bowen.pool_exits``, so every order of one (support, eps) and PS
-    on that pool share one engine pass; only the exact search builds the
-    bool membership ``exits > n``.  An order past the window's reliable
+    on that pool share one engine pass; a ball is read in its n-cylinder,
+    and only the exact search builds the whole bool membership
+    ``exits > n``.  An order past the window's reliable
     depth at ``eps`` raises ``WindowExhaustedError``."""
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
@@ -600,16 +601,19 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     weights = np.asarray(measure.support_weights)
-    exits = pool_exits(measure.system, measure.support, eps, n)[0]
+    exits = pool_exits(measure.system, measure.support, eps, n)
     target = 1.0 - delta
-    reachable = exits.max(axis=0) > n
+    reachable = np.zeros(len(weights), dtype=bool)
+    for b in exits.blocks:  # from its own n-cylinder only
+        for rows, cols, cell in b.cells(n, 1):
+            reachable[b.cols[cols]] |= cell.max(axis=0) > n
     total_reachable = float(weights[reachable].sum())
     if total_reachable <= target:
         raise PoolInsufficientError(
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
-    if len(exits) <= KATOK_EXACT_CAP:
-        members = exits > n
+    if exits.shape[0] <= KATOK_EXACT_CAP:
+        members = exits.dense() > n
         chosen = min_weight_cover(members, np.ones(len(members)),
                                   mass=weights, target=target)
         union = members[chosen].any(axis=0)
@@ -686,7 +690,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
     frequencies over steps 1..n stay within eta of the measure's marginals
     for every dictionary indicator; the estimate is the slope of
     log s_n over the schedule, reported at the smallest feasible eta.
-    s_n is ``greedy_separated`` over the pool's one ``pool_exits`` matrix.
+    s_n is ``greedy_separated`` over the pool's one ``pool_exits`` pass.
     """
     etas = sorted({float(e) for e in
                    (eta if isinstance(eta, (list, tuple)) else [eta])},
@@ -709,7 +713,7 @@ def ps_entropy(measure: MeasureModel, eps: float,
                 flags.append(f"empty-eta{eta_v}-n{n}")
                 continue
             sys.check_order(n, eps)
-            exits, _ = pool_exits(sys, pool_pts, eps, n_schedule[-1])
+            exits = pool_exits(sys, pool_pts, eps, n_schedule[-1])
             logs.append(math.log(len(greedy_separated(mat, exits, n, free))))
             per_scale[(n, eta_v)] = logs[-1]
             ns.append(n)

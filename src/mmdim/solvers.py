@@ -6,7 +6,8 @@ Separated and spanning sets, Katok counts and Caratheodory-Pesin values
 are weighted set covers (of every point, or of more than a target mass)
 or maximum-weight independent sets on a conflict graph.  Callers build
 the boolean matrices, rows being sets and columns points, packed into
-int bitsets (``rows_as_bits``) for ``greedy_weighted_cover``;
+int bitsets (``rows_as_bits``), or for ``greedy_weighted_cover`` into
+``Bitsets`` that span each row's own columns;
 ``greedy_mass_cover`` alone takes exit orders in their place.  Tie rules,
 which fix the emitted choices and the order their weights are summed in:
 
@@ -27,11 +28,14 @@ which fix the emitted choices and the order their weights are summed in:
 * ``greedy_mass_cover``: largest uncovered mass, from a lazy heap keyed
   (-gain, row); a popped row is taken when its fresh gain is within 1e-15
   of the next key.  Every gain, first key or re-check, is numpy's pairwise
-  sum of ``mass`` over all of the row's columns with the covered ones
-  zeroed, with no BLAS call, so it has the same bits whatever the thread
-  count; the covered mass adds the gains in the order taken.  It reads
-  its balls off an exit-order matrix and an order, as
-  ``bowen.greedy_separated`` does, so the caller builds no bool matrix.
+  sum of ``mass`` over the columns that the row's block reads with its
+  n-cylinder (``bowen.ExitBlock.cylinders``), the covered ones zeroed,
+  with no BLAS call, so it has the same bits whatever the thread count;
+  the covered mass adds the gains in the order taken.  A whole row would
+  add the same non-zero terms in another grouping, which on dyadic
+  masses gives the same bits.  It reads
+  its balls off exit orders and an order, as ``bowen.greedy_separated``
+  does, so the caller builds no bool matrix.
 
 The three greedy covers break ties differently; merging them would move
 emitted counts and bounds.
@@ -56,23 +60,51 @@ import functools
 import heapq
 import math
 import operator
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, PoolInsufficientError
 
-# Byte budget of one block of rows in a blocked pass (the distance engine,
-# the candidate suprema, the mass-cover gains), so a block's temporaries
-# stay within about twice this whatever the pool size; a block this small
-# also stays in cache.
-_BLOCK_BYTES = 1 << 20
+# Byte budget of the temporaries of one run of rows in a blocked pass (the
+# distance engine with its caller's reach and compares, the candidate
+# suprema and bitsets, the mass-cover gains): each pass counts every array
+# it makes per entry, so a run stays within this whatever the pool size,
+# and in cache.
+_BLOCK_BYTES = 1 << 18
 
 
 def rows_as_bits(matrix: np.ndarray) -> list[int]:
     """The rows of a boolean matrix as ints whose bit j is entry j."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@dataclass(frozen=True, eq=False)
+class Bitsets:
+    """Rows of a boolean matrix whose columns fall into parts that no row
+    straddles, each row an int over its own span: row i holds column
+    ``low[i] + j`` of part ``part[i]`` for each bit j of ``bits[i]``, and
+    part p has ``widths[p]`` columns.  So a row's int is as long as its
+    span, not as its part or the matrix."""
+
+    bits: list[int]
+    part: list[int]
+    low: list[int]
+    widths: tuple[int, ...]
+
+    @staticmethod
+    def spans(rows: list[int]) -> tuple[list[int], list[int]]:
+        """``(low, bits)`` of each int: its lowest set bit (0 for 0), and
+        the int shifted down by it."""
+        low = [(x & -x).bit_length() - 1 if x else 0 for x in rows]
+        return low, [x >> j for x, j in zip(rows, low)]
+
+    def take(self, rows: Sequence[int]) -> "Bitsets":
+        return Bitsets([self.bits[i] for i in rows],
+                       [self.part[i] for i in rows],
+                       [self.low[i] for i in rows], self.widths)
 
 
 def _indices(bits: int) -> Iterator[int]:
@@ -220,26 +252,28 @@ def greedy_cover(sets: np.ndarray, tie_order: np.ndarray) -> list[int]:
     return [int(tie_order[pos]) for pos in sorted(chosen)]
 
 
-def greedy_weighted_cover(sets: Sequence[int], weights: np.ndarray,
-                          columns: int) -> list[int]:
-    """Lazy cost-effectiveness greedy cover of ``columns`` by bitset rows.
+def greedy_weighted_cover(sets: Bitsets, weights: np.ndarray) -> list[int]:
+    """Lazy cost-effectiveness greedy cover of every column by the rows.
 
     Coverage gains only shrink as points get covered, so weight/gain
     scores only grow and a stale heap top can be re-checked in isolation.
+    Each part keeps its own uncovered columns.
     """
-    uncovered = (1 << columns) - 1
+    bits, part, low = sets.bits, sets.part, sets.low
+    uncovered = [(1 << width) - 1 for width in sets.widths]
+    left = sum(sets.widths)
     w = weights.tolist()
     # first keys are bare weights, not weight/gain, so an untouched ball can
     # lose to one of worse true score; true gains would move emitted values
-    heap = list(zip([x if row else math.inf for x, row in zip(w, sets)],
+    heap = list(zip([x if row else math.inf for x, row in zip(w, bits)],
                     range(len(w))))
     heapq.heapify(heap)
     chosen: list[int] = []
-    while uncovered:
-        score, i = -1.0, -1
+    while left:
+        score, i, gain = -1.0, -1, 0
         while heap:
             score, i = heapq.heappop(heap)
-            gain = (sets[i] & uncovered).bit_count()
+            gain = (uncovered[part[i]] >> low[i] & bits[i]).bit_count()
             fresh = w[i] / gain if gain > 0 else math.inf
             if not heap or fresh <= heap[0][0] + 1e-18:
                 score = fresh
@@ -248,46 +282,53 @@ def greedy_weighted_cover(sets: Sequence[int], weights: np.ndarray,
         if i < 0 or not math.isfinite(score):
             raise ConfigurationError("greedy cover stalled")
         chosen.append(i)
-        uncovered &= ~sets[i]
+        uncovered[part[i]] &= ~(bits[i] << low[i])
+        left -= gain
     return chosen
 
 
 def _gains(rows: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """The uncovered mass of a row, or of each row of a block: ``active``
+    """The uncovered mass of a row, or of each row of a run: ``active``
     times the row's 0/1 entries, summed along the row by numpy's pairwise
-    sum.  A row's sum has the same bits alone or in any block."""
+    sum.  A row's sum has the same bits alone or in any run."""
     return (rows * active).sum(axis=-1)
 
 
-def greedy_mass_cover(exits: np.ndarray, n: int, mass: np.ndarray,
+def greedy_mass_cover(exits, n: int, mass: np.ndarray,
                       target: float) -> tuple[int, float]:
     """Greedy count of balls whose union has mass above ``target``, and the
     mass covered; uncovered-mass gains only shrink, so the heap is lazy.
 
-    Row i of ``exits`` holds exit orders (``bowen.exit_orders``), so ball
-    i is ``exits[i] > n``: the bool rows are made a block or a row at a
-    time, and no |rows| x |columns| membership is ever held."""
-    active = mass.astype(float)
-    # first keys a block of rows at a time, each block's float temporary
-    # within _BLOCK_BYTES; a re-check of an untouched row repeats its key
-    step = max(1, _BLOCK_BYTES // (8 * exits.shape[1]))
-    gains = np.concatenate([_gains(exits[s:s + step] > n, active)
-                            for s in range(0, len(exits), step)])
-    heap = [(-g, i) for i, g in enumerate(gains.tolist())]
+    ``exits`` holds exit orders (``bowen.Exits``), so ball i is row i's
+    exits above n, read in its block over the columns read with its
+    n-cylinder only: the bool rows are made a run or a row at a time, and
+    no |rows| x |columns| membership is ever held.  No column lies in two blocks, so
+    each block keeps the uncovered mass of its own columns."""
+    blocks, ball = exits.blocks, exits.balls(n)
+    active = [mass[b.cols].astype(float) for b in blocks]
+    # first keys a run of rows at a time, a run's read, bools and float
+    # product (10 bytes an entry) within _BLOCK_BYTES; a re-check of an
+    # untouched row repeats its key
+    keys = np.empty(exits.shape[0])
+    for b, act in zip(blocks, active):
+        for rows, cols, cell in b.cells(n, 10):
+            keys[b.rows[rows]] = _gains(cell > n, act[cols])
+    heap = [(-g, i) for i, g in enumerate(keys.tolist())]
     heapq.heapify(heap)
     count, covered = 0, 0.0
     while covered <= target:
-        fresh, i = 0.0, -1
+        fresh, uncovered, members = 0.0, None, None
         while heap:
             _, i = heapq.heappop(heap)
-            ball = exits[i] > n
-            fresh = float(_gains(ball, active))
+            b, _, cols, row = ball(i)
+            members, uncovered = row > n, active[b][cols]
+            fresh = float(_gains(members, uncovered))
             if not heap or fresh >= -heap[0][0] - 1e-15:
                 break
             heapq.heappush(heap, (-fresh, i))
         if fresh <= 0:
             raise PoolInsufficientError("greedy mass cover stalled")
-        active[ball] = 0.0
+        uncovered[members] = 0.0  # a view of its block's masses
         covered += fresh
         count += 1
     return count, covered

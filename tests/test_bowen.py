@@ -94,7 +94,7 @@ class TestSeparated:
         rows = np.concatenate([rows, rows[:15]])  # repeated rows
         pts = sys.points(rows[rng.permutation(len(rows))])
         Z = pts.symbols
-        exits = exit_orders(sys, Z, Z, eps, 4)[0]
+        exits = exit_orders(sys, Z, Z, eps, 4)
         for n in range(1, 5):
             for free in (np.ones(len(pts), dtype=bool),
                          rng.random(len(pts)) < 0.5):

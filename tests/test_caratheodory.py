@@ -33,6 +33,7 @@ from mmdim.solvers import rows_as_bits
 from mmdim.systems import (ONE_SIDED, TWO_SIDED, Points, Potential,
                            ShiftSystem, birkhoff_sums)
 from pointwise import birkhoff_sum
+from test_solvers import whole_rows
 
 
 def full_shift(k=2, window=14, eps_min=0.05, **kw):
@@ -260,7 +261,7 @@ class TestBSAndIdentities:
         blocks = bowen.distance_blocks
 
         def counted(*args):
-            builds.append(args[-1])
+            builds.append(args[3])  # n_max
             return blocks(*args)
 
         monkeypatch.setattr(bowen, "distance_blocks", counted)
@@ -573,24 +574,29 @@ def test_blocked_suprema_equal_dense_bit_for_bit(metric, n_max):
     pts = Points(Z, np.full(len(Z), np.inf), system.origin_index)
     base = Potential.from_table(rng.uniform(-1.0, 1.0, 3))
     N, eps = 2, 0.3
-    assert bowen._BLOCK_BYTES // (8 * (n_max - 1) * len(pts)) < len(pts)
     bowen.pool_exits.cache_clear()
     cands = caratheodory._build_candidates(system, pts, base, eps, N, n_max)
-    dropped = np.diagonal(cands.closed_exits) <= n_max
+    # each origin cylinder's centres span many runs
+    assert all(bowen._BLOCK_BYTES // (n_max * len(b.cols)) < len(b.rows) // 4
+               for b in cands.exits.blocks)
+    dropped = np.diagonal(cands.exits.dense(closed=True)) <= n_max
     assert dropped.all() == (n_max == 10)
     sums = birkhoff_sums(system, base, Z, n_max)
     levels = range(N, n_max + 1)
-    for closed, (exits, members, sups) in enumerate([
-            (cands.open_exits, cands.open_members, cands.sup_open),
-            (cands.closed_exits, cands.closed_members, cands.sup_closed)]):
-        exits = exits.copy()
+    for closed, (members, sups) in enumerate([
+            (cands.open_members, cands.sup_open),
+            (cands.closed_members, cands.sup_closed)]):
+        exits = cands.exits.dense(closed)
         np.fill_diagonal(exits, n_max + 1)
         dense = np.stack([np.where(exits > n, sums[:, n], -np.inf)
                           .max(axis=1) for n in levels], axis=1).ravel()
         assert sups.tobytes() == dense.tobytes(), closed
         assert np.array_equal(members, (exits[:, None, :] > np.array(
             levels)[:, None]).reshape(-1, len(pts))), closed
-    assert cands.open_bits == rows_as_bits(cands.open_members)
+    # a ball's bits span its own block's columns, the blocks in order
+    order = np.concatenate([b.cols for b in cands.exits.blocks])
+    assert whole_rows(cands.open_bits) == \
+        rows_as_bits(cands.open_members[:, order])
 
 
 def test_families_go_with_their_pass():

@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmdim import bowen, caratheodory, measures
@@ -28,10 +28,13 @@ from mmdim.bowen import (
     distance_blocks,
     exit_orders,
     five_r_disjointify,
+    greedy_separated,
     max_separated,
     min_spanning,
 )
+from mmdim.errors import PoolInsufficientError
 from mmdim.measures import MeasureModel, katok_rn
+from mmdim.solvers import greedy_mass_cover, rows_as_bits
 from mmdim.systems import (
     ABSOLUTE,
     DISCRETE,
@@ -40,7 +43,9 @@ from mmdim.systems import (
     Points,
     Potential,
     ShiftSystem,
+    birkhoff_sums,
 )
+from test_solvers import one_block, whole_rows
 
 
 def symbol_differences(system: ShiftSystem, C: np.ndarray,
@@ -105,7 +110,10 @@ def make_system(sidedness, metric, w, k, window):
 def rows_per_block(system: ShiftSystem, n_max: int, m: int) -> int:
     """Centre rows in one engine block against a pool of m rows."""
     L = system.word_length
-    return max(1, bowen._BLOCK_BYTES // ((8 * min(n_max, L) + L) * m))
+    sd_bytes = (1 if system.symbol_metric == DISCRETE
+                else 2 * system.symbol_dtype.itemsize)
+    pair_bytes = L * sd_bytes + 8 * (min(n_max, L) + 3) + 2
+    return max(1, bowen._BLOCK_BYTES // (pair_bytes * m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -483,7 +491,7 @@ def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
         for closed in (False, True):
             for n in range(1, 9):
                 assert np.array_equal(
-                    exits[closed] > n,
+                    exits.dense(closed) > n,
                     ball_masks(system, P, Z, n, eps, closed=closed))
     assert [prunes(system, P, eps)
             for eps in floor_radii(k)] == [True, True, False]
@@ -495,8 +503,10 @@ def test_tie_free_pass_shares_one_matrix():
     system = ShiftSystem(kind="full-shift", alphabet_size=2, window=12,
                          eps_min=0.1)
     Z = system.enumerate_points(6).symbols
-    opened, closed = exit_orders(system, Z, Z, 0.6, 6)
-    assert closed is opened
+    exits = exit_orders(system, Z, Z, 0.6, 6)
+    assert not exits.tied
+    assert all(b.closed is b.opened for b in exits.blocks)
+    opened, closed = exits.dense(), exits.dense(closed=True)
     for n in range(1, 7):
         assert np.array_equal(opened > n, ball_masks(system, Z, Z, n, 0.6))
         assert np.array_equal(closed > n, ball_masks(system, Z, Z, n, 0.6,
@@ -512,7 +522,7 @@ def test_tie_free_family_reads_its_closed_balls_off_the_open():
     cands = caratheodory._build_candidates(
         system, system.enumerate_points(4), Potential.from_table([0.2, 0.7]),
         0.6, 1, 3)
-    assert cands.closed_exits is cands.open_exits
+    assert not cands.exits.tied
     assert cands.sup_closed is cands.sup_open
     assert cands.closed_members is cands.open_members
 
@@ -532,8 +542,13 @@ def test_closed_exits_part_from_the_open_at_the_first_tie(k, sidedness):
     ok &= P[:, o, None] == P[:, o][ok.any(axis=1)].max()
     eps = float(reach[ok].max())
     assert prunes(system, P, eps)
-    opened, closed = exit_orders(system, P, Z, eps, 8)
-    assert closed is not opened and (closed != opened).any()
+    exits = exit_orders(system, P, Z, eps, 8)
+    # the tie's own cylinder holds a closed block of its own
+    tied = [b for b in exits.blocks if b.closed is not b.opened]
+    top = P[:, o][ok.any(axis=1)].max()
+    assert exits.tied and top in [P[b.rows[0], o] for b in tied]
+    opened, closed = exits.dense(), exits.dense(closed=True)
+    assert (closed != opened).any()
     for n in range(1, 9):
         assert np.array_equal(opened > n, ball_masks(system, P, Z, n, eps))
         assert np.array_equal(closed > n, ball_masks(system, P, Z, n, eps,
@@ -559,9 +574,11 @@ def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
     assert [prunes(system, support.symbols, eps)
             for eps in floor_radii(k)] == [True, True, False]
     dense(monkeypatch)
-    for (eps, own), pair in got.items():
-        for got_rule, ref_rule in zip(pair, exits(own, eps)):
-            assert (got_rule == ref_rule).all()
+    for (eps, own), store in got.items():
+        ref = exits(own, eps)
+        assert len(ref.blocks) == 1
+        for closed in (False, True):
+            assert (store.dense(closed) == ref.dense(closed)).all()
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
@@ -610,10 +627,14 @@ def test_memo_reads_of_sub_pools_equal_a_fresh_pass(sidedness, metric, k,
         n = data.draw(st.integers(1, depth), label="n")
         got = bowen.pool_exits(system, Z, eps, n)
         assert bowen._exits_memo == [built]  # read, not rebuilt
+        # read inside the pass's own blocks, not copied out of them
+        own = [b.opened for b in built.exits.blocks]
+        assert all(any(b.opened is a for a in own) for b in got.blocks)
         fresh = exit_orders(system, Z.symbols, Z.symbols, eps, n)
-        for read, ref in zip(got, fresh):
+        for closed in (False, True):
             # a read is uncapped: it equals the fresh pass at orders <= n
-            assert np.array_equal(np.minimum(read, n + 1), ref)
+            assert np.array_equal(np.minimum(got.dense(closed), n + 1),
+                                  fresh.dense(closed))
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
@@ -672,3 +693,223 @@ def test_closed_ball_at_the_floor_reaches_across_cylinders():
         Potential.from_table([0.1, 0.7, 0.2]), 1.0 / 3, 1, 2)
     assert cands.closed_members.all()
     assert not cands.open_members[np.arange(4), [1, 1, 0, 0]].any()
+
+
+# -- the cylinder store against the dense pass ---------------------------------
+
+
+def reference_exits(system, Z, eps, n_max, closed=False) -> np.ndarray:
+    """Exit orders from one ``ball_masks`` call per order: a ball holds a
+    row from order 1 up to the first order that drops it."""
+    exits = np.ones((len(Z), len(Z)), dtype=np.int64)
+    for n in range(1, n_max + 1):
+        exits += ball_masks(system, Z, Z, n, eps, closed=closed)
+    return exits
+
+
+def outcome(reader, *args):
+    """A reader's result, or the error that stopped it."""
+    try:
+        return reader(*args)
+    except PoolInsufficientError as exc:
+        return str(exc)
+
+
+def dyadic_weights(rng, m: int) -> np.ndarray:
+    """Masses that sum to 1 in multiples of one power of two, so every sum
+    of them is exact in any order."""
+    unit = 2.0 ** -(m.bit_length() + 3)
+    w = rng.integers(1, 8, size=m) * unit
+    w[0] += 1.0 - w.sum()
+    assert w.min() > 0 and w.sum() == 1.0
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ONE_SIDED, TWO_SIDED]),
+       st.sampled_from([DISCRETE, ABSOLUTE]), st.integers(2, 5),
+       st.integers(3, 7), st.integers(0, 2 ** 32 - 1), st.data())
+def test_cylinder_store_answers_every_reader_as_the_dense_pass(
+        sidedness, metric, k, window, seed, data):
+    system = make_system(sidedness, metric, 0.5, k, window)
+    o = system.origin_index
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(30, 90))
+    Z = rng.integers(0, k, size=(m, system.word_length))
+    Z[:, o + 1:o + 3] = rng.integers(0, 2, size=(m, 2))  # shared prefixes
+    n_max = data.draw(st.integers(1, min(window, 4)), label="n_max")
+    floor = 1.0 if metric == DISCRETE else 1.0 / k
+    # the cylinder rule holds below and at the floor and fails above it;
+    # "tie" takes the order-n_max reach of a pair in one origin cylinder
+    # for eps, so the closed rule parts from the open one in its block
+    eps = data.draw(st.sampled_from([0.6 * floor, floor, 1.3 * floor,
+                                     "tie"]), label="eps")
+    tie = eps == "tie"
+    if tie:
+        i, j = rng.choice(m, 2, replace=False)
+        Z[j, o] = Z[i, o]
+        *_, (_, _, d) = distance_blocks(system, Z[i:i + 1], Z[j:j + 1],
+                                        n_max)
+        eps = float(d[0, 0]) + system.truncation_slack(n_max)
+        assume(d[0, 0] > 0.0)
+    pool = Points(Z, np.full(m, np.inf), o)
+    bowen.pool_exits.cache_clear()
+    store = bowen.pool_exits(system, pool, eps, n_max)
+    ref_open = reference_exits(system, Z, eps, n_max)
+    ref_closed = reference_exits(system, Z, eps, n_max, closed=True)
+    slacks = [system.truncation_slack(n) for n in range(1, n_max + 1)]
+    assert (len(store.blocks) > 1) == (rule(system, eps, slacks)
+                                       and len(set(Z[:, o])) > 1)
+    assert np.array_equal(store.dense(), ref_open)
+    assert np.array_equal(store.dense(closed=True), ref_closed)
+    if tie:  # the tie's block, and only a block with a tie, holds two
+        tied = store.blocks[store.where[0][i]]
+        assert tied.closed is not tied.opened
+        for b in store.blocks:
+            cell = np.ix_(b.rows, b.cols)
+            assert (b.closed is b.opened) == np.array_equal(
+                ref_open[cell], ref_closed[cell])
+    # sub-pools are read inside the pass's blocks: rows in any order,
+    # repeats allowed
+    idx = rng.integers(0, m, size=int(rng.integers(1, 50)))
+    n = data.draw(st.integers(1, n_max), label="n")
+    sub = bowen.pool_exits(system, pool[idx], eps, n)
+    cell = np.ix_(idx, idx)
+    for read, ref in [(sub.dense(), ref_open),
+                      (sub.dense(closed=True), ref_closed)]:
+        assert np.array_equal(np.minimum(read, n + 1),
+                              np.minimum(ref[cell], n + 1))
+    # the greedy readers against the dense pass as one block: Katok's
+    # mass cover on dyadic masses, and PS's separated scan
+    dense = one_block(ref_open.astype(store.dtype),
+                      ref_closed.astype(store.dtype))
+    mass = dyadic_weights(rng, m)
+    free = rng.random(m) < 0.7
+    for n in range(1, n_max + 1):
+        assert outcome(greedy_mass_cover, store, n, mass, 0.5) == \
+            outcome(greedy_mass_cover, dense, n, mass, 0.5)
+        assert greedy_separated(Z, store, n, free) == \
+            greedy_separated(Z, dense, n, free)
+    # the Caratheodory candidates of the pool and of a sub-pool
+    base = Potential.from_table(rng.uniform(-1.0, 1.0, k))
+    for keep in (np.arange(m), np.unique(idx)):
+        cands = caratheodory._build_candidates(system, pool[keep], base,
+                                               eps, 1, n_max)
+        sums = birkhoff_sums(system, base, Z[keep], n_max)
+        for ref, members, sups in [
+                (ref_open, cands.open_members, cands.sup_open),
+                (ref_closed, cands.closed_members, cands.sup_closed)]:
+            exits = ref[np.ix_(keep, keep)]
+            np.fill_diagonal(exits, n_max + 1)  # a ball holds its centre
+            levels = np.arange(1, n_max + 1)
+            want = exits[:, None, :] > levels[:, None]
+            assert np.array_equal(members, want.reshape(-1, len(keep)))
+            want_sups = np.stack([np.where(exits > n, sums[:, n], -np.inf)
+                                  .max(axis=1) for n in levels], axis=1)
+            assert sups.tobytes() == want_sups.ravel().tobytes()
+        # a ball's bits span its own block's columns, the blocks in order
+        order = np.concatenate([b.cols for b in cands.exits.blocks])
+        assert whole_rows(cands.open_bits) == \
+            rows_as_bits(cands.open_members[:, order])
+
+
+@pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
+def test_pruned_katok_and_ps_match_dense(k, sidedness, monkeypatch):
+    system = grid(k, sidedness)
+    pts = system.as_points(grid_points(system, 240, k))
+    mu = MeasureModel.empirical(
+        system, pts, dyadic_weights(np.random.default_rng(k), len(pts)))
+    clear_memos()
+
+    def readers(eps):
+        """Katok counts with their covered masses, and PS's per-cell logs."""
+        counts = []
+        for n in range(1, 5):
+            kc = outcome(katok_rn, mu, n, eps, 0.5)
+            counts.append(kc if isinstance(kc, str) else
+                          (kc.count, kc.exact, kc.covered_mass))
+        ps = measures.ps_entropy(mu, eps, [2.0, 0.3], range(1, 5), pool=pts)
+        return counts, ps.per_scale, ps.flags
+
+    got = {eps: readers(eps) for eps in floor_radii(k)}
+    assert any(len(bowen.pool_exits(system, pts, eps, 4).blocks) > 1
+               for eps in floor_radii(k))
+    dense(monkeypatch)
+    for eps, read in got.items():
+        assert readers(eps) == read, eps
+
+
+def test_mass_cover_off_dyadic_masses_moves_only_last_bits():
+    # the counts agree.  Each gain sums the same non-zero terms as the
+    # dense pass, but over its block's columns, so numpy's pairwise sum
+    # groups them otherwise: off dyadic masses a gain, and so the covered
+    # mass that adds them, can move in its last bits (two ulps at most on
+    # these draws, in a fifth of the covers).  Dyadic masses sum exactly in
+    # any grouping, so there nothing moves.
+    moved = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        system = grid(k, ONE_SIDED, window=8)
+        m = int(rng.integers(100, 600))
+        Z = rng.integers(0, k, size=(m, system.word_length))
+        store = exit_orders(system, Z, Z, 0.9 / k, 4)
+        assert len(store.blocks) > 1
+        whole = store.dense()
+        mass = rng.dirichlet(np.ones(m))
+        for n in (1, 2, 3):
+            got = outcome(greedy_mass_cover, store, n, mass, 0.5)
+            ref = outcome(greedy_mass_cover, one_block(whole), n, mass,
+                          0.5)
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            assert got[0] == ref[0]
+            assert abs(got[1] - ref[1]) <= 2 * np.spacing(ref[1])
+            moved += got[1] != ref[1]
+    assert moved  # the grouping does show off dyadic masses
+
+
+def test_memo_replacement_frees_the_old_blocks():
+    import gc
+    import weakref
+
+    system = grid(3, ONE_SIDED)
+    pts = system.as_points(grid_points(system, 200, 3))
+    clear_memos()
+    store = bowen.pool_exits(system, pts, 1.0 / 3, 4)
+    assert len(store.blocks) > 1
+    old = [weakref.ref(a) for b in store.blocks for a in (b.opened, b.closed)]
+    sub = weakref.ref(bowen.pool_exits(system, pts[:50], 1.0 / 3, 4))
+    del store
+    gc.collect()
+    assert sub() is None and all(ref() is not None for ref in old)
+    bowen.pool_exits(system, pts, 0.25, 4)  # another eps: a new pass
+    assert all(ref() is None for ref in old)
+
+
+def test_exit_pass_peaks_at_its_blocks_plus_two_runs():
+    # generic-points' eps = 0.5 pool: 1,024 words of the k = 2 grid, orders
+    # 1..5.  The pass keeps two 512 x 512 cylinder blocks (0.5 MiB); beyond
+    # them it holds one engine run with its caller's reach and compares
+    # (within _BLOCK_BYTES), the rows of one cylinder with their transposes
+    # and the cylinder indices.  A dense |Z|^2 matrix with its gathers
+    # peaked at 3.5 MiB for a 1 MiB result.
+    import tracemalloc
+
+    from mmdim.solvers import _BLOCK_BYTES
+
+    system = ShiftSystem(kind="grid-shift", alphabet_size=2, window=16,
+                         eps_min=0.25)
+    pool = system.enumerate_points(10)
+    clear_memos()
+    tracemalloc.start()
+    try:
+        store = bowen.pool_exits(system, pool, 0.5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [b.opened.shape for b in store.blocks] == [(512, 512)] * 2
+    assert not store.tied
+    blocks = sum(b.opened.nbytes for b in store.blocks)
+    assert peak <= blocks + 2 * _BLOCK_BYTES + 64 * 1024, peak

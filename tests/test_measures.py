@@ -25,8 +25,9 @@ from mmdim.measures import (
     ps_entropy,
     wilson_interval,
 )
-from mmdim.solvers import greedy_weighted_cover, rows_as_bits
+from mmdim.solvers import greedy_weighted_cover
 from mmdim.systems import ABSOLUTE, DISCRETE, Potential, ShiftSystem
+from test_solvers import one_part
 
 
 def grid_system(eps, two_sided=False):
@@ -742,12 +743,13 @@ class TestKatokExitOrders:
         Z = snapshot.support.symbols
         n_max = sys.window + 2
         for eps in (0.45, 0.3):
-            exits = bowen.pool_exits(sys, snapshot.support, eps, n_max)[0]
+            exits = bowen.pool_exits(sys, snapshot.support, eps, n_max)
             assert exits.dtype == np.uint8
-            assert not exits.flags.writeable
+            assert not any(a.flags.writeable for b in exits.blocks
+                           for a in (b.opened, b.closed))
             for n in range(1, n_max + 1):
                 expected = ball_masks(sys, Z, Z, n, eps)
-                assert np.array_equal(exits > n, expected), (eps, n)
+                assert np.array_equal(exits.dense() > n, expected), (eps, n)
 
     def test_entropy_matches_per_order_reference(self):
         sys, mu, _ = _memo_snapshot("grid-k3")
@@ -773,7 +775,7 @@ class TestKatokExitOrders:
         blocks = bowen.distance_blocks
 
         def counted(*args):
-            calls.append(args[-1])
+            calls.append(args[3])  # n_max
             return blocks(*args)
 
         monkeypatch.setattr(bowen, "distance_blocks", counted)
@@ -854,8 +856,7 @@ def test_greedy_cover_heap_matches_reference():
             weights = rng.choice([0.5, 1.0, 2.0], size=rows)  # ties
         else:
             weights = np.exp(rng.normal(size=rows))
-        bits = [rows_as_bits(row[None])[0] for row in M]
-        assert greedy_weighted_cover(bits, weights, cols) == \
+        assert greedy_weighted_cover(one_part(M), weights) == \
             _reference_greedy_cover(M, weights)
 
 
@@ -1039,15 +1040,16 @@ class TestPSExitOrders:
         # a deeper request rebuilds; a shallower one reads the same pass
         deep = bowen.pool_exits(sys, fresh, 0.4, 8)
         assert len(passes) == 3
-        for got, ref in zip(deep, engine(sys, fresh.symbols, fresh.symbols,
-                                         0.4, 8)):
-            assert np.array_equal(got, ref)
+        ref = engine(sys, fresh.symbols, fresh.symbols, 0.4, 8)
+        for closed in (False, True):
+            assert np.array_equal(deep.dense(closed), ref.dense(closed))
         shallow = bowen.pool_exits(sys, fresh, 0.4, 2)
         assert len(passes) == 3
-        for got, ref in zip(shallow, engine(sys, fresh.symbols, fresh.symbols,
-                                            0.4, 2)):
+        ref = engine(sys, fresh.symbols, fresh.symbols, 0.4, 2)
+        for closed in (False, True):
             # uncapped: it equals a fresh pass at every order <= 2
-            assert np.array_equal(np.minimum(got, 3), ref)
+            assert np.array_equal(np.minimum(shallow.dense(closed), 3),
+                                  ref.dense(closed))
 
 
 class TestGmuEstimate:
@@ -1081,7 +1083,7 @@ class TestGmuEstimate:
             return engine(system, C, Z, eps, n_max)
 
         def counted_blocks(*args):
-            depths.add(args[-1])
+            depths.add(args[3])  # n_max
             return blocks(*args)
 
         monkeypatch.setattr(bowen, "exit_orders", counted_pass)
