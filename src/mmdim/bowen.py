@@ -22,21 +22,22 @@ monotone, so a computed ``d_n(x, y)`` is at least the symbol distance at
 every coordinate j < n, and when no two symbols are closer than eps every
 open (n, eps)-ball lies in its centre's n-cylinder (``_prefix_runs``).
 The greedy scan keeps each point alone in its n-cylinder and scans the
-others within their cylinders.  ``exit_orders`` is the one place that
-reads membership across orders: it computes distances only within origin
-cylinders (``cylinder_blocks``), with the same bits, and keeps one dense
-block of exit orders per cylinder (``Exits``).  Spanning sets, ball
-masses, Katok and PS counts and Caratheodory candidates read each ball
-inside its own block, and a pool's readers inside its centre's
-n-cylinder, so they know nothing of slack or comparisons.
+others within their cylinders.  Membership across orders is read as exit
+orders, by one rule in two readers.  ``exit_orders`` takes a pool against
+itself: it computes distances only within the pool's origin cylinders
+and keeps one dense block of exit orders per cylinder (``Exits``).
+``centre_exits`` takes one centre against the rows of its origin
+cylinder.  Spanning sets, Katok and PS counts and Caratheodory candidates
+read each ball inside its centre's n-cylinder, and ball masses count one
+centre's exits, so none of them knows of slack or comparisons.
 
-``pool_exits`` is the one exit memo: it keeps the last pass of one pool
-against itself, open and closed, and answers shallower orders as they are
-and sub-pools of the pool by reading inside its blocks, which is exact
-because a pair's exit orders depend on the pair, the system and eps
-alone.  A block's closed array is its open one unless some pair's reach
-in it equals eps, so a block without such a tie holds one array.  Katok
-at every order, PS and the Caratheodory candidates on a pool's generic
+``pool_exits`` is the one exit memo: it keeps the last pass of a pool,
+open and closed, and answers shallower orders as they are and sub-pools
+of the pool by reading inside its blocks, which is exact because a
+pair's exit orders depend on the pair, the system and eps alone.  A
+block's closed array is its open one unless some pair's reach in it
+equals eps, so a block without such a tie holds one array.  Katok at
+every order, PS and the Caratheodory candidates on a pool's generic
 subset so share one pass per (pool, eps), made at the deepest order
 asked for.  The candidate families are kept on the pass they read and go
 with it.
@@ -172,18 +173,17 @@ def ball_masks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray, n: int,
 
 @dataclass(frozen=True, eq=False)
 class ExitBlock:
-    """The exit orders of one origin cylinder: row ``rows[i]`` of C against
-    column ``cols[j]`` of Z is entry (i, j) of ``opened`` (``closed``).
-    ``closed`` is ``opened`` itself until some reach in the block equals
-    eps.  A pool's block against itself lists its points in lexicographic
-    order from the origin, for rows and columns alike, and ``edges[n - 1]``
-    bounds its n-cylinders, each a run of positions that holds every
-    order-n ball of its centres; a block without edges is read whole.
-    A sub-pool's block reads a pool block's own arrays at ``at``, its
-    points' positions there, and copies nothing until read."""
+    """The exit orders of one origin cylinder of a pool: point ``rows[j]``
+    from the ball at point ``rows[i]`` is entry (i, j) of ``opened``
+    (``closed``), which is ``opened`` itself until some reach in the block
+    equals eps.  The points are in lexicographic order from the origin,
+    and ``edges[n - 1]`` bounds the block's n-cylinders, each a run of
+    positions that holds every order-n ball of its centres; a block
+    without edges is read whole.  A sub-pool's block reads a pool block's
+    own arrays at ``at``, its points' positions there, and copies nothing
+    until read."""
 
     rows: np.ndarray
-    cols: np.ndarray
     opened: np.ndarray
     closed: np.ndarray
     edges: tuple[np.ndarray, ...] = ()
@@ -198,48 +198,48 @@ class ExitBlock:
             return a[rows, cols]
         return a.take(self.at[rows], axis=0).take(self.at[cols], axis=1)
 
-    def cylinders(self, n: int) -> list[tuple[slice, slice]]:
-        """The block positions ``(rows, cols)`` of each run of whole
-        n-cylinders that a reader takes at once: consecutive cylinders
-        narrower than ``_MIN_SPAN`` positions are read together."""
+    def cylinders(self, n: int) -> list[slice]:
+        """The block positions of each run of whole n-cylinders that a
+        reader takes at once: consecutive cylinders narrower than
+        ``_MIN_SPAN`` positions are read together."""
         if not self.edges:
-            return [(slice(0, len(self.rows)), slice(0, len(self.cols)))]
+            return [slice(0, len(self.rows))]
         spans, first = [], 0
         for stop in self.edges[n - 1].tolist()[1:]:
             if stop - first >= _MIN_SPAN or stop == len(self.rows):
-                spans.append((slice(first, stop), slice(first, stop)))
+                spans.append(slice(first, stop))
                 first = stop
         return spans
 
     def cells(self, n: int, pair_bytes: int, closed: bool = False,
               ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-        """``(rows, cols, exits)``: a run of the rows of one n-cylinder at
-        the cylinder's columns, for a caller whose temporaries take
+        """``(rows, span, exits)``: some rows of a run of n-cylinders at
+        the run's positions, for a caller whose temporaries take
         ``pair_bytes`` per entry, within ``_BLOCK_BYTES``."""
-        for span, cols in self.cylinders(n):
+        for span in self.cylinders(n):
             step = max(1, _BLOCK_BYTES // (pair_bytes * max(
-                cols.stop - cols.start, 1)))
+                span.stop - span.start, 1)))
             for start in range(span.start, span.stop, step):
                 rows = slice(start, min(start + step, span.stop))
-                yield rows, cols, self.read(closed, rows, cols)
+                yield rows, span, self.read(closed, rows, span)
 
 
 @dataclass(frozen=True, eq=False)
 class Exits:
-    """Exit orders of the rows of C from the balls at the rows of Z, one
-    dense block per origin cylinder of C.  Every row of C lies in one
-    block, and no column lies in two; a pair in no block exits at order 1.
-    Without the cylinder rule the one block is every pair."""
+    """Exit orders of the points of a pool from the balls at its points,
+    one dense block per origin cylinder.  Every point lies in one block;
+    a pair in no block exits at order 1.  Without the cylinder rule the
+    one block is every point."""
 
-    shape: tuple[int, int]
+    size: int
     blocks: tuple[ExitBlock, ...]
     dtype: np.dtype
 
     @functools.cached_property
     def where(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's block and its position in that block."""
-        block = np.zeros(self.shape[0], dtype=np.intp)
-        pos = np.zeros(self.shape[0], dtype=np.intp)
+        """Each point's block and its position in that block."""
+        block = np.zeros(self.size, dtype=np.intp)
+        pos = np.zeros(self.size, dtype=np.intp)
         for b, blk in enumerate(self.blocks):
             block[blk.rows] = b
             pos[blk.rows] = np.arange(len(blk.rows))
@@ -252,83 +252,98 @@ class Exits:
 
     def balls(self, n: int,
               ) -> Callable[[int], tuple[int, ExitBlock, slice, np.ndarray]]:
-        """The order-n ball of a row: its block's index, the block, the
-        columns of the row's n-cylinder there and its open exits at them."""
+        """The order-n ball of a point: its block's index, the block, the
+        positions of the point's n-cylinder there and its open exits at
+        them."""
         block, pos = self.where
-        cylinders = [b.cylinders(n) for b in self.blocks]
-        starts = [[rows.start for rows, _ in c] for c in cylinders]
+        spans = [b.cylinders(n) for b in self.blocks]
+        starts = [[s.start for s in c] for c in spans]
 
         def ball(i: int) -> tuple[int, ExitBlock, slice, np.ndarray]:
             b, p = block[i], pos[i]
-            _, cols = cylinders[b][bisect.bisect_right(starts[b], p) - 1]
+            span = spans[b][bisect.bisect_right(starts[b], p) - 1]
             blk = self.blocks[b]
-            return b, blk, cols, blk.read(False, slice(p, p + 1), cols)[0]
+            return b, blk, span, blk.read(False, slice(p, p + 1), span)[0]
         return ball
 
     def dense(self, closed: bool = False) -> np.ndarray:
-        """The whole |C| x |Z| matrix, for the searches that read every
-        pair of a few points and for one-centre reads."""
-        out = np.ones(self.shape, dtype=self.dtype)
+        """The whole size x size matrix, for the searches that read every
+        pair of a few points."""
+        out = np.ones((self.size, self.size), dtype=self.dtype)
         for b in self.blocks:
-            out[np.ix_(b.rows, b.cols)] = b.read(closed)
+            out[np.ix_(b.rows, b.rows)] = b.read(closed)
         return out
 
 
-def exit_orders(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
-                eps: float, n_max: int) -> Exits:
-    """Exit orders, open and closed, of the rows of Z from B_n(c, eps).
+def exit_orders(system: ShiftSystem, Z: np.ndarray, eps: float,
+                n_max: int) -> Exits:
+    """Exit orders, open and closed, of the rows of Z from B_n(z, eps).
 
-    Entry (c, z) is the first order n <= n_max at which row z fails the
-    ``ball_masks`` rule for the open (closed) ball at row c of C, else
+    Entry (z, y) is the first order n <= n_max at which row y fails the
+    ``ball_masks`` rule for the open (closed) ball at row z, else
     n_max + 1.  Distance and slack grow with n, so a row that has left a
     ball stays out and the order-n membership matrix is ``exits > n``.
-    One engine pass per shared origin cylinder writes its block and serves
-    every order of both rules; any other pair exits at order 1.  The rules
-    differ only where some reach (distance plus slack) equals eps, so a
-    block's ``closed`` is its open array itself until the block's first
-    such tie, and a copy tracked on its own from there.  A pool against
-    itself (C is Z) gets blocks in lexicographic order with the bounds of
-    their n-cylinders, and each block's pass fills its upper triangle.
+    One engine pass per origin cylinder fills its block's upper triangle,
+    mirrored below, and serves every order of both rules; any other pair
+    exits at order 1.  The rules differ only where some reach (distance
+    plus slack) equals eps, so a block's ``closed`` is its open array
+    itself until the block's first such tie, and a copy tracked on its
+    own from there.
     """
     slack = [system.truncation_slack(n) for n in range(1, n_max + 1)]
     dtype = np.min_scalar_type(n_max + 1)
-    symmetric = C is Z
-    cells = (_pool_cylinders(system, Z, eps, slack) if symmetric else
-             [(ci, zi, ()) for ci, zi in cylinder_blocks(system, C, Z, eps,
-                                                         slack)])
     blocks = []
-    for ci, zi, edges in cells:
-        o = np.ones((len(ci), len(zi)), dtype=dtype)
+    for rows, edges in _pool_cylinders(system, Z, eps, slack):
+        X = Z[rows]
+        o = np.ones((len(rows), len(rows)), dtype=dtype)
         c = o
-        for rows, n, d in distance_blocks(system, C[ci], Z[zi], n_max,
-                                          symmetric):
-            cell = (rows, slice(rows.start if symmetric else 0, None))
+        for run, n, d in distance_blocks(system, X, X, n_max, True):
+            cell = (run, slice(run.start, None))
             reach = d + slack[n - 1]
             if c is o and (reach == eps).any():  # the block's first tie
                 c = o.copy()
             o[cell] += reach < eps
             if c is not o:
                 c[cell] += reach <= eps
-        if symmetric:
-            _mirror(o)
-            if c is not o:
-                _mirror(c)
-        blocks.append(ExitBlock(ci, zi, o, c, edges))
-    return Exits((len(C), len(Z)), tuple(blocks), dtype)
+        _mirror(o)
+        if c is not o:
+            _mirror(c)
+        blocks.append(ExitBlock(rows, o, c, edges))
+    return Exits(len(Z), tuple(blocks), dtype)
+
+
+def centre_exits(system: ShiftSystem, c: np.ndarray, Y: np.ndarray,
+                 eps: float, n_max: int) -> np.ndarray:
+    """Open exit orders of the rows of Y from B_n(c, eps) at one centre
+    row c (a 1-row matrix), by ``exit_orders``' rule.  Under the cylinder
+    rule only the rows in c's origin cylinder are compared; the others
+    exit at order 1."""
+    if n_max < 1:
+        raise ConfigurationError("ball order must be >= 1")
+    slack = [system.truncation_slack(n) for n in range(1, n_max + 1)]
+    exits = np.ones(len(Y), dtype=np.min_scalar_type(n_max + 1))
+    at = slice(None)
+    if _prefix_runs(system, c, 1, eps) is not None:
+        o = system.origin_index
+        at = np.flatnonzero(Y[:, o] == c[0, o])
+    inside = exits[at]
+    for _, n, d in distance_blocks(system, c, Y[at], n_max):
+        inside += d[0] + slack[n - 1] < eps
+    exits[at] = inside
+    return exits
 
 
 def _pool_cylinders(system: ShiftSystem, Z: np.ndarray, eps: float,
                     slacks: Sequence[float],
-                    ) -> list[tuple[np.ndarray, np.ndarray, tuple]]:
-    """``(rows, rows, edges)`` of each origin cylinder of a pool, its rows
-    in lexicographic order from the origin and ``edges[n - 1]`` the bounds
-    of its n-cylinders for n = 1..len(slacks); without the cylinder rule
-    the one block is every row, with no edges."""
+                    ) -> list[tuple[np.ndarray, tuple]]:
+    """``(rows, edges)`` of each origin cylinder of a pool, its rows in
+    lexicographic order from the origin and ``edges[n - 1]`` the bounds of
+    its n-cylinders for n = 1..len(slacks); without the cylinder rule the
+    one block is every row, with no edges."""
     n_max = len(slacks)
     runs = _prefix_runs(system, Z, n_max, eps, slacks)
     if runs is None:
-        rows = np.arange(len(Z))
-        return [(rows, rows, ())]
+        return [(np.arange(len(Z)), ())]
     perm, _ = runs
     o = system.origin_index
     head = Z[perm, o:o + n_max]
@@ -336,12 +351,10 @@ def _pool_cylinders(system: ShiftSystem, Z: np.ndarray, eps: float,
     new = np.logical_or.accumulate(head[1:] != head[:-1], axis=1)
     starts = [np.r_[0, np.flatnonzero(new[:, min(n, head.shape[1]) - 1]) + 1,
                     len(Z)] for n in range(1, n_max + 1)]
-    cells = []
-    for first, stop in zip(starts[0], starts[0][1:]):  # origin cylinders
-        rows = perm[first:stop]
-        edges = tuple(e[(e >= first) & (e <= stop)] - first for e in starts)
-        cells.append((rows, rows, edges))
-    return cells
+    # each origin cylinder's rows, and the bounds of its n-cylinders
+    return [(perm[first:stop],
+             tuple(e[(e >= first) & (e <= stop)] - first for e in starts))
+            for first, stop in zip(starts[0], starts[0][1:])]
 
 
 def _row_keys(Z: np.ndarray) -> np.ndarray:
@@ -403,9 +416,9 @@ class _Exits:
                 at = at_pos[mine]
                 # a cylinder with none of the sub-pool's points is empty
                 edges = tuple(np.searchsorted(at, e) for e in blk.edges)
-                blocks.append(ExitBlock(mine, mine, blk.opened, blk.closed,
-                                        edges, at))
-        return Exits((len(Z), len(Z)), tuple(blocks), self.exits.dtype)
+                blocks.append(ExitBlock(mine, blk.opened, blk.closed, edges,
+                                        at))
+        return Exits(len(Z), tuple(blocks), self.exits.dtype)
 
 
 def pool_exits(system: ShiftSystem, Z: Points, eps: float,
@@ -434,7 +447,7 @@ def pool_exits(system: ShiftSystem, Z: Points, eps: float,
             return cut
     memo = None  # so the old pass is freed before the new one is made
     _exits_memo.clear()
-    exits = exit_orders(system, Z.symbols, Z.symbols, eps, n_max)
+    exits = exit_orders(system, Z.symbols, eps, n_max)
     for b in exits.blocks:
         b.opened.setflags(write=False)
         b.closed.setflags(write=False)
@@ -490,12 +503,12 @@ def greedy_separated(Z: np.ndarray, exits: Exits, n: int,
     being free."""
     block, pos = exits.where
     ball, kept = exits.balls(n), []
-    free = [free[b.cols] for b in exits.blocks]  # each block's, in its order
+    free = [free[b.rows] for b in exits.blocks]  # each block's, in its order
     for row in _lex_order(Z).tolist():
         if free[block[row]][pos[row]]:
             kept.append(row)
-            b, _, cols, exits_row = ball(row)
-            free[b][cols] &= exits_row <= n
+            b, _, span, exits_row = ball(row)
+            free[b][span] &= exits_row <= n
     return kept
 
 
@@ -519,23 +532,6 @@ def _prefix_runs(system: ShiftSystem, Z: np.ndarray, n: int, eps: float,
     perm = np.lexsort(Z[:, o:o + n].T[::-1])
     head = Z[perm, o:o + n]
     return perm, np.cumsum(np.r_[False, (head[1:] != head[:-1]).any(axis=1)])
-
-
-def cylinder_blocks(system: ShiftSystem, C: np.ndarray, Z: np.ndarray,
-                    eps: float, closed_slacks: Sequence[float] | None = None,
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row indices ``(of C, of Z)``, ascending, of each origin cylinder of
-    C.  Under the cylinder rule any other pair is outside every
-    (n, eps)-ball at every order; without it the one block is every row.
-    """
-    runs = _prefix_runs(system, C, 1, eps, closed_slacks)
-    if runs is None:
-        return [(np.arange(len(C)), np.arange(len(Z)))]
-    perm, lab = runs
-    o = system.origin_index
-    return [(ci, np.flatnonzero(Z[:, o] == C[ci[0], o]))
-            for ci in np.split(perm, np.flatnonzero(np.diff(lab)) + 1)
-            if len(ci)]
 
 
 def _greedy_scan(system: ShiftSystem, Z: np.ndarray, n: int,
@@ -588,7 +584,7 @@ def min_spanning(system: ShiftSystem, points: Points, n: int, eps: float,
         return pts, True
     system.check_order(n, eps)
     Z = pts.symbols
-    cover_sets = exit_orders(system, Z, Z, eps, n).dense() > n
+    cover_sets = exit_orders(system, Z, eps, n).dense() > n
     if len(pts) <= exact_cap:
         chosen = min_weight_cover(cover_sets, np.ones(len(pts)))
         return pts[sorted(chosen)], True

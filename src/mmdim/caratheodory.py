@@ -132,27 +132,26 @@ class _Candidates:
 
     def _balls(self, block: ExitBlock, n: int, closed: bool,
                ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-        """``(rows, cols, balls)``: the order-n balls of a run of the
-        block's centres over their n-cylinder's columns, a ball holding
+        """``(rows, span, balls)``: the order-n balls of a run of the
+        block's centres over their n-cylinders' positions, a ball holding
         its centre, the run's exits and bools within ``_BLOCK_BYTES``."""
-        for rows, cols, cell in block.cells(n, 2, closed):
+        for rows, span, cell in block.cells(n, 2, closed):
             balls = cell > n
-            # a pool's block has its rows for columns, in one order
             centres = np.arange(len(balls))
-            balls[centres, rows.start - cols.start + centres] = True
-            yield rows, cols, balls
+            balls[centres, rows.start - span.start + centres] = True
+            yield rows, span, balls
 
     def _sups(self, closed: bool) -> np.ndarray:
         """Base-potential ball suprema of the candidates, a max over each
         ball's members with no float copy: a max is exact, so neither the
         cells nor the mask change a bit."""
-        out = np.empty((self.exits.shape[0], len(self.levels)))
+        out = np.empty((self.exits.size, len(self.levels)))
         for level, n in enumerate(self.levels.tolist()):
             for b in self.exits.blocks:
-                sums = self.sums[b.cols, n]
-                for rows, cols, balls in self._balls(b, n, closed):
+                sums = self.sums[b.rows, n]
+                for rows, span, balls in self._balls(b, n, closed):
                     out[b.rows[rows], level] = np.maximum.reduce(
-                        np.broadcast_to(sums[cols], balls.shape), axis=1,
+                        np.broadcast_to(sums[span], balls.shape), axis=1,
                         where=balls, initial=-np.inf)
         return out.ravel()
 
@@ -186,13 +185,13 @@ class _Candidates:
         levels = len(self.levels)
         for level, n in enumerate(self.levels.tolist()):
             for p, b in enumerate(self.exits.blocks):
-                for rows, cols, balls in self._balls(b, n, False):
+                for rows, span, balls in self._balls(b, n, False):
                     at = (b.rows[rows] * levels + level).tolist()
                     lows, spans = Bitsets.spans(rows_as_bits(balls))
                     for i, j, x in zip(at, lows, spans):
-                        bits[i], part[i], low[i] = x, p, cols.start + j
+                        bits[i], part[i], low[i] = x, p, span.start + j
         return Bitsets(bits, part, low,
-                       tuple(len(b.cols) for b in self.exits.blocks))
+                       tuple(len(b.rows) for b in self.exits.blocks))
 
 
 def _candidates(problem: OuterMeasureProblem) -> _Candidates:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import exit_orders, greedy_separated, pool_exits
+from .bowen import centre_exits, greedy_separated, pool_exits
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
@@ -190,8 +190,8 @@ class MeasureModel:
     def empirical_ball_mass(self, x: Points, n: int, eps: float) -> float:
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
-        exits = exit_orders(self.system, _centre_row(self.system, x),
-                            self.support.symbols, eps, n).dense()[0]
+        exits = centre_exits(self.system, _centre_row(self.system, x),
+                             self.support.symbols, eps, n)
         w = np.asarray(self.support_weights)
         return float(w[exits > n].sum())
 
@@ -386,7 +386,7 @@ def _sampled_hits(measure: MeasureModel, x: Points, eps: float,
 
     The samples come in 20,000-row blocks, block ``bi`` from stream
     ``stream * 1000 + bi``.  A sample is inside B_n(x, eps) when its open
-    exit order (``exit_orders``) is above n, so one call per block serves
+    exit order (``centre_exits``) is above n, so one call per block serves
     every order.
     """
     sys = measure.system
@@ -396,7 +396,7 @@ def _sampled_hits(measure: MeasureModel, x: Points, eps: float,
     for bi, done in enumerate(range(0, samples, block)):
         Y = measure.sample_matrix(min(block, samples - done),
                                   stream=stream * 1000 + bi)
-        exits = exit_orders(sys, center, Y, eps, n_max).dense()[0]
+        exits = centre_exits(sys, center, Y, eps, n_max)
         exited += np.bincount(exits, minlength=n_max + 2)
         del Y, exits  # free this block before the next one is drawn
     inside = np.cumsum(exited[::-1])[::-1]  # samples exiting at n or later
@@ -490,6 +490,8 @@ def bs_entropy(measure: MeasureModel, phi: Potential, eps: float,
     n_schedule = tuple(sorted(set(int(n) for n in n_schedule)))
     if len(n_schedule) < 2:
         raise ConfigurationError("need at least two orders")
+    if n_schedule[0] < 1:
+        raise ConfigurationError("ball order must be >= 1")
     lower_vals, upper_vals, band_lo, band_hi, per_scale, flags = \
         _bs_point_rates(measure, phi, eps, n_schedule, x_samples, stream)
     if not lower_vals:
@@ -563,11 +565,10 @@ def _bs_point_rates(measure: MeasureModel, phi: Potential, eps: float,
 
 
 def brin_katok(measure: MeasureModel, eps: float, n_schedule: Sequence[int],
-               x_samples: int = 32, bound: str = "lower",
-               stream: int = 7) -> EntropyEstimate:
+               x_samples: int = 32, bound: str = "lower") -> EntropyEstimate:
     """Brin-Katok local entropy: the BS entropy of the unit potential."""
     return bs_entropy(measure, Potential.constant(1.0), eps, n_schedule,
-                      x_samples=x_samples, bound=bound, stream=stream)
+                      x_samples=x_samples, bound=bound)
 
 
 # -- Katok covering entropy ---------------------------------------------------------
@@ -593,8 +594,6 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     and only the exact search builds the whole bool membership
     ``exits > n``.  An order past the window's reliable
     depth at ``eps`` raises ``WindowExhaustedError``."""
-    if n < 1:
-        raise ConfigurationError("ball order must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
     measure.system.check_order(n, eps)
@@ -605,14 +604,14 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     target = 1.0 - delta
     reachable = np.zeros(len(weights), dtype=bool)
     for b in exits.blocks:  # from its own n-cylinder only
-        for rows, cols, cell in b.cells(n, 1):
-            reachable[b.cols[cols]] |= cell.max(axis=0) > n
+        for _, span, cell in b.cells(n, 1):
+            reachable[b.rows[span]] |= cell.max(axis=0) > n
     total_reachable = float(weights[reachable].sum())
     if total_reachable <= target:
         raise PoolInsufficientError(
             f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
         )
-    if exits.shape[0] <= KATOK_EXACT_CAP:
+    if exits.size <= KATOK_EXACT_CAP:
         members = exits.dense() > n
         chosen = min_weight_cover(members, np.ones(len(members)),
                                   mass=weights, target=target)
@@ -696,6 +695,8 @@ def ps_entropy(measure: MeasureModel, eps: float,
                    (eta if isinstance(eta, (list, tuple)) else [eta])},
                   reverse=True)
     n_schedule = sorted(set(int(n) for n in n_schedule))
+    if min(n_schedule, default=1) < 1:
+        raise ConfigurationError("ball order must be >= 1")
     sys = measure.system
     pool_pts = (measure.sample_points(PS_POOL_SIZE, stream) if pool is None
                 else sys.as_points(pool))
@@ -786,19 +787,19 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
                       model_factory: Callable[
                           [float], tuple[ShiftSystem, MeasureModel]] | None = None,
                       pool_depth: Callable[[float], int] | None = None,
-                      delta: float = 0.5,
-                      eta: Sequence[float] = (0.5, 0.25),
                       subset_orders: tuple[int, int] = (1, 4),
-                      stream: int = 17) -> GenericPointReport:
+                      ) -> GenericPointReport:
     """Bowen subset dimension of near-generic points next to the PS, Katok
     and Brin-Katok ratio estimates on the same eps schedule.
 
     Per eps the model may be rebuilt by ``model_factory`` (the grid family
     uses alphabet size ceil(1/eps)); pools are enumerated at
     ``pool_depth(eps)`` so that covering counts are exact finite-model
-    quantities.  The report carries one regression-slope estimate per
-    quantity; finite-scale consistency of the four numbers is the
-    testable surrogate for the limiting equalities.
+    quantities.  Katok counts cover mass above 1/2, PS reads the
+    tolerances 0.5 and 0.25, and the i-th scale draws from stream 17 + i.
+    The report carries one regression-slope estimate per quantity;
+    finite-scale consistency of the four numbers is the testable surrogate
+    for the limiting equalities.
     """
     from .caratheodory import (COVER_M, OuterMeasureProblem, critical_lambda,
                                structure_valuation)
@@ -813,14 +814,15 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
     ps: dict[float, float] = {}
     bowen: dict[float, float] = {}
     for ei, eps in enumerate(eps_schedule):
+        stream = 17 + ei
         sys_eps, mu_eps = (model_factory(eps) if model_factory
                            else (system, measure))
         bk_lo[eps] = bs_entropy(mu_eps, Potential.constant(1.0), eps,
                                 n_schedule, bound="lower",
-                                stream=stream + ei).extrapolated
+                                stream=stream).extrapolated
         bk_hi[eps] = bs_entropy(mu_eps, Potential.constant(1.0), eps,
                                 n_schedule, bound="upper",
-                                stream=stream + ei).extrapolated
+                                stream=stream).extrapolated
         depth = pool_depth(eps) if pool_depth else max(n_schedule) + 2
         if mu_eps.is_product and \
                 sys_eps.alphabet_size ** depth <= sys_eps.enumeration_cap:
@@ -829,14 +831,14 @@ def gmu_mdim_estimate(system: ShiftSystem, measure: MeasureModel,
             snapshot = MeasureModel.empirical(sys_eps, pool, weights,
                                               seed=mu_eps.seed)
         else:
-            snapshot = mu_eps.to_empirical(1024, stream + 31 * ei) \
+            snapshot = mu_eps.to_empirical(1024, 17 + 31 * ei) \
                 if mu_eps.is_product else mu_eps
             pool = snapshot.support
             flags.append(f"sampled-pool-eps{eps}")
-        kat[eps] = katok_entropy(snapshot, eps, delta, n_schedule,
-                                 stream=stream + ei).extrapolated
-        ps[eps] = ps_entropy(snapshot, eps, eta, n_schedule,
-                             pool=pool, stream=stream + ei).extrapolated
+        kat[eps] = katok_entropy(snapshot, eps, 0.5, n_schedule,
+                                 stream=stream).extrapolated
+        ps[eps] = ps_entropy(snapshot, eps, (0.5, 0.25), n_schedule,
+                             pool=pool, stream=stream).extrapolated
         zg = generic_subset(sys_eps, pool, mu_eps, depth, tol)
         if not zg:
             flags.append(f"generic-empty-eps{eps}")

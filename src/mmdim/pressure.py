@@ -223,8 +223,7 @@ def analytic_oracle_pressure(system: ShiftSystem, phi: Potential,
 
 
 def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
-                             n_max: int = 3,
-                             exact_cap: int = DEFAULT_EXACT_CAP) -> dict:
+                             n_max: int = 3) -> dict:
     """Check the oracle bracket against exact brute-force counts.
 
     For each n <= n_max the best separated witness over the depth-n words
@@ -240,7 +239,7 @@ def validate_pressure_oracle(system: ShiftSystem, phi: Potential, eps: float,
     slacks = {}
     for n in range(1, n_max + 1):
         pts = system.enumerate_points(n)
-        witness, _ = max_separated(system, pts, n, eps, exact_cap)
+        witness, _ = max_separated(system, pts, n, eps)
         value = pressure_sum(system, witness, phi, n, eps)
         upper = n * bracket.hi + r_ext * math.log(max(len(net), 1))
         if value < n * bracket.lo - 1e-9:

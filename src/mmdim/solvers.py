@@ -305,14 +305,14 @@ def greedy_mass_cover(exits, n: int, mass: np.ndarray,
     no |rows| x |columns| membership is ever held.  No column lies in two blocks, so
     each block keeps the uncovered mass of its own columns."""
     blocks, ball = exits.blocks, exits.balls(n)
-    active = [mass[b.cols].astype(float) for b in blocks]
+    active = [mass[b.rows].astype(float) for b in blocks]
     # first keys a run of rows at a time, a run's read, bools and float
     # product (10 bytes an entry) within _BLOCK_BYTES; a re-check of an
     # untouched row repeats its key
-    keys = np.empty(exits.shape[0])
+    keys = np.empty(exits.size)
     for b, act in zip(blocks, active):
-        for rows, cols, cell in b.cells(n, 10):
-            keys[b.rows[rows]] = _gains(cell > n, act[cols])
+        for rows, span, cell in b.cells(n, 10):
+            keys[b.rows[rows]] = _gains(cell > n, act[span])
     heap = [(-g, i) for i, g in enumerate(keys.tolist())]
     heapq.heapify(heap)
     count, covered = 0, 0.0
@@ -320,8 +320,8 @@ def greedy_mass_cover(exits, n: int, mass: np.ndarray,
         fresh, uncovered, members = 0.0, None, None
         while heap:
             _, i = heapq.heappop(heap)
-            b, _, cols, row = ball(i)
-            members, uncovered = row > n, active[b][cols]
+            b, _, span, row = ball(i)
+            members, uncovered = row > n, active[b][span]
             fresh = float(_gains(members, uncovered))
             if not heap or fresh >= -heap[0][0] - 1e-15:
                 break

@@ -138,8 +138,8 @@ class ShiftSystem:
         return n
 
     def check_order(self, order: int, eps: float) -> None:
+        self.truncation_slack(order)  # raises below 1 and far past the window
         if order > self.max_reliable_order(eps):
-            self.truncation_slack(order)  # raises far past the window
             raise WindowExhaustedError(
                 f"order {order} at radius {eps} exceeds reliable depth "
                 f"{self.max_reliable_order(eps)} for window {self.window}"

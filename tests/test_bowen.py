@@ -8,6 +8,7 @@ import pytest
 from mmdim.bowen import (
     BallSpec,
     ball_masks,
+    centre_exits,
     exit_orders,
     five_r_disjointify,
     greedy_separated,
@@ -15,7 +16,8 @@ from mmdim.bowen import (
     min_spanning,
 )
 from mmdim.errors import ConfigurationError
-from mmdim.systems import ABSOLUTE, DISCRETE, ShiftSystem
+from mmdim.measures import MeasureModel, bs_entropy, ps_entropy
+from mmdim.systems import ABSOLUTE, DISCRETE, Potential, ShiftSystem
 from pointwise import bowen_distance
 
 
@@ -94,7 +96,7 @@ class TestSeparated:
         rows = np.concatenate([rows, rows[:15]])  # repeated rows
         pts = sys.points(rows[rng.permutation(len(rows))])
         Z = pts.symbols
-        exits = exit_orders(sys, Z, Z, eps, 4)
+        exits = exit_orders(sys, Z, eps, 4)
         for n in range(1, 5):
             for free in (np.ones(len(pts), dtype=bool),
                          rng.random(len(pts)) < 0.5):
@@ -149,6 +151,29 @@ class TestSpanning:
         centers, _ = min_spanning(sys, pts, 2, 0.7, exact_cap=0)
         for z in pts:
             assert any(is_within(sys, c, z, 2, 0.7) for c in centers)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_order_below_one_is_a_configuration_error(order):
+    # every reader of a Bowen order, or of a schedule of them, rejects one
+    # below 1 up front, as ball_masks and estimate_ball_mass do
+    sys = full_shift(k=3, symbol_metric=ABSOLUTE)
+    pts = sys.points(np.random.default_rng(3).integers(0, 3, size=(30, 4)))
+    mu = MeasureModel.empirical(sys, pts)
+    runs = [lambda: sys.check_order(order, 0.3),
+            lambda: min_spanning(sys, pts, order, 0.3, exact_cap=len(pts)),
+            lambda: min_spanning(sys, pts, order, 0.3, exact_cap=0),
+            lambda: max_separated(sys, pts, order, 0.3, exact_cap=len(pts)),
+            lambda: max_separated(sys, pts, order, 0.3, exact_cap=0),
+            lambda: mu.empirical_ball_mass(pts[0], order, 0.3),
+            lambda: centre_exits(sys, pts.symbols[:1], pts.symbols, 0.3,
+                                 order),
+            lambda: ps_entropy(mu, 0.3, [0.5], [order, 1, 2], pool=pts),
+            lambda: bs_entropy(mu, Potential.constant(1.0), 0.3,
+                               [order, 1, 2])]
+    for run in runs:
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            run()
 
 
 class TestComparisons:

@@ -577,7 +577,7 @@ def test_blocked_suprema_equal_dense_bit_for_bit(metric, n_max):
     bowen.pool_exits.cache_clear()
     cands = caratheodory._build_candidates(system, pts, base, eps, N, n_max)
     # each origin cylinder's centres span many runs
-    assert all(bowen._BLOCK_BYTES // (n_max * len(b.cols)) < len(b.rows) // 4
+    assert all(bowen._BLOCK_BYTES // (n_max * len(b.rows)) < len(b.rows) // 4
                for b in cands.exits.blocks)
     dropped = np.diagonal(cands.exits.dense(closed=True)) <= n_max
     assert dropped.all() == (n_max == 10)
@@ -594,7 +594,7 @@ def test_blocked_suprema_equal_dense_bit_for_bit(metric, n_max):
         assert np.array_equal(members, (exits[:, None, :] > np.array(
             levels)[:, None]).reshape(-1, len(pts))), closed
     # a ball's bits span its own block's columns, the blocks in order
-    order = np.concatenate([b.cols for b in cands.exits.blocks])
+    order = np.concatenate([b.rows for b in cands.exits.blocks])
     assert whole_rows(cands.open_bits) == \
         rows_as_bits(cands.open_members[:, order])
 

@@ -24,7 +24,7 @@ from mmdim import bowen, caratheodory, measures
 from mmdim.bowen import (
     BallSpec,
     ball_masks,
-    cylinder_blocks,
+    centre_exits,
     distance_blocks,
     exit_orders,
     five_r_disjointify,
@@ -467,13 +467,13 @@ PRUNED_CASES = [(k, side) for k in (3, 5, 7)
 
 
 def prunes(system, Z, eps) -> bool:
-    return len(cylinder_blocks(system, Z, Z, eps)) > 1
+    """Whether the pool's pass splits into origin cylinders at eps."""
+    return len(exit_orders(system, Z, eps, 1).blocks) > 1
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
 def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
     system = grid(k, sidedness)
-    P = system.as_points(grid_points(system, 90, k + 1)).symbols
     Z = system.as_points(grid_points(system, 240, k)).symbols
     passes = []
     engine = bowen.distance_blocks
@@ -485,15 +485,15 @@ def test_exit_orders_match_ball_masks(k, sidedness, monkeypatch):
     monkeypatch.setattr(bowen, "distance_blocks", counting)
     for eps in floor_radii(k):
         passes.clear()
-        exits = exit_orders(system, P, Z, eps, 8)
+        exits = exit_orders(system, Z, eps, 8)
         # pruning at and below the floor: one pass per origin cylinder
-        assert (len(passes) > 1) == prunes(system, P, eps)
+        assert len(passes) == len(exits.blocks)
         for closed in (False, True):
             for n in range(1, 9):
                 assert np.array_equal(
                     exits.dense(closed) > n,
-                    ball_masks(system, P, Z, n, eps, closed=closed))
-    assert [prunes(system, P, eps)
+                    ball_masks(system, Z, Z, n, eps, closed=closed))
+    assert [prunes(system, Z, eps)
             for eps in floor_radii(k)] == [True, True, False]
 
 
@@ -503,7 +503,7 @@ def test_tie_free_pass_shares_one_matrix():
     system = ShiftSystem(kind="full-shift", alphabet_size=2, window=12,
                          eps_min=0.1)
     Z = system.enumerate_points(6).symbols
-    exits = exit_orders(system, Z, Z, 0.6, 6)
+    exits = exit_orders(system, Z, 0.6, 6)
     assert not exits.tied
     assert all(b.closed is b.opened for b in exits.blocks)
     opened, closed = exits.dense(), exits.dense(closed=True)
@@ -530,28 +530,27 @@ def test_tie_free_family_reads_its_closed_balls_off_the_open():
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
 def test_closed_exits_part_from_the_open_at_the_first_tie(k, sidedness):
     system = grid(k, sidedness)
-    P = system.as_points(grid_points(system, 90, k + 1)).symbols
     Z = system.as_points(grid_points(system, 240, k)).symbols
     # eps is the order-3 reach of a pair of distinct rows, below the floor,
     # in the last origin cylinder that has one: the closed matrix parts
     # from the open one mid-pass, after other cylinders and orders
     o, n = system.origin_index, 3
     slack = system.truncation_slack(n)
-    reach = reference_distances(system, P, Z, n) + slack
+    reach = reference_distances(system, Z, Z, n) + slack
     ok = (reach > slack) & (reach < 1.0 / k)
-    ok &= P[:, o, None] == P[:, o][ok.any(axis=1)].max()
+    top = Z[:, o][ok.any(axis=1)].max()
+    ok &= Z[:, o, None] == top
     eps = float(reach[ok].max())
-    assert prunes(system, P, eps)
-    exits = exit_orders(system, P, Z, eps, 8)
+    assert prunes(system, Z, eps)
+    exits = exit_orders(system, Z, eps, 8)
     # the tie's own cylinder holds a closed block of its own
     tied = [b for b in exits.blocks if b.closed is not b.opened]
-    top = P[:, o][ok.any(axis=1)].max()
-    assert exits.tied and top in [P[b.rows[0], o] for b in tied]
+    assert exits.tied and top in [Z[b.rows[0], o] for b in tied]
     opened, closed = exits.dense(), exits.dense(closed=True)
     assert (closed != opened).any()
     for n in range(1, 9):
-        assert np.array_equal(opened > n, ball_masks(system, P, Z, n, eps))
-        assert np.array_equal(closed > n, ball_masks(system, P, Z, n, eps,
+        assert np.array_equal(opened > n, ball_masks(system, Z, Z, n, eps))
+        assert np.array_equal(closed > n, ball_masks(system, Z, Z, n, eps,
                                                      closed=True))
 
 
@@ -564,10 +563,10 @@ def test_pruned_exit_orders_match_dense(k, sidedness, monkeypatch):
     clear_memos()
 
     def exits(own, eps):
-        """The memo's pass of the support, or two pools' exits."""
+        """The memo's pass of the support, or a fresh pass of the pool."""
         if own:
             return bowen.pool_exits(system, support, eps, 8)
-        return exit_orders(system, pool.symbols, support.symbols, eps, 8)
+        return exit_orders(system, pool.symbols, eps, 8)
 
     got = {(eps, own): exits(own, eps)
            for eps in floor_radii(k) for own in (True, False)}
@@ -630,7 +629,7 @@ def test_memo_reads_of_sub_pools_equal_a_fresh_pass(sidedness, metric, k,
         # read inside the pass's own blocks, not copied out of them
         own = [b.opened for b in built.exits.blocks]
         assert all(any(b.opened is a for a in own) for b in got.blocks)
-        fresh = exit_orders(system, Z.symbols, Z.symbols, eps, n)
+        fresh = exit_orders(system, Z.symbols, eps, n)
         for closed in (False, True):
             # a read is uncapped: it equals the fresh pass at orders <= n
             assert np.array_equal(np.minimum(got.dense(closed), n + 1),
@@ -649,6 +648,39 @@ def test_pruned_sampled_hits_match_dense(k, sidedness, monkeypatch):
     dense(monkeypatch)
     for (eps, i), hits in got.items():
         assert measures._sampled_hits(mu, xs[i], eps, 30_000, 8, 5) == hits
+
+
+@pytest.mark.parametrize("metric", [DISCRETE, ABSOLUTE])
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.integers(3, 8), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_centre_exits_match_ball_masks_at_every_order(sidedness, metric, k,
+                                                      window, seed, data):
+    system = make_system(sidedness, metric, 0.5, k, window)
+    o = system.origin_index
+    floor = 1.0 if metric == DISCRETE else 1.0 / k
+    # the cylinder rule holds up to the floor and fails past it
+    eps = data.draw(st.sampled_from(
+        [0.6 * floor, float(np.nextafter(floor, 0.0)), floor,
+         float(np.nextafter(floor, 2.0)), 1.3 * floor]), label="eps")
+    n_max = data.draw(st.integers(1, window), label="n_max")
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 120))
+    Y = rng.integers(0, k, size=(m, system.word_length))
+    Y[:, o + 1:o + 3] = rng.integers(0, 2, size=(m, 2))  # shared prefixes
+    c = Y[rng.integers(0, m)][None].copy()
+    if data.draw(st.booleans(), label="lonely"):
+        # no row shares the centre's origin symbol
+        Y[:, o] = (c[0, o] + rng.integers(1, k, size=m)) % k
+    exits = centre_exits(system, c, Y, eps, n_max)
+    assert exits.dtype == np.min_scalar_type(n_max + 1)
+    want = np.ones(m, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        inside = ball_masks(system, c, Y, n, eps)[0]
+        assert np.array_equal(exits > n, inside), n
+        want += inside
+    assert np.array_equal(exits, want)
 
 
 @pytest.mark.parametrize("k,sidedness", PRUNED_CASES)
@@ -766,7 +798,7 @@ def test_cylinder_store_answers_every_reader_as_the_dense_pass(
         tied = store.blocks[store.where[0][i]]
         assert tied.closed is not tied.opened
         for b in store.blocks:
-            cell = np.ix_(b.rows, b.cols)
+            cell = np.ix_(b.rows, b.rows)
             assert (b.closed is b.opened) == np.array_equal(
                 ref_open[cell], ref_closed[cell])
     # sub-pools are read inside the pass's blocks: rows in any order,
@@ -808,7 +840,7 @@ def test_cylinder_store_answers_every_reader_as_the_dense_pass(
                                   .max(axis=1) for n in levels], axis=1)
             assert sups.tobytes() == want_sups.ravel().tobytes()
         # a ball's bits span its own block's columns, the blocks in order
-        order = np.concatenate([b.cols for b in cands.exits.blocks])
+        order = np.concatenate([b.rows for b in cands.exits.blocks])
         assert whole_rows(cands.open_bits) == \
             rows_as_bits(cands.open_members[:, order])
 
@@ -853,7 +885,7 @@ def test_mass_cover_off_dyadic_masses_moves_only_last_bits():
         system = grid(k, ONE_SIDED, window=8)
         m = int(rng.integers(100, 600))
         Z = rng.integers(0, k, size=(m, system.word_length))
-        store = exit_orders(system, Z, Z, 0.9 / k, 4)
+        store = exit_orders(system, Z, 0.9 / k, 4)
         assert len(store.blocks) > 1
         whole = store.dense()
         mass = rng.dirichlet(np.ones(m))

@@ -1022,9 +1022,9 @@ class TestPSExitOrders:
         passes = []
         engine = bowen.exit_orders
 
-        def counted(system, C, Z, eps, n_max):
-            passes.append((len(C), len(Z), eps))
-            return engine(system, C, Z, eps, n_max)
+        def counted(system, Z, eps, n_max):
+            passes.append((len(Z), eps))
+            return engine(system, Z, eps, n_max)
 
         # every pass the memo makes goes through its module's exit_orders
         monkeypatch.setattr(bowen, "exit_orders", counted)
@@ -1033,19 +1033,19 @@ class TestPSExitOrders:
         ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6),
                    pool=snapshot.support)
         size = len(snapshot.support)
-        assert passes == [(size, size, 0.4)]
+        assert passes == [(size, 0.4)]
         fresh = mu.sample_points(200, stream=3)
         ps_entropy(snapshot, 0.4, [0.5, 0.25], range(1, 6), pool=fresh)
-        assert passes[1:] == [(200, 200, 0.4)]
+        assert passes[1:] == [(200, 0.4)]
         # a deeper request rebuilds; a shallower one reads the same pass
         deep = bowen.pool_exits(sys, fresh, 0.4, 8)
         assert len(passes) == 3
-        ref = engine(sys, fresh.symbols, fresh.symbols, 0.4, 8)
+        ref = engine(sys, fresh.symbols, 0.4, 8)
         for closed in (False, True):
             assert np.array_equal(deep.dense(closed), ref.dense(closed))
         shallow = bowen.pool_exits(sys, fresh, 0.4, 2)
         assert len(passes) == 3
-        ref = engine(sys, fresh.symbols, fresh.symbols, 0.4, 2)
+        ref = engine(sys, fresh.symbols, 0.4, 2)
         for closed in (False, True):
             # uncapped: it equals a fresh pass at every order <= 2
             assert np.array_equal(np.minimum(shallow.dense(closed), 3),
@@ -1078,9 +1078,9 @@ class TestGmuEstimate:
         passes, depths = [], set()
         engine, blocks = bowen.exit_orders, bowen.distance_blocks
 
-        def counted_pass(system, C, Z, eps, n_max):
+        def counted_pass(system, Z, eps, n_max):
             passes.append((eps, n_max))
-            return engine(system, C, Z, eps, n_max)
+            return engine(system, Z, eps, n_max)
 
         def counted_blocks(*args):
             depths.add(args[3])  # n_max

@@ -434,11 +434,10 @@ def test_mass_target_counts_a_union_an_ulp_above_the_target():
 
 
 def one_block(opened: np.ndarray, closed: np.ndarray | None = None) -> Exits:
-    """Exit matrices as a store of one block: every pair."""
-    rows, cols = (np.arange(m) for m in opened.shape)
+    """Square exit matrices as a store of one block: every pair."""
     closed = opened if closed is None else closed
-    return Exits(opened.shape, (ExitBlock(rows, cols, opened, closed),),
-                 opened.dtype)
+    return Exits(len(opened), (ExitBlock(np.arange(len(opened)), opened,
+                                         closed),), opened.dtype)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -449,9 +448,11 @@ def test_mass_cover_sums_each_row_on_its_own(seed):
     rng = np.random.default_rng(seed)
     sets = rng.random((200, 3000)) < 0.2
     mass = rng.dirichlet(np.ones(3000))
-    # exit orders whose balls at order 2 are the rows of ``sets``
-    exits = np.where(sets, rng.integers(3, 7, sets.shape),
-                     rng.integers(1, 3, sets.shape)).astype(np.uint8)
+    # exit orders whose balls at order 2 are the rows of ``sets``, in a
+    # square store whose other rows hold empty balls
+    exits = np.ones((3000, 3000), dtype=np.uint8)
+    exits[:200] = np.where(sets, rng.integers(3, 7, sets.shape),
+                           rng.integers(1, 3, sets.shape))
     assert greedy_mass_cover(one_block(exits), 2, mass, 0.9) == \
         reference_greedy_mass_cover(sets, mass, 0.9)
 
