@@ -1,7 +1,9 @@
 """Caratheodory-Pesin constructions on finite point sets.
 
 Six structures share one candidate family, Bowen balls B_n(z, eps) with
-centers in the target set and orders N..n_max:
+centers in the target set and orders N..n_max; with L = n_max - N + 1
+orders, candidate c * L + i is the ball of order N + i at centre c.  A
+valuation returns its value and whether its search was exact:
 
 * cover-M        min-weight cover, weights exp(-n lam + log(1/eps) sup S_n phi)
 * cover-fixed    the same restricted to order exactly N
@@ -92,8 +94,6 @@ class OuterMeasureProblem:
 class StructureValue:
     value: float
     exact: bool
-    chosen: tuple[tuple[int, int], ...] = ()  # (center index, order)
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,6 @@ class _Candidates:
     neither.  When no block's closed rule parts from its open one, the
     closed members and suprema are the open ones."""
 
-    centers: tuple[int, ...]          # index into Z
-    orders: tuple[int, ...]
     levels: np.ndarray                # the orders N..n_max
     exits: Exits                      # pool_exits' own or a sub-pool's
     sums: np.ndarray                  # base-potential S_n phi, column n
@@ -128,7 +126,7 @@ class _Candidates:
         members = self.exits.dense(closed)[:, None, :] > self.levels[:, None]
         centres = np.arange(len(members))
         members[centres, :, centres] = True  # a ball holds its centre
-        return members.reshape(len(self.centers), -1)
+        return members.reshape(self.exits.size * len(self.levels), -1)
 
     def _balls(self, block: ExitBlock, n: int, closed: bool,
                ) -> Iterator[tuple[slice, slice, np.ndarray]]:
@@ -156,6 +154,11 @@ class _Candidates:
         return out.ravel()
 
     @functools.cached_property
+    def orders(self) -> np.ndarray:
+        """The order of every candidate, as the float weights read it."""
+        return np.tile(self.levels.astype(float), self.exits.size)
+
+    @functools.cached_property
     def open_members(self) -> np.ndarray:
         return self._members(False)
 
@@ -180,9 +183,9 @@ class _Candidates:
         """The open balls as bitsets, packed on the first greedy cover:
         block p is part p, and a ball spans its members within its own
         n-cylinder."""
-        size = len(self.centers)
-        bits, part, low = [0] * size, [0] * size, [0] * size
         levels = len(self.levels)
+        size = self.exits.size * levels
+        bits, part, low = [0] * size, [0] * size, [0] * size
         for level, n in enumerate(self.levels.tolist()):
             for p, b in enumerate(self.exits.blocks):
                 for rows, span, balls in self._balls(b, n, False):
@@ -215,8 +218,6 @@ def _build_candidates(system: ShiftSystem, points: Points,
         # in the exits' dtype, so the member compares cast nothing
         orders = np.arange(N, n_max + 1, dtype=exits.dtype)
         _exits_memo[0].families[key] = _Candidates(
-            centers=tuple(c for c in range(len(points)) for _ in orders),
-            orders=tuple(orders.tolist()) * len(points),
             levels=orders, exits=exits,
             sums=birkhoff_sums(system, base, points.symbols, n_max))
     return _exits_memo[0].families[key]
@@ -229,7 +230,7 @@ def _log_weights(problem: OuterMeasureProblem, lam: float, closed: bool,
     if bs and problem.phi.min <= 0:
         raise ConfigurationError("BS structures need phi > 0")
     sup_base = cands.sup_closed if closed else cands.sup_open
-    n = np.asarray(cands.orders, dtype=float)
+    n = cands.orders
     phi = problem.phi
     formal_sup = phi.scale * sup_base + n * phi.offset
     L = math.log(1.0 / problem.eps)
@@ -246,21 +247,18 @@ def _cover_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
                     fixed: bool = False) -> StructureValue:
     cands = _candidates(problem)
     log_w = _log_weights(problem, lam, False, bs, cands)
-    idx = (np.flatnonzero(np.equal(cands.orders, problem.N)) if fixed
-           else np.arange(len(cands.orders)))
+    # order N is every centre's first level
+    idx = (np.arange(0, len(log_w), len(cands.levels)) if fixed
+           else slice(None))
     weights = np.exp(log_w[idx])
     exact = (len(problem.points) <= problem.exact_cap
-             and len(idx) <= 4 * problem.exact_cap)
+             and len(weights) <= 4 * problem.exact_cap)
     if exact:  # a ball holds its centre, so every point is coverable
-        chosen_local = min_weight_cover(cands.open_members[idx], weights)
+        chosen = min_weight_cover(cands.open_members[idx], weights)
     else:
         bits = cands.open_bits.take(idx) if fixed else cands.open_bits
-        chosen_local = greedy_weighted_cover(bits, weights)
-    chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
-                   for i in chosen_local)
-    value = float(weights[chosen_local].sum())
-    flags = () if exact else ("greedy-upper-bound",)
-    return StructureValue(value=value, exact=exact, chosen=chosen, flags=flags)
+        chosen = greedy_weighted_cover(bits, weights)
+    return StructureValue(value=float(weights[chosen].sum()), exact=exact)
 
 
 def cover_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
@@ -283,12 +281,8 @@ def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
     """Fractional cover LP: min sum c_i w_i with coverage >= 1 on Z, c >= 0."""
     cands = _candidates(problem)
     weights = np.exp(_log_weights(problem, lam, False, True, cands))
-    value, x = fractional_cover(cands.open_members, weights)
-    support = tuple(
-        (cands.centers[i], cands.orders[i])
-        for i in np.flatnonzero(x > 1e-12)
-    )
-    return StructureValue(value=value, exact=True, chosen=support)
+    value, _ = fractional_cover(cands.open_members, weights)
+    return StructureValue(value=value, exact=True)
 
 
 # -- packings -------------------------------------------------------------------
@@ -298,25 +292,19 @@ def _packing_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
                       center_mask: np.ndarray | None) -> StructureValue:
     cands = _candidates(problem)
     log_w = _log_weights(problem, lam, True, bs, cands)
-    idx = [i for i, c in enumerate(cands.centers)
-           if center_mask is None or center_mask[c]]
-    if not idx:
-        raise ConfigurationError("no candidate balls centered in the block")
+    idx = (slice(None) if center_mask is None
+           else np.repeat(center_mask, len(cands.levels)))
     weights = np.exp(log_w[idx])
+    if not weights.size:
+        raise ConfigurationError("no candidate balls centered in the block")
     M = cands.closed_members[idx]
-    order = sorted(range(len(idx)), key=lambda i: -weights[i])
-    if len(idx) <= 3 * problem.exact_cap:
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+    if len(weights) <= 3 * problem.exact_cap:
         # two balls conflict iff some point of Z lies in both
-        chosen_local, total = max_weight_independent(M @ M.T, weights, order)
-        exact = True
-    else:
-        picked = greedy_disjoint(M, order)
-        chosen_local, total = sorted(picked), float(weights[picked].sum())
-        exact = False
-    chosen = tuple((cands.centers[idx[i]], cands.orders[idx[i]])
-                   for i in chosen_local)
-    flags = () if exact else ("greedy-lower-bound",)
-    return StructureValue(value=total, exact=exact, chosen=chosen, flags=flags)
+        _, total = max_weight_independent(M @ M.T, weights, order)
+        return StructureValue(value=total, exact=True)
+    picked = greedy_disjoint(M, order)
+    return StructureValue(value=float(weights[picked].sum()), exact=False)
 
 
 def packing_value(problem: OuterMeasureProblem, lam: float,
@@ -360,16 +348,14 @@ def refined_packing_value(problem: OuterMeasureProblem, lam: float,
 
     def split(blocks) -> StructureValue:
         """The packing values of the blocks of one partition, summed."""
-        total, exact_all, chosen = 0.0, True, []
+        total, exact_all = 0.0, True
         for block in blocks:
             mask = np.zeros(m, dtype=bool)
             mask[block] = True
             sv = packing_value(problem, lam, center_mask=mask)
             total += sv.value
             exact_all &= sv.exact
-            chosen.extend(sv.chosen)
-        return StructureValue(value=total, exact=exact_all,
-                              chosen=tuple(chosen))
+        return StructureValue(value=total, exact=exact_all)
 
     trivial = packing_value(problem, lam)
     best = trivial
@@ -393,9 +379,7 @@ def refined_packing_value(problem: OuterMeasureProblem, lam: float,
             if val < current - 1e-15:
                 blocks, current, improved = trial, val, True
                 break
-    value = min(current, trivial.value)
-    return StructureValue(value=value, exact=False, chosen=(),
-                          flags=("greedy-partition-upper-bound",))
+    return StructureValue(value=min(current, trivial.value), exact=False)
 
 
 # -- critical exponents ----------------------------------------------------------
@@ -454,7 +438,6 @@ def structure_valuation(problem: OuterMeasureProblem,
 def subset_mdim(system: ShiftSystem, points: Points,
                 phi: Potential, structure: str,
                 eps_schedule: Sequence[float], N: int = 1, n_max: int = 3,
-                tol: float = 1e-4,
                 exact_cap: int = DEFAULT_EXACT_CAP) -> DimensionEstimate:
     """Critical exponent per eps, then regression against log(1/eps).
 
@@ -476,7 +459,7 @@ def subset_mdim(system: ShiftSystem, points: Points,
             n_max=n_max, structure=structure, exact_cap=exact_cap,
         )
         lams.append(critical_lambda(structure_valuation(problem),
-                                    tol=tol).lambda_star)
+                                    tol=1e-4).lambda_star)
     ratios = {eps: lam / math.log(1.0 / eps)
               for eps, lam in zip(eps_schedule, lams)}
     return log_eps_fit(eps_schedule, lams, n_schedule=range(N, n_max + 1),

@@ -188,8 +188,11 @@ class MeasureModel:
         return float(sum(np.asarray(self.support_weights)[at_a].tolist()))
 
     def empirical_ball_mass(self, x: Points, n: int, eps: float) -> float:
+        """The support weight of B_n(x, eps).  An order past the window's
+        reliable depth at ``eps`` raises ``WindowExhaustedError``."""
         if self.kind != EMPIRICAL:
             raise ConfigurationError("exact summation needs empirical measure")
+        self.system.check_order(n, eps)
         exits = centre_exits(self.system, _centre_row(self.system, x),
                              self.support.symbols, eps, n)
         w = np.asarray(self.support_weights)
@@ -359,21 +362,23 @@ def estimate_ball_mass(measure: MeasureModel, x: Points, n: int,
     """Empirical frequency of d_n(x, Y) < eps over iid Y ~ mu, Wilson CI.
 
     The samples depend on the stream and not on n, so one draw serves
-    every order: the hit counts at all orders 1..max(n, window) are
-    computed together and memoised per (measure, x, eps, samples, stream).
-    With zero hits only the upper end of the interval is informative; the
-    estimate is flagged and the lower end set to 0.
+    every order: the hit counts at all orders 1..window are computed
+    together and memoised per (measure, x, eps, samples, stream).  With
+    zero hits only the upper end of the interval is informative; the
+    estimate is flagged and the lower end set to 0.  An order past the
+    window's reliable depth at ``eps`` raises ``WindowExhaustedError``.
     """
     if n < 1:
         raise ConfigurationError("ball order must be >= 1")
     if samples < 1000:
         raise ConfigurationError("need at least 1000 samples")
     if measure.kind == EMPIRICAL:
-        mass = measure.empirical_ball_mass(x, n, eps)
+        mass = measure.empirical_ball_mass(x, n, eps)  # checks the order
         return MassEstimate(p_hat=mass, ci=(mass, mass), hits=-1,
                             samples=0, zero_hits=False)
-    n_max = max(n, measure.system.window)
-    hits = _sampled_hits(measure, x, eps, samples, n_max, stream)[n - 1]
+    measure.system.check_order(n, eps)  # so n <= window
+    hits = _sampled_hits(measure, x, eps, samples, measure.system.window,
+                         stream)[n - 1]
     return MassEstimate(p_hat=hits / samples,
                         ci=wilson_interval(hits, samples), hits=hits,
                         samples=samples, zero_hits=hits == 0)
@@ -600,17 +605,14 @@ def katok_rn(measure: MeasureModel, n: int, eps: float, delta: float,
     if measure.kind != EMPIRICAL:
         measure = measure.to_empirical(KATOK_POOL_SIZE, stream)
     weights = np.asarray(measure.support_weights)
-    exits = pool_exits(measure.system, measure.support, eps, n)
     target = 1.0 - delta
-    reachable = np.zeros(len(weights), dtype=bool)
-    for b in exits.blocks:  # from its own n-cylinder only
-        for _, span, cell in b.cells(n, 1):
-            reachable[b.rows[span]] |= cell.max(axis=0) > n
-    total_reachable = float(weights[reachable].sum())
-    if total_reachable <= target:
+    # at a checked order every support point lies in its own ball
+    total = float(weights.sum())
+    if total <= target:
         raise PoolInsufficientError(
-            f"pool covers mass {total_reachable:.4f} <= 1 - delta = {target}"
+            f"pool covers mass {total:.4f} <= 1 - delta = {target}"
         )
+    exits = pool_exits(measure.system, measure.support, eps, n)
     if exits.size <= KATOK_EXACT_CAP:
         members = exits.dense() > n
         chosen = min_weight_cover(members, np.ones(len(members)),

@@ -553,7 +553,11 @@ def test_candidate_suprema_equal_scalar_sums_at_long_orders(sidedness, eps):
     cands = caratheodory._build_candidates(system, pts, base, eps, 1, 10)
     sums = {n: np.array([birkhoff_sum(system, base, z, n) for z in pts])
             for n in range(1, 11)}
-    for i, (c, n) in enumerate(zip(cands.centers, cands.orders)):
+    L = len(cands.levels)
+    assert len(cands.sup_open) == len(pts) * L
+    for i in range(len(pts) * L):
+        c, n = i // L, int(cands.levels[i % L])  # candidate c * L + level
+        assert cands.orders[i] == n
         assert cands.open_members[i, c] and cands.closed_members[i, c]
         assert cands.sup_open[i] == sums[n][cands.open_members[i]].max()
         assert cands.sup_closed[i] == sums[n][cands.closed_members[i]].max()

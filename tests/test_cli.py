@@ -753,6 +753,26 @@ def test_katok_order_past_the_reliable_depth_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("quantity", ["bk", "bs"])
+def test_point_mass_order_past_the_reliable_depth_exits_1(tmp_path, capsys,
+                                                          quantity):
+    # past the reliable depth the centre leaves its own ball, so the ball
+    # masses read 0 and every record read 0.0 with exit 0
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    assert text.count("n = 2 3 4 5\n") == 1
+    assert text.count("kind = bernoulli\n") == 1
+    path = tmp_path / "deep.cfg"
+    path.write_text(text.replace("n = 2 3 4 5\n", "n = 2 3 4 12\n")
+                    .replace("kind = bernoulli\n", "kind = point-mass\n"))
+    code = main(["entropy", "--quantity", quantity, "--config", str(path),
+                 "--out", str(tmp_path / "r.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: order 12 at radius 0.6 exceeds reliable "
+                          "depth 10 for window 14")
+    assert "Traceback" not in err
+
+
 def test_huge_potential_ends_its_bisection(tmp_path, capsys):
     # the critical lambda lies near 1e20, where bisection to tol never ended
     text = (BENCH_CONFIGS / "shift.cfg").read_text()

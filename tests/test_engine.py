@@ -32,7 +32,7 @@ from mmdim.bowen import (
     max_separated,
     min_spanning,
 )
-from mmdim.errors import PoolInsufficientError
+from mmdim.errors import PoolInsufficientError, WindowExhaustedError
 from mmdim.measures import MeasureModel, katok_rn
 from mmdim.solvers import greedy_mass_cover, rows_as_bits
 from mmdim.systems import (
@@ -348,6 +348,28 @@ def near_floor(system) -> list[float]:
             1.5 * f, 0.6 * f]
 
 
+@pytest.mark.parametrize("sidedness", [ONE_SIDED, TWO_SIDED])
+@pytest.mark.parametrize("metric", [DISCRETE, ABSOLUTE])
+def test_every_point_lies_in_its_own_ball_at_a_checked_order(sidedness,
+                                                             metric):
+    # katok_rn counts the whole support weight as coverable: at an order
+    # that passes check_order, d_n(x, x) = 0 and the slack is below eps/10
+    system = make_system(sidedness, metric, 0.5, 4, 8)
+    rng = np.random.default_rng(3)
+    Z = rng.integers(0, 4, size=(60, system.word_length))
+    Z[30:] = Z[:30]  # repeated points, at distance 0 off the diagonal too
+    for eps in near_floor(system)[:3]:  # at, one ulp below and above
+        depth = system.max_reliable_order(eps)
+        assert depth >= 1
+        for n in range(1, depth + 1):
+            system.check_order(n, eps)
+            exits = exit_orders(system, Z, eps, n)
+            for closed in (False, True):
+                assert (exits.dense(closed).diagonal() > n).all(), (eps, n)
+        with pytest.raises(WindowExhaustedError):
+            system.check_order(depth + 1, eps)
+
+
 def assert_scans_agree(system, Z, n, eps):
     Z = Z[bowen._lex_order(Z)]
     got = bowen._greedy_scan(system, Z, n, eps)
@@ -595,7 +617,9 @@ def test_pruned_candidates_match_dense(k, sidedness, monkeypatch):
     dense(monkeypatch)
     for eps, cands in got.items():
         ref = caratheodory._build_candidates(system, pts, base, eps, 2, 5)
-        assert cands.centers == ref.centers and cands.orders == ref.orders
+        # the same centres at the same orders, candidate c * L + level
+        assert cands.exits.size == ref.exits.size == len(pts)
+        assert np.array_equal(cands.levels, ref.levels)
         for name in fields:
             assert np.array_equal(getattr(cands, name), getattr(ref, name))
 

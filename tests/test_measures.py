@@ -315,6 +315,28 @@ class TestEstimateBallMass:
         est = estimate_ball_mass(mu, pts[0], 2, 0.6, samples=5000)
         assert est.ci[0] == est.ci[1] == est.p_hat
 
+    def test_order_past_reliable_depth_rejected(self):
+        # window 12 at eps 0.4 is reliable to order 8; at order 12 the
+        # slack (0.5) exceeds eps, the centre leaves its own ball, and both
+        # masses read 0
+        sys = ShiftSystem(kind="grid-shift", alphabet_size=3, window=12,
+                          eps_min=0.1)
+        eps = 0.4
+        assert sys.max_reliable_order(eps) == 8
+        assert sys.truncation_slack(12) == 0.5
+        product = MeasureModel.product_uniform(sys, seed=3)
+        x = product.sample_points(1, stream=4)[0]
+        point = MeasureModel.point_mass(sys, x)
+        assert estimate_ball_mass(product, x, 8, eps, samples=2000).hits > 0
+        assert point.empirical_ball_mass(x, 8, eps) == 1.0
+        for n in (9, 12):
+            for mu in (product, point):
+                with pytest.raises(WindowExhaustedError,
+                                   match="reliable depth 8"):
+                    estimate_ball_mass(mu, x, n, eps, samples=2000)
+            with pytest.raises(WindowExhaustedError, match="reliable depth"):
+                point.empirical_ball_mass(x, n, eps)
+
     def test_order_zero_rejected(self):
         sys = full_shift()
         product = MeasureModel.product_uniform(sys, seed=3)
@@ -359,12 +381,18 @@ class TestBallMassMemo:
         x = mu.sample_points(1, stream=5)[0]
         measures._sampled_hits.cache_clear()
         samples, stream = 30_000, 7
-        for n in (5, 1, 3, sys.window + 2, 2, sys.window):
+        depth = sys.max_reliable_order(eps)
+        for n in (5, 1, 3, depth, 2):
             est = estimate_ball_mass(mu, x, n, eps, samples=samples,
                                      stream=stream)
             assert est.hits == _reference_hits(mu, x, n, eps, samples,
                                                stream)
             assert est.p_hat == est.hits / samples
+        # past the reliable depth the slack, not the ball, would decide
+        for n in (depth + 1, sys.window, sys.window + 2):
+            with pytest.raises(WindowExhaustedError):
+                estimate_ball_mass(mu, x, n, eps, samples=samples,
+                                   stream=stream)
         assert estimate_ball_mass(mu, x, 1, eps, samples=samples,
                                   stream=stream).hits > 0
 
@@ -661,6 +689,23 @@ class TestKatok:
         katok_rn(mu, depth, 0.6, 0.5)
         with pytest.raises(WindowExhaustedError, match="reliable depth"):
             katok_rn(mu, depth + 1, 0.6, 0.5)
+
+    def test_weights_short_of_the_target_are_refused(self):
+        # the weights sum to 1 - 5e-10, within the measure's 1e-9 check but
+        # at or below 1 - delta for delta = 1e-12, so no cover reaches the
+        # target, on the exact (8 points) and the greedy (16) path alike
+        sys = full_shift()
+        for depth in (3, 4):
+            pool = sys.enumerate_points(depth)
+            w = np.full(len(pool), 1.0 / len(pool))
+            w[0] -= 5e-10
+            mu = MeasureModel.empirical(sys, pool, w.tolist())
+            assert float(w.sum()) <= 1.0 - 1e-12
+            for n in (1, 3):
+                with pytest.raises(PoolInsufficientError,
+                                   match="pool covers mass"):
+                    katok_rn(mu, n, 0.6, 1e-12)
+            assert katok_rn(mu, 3, 0.6, 1e-9).covered_mass > 1.0 - 1e-9
 
     def test_entropy_slope_log2(self):
         sys, pool, mu = exact_cylinder_model(depth=10)

@@ -511,9 +511,11 @@ def test_bitset_weighted_cover_matches_on_fixed_order_families(k, metric,
     base = Potential.from_table(np.linspace(0.2, 1.0, k))
     cands = _build_candidates(system, pts, base, eps, 1, 4)
     rng = np.random.default_rng(k)
+    L = len(cands.levels)  # levels 1..4; candidate c * L + level
+    size = cands.exits.size * L
     for N in (1, 2, 4):
-        idx = [i for i, n in enumerate(cands.orders) if n >= N]
-        fixed = [i for i, n in enumerate(cands.orders) if n == N]
+        idx = [i for i in range(size) if i % L >= N - 1]
+        fixed = list(range(N - 1, size, L))
         for rows in (idx, fixed):
             sets = cands.open_members[rows]
             # the enumerated pool lists its origin cylinders in order
