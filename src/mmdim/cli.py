@@ -27,7 +27,7 @@ from .caratheodory import (
     WEIGHTED_W,
     subset_mdim,
 )
-from .config import ExperimentConfig, load_config, parse_int
+from .config import ExperimentConfig, load_config
 from .errors import MMDimError, ConfigurationError
 from .measures import bs_entropy, katok_entropy, ps_entropy
 from .pressure import (
@@ -115,19 +115,15 @@ def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
 
 def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     structure = STRUCTURE_NAMES[args.structure]
-    opts = cfg.options.get("subset-dim", {})
-    depth = parse_int(opts.get("depth", "3"), "[subset-dim] depth")
-    n_max = parse_int(opts.get("n_max", str(max(cfg.n_schedule))),
-                      "[subset-dim] n_max")
     system = cfg.build_system()
-    points = system.enumerate_points(depth)
-    if structure in (BS_R, PACKING_BS, WEIGHTED_W):
-        phi = cfg.potential(args.phi)
-    else:
-        phi = cfg.potentials.get(args.phi, Potential.constant(0.0))
+    points = system.enumerate_points(cfg.subset_depth)
+    # a named potential must exist; without --phi, the config's phi or else
+    # zero, which the BS structures refuse
+    phi = (cfg.potential(args.phi) if args.phi is not None
+           else cfg.potentials.get("phi", Potential.constant(0.0)))
     est = subset_mdim(system, points, phi, structure,
-                      cfg.eps_schedule, N=min(cfg.n_schedule), n_max=n_max,
-                      exact_cap=cfg.exact_cap)
+                      cfg.eps_schedule, N=min(cfg.n_schedule),
+                      n_max=cfg.subset_n_max, exact_cap=cfg.exact_cap)
     rows = [("critical-lambda", {"eps": eps, "structure": args.structure},
              lam, False) for eps, lam in est.per_eps_pressure.items()]
     rows.append(("subset-dim-slope", {"structure": args.structure},
@@ -140,21 +136,15 @@ def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
 def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
     system = cfg.build_system()
     measure = cfg.build_measure(system)
-    opts = cfg.options.get("entropy", {})
-    x_samples = parse_int(opts.get("x_samples", "24"), "[entropy] x_samples")
-    # the sampled points are one pool, which the enumeration cap bounds
-    if not 1 <= x_samples <= cfg.enumeration_cap:
-        raise ConfigurationError(
-            f"[entropy] x_samples must lie in 1..{cfg.enumeration_cap} "
-            f"(the enumeration cap), got {x_samples}")
     rows, summary = [], []
     for eps in cfg.eps_schedule:
         if args.quantity in ("bk", "bs"):  # BK is BS at the unit potential
             phi = (Potential.constant(1.0) if args.quantity == "bk"
                    else cfg.potential(args.phi))
             pairs = [(f"{args.quantity}-{bound}",
-                      bs_entropy(measure, phi, eps, cfg.n_schedule, x_samples,
-                                 bound)) for bound in ("lower", "upper")]
+                      bs_entropy(measure, phi, eps, cfg.n_schedule,
+                                 cfg.x_samples, bound))
+                     for bound in ("lower", "upper")]
         elif args.quantity == "katok":
             est = katok_entropy(measure, eps, cfg.delta, cfg.n_schedule)
             pairs = [("katok", est)]
@@ -220,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--structure", required=True,
                    choices=sorted(STRUCTURE_NAMES))
-    p.add_argument("--phi", default="phi")
+    p.add_argument("--phi", default=None)
 
     p = sub.add_parser("entropy", help="measure entropy estimates")
     common(p)

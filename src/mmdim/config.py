@@ -5,12 +5,14 @@ Numbers are accepted in decimal or 2^k notation (e.g. ``2^-5``).  The
 makes the alphabet track ceil(1/eps) per scale, which is how the grid
 baseline approximates the unit-interval alphabet.  Potentials live in
 [potential.NAME] blocks and are referenced by name from the command
-options.
+options.  Only this module reads the format: every key is parsed and
+checked at load, and commands read the typed ``ExperimentConfig`` fields.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import math
 import re
@@ -40,6 +42,13 @@ def parse_int(text: str, key: str) -> int:
             f"{key} must be an integer, got {text.strip()!r}") from exc
 
 
+def _int_key(parser: configparser.ConfigParser, section: str, key: str,
+             default: str) -> int:
+    """``[section] key`` as an integer, ``default`` where it is absent."""
+    return parse_int(parser.get(section, key, fallback=default),
+                     f"[{section}] {key}")
+
+
 def parse_number_list(text: str) -> tuple[float, ...]:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     return tuple(parse_number(p) for p in parts)
@@ -64,7 +73,9 @@ class ExperimentConfig:
     seed: int
     measure_kind: str
     measure_p: tuple[float, ...]
-    options: dict
+    subset_depth: int
+    subset_n_max: int
+    x_samples: int
     raw_text: str
 
     def config_hash(self) -> str:
@@ -80,12 +91,10 @@ class ExperimentConfig:
         return int(self.alphabet_size)
 
     def build_system(self, eps: float | None = None) -> ShiftSystem:
-        eps_min = min(self.eps_schedule) if eps is None else eps
-        k = self.alphabet_for(eps_min)
-        window = self.window
+        k = self.alphabet_for(min(self.eps_schedule) if eps is None else eps)
         return ShiftSystem(
             kind=self.system_kind, alphabet_size=k, sidedness=self.sidedness,
-            window=window, symbol_metric=self.symbol_metric,
+            window=self.window, symbol_metric=self.symbol_metric,
             weight_base=self.weight_base, eps_min=min(self.eps_schedule),
             enumeration_cap=self.enumeration_cap,
         )
@@ -102,12 +111,8 @@ class ExperimentConfig:
         if self.measure_kind == "product-uniform":
             return MeasureModel.product_uniform(system, seed=self.seed)
         if self.measure_kind == "bernoulli":
-            p = self.measure_p
-            if len(p) != system.alphabet_size:
-                raise ConfigurationError(
-                    "measure p length does not match alphabet_size"
-                )
-            return MeasureModel.bernoulli(system, p, seed=self.seed)
+            return MeasureModel.bernoulli(system, self.measure_p,
+                                          seed=self.seed)
         if self.measure_kind == "point-mass":
             return MeasureModel.point_mass(
                 system, system.points([[0] * system.word_length]),
@@ -143,11 +148,7 @@ def _check_potentials(cfg: ExperimentConfig) -> None:
     product must be finite at every configured order n (``[schedules] n``
     and ``[subset-dim] n_max``) and eps.
     """
-    orders = list(cfg.n_schedule)
-    try:  # a malformed n_max is reported by the command that reads it
-        orders.append(int(cfg.options["subset-dim"]["n_max"].strip()))
-    except (KeyError, ValueError):
-        pass
+    orders = (*cfg.n_schedule, cfg.subset_n_max)
     for eps in cfg.eps_schedule:
         k = cfg.alphabet_for(eps)
         for name, phi in cfg.potentials.items():
@@ -218,11 +219,9 @@ def load_config_text(text: str) -> ExperimentConfig:
     delta = parse_number(sched.get("delta", "0.5"))
     eta_schedule = parse_number_list(sched.get("eta", "0.5 0.25"))
 
-    caps = parser["caps"] if "caps" in parser else {}
-    enumeration_cap = parse_int(caps.get("enumeration", "2000000"),
-                                "[caps] enumeration")
-    exact_cap = parse_int(caps.get("exact_search", str(DEFAULT_EXACT_CAP)),
-                          "[caps] exact_search")
+    enumeration_cap = _int_key(parser, "caps", "enumeration", "2000000")
+    exact_cap = _int_key(parser, "caps", "exact_search",
+                         str(DEFAULT_EXACT_CAP))
 
     potentials = {}
     for name in parser.sections():
@@ -235,19 +234,20 @@ def load_config_text(text: str) -> ExperimentConfig:
         measure_kind = parser["measure"].get("kind", "product-uniform").strip()
         measure_p = parse_number_list(parser["measure"].get("p", ""))
 
-    options = {}
-    for name in parser.sections():
-        if name in ("system", "schedules", "caps", "run", "measure"):
-            continue
-        if name.startswith("potential."):
-            continue
-        options[name] = dict(parser[name])
+    subset_depth = _int_key(parser, "subset-dim", "depth", "3")
+    subset_n_max = _int_key(parser, "subset-dim", "n_max", str(n_schedule[-1]))
+    x_samples = _int_key(parser, "entropy", "x_samples", "24")
+    # the sampled points are one pool, which the enumeration cap bounds
+    if not 1 <= x_samples <= enumeration_cap:
+        raise ConfigurationError(
+            f"[entropy] x_samples must lie in 1..{enumeration_cap} "
+            f"(the enumeration cap), got {x_samples}")
 
     cfg = ExperimentConfig(
         system_kind=sysblk.get("kind", "full-shift").strip(),
         alphabet_size=alphabet_size,
         sidedness=sysblk.get("sidedness", "one-sided").strip(),
-        window=parse_int(sysblk.get("window", "16"), "[system] window"),
+        window=_int_key(parser, "system", "window", "16"),
         symbol_metric=sysblk.get("symbol_metric", "").strip(),
         weight_base=parse_number(sysblk.get("weight_base", "0.5")),
         potentials=potentials,
@@ -261,7 +261,9 @@ def load_config_text(text: str) -> ExperimentConfig:
         seed=seed,
         measure_kind=measure_kind,
         measure_p=measure_p,
-        options=options,
+        subset_depth=subset_depth,
+        subset_n_max=subset_n_max,
+        x_samples=x_samples,
         raw_text=text,
     )
     _check_potentials(cfg)
@@ -274,5 +276,5 @@ def load_config(path: str, seed_override: int | None = None,
         text = fh.read()
     cfg = load_config_text(text)
     if seed_override is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": seed_override})
+        cfg = dataclasses.replace(cfg, seed=seed_override)
     return cfg

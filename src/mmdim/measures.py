@@ -245,7 +245,9 @@ def bracket_reach(eps: float) -> int:
     return int(math.ceil(math.log2(4.0 / eps))) + 1
 
 
-def _check_bracket_model(measure: MeasureModel, eps: float) -> None:
+def _check_bracket_model(measure: MeasureModel, n: int, eps: float) -> None:
+    if n < 1:
+        raise ConfigurationError("ball order must be >= 1")
     if not measure.is_product:
         raise ConfigurationError("mass brackets need a product measure")
     if measure.system.weight_base != 0.5:
@@ -259,11 +261,10 @@ def ball_mass_bracket(measure: MeasureModel, x: Points, n: int,
     """The closed-form bracket ((eps/6)^{n+2r}, (4 eps)^n) on mu(B_n(x, eps)).
 
     Valid for product-uniform measures on absolute-difference alphabets
-    whose grid resolves eps (2 eps k >= 1); the degenerate order 0 returns
-    (0, 1).  Requires eps < 1/4 so that the inner-box reach derivation
-    applies.
+    whose grid resolves eps (2 eps k >= 1), at orders n >= 1.  Requires
+    eps < 1/4 so that the inner-box reach derivation applies.
     """
-    _check_bracket_model(measure, eps)
+    _check_bracket_model(measure, n, eps)
     _centre_row(measure.system, x)
     if measure.kind != PRODUCT_UNIFORM:
         raise ConfigurationError("the closed-form bracket is for the "
@@ -279,8 +280,6 @@ def ball_mass_bracket(measure: MeasureModel, x: Points, n: int,
             f"grid too coarse for the bracket: need 2*eps*k >= 1, got "
             f"k={k}, eps={eps}"
         )
-    if n == 0:
-        return 0.0, 1.0
     r = bracket_reach(eps)
     return (eps / 6.0) ** (n + 2 * r), (4.0 * eps) ** n
 
@@ -303,9 +302,7 @@ def exact_cylinder_bracket(measure: MeasureModel, x: Points, n: int,
     masses, conservative in their respective directions.  Coordinates past
     the stored word read 0.
     """
-    _check_bracket_model(measure, eps)
-    if n == 0:
-        return 0.0, 1.0
+    _check_bracket_model(measure, n, eps)
     row = _centre_row(measure.system, x)[0].tolist() + [0] * n
     o, r = x.origin, bracket_reach(eps)
     inner = _masses_within(measure, eps / 6.0)
@@ -497,6 +494,8 @@ def bs_entropy(measure: MeasureModel, phi: Potential, eps: float,
         raise ConfigurationError("need at least two orders")
     if n_schedule[0] < 1:
         raise ConfigurationError("ball order must be >= 1")
+    # an order past every double fails here, not in the Birkhoff kernel
+    measure.system.truncation_slack(n_schedule[-1])
     lower_vals, upper_vals, band_lo, band_hi, per_scale, flags = \
         _bs_point_rates(measure, phi, eps, n_schedule, x_samples, stream)
     if not lower_vals:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmdim
-from mmdim.cli import main
+from mmdim.cli import STRUCTURE_NAMES, main
 from mmdim.config import load_config_text, parse_number
 from mmdim.errors import ConfigurationError
 from mmdim.systems import birkhoff_sums
@@ -170,8 +170,20 @@ BAD_NUMBERS = [
 ]
 
 
-@pytest.mark.parametrize("old,new,key,command", BAD_NUMBERS,
-                         ids=[case[2].strip("'") for case in BAD_NUMBERS])
+# every key is parsed at load, so a malformed one fails every command
+LOAD_TIME_KEYS = [
+    ("[run]", "[subset-dim]\ndepth = deep\n\n[run]", "depth",
+     "estimate-mdim"),
+    ("[run]", "[subset-dim]\nn_max = deep\n\n[run]", "n_max",
+     "estimate-mdim"),
+    ("[run]", "[entropy]\nx_samples = many\n\n[run]", "x_samples",
+     "estimate-mdim"),
+]
+
+
+@pytest.mark.parametrize("old,new,key,command", BAD_NUMBERS + LOAD_TIME_KEYS,
+                         ids=[case[2].strip("'") for case in BAD_NUMBERS]
+                         + [f"{case[2]}-{case[3]}" for case in LOAD_TIME_KEYS])
 def test_malformed_integer_key_exits_1(tmp_path, capsys, old, new, key,
                                        command):
     assert old in BASE_CONFIG
@@ -267,7 +279,7 @@ FRESH_INTERPRETER = """
 import json
 import sys
 
-from mmdim.cli import main
+from mmdim.cli import STRUCTURE_NAMES, main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -362,7 +374,7 @@ gc.freeze = counted_freeze
 # hooks run last in, first out: this one runs after every hook mmdim adds
 atexit.register(lambda: print("exit", len(calls), gc.get_freeze_count()))
 
-from mmdim.cli import main
+from mmdim.cli import STRUCTURE_NAMES, main
 
 codes = [main(["verify", "--suite", "counting"]) for _ in range(2)]
 print("codes", *codes)
@@ -704,6 +716,13 @@ FUZZ_FOUND = [
      "too far past the window"),
     ("ps-order-past-window", "shift.cfg", "n = 2 3 4 5", "n = 2 3 4 1100",
      "entropy --quantity ps", "too far past the window"),
+    # once a numpy ValueError from the Birkhoff kernel's arange
+    ("bk-order-past-window", "shift.cfg", "n = 2 3 4 5",
+     "n = 2 3 4 99999999999999999999", "entropy --quantity bk",
+     "too far past the window"),
+    ("bs-order-past-window", "shift.cfg", "n = 2 3 4 5",
+     "n = 2 3 4 99999999999999999999", "entropy --quantity bs",
+     "too far past the window"),
 ]
 
 
@@ -721,6 +740,40 @@ def test_fuzz_found_input_exits_1(tmp_path, capsys, name, old, new, command,
     assert code == 1
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("structure", sorted(STRUCTURE_NAMES))
+def test_undefined_subset_phi_exits_1(capsys, structure):
+    # bowen and packing once fell back to the zero potential with exit 0
+    code = main(["subset-dim", "--structure", structure, "--phi", "nosuch",
+                 "--config", str(BENCH_CONFIGS / "shift.cfg")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: potential 'nosuch' not defined in the config\n"
+
+
+def test_subset_phi_defaults_to_the_configs_phi_or_zero(tmp_path, capsys):
+    shift = BENCH_CONFIGS / "shift.cfg"
+    runs = {}
+    for name, args in [("default", []), ("named", ["--phi", "phi"]),
+                       ("zero", ["--phi", "zero"])]:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(shift.read_text()
+                        + "\n[potential.zero]\nkind = constant\nvalue = 0\n")
+        assert main(["subset-dim", "--structure", "bowen", "--config",
+                     str(path), "--out", str(tmp_path / f"{name}.jsonl"),
+                     *args]) == 0
+        runs[name] = [json.loads(line)["value"] for line in
+                      (tmp_path / f"{name}.jsonl").read_text().splitlines()]
+    assert runs["default"] == runs["named"] != runs["zero"]
+    # without a phi in the config the default is zero, which BS refuses
+    text = shift.read_text().replace("[potential.phi]", "[potential.chi]")
+    path = tmp_path / "no-phi.cfg"
+    path.write_text(text)
+    code = main(["subset-dim", "--structure", "bs", "--config", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: BS structures need phi > 0")
 
 
 def test_subset_order_past_the_reliable_depth_exits_1(tmp_path, capsys):

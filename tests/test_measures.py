@@ -211,11 +211,15 @@ class TestBallMassBracket:
         assert hi == pytest.approx((1.0 / 2.0) ** 2)
 
     def test_degenerate_order_zero(self):
-        sys = grid_system(1.0 / 8)
+        # orders below 1 once gave (0, 1) at n = 0 and upper bounds past 1
+        # on a probability below it, e.g. 64 at n = -3
+        sys = grid_system(1.0 / 16)
         mu = MeasureModel.product_uniform(sys)
         x = mu.sample_points(1, stream=5)[0]
-        lo, hi = ball_mass_bracket(mu, x, 0, 1.0 / 8)
-        assert lo <= 1.0 and hi == 1.0
+        for bracket in (ball_mass_bracket, exact_cylinder_bracket):
+            for n in (0, -1):
+                with pytest.raises(ConfigurationError, match="order"):
+                    bracket(mu, x, n, 1.0 / 16)
 
     def test_eps_too_large(self):
         sys = grid_system(1.0 / 8)
