@@ -14,18 +14,14 @@ from .bowen import (
     min_spanning,
 )
 from .caratheodory import (
+    STRUCTURES,
     CriticalValue,
     OuterMeasureProblem,
+    Structure,
     StructureValue,
-    bs_value,
-    cover_value,
     critical_lambda,
-    fixed_length_value,
-    packing_bs_value,
-    packing_value,
-    refined_packing_value,
     subset_mdim,
-    weighted_value,
+    value,
 )
 from .config import ExperimentConfig, load_config, load_config_text, parse_number
 from .errors import (

@@ -1,16 +1,22 @@
 """Caratheodory-Pesin constructions on finite point sets.
 
-Six structures share one candidate family, Bowen balls B_n(z, eps) with
+Five structures share one candidate family, Bowen balls B_n(z, eps) with
 centers in the target set and orders N..n_max; with L = n_max - N + 1
-orders, candidate c * L + i is the ball of order N + i at centre c.  A
-valuation returns its value and whether its search was exact:
+orders, candidate c * L + i is the ball of order N + i at centre c.  Each
+is one row of ``STRUCTURES``: a family and a weight kind.  Bowen weights
+are exp(-n lam + log(1/eps) sup S_n phi), BS weights exp(-lam sup S_n phi)
+with phi > 0.  ``value`` returns a structure's value and whether its
+search was exact:
 
-* cover-M        min-weight cover, weights exp(-n lam + log(1/eps) sup S_n phi)
-* cover-fixed    the same restricted to order exactly N
-* packing-P      max-weight pairwise-disjoint closed family, centers in Z
-* BS-R           min-weight cover, weights exp(-lam sup S_n phi), phi > 0
-* packing-BS     packing with BS weights
-* weighted-W     fractional cover LP with BS weights
+* cover-M        cover family, Bowen weights: min-weight cover
+* packing-P      packing family, Bowen weights: max-weight pairwise-
+                 disjoint closed family, centers in Z
+* BS-R           cover family, BS weights
+* packing-BS     packing family, BS weights
+* weighted-W     fractional family, BS weights: fractional cover LP
+
+Packings read closed balls; covers and the LP read open ones.  A cover
+at the single order N is cover-M at n_max = N.
 
 Ball suprema of Birkhoff sums are evaluated on the base potential and
 mapped through the affine transform of the potential, so the one-parameter
@@ -26,10 +32,9 @@ jump from infinity to zero.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,16 +48,26 @@ from .solvers import (Bitsets, fractional_cover, greedy_disjoint,
 from .systems import (Points, Potential, ShiftSystem, birkhoff_sums,
                       check_genuine)
 
-COVER_M = "cover-M"
-COVER_FIXED = "cover-fixed-m"
-PACKING_P = "packing-P"
-BS_R = "BS-R"
-PACKING_BS = "packing-BS"
-WEIGHTED_W = "weighted-W"
 
-STRUCTURES = (COVER_M, COVER_FIXED, PACKING_P, BS_R, PACKING_BS, WEIGHTED_W)
+class Structure(NamedTuple):
+    """One Caratheodory structure: its name, its ``subset-dim
+    --structure`` choice, its family (``cover``, ``packing`` or
+    ``fractional``) and whether it takes BS weights."""
 
-PARTITION_EXACT = 8  # refined packings try every partition up to this |Z|
+    name: str
+    cli: str
+    family: str
+    bs: bool
+
+
+COVER_M = Structure("cover-M", "bowen", "cover", False)
+PACKING_P = Structure("packing-P", "packing", "packing", False)
+BS_R = Structure("BS-R", "bs", "cover", True)
+PACKING_BS = Structure("packing-BS", "packing-bs", "packing", True)
+WEIGHTED_W = Structure("weighted-W", "weighted", "fractional", True)
+
+STRUCTURES = (COVER_M, PACKING_P, BS_R, PACKING_BS, WEIGHTED_W)
+
 MAX_DOUBLINGS = 80
 
 
@@ -66,7 +81,7 @@ class OuterMeasureProblem:
     eps: float
     N: int = 1
     n_max: int = 3
-    structure: str = COVER_M
+    structure: Structure = COVER_M
     exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
@@ -79,11 +94,10 @@ class OuterMeasureProblem:
         self.system.check_order(self.n_max, self.eps)
         if self.structure not in STRUCTURES:
             raise ConfigurationError(f"unknown structure {self.structure!r}")
-        if self.structure in (BS_R, PACKING_BS, WEIGHTED_W):
-            if self.phi.min <= 0:
-                raise ConfigurationError("BS structures need phi > 0")
+        if self.structure.bs and self.phi.min <= 0:
+            raise ConfigurationError("BS structures need phi > 0")
 
-    def with_structure(self, structure: str) -> "OuterMeasureProblem":
+    def with_structure(self, structure: Structure) -> "OuterMeasureProblem":
         return replace(self, structure=structure)
 
     def with_potential(self, phi: Potential) -> "OuterMeasureProblem":
@@ -223,163 +237,56 @@ def _build_candidates(system: ShiftSystem, points: Points,
     return _exits_memo[0].families[key]
 
 
-def _log_weights(problem: OuterMeasureProblem, lam: float, closed: bool,
-                 bs: bool, cands: _Candidates) -> np.ndarray:
-    """Log weights of the problem's ``cands``: -n lam + log(1/eps) sup
-    S_n phi (Bowen), or -lam sup S_n phi with ``bs``, which needs phi > 0."""
-    if bs and problem.phi.min <= 0:
-        raise ConfigurationError("BS structures need phi > 0")
+def _log_weights(problem: OuterMeasureProblem, lam: float,
+                 cands: _Candidates) -> np.ndarray:
+    """Log weights of the problem's ``cands`` under its structure: -n lam
+    + log(1/eps) sup S_n phi (Bowen) or -lam sup S_n phi (BS), the
+    suprema over closed balls for packings and open ones otherwise."""
+    structure = problem.structure
+    closed = structure.family == "packing"
     sup_base = cands.sup_closed if closed else cands.sup_open
     n = cands.orders
     phi = problem.phi
     formal_sup = phi.scale * sup_base + n * phi.offset
     L = math.log(1.0 / problem.eps)
-    out = -lam * formal_sup if bs else -n * lam + L * formal_sup
+    out = -lam * formal_sup if structure.bs else -n * lam + L * formal_sup
     # extreme lambdas show up transiently during bracket growth; clipping
     # keeps exp() finite without disturbing the threshold crossing
     return np.clip(out, -700.0, 700.0)
 
 
-# -- covers ---------------------------------------------------------------------
+def value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
+    """The value of the problem's structure at exponent ``lam``.
 
-
-def _cover_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
-                    fixed: bool = False) -> StructureValue:
+    * cover: minimum-weight cover of Z, exact when |Z| <= exact_cap and
+      the candidates number at most 4 exact_cap, greedy otherwise;
+    * packing: maximum-weight pairwise-disjoint family, exact up to
+      3 exact_cap candidates, greedy otherwise.  Two balls conflict iff
+      some point of Z lies in both;
+    * fractional: min sum c_i w_i with coverage >= 1 on Z and c >= 0,
+      always exact.
+    """
+    family = problem.structure.family
     cands = _candidates(problem)
-    log_w = _log_weights(problem, lam, False, bs, cands)
-    # order N is every centre's first level
-    idx = (np.arange(0, len(log_w), len(cands.levels)) if fixed
-           else slice(None))
-    weights = np.exp(log_w[idx])
-    exact = (len(problem.points) <= problem.exact_cap
-             and len(weights) <= 4 * problem.exact_cap)
-    if exact:  # a ball holds its centre, so every point is coverable
-        chosen = min_weight_cover(cands.open_members[idx], weights)
-    else:
-        bits = cands.open_bits.take(idx) if fixed else cands.open_bits
-        chosen = greedy_weighted_cover(bits, weights)
-    return StructureValue(value=float(weights[chosen].sum()), exact=exact)
-
-
-def cover_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
-    """Minimum-weight cover of Z over orders N..n_max (structure cover-M)."""
-    return _cover_optimize(problem, lam, bs=False)
-
-
-def fixed_length_value(problem: OuterMeasureProblem, lam: float,
-                       ) -> StructureValue:
-    """Cover restricted to order exactly N (the u-upper construction)."""
-    return _cover_optimize(problem, lam, bs=False, fixed=True)
-
-
-def bs_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
-    """Minimum-weight cover with BS weights exp(-lam sup S_n phi)."""
-    return _cover_optimize(problem, lam, bs=True)
-
-
-def weighted_value(problem: OuterMeasureProblem, lam: float) -> StructureValue:
-    """Fractional cover LP: min sum c_i w_i with coverage >= 1 on Z, c >= 0."""
-    cands = _candidates(problem)
-    weights = np.exp(_log_weights(problem, lam, False, True, cands))
-    value, _ = fractional_cover(cands.open_members, weights)
-    return StructureValue(value=value, exact=True)
-
-
-# -- packings -------------------------------------------------------------------
-
-
-def _packing_optimize(problem: OuterMeasureProblem, lam: float, bs: bool,
-                      center_mask: np.ndarray | None) -> StructureValue:
-    cands = _candidates(problem)
-    log_w = _log_weights(problem, lam, True, bs, cands)
-    idx = (slice(None) if center_mask is None
-           else np.repeat(center_mask, len(cands.levels)))
-    weights = np.exp(log_w[idx])
-    if not weights.size:
-        raise ConfigurationError("no candidate balls centered in the block")
-    M = cands.closed_members[idx]
+    weights = np.exp(_log_weights(problem, lam, cands))
+    if family == "fractional":
+        total, _ = fractional_cover(cands.open_members, weights)
+        return StructureValue(value=total, exact=True)
+    if family == "cover":
+        exact = (len(problem.points) <= problem.exact_cap
+                 and len(weights) <= 4 * problem.exact_cap)
+        if exact:  # a ball holds its centre, so every point is coverable
+            chosen = min_weight_cover(cands.open_members, weights)
+        else:
+            chosen = greedy_weighted_cover(cands.open_bits, weights)
+        return StructureValue(value=float(weights[chosen].sum()), exact=exact)
+    M = cands.closed_members
     order = sorted(range(len(weights)), key=lambda i: -weights[i])
     if len(weights) <= 3 * problem.exact_cap:
-        # two balls conflict iff some point of Z lies in both
         _, total = max_weight_independent(M @ M.T, weights, order)
         return StructureValue(value=total, exact=True)
     picked = greedy_disjoint(M, order)
     return StructureValue(value=float(weights[picked].sum()), exact=False)
-
-
-def packing_value(problem: OuterMeasureProblem, lam: float,
-                  center_mask: np.ndarray | None = None) -> StructureValue:
-    """Max-weight pairwise-disjoint closed family with centers in Z.
-
-    Disjointness is decided on Z: two balls conflict iff some point of Z
-    lies in both.
-    """
-    return _packing_optimize(problem, lam, False, center_mask)
-
-
-def packing_bs_value(problem: OuterMeasureProblem,
-                     lam: float) -> StructureValue:
-    """Packing with BS weights exp(-lam sup S_n phi) over closed balls."""
-    return _packing_optimize(problem, lam, True, None)
-
-
-def _partitions(indices: list[int], max_blocks: int):
-    """All set partitions of the indices into at most max_blocks blocks."""
-    if not indices:
-        yield []
-        return
-    first, rest = indices[0], indices[1:]
-    for part in _partitions(rest, max_blocks):
-        for bi in range(len(part)):
-            yield part[:bi] + [part[bi] + [first]] + part[bi + 1:]
-        if len(part) < max_blocks:
-            yield part + [[first]]
-
-
-def refined_packing_value(problem: OuterMeasureProblem, lam: float,
-                          partition_cap: int = 4) -> StructureValue:
-    """Minimum over partitions of Z of the per-block packing values.
-
-    Exact over all partitions (up to ``partition_cap`` blocks) when Z is
-    small; greedy agglomerative otherwise, which still yields a valid
-    upper bound for the infimum.
-    """
-    m = len(problem.points)
-
-    def split(blocks) -> StructureValue:
-        """The packing values of the blocks of one partition, summed."""
-        total, exact_all = 0.0, True
-        for block in blocks:
-            mask = np.zeros(m, dtype=bool)
-            mask[block] = True
-            sv = packing_value(problem, lam, center_mask=mask)
-            total += sv.value
-            exact_all &= sv.exact
-        return StructureValue(value=total, exact=exact_all)
-
-    trivial = packing_value(problem, lam)
-    best = trivial
-    if m <= PARTITION_EXACT:
-        for part in _partitions(list(range(m)), partition_cap):
-            if len(part) > 1:
-                sv = split(part)
-                if sv.value < best.value - 1e-15:
-                    best = sv
-        return best
-    # agglomerative: start from singletons, merge while the value drops
-    blocks = [[i] for i in range(m)]
-    current = split(blocks).value
-    improved = True
-    while improved and len(blocks) > 1:
-        improved = False
-        for a, b in itertools.combinations(range(len(blocks)), 2):
-            trial = [blk for i, blk in enumerate(blocks) if i not in (a, b)]
-            trial.append(blocks[a] + blocks[b])
-            val = split(trial).value
-            if val < current - 1e-15:
-                blocks, current, improved = trial, val, True
-                break
-    return StructureValue(value=min(current, trivial.value), exact=False)
 
 
 # -- critical exponents ----------------------------------------------------------
@@ -419,24 +326,13 @@ def critical_lambda(valuation: Callable[[float], float],
                          value_lo=v_lo, value_hi=v_hi)
 
 
-_VALUATIONS = {
-    COVER_M: cover_value,
-    COVER_FIXED: fixed_length_value,
-    PACKING_P: packing_value,
-    BS_R: bs_value,
-    PACKING_BS: packing_bs_value,
-    WEIGHTED_W: weighted_value,
-}
-
-
 def structure_valuation(problem: OuterMeasureProblem,
                         ) -> Callable[[float], float]:
-    fn = _VALUATIONS[problem.structure]
-    return lambda lam: fn(problem, lam).value
+    return lambda lam: value(problem, lam).value
 
 
 def subset_mdim(system: ShiftSystem, points: Points,
-                phi: Potential, structure: str,
+                phi: Potential, structure: Structure,
                 eps_schedule: Sequence[float], N: int = 1, n_max: int = 3,
                 exact_cap: int = DEFAULT_EXACT_CAP) -> DimensionEstimate:
     """Critical exponent per eps, then regression against log(1/eps).
@@ -463,4 +359,5 @@ def subset_mdim(system: ShiftSystem, points: Points,
     ratios = {eps: lam / math.log(1.0 / eps)
               for eps, lam in zip(eps_schedule, lams)}
     return log_eps_fit(eps_schedule, lams, n_schedule=range(N, n_max + 1),
-                       details={"ratios": ratios, "structure": structure})
+                       details={"ratios": ratios,
+                                "structure": structure.name})

@@ -19,14 +19,7 @@ import sys
 import time
 from typing import NoReturn, Sequence
 
-from .caratheodory import (
-    BS_R,
-    COVER_M,
-    PACKING_BS,
-    PACKING_P,
-    WEIGHTED_W,
-    subset_mdim,
-)
+from .caratheodory import STRUCTURES, subset_mdim
 from .config import ExperimentConfig, load_config
 from .errors import MMDimError, ConfigurationError
 from .measures import bs_entropy, katok_entropy, ps_entropy
@@ -40,15 +33,6 @@ from .pressure import (
 from .records import ResultRecord, summary_csv, write_jsonl
 from .systems import Potential, combine
 from .verify import run_suite
-
-STRUCTURE_NAMES = {
-    "bowen": COVER_M,
-    "packing": PACKING_P,
-    "bs": BS_R,
-    "packing-bs": PACKING_BS,
-    "weighted": WEIGHTED_W,
-}
-
 
 def cmd_estimate_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     phi = cfg.potential(args.phi)
@@ -114,7 +98,7 @@ def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
 
 
 def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
-    structure = STRUCTURE_NAMES[args.structure]
+    structure = next(s for s in STRUCTURES if s.cli == args.structure)
     system = cfg.build_system()
     points = system.enumerate_points(cfg.subset_depth)
     # a named potential must exist; without --phi, the config's phi or else
@@ -209,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subset-dim", help="subset dimension estimates")
     common(p)
     p.add_argument("--structure", required=True,
-                   choices=sorted(STRUCTURE_NAMES))
+                   choices=sorted(s.cli for s in STRUCTURES))
     p.add_argument("--phi", default=None)
 
     p = sub.add_parser("entropy", help="measure entropy estimates")

@@ -422,10 +422,11 @@ def _bootstrap_ci(values: np.ndarray,
                   rng: np.random.Generator) -> tuple[float, float]:
     if len(values) == 1:
         return float(values[0]), float(values[0])
-    means = np.array([
-        values[rng.integers(0, len(values), size=len(values))].mean()
-        for _ in range(BOOTSTRAP_RESAMPLES)
-    ])
+    # one draw of every resample: the same integers from the same stream
+    # as one draw per resample, and the same pairwise sum per row
+    n = len(values)
+    idx = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    means = values[idx].mean(axis=1)
     return _quantile(means, 0.025), _quantile(means, 0.975)
 
 

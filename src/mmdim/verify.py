@@ -26,13 +26,9 @@ from .caratheodory import (
     PACKING_P,
     WEIGHTED_W,
     OuterMeasureProblem,
-    bs_value,
-    cover_value,
     critical_lambda,
-    packing_bs_value,
-    packing_value,
     structure_valuation,
-    weighted_value,
+    value,
 )
 from .measures import (
     MeasureModel,
@@ -248,10 +244,9 @@ def caratheodory_suite() -> list[AssertionResult]:
                                    structure=BS_R)
         scaled = prob.with_structure(COVER_M).with_potential(
             phi.scaled(-lam / L))
-        res1 = abs(bs_value(prob, lam).value - cover_value(scaled, 0.0).value)
-        res2 = abs(packing_bs_value(prob.with_structure(PACKING_BS), lam).value
-                   - packing_value(scaled.with_structure(PACKING_P),
-                                   0.0).value)
+        res1 = abs(value(prob, lam).value - value(scaled, 0.0).value)
+        res2 = abs(value(prob.with_structure(PACKING_BS), lam).value
+                   - value(scaled.with_structure(PACKING_P), 0.0).value)
         ident_worst = max(ident_worst, res1, res2)
         ident_ok &= res1 < 1e-10 and res2 < 1e-10
     out.append(AssertionResult(
@@ -277,12 +272,12 @@ def caratheodory_suite() -> list[AssertionResult]:
     pool = sys.enumerate_points(3)
     chain_ok, chain_worst = True, math.inf
     for n in (1, 2):  # one side at a time, so each family is built once
-        pks = {lam: packing_value(OuterMeasureProblem(
+        pks = {lam: value(OuterMeasureProblem(
             system=sys, points=pool, phi=Potential.constant(0.0),
             eps=0.3, N=n, n_max=n, structure=PACKING_P), lam).value
             for lam in (0.0, 0.4, 1.0)}
         for lam, pk in pks.items():
-            cv = cover_value(OuterMeasureProblem(
+            cv = value(OuterMeasureProblem(
                 system=sys, points=pool, phi=Potential.constant(0.0),
                 eps=0.9, N=n, n_max=n, structure=COVER_M), lam).value
             chain_ok &= cv <= pk + 1e-12
@@ -299,8 +294,8 @@ def caratheodory_suite() -> list[AssertionResult]:
         for lam in (0.0, 0.4, 1.1, 20.0, 40.0):
             wp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
                                      eps=eps, n_max=2, structure=WEIGHTED_W)
-            r = bs_value(wp.with_structure(BS_R), lam).value
-            rel_gap = (r - weighted_value(wp, lam).value) / r
+            r = value(wp.with_structure(BS_R), lam).value
+            rel_gap = (r - value(wp, lam).value) / r
             w_ok &= rel_gap >= -1e-9
             w_worst = min(w_worst, rel_gap)
     out.append(AssertionResult("caratheodory", "W below R", w_ok,
@@ -312,9 +307,9 @@ def caratheodory_suite() -> list[AssertionResult]:
                              eps=eps, n_max=3, structure=WEIGHTED_W)
     rp = OuterMeasureProblem(system=sys, points=pool, phi=phi_pos,
                              eps=6 * eps, n_max=3, structure=BS_R)
-    ws = {lam: weighted_value(wp, lam).value for lam in (0.3, 0.8, 1.5)}
+    ws = {lam: value(wp, lam).value for lam in (0.3, 0.8, 1.5)}
     for lam, dlt in [(0.3, 0.1), (0.8, 0.3), (1.5, 0.05)]:
-        gap = ws[lam] - bs_value(rp, lam + dlt).value
+        gap = ws[lam] - value(rp, lam + dlt).value
         infl_ok &= gap >= -1e-9
         infl_worst = min(infl_worst, gap)
     out.append(AssertionResult(
@@ -389,17 +384,17 @@ def entropy_suite() -> list[AssertionResult]:
                            bound="upper").extrapolated
         kat2 = katok_entropy(mu_e, 2 * eps_i, 0.5, range(3, 7)).extrapolated
         kat1 = katok_entropy(mu_e, eps_i, 0.5, range(3, 7)).extrapolated
-        ps1 = ps_entropy(mu_e, eps_i, [0.5, 0.25], range(3, 7),
-                         pool=pool).extrapolated
+        ps = ps_entropy(mu_e, eps_i, [0.5, 0.25], range(3, 7), pool=pool)
+        if eps_i == 0.5:  # the eta check below reads this estimate
+            est = ps
         g1 = bk_hi + 0.05 - kat2
-        g2 = ps1 + 0.1 - kat1
+        g2 = ps.extrapolated + 0.1 - kat1
         ineq_ok &= g1 >= 0 and g2 >= 0
         ineq_worst = min(ineq_worst, g1, g2)
     out.append(AssertionResult(
         "entropy", "Katok below BK-upper and PS with tolerance", ineq_ok,
         float(ineq_worst)))
 
-    est = ps_entropy(mu_e, 0.5, [0.5, 0.25], range(3, 7), pool=pool)
     eta_ok, eta_worst = True, math.inf
     for n in range(3, 7):
         if (n, 0.25) in est.per_scale and (n, 0.5) in est.per_scale:

@@ -20,12 +20,9 @@ from mmdim.caratheodory import (
     PACKING_BS,
     PACKING_P,
     OuterMeasureProblem,
-    bs_value,
-    cover_value,
     critical_lambda,
-    packing_bs_value,
-    packing_value,
     structure_valuation,
+    value,
 )
 from mmdim.cli import main
 from mmdim.measures import (
@@ -212,9 +209,9 @@ def test_criterion_6_caratheodory_identities():
                                    structure=BS_R)
         scaled = prob.with_structure(COVER_M).with_potential(
             phi.scaled(-lam / L))
-        r1 = abs(bs_value(prob, lam).value - cover_value(scaled, 0.0).value)
-        r2 = abs(packing_bs_value(prob.with_structure(PACKING_BS), lam).value
-                 - packing_value(scaled.with_structure(PACKING_P), 0.0).value)
+        r1 = abs(value(prob, lam).value - value(scaled, 0.0).value)
+        r2 = abs(value(prob.with_structure(PACKING_BS), lam).value
+                 - value(scaled.with_structure(PACKING_P), 0.0).value)
         assert r1 < 1e-10 and r2 < 1e-10
         worst = max(worst, r1, r2)
     # critical-value agreement at unit potential

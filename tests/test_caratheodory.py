@@ -8,23 +8,18 @@ import pytest
 
 from mmdim.caratheodory import (
     BS_R,
-    COVER_FIXED,
     COVER_M,
     MAX_DOUBLINGS,
     PACKING_BS,
     PACKING_P,
+    STRUCTURES,
     WEIGHTED_W,
     OuterMeasureProblem,
-    bs_value,
-    cover_value,
+    Structure,
     critical_lambda,
-    fixed_length_value,
-    packing_bs_value,
-    packing_value,
-    refined_packing_value,
     structure_valuation,
     subset_mdim,
-    weighted_value,
+    value,
 )
 from mmdim.bowen import min_spanning
 from mmdim.errors import (BracketError, ConfigurationError,
@@ -47,6 +42,61 @@ def problem(sys, pts, phi, eps, N=1, n_max=3, structure=COVER_M, **kw):
                                structure=structure, **kw)
 
 
+BS_ROWS = [s for s in STRUCTURES if s.bs]
+BOWEN_ROWS = [s for s in STRUCTURES if not s.bs]
+REFUSED = "BS structures need phi > 0"
+
+
+def row_id(structure):
+    return structure.name
+
+
+def test_the_table_has_five_rows_of_three_families():
+    assert [s.name for s in STRUCTURES] == [
+        "cover-M", "packing-P", "BS-R", "packing-BS", "weighted-W"]
+    assert {s.family for s in STRUCTURES} == {"cover", "packing",
+                                              "fractional"}
+    assert len({s.cli for s in STRUCTURES}) == len(STRUCTURES)
+    assert BS_ROWS == [BS_R, PACKING_BS, WEIGHTED_W]
+
+
+@pytest.mark.parametrize("structure", BS_ROWS, ids=row_id)
+def test_bs_rows_refuse_nonpositive_phi(structure):
+    sys = full_shift()
+    z = sys.points([[0]])
+    positive = Potential.from_table([0.5, 1.0])
+    for phi in (Potential.constant(0.0), Potential.from_table([-0.5, 1.0])):
+        with pytest.raises(ConfigurationError, match=REFUSED):
+            problem(sys, z, phi, 0.5, structure=structure)
+        with pytest.raises(ConfigurationError, match=REFUSED):
+            problem(sys, z, phi, 0.5).with_structure(structure)
+        with pytest.raises(ConfigurationError, match=REFUSED):
+            problem(sys, z, positive, 0.5,
+                    structure=structure).with_potential(phi)
+
+
+@pytest.mark.parametrize("structure", BOWEN_ROWS, ids=row_id)
+def test_bowen_rows_accept_nonpositive_phi(structure):
+    sys = full_shift()
+    z = sys.points([[0]])
+    positive = Potential.from_table([0.5, 1.0])
+    for phi in (Potential.constant(0.0), Potential.from_table([-0.5, 1.0])):
+        assert problem(sys, z, phi, 0.5,
+                       structure=structure).structure is structure
+        assert problem(sys, z, positive, 0.5, structure=BS_R).with_structure(
+            structure).with_potential(phi).phi is phi
+
+
+@pytest.mark.parametrize("structure", [
+    Structure("cover-X", "cover-x", "cover", False), "cover-M", None],
+    ids=["unlisted-row", "name", "none"])
+def test_unknown_structures_are_refused(structure):
+    sys = full_shift()
+    with pytest.raises(ConfigurationError, match="unknown structure"):
+        problem(sys, sys.points([[0]]), Potential.constant(1.0), 0.5,
+                structure=structure)
+
+
 def test_orders_past_the_reliable_depth_are_rejected():
     # on a window of 14 the slack reaches eps / 10 = 0.06 at order 11, and
     # 0.5 at order 14, where the candidate balls no longer measure distance
@@ -65,21 +115,21 @@ class TestCoverValue:
     def test_single_point_lambda_zero(self):
         sys = full_shift()
         prob = problem(sys, sys.points([[0, 1]]), Potential.constant(0.0), 0.5)
-        assert cover_value(prob, 0.0).value == pytest.approx(1.0)
+        assert value(prob, 0.0).value == pytest.approx(1.0)
 
     def test_single_point_positive_lambda_deepest_ball(self):
         sys = full_shift()
         prob = problem(sys, sys.points([[0, 1]]), Potential.constant(0.0), 0.5,
                        N=1, n_max=4)
         lam = 0.7
-        assert cover_value(prob, lam).value == pytest.approx(
+        assert value(prob, lam).value == pytest.approx(
             math.exp(-4 * lam))
 
     def test_four_words_matches_min_spanning(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
         prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=1)
-        got = cover_value(prob, 0.0)
+        got = value(prob, 0.0)
         centers, _ = min_spanning(sys, pts, 1, 0.6)
         assert got.value == pytest.approx(float(len(centers)))
         assert got.value == pytest.approx(2.0)
@@ -94,29 +144,30 @@ class TestCoverValue:
             sub_idx = sorted(rng.choice(len(pts), size=size, replace=False))
             sub = pts[sub_idx]
             for lam in (0.0, 0.5, 1.5):
-                v_sub = cover_value(
+                v_sub = value(
                     problem(sys, sub, phi, 0.5, n_max=2), lam).value
-                v_all = cover_value(
+                v_all = value(
                     problem(sys, pts, phi, 0.5, n_max=2), lam).value
                 assert v_sub <= v_all + 1e-12
 
 
 class TestFixedLength:
+    # a cover at the single order N is cover-M at n_max = N
+
     def test_zero_potential_counts_spanning(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
-        prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=3,
-                       structure=COVER_FIXED)
-        got = fixed_length_value(prob, 0.0)
+        prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=1)
+        got = value(prob, 0.0)
         r = len(min_spanning(sys, pts, 1, 0.6)[0])
         assert got.value == pytest.approx(float(r))
 
     def test_single_point(self):
         sys = full_shift()
         prob = problem(sys, sys.points([[1, 0]]), Potential.constant(0.0), 0.5,
-                       N=3, n_max=3, structure=COVER_FIXED)
+                       N=3, n_max=3)
         lam = 0.9
-        assert fixed_length_value(prob, lam).value == pytest.approx(
+        assert value(prob, lam).value == pytest.approx(
             math.exp(-3 * lam))
 
     def test_matches_spanning_sum_discrete(self):
@@ -128,9 +179,8 @@ class TestFixedLength:
         pts = sys.enumerate_points(3)
         phi = Potential.from_table([0.2, 0.5])
         N, eps = 2, 0.6
-        prob = problem(sys, pts, phi, eps, N=N, n_max=N,
-                       structure=COVER_FIXED)
-        got = fixed_length_value(prob, 0.0)
+        prob = problem(sys, pts, phi, eps, N=N, n_max=N)
+        got = value(prob, 0.0)
         from mmdim.bowen import ball_masks
         L = math.log(1 / eps)
         best = math.inf
@@ -150,56 +200,23 @@ class TestPacking:
         sys = full_shift()
         prob = problem(sys, sys.points([[0, 0]]), Potential.constant(0.0), 0.5,
                        structure=PACKING_P)
-        assert packing_value(prob, 0.0).value == pytest.approx(1.0)
+        assert value(prob, 0.0).value == pytest.approx(1.0)
 
     def test_four_depth2_words_all_disjoint(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
         prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=2, n_max=2,
                        structure=PACKING_P)
-        assert packing_value(prob, 0.0).value == pytest.approx(4.0)
+        assert value(prob, 0.0).value == pytest.approx(4.0)
 
     def test_large_lambda_vanishes(self):
         sys = full_shift()
         pts = sys.enumerate_points(2)
         prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=2,
                        structure=PACKING_P)
-        vals = [packing_value(prob, lam).value for lam in (0.0, 1.0, 4.0, 9.0)]
+        vals = [value(prob, lam).value for lam in (0.0, 1.0, 4.0, 9.0)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-3
-
-    def test_refined_trivial_partition_matches(self):
-        sys = full_shift()
-        pts = sys.enumerate_points(2)
-        prob = problem(sys, pts, Potential.constant(0.0), 0.6, N=1, n_max=2,
-                       structure=PACKING_P)
-        for lam in (0.0, 0.8):
-            p = packing_value(prob, lam).value
-            refined = refined_packing_value(prob, lam, partition_cap=1)
-            assert refined.value == pytest.approx(p)
-
-    def test_refined_never_above_packing(self):
-        sys = full_shift()
-        pts = sys.enumerate_points(2)
-        phi = Potential.from_table([0.3, 0.8])
-        prob = problem(sys, pts, phi, 0.5, N=1, n_max=2, structure=PACKING_P)
-        for lam in (0.0, 0.5, 1.5):
-            assert refined_packing_value(prob, lam, partition_cap=4).value \
-                <= packing_value(prob, lam).value + 1e-12
-
-    def test_refined_equals_packing_at_fixed_order_range(self):
-        # splitting Z cannot help at desk scale: any disjoint family splits
-        # by center block, so the per-block packing values add up to at
-        # least the joint one; exhaustive partition enumeration confirms.
-        sys = full_shift()
-        pts = sys.enumerate_points(2)[:2]
-        phi = Potential.from_table([0.3, 0.8])
-        for lam in (0.2, 0.9, 2.0):
-            prob = problem(sys, pts, phi, 0.5, N=1, n_max=3,
-                           structure=PACKING_P)
-            refined = refined_packing_value(prob, lam, partition_cap=2)
-            assert refined.value == pytest.approx(
-                packing_value(prob, lam).value)
 
 
 class TestBSAndIdentities:
@@ -210,17 +227,17 @@ class TestBSAndIdentities:
                           structure=BS_R)
         cover_prob = problem(sys, pts, Potential.constant(0.0), 0.6, n_max=3)
         for lam in (0.0, 0.7, 1.3):
-            assert bs_value(bs_prob, lam).value == pytest.approx(
-                cover_value(cover_prob, lam).value, abs=1e-12)
+            assert value(bs_prob, lam).value == pytest.approx(
+                value(cover_prob, lam).value, abs=1e-12)
 
     def test_single_point_bs(self):
         sys = full_shift()
         prob = problem(sys, sys.points([[1, 1]]), Potential.constant(1.0), 0.5,
                        structure=BS_R)
-        assert bs_value(prob, 0.0).value == pytest.approx(1.0)
+        assert value(prob, 0.0).value == pytest.approx(1.0)
 
     def test_substitution_identity_randomized(self):
-        # bs_value(lam) == cover_value at potential -lam*phi/log(1/eps),
+        # value(lam) == cover_value at potential -lam*phi/log(1/eps),
         # exponent 0, on 50 randomized small instances
         rng = np.random.default_rng(123)
         checked = 0
@@ -240,16 +257,16 @@ class TestBSAndIdentities:
             L = math.log(1.0 / eps)
             bs_prob = problem(sys, pts, phi, eps, N=1,
                               n_max=int(rng.integers(1, 4)), structure=BS_R)
-            got_bs = bs_value(bs_prob, lam).value
+            got_bs = value(bs_prob, lam).value
             cover_prob = bs_prob.with_structure(COVER_M).with_potential(
                 phi.scaled(-lam / L))
-            got_cover = cover_value(cover_prob, 0.0).value
+            got_cover = value(cover_prob, 0.0).value
             assert abs(got_bs - got_cover) < 1e-10
             # packing analogue
             pbs_prob = bs_prob.with_structure(PACKING_BS)
-            got_pbs = packing_bs_value(pbs_prob, lam).value
+            got_pbs = value(pbs_prob, lam).value
             pack_prob = cover_prob.with_structure(PACKING_P)
-            got_pack = packing_value(pack_prob, 0.0).value
+            got_pack = value(pack_prob, 0.0).value
             assert abs(got_pbs - got_pack) < 1e-10
             checked += 1
 
@@ -276,10 +293,10 @@ class TestBSAndIdentities:
         bs_prob = problem(sys, pts, phi, eps, n_max=3, structure=BS_R)
         cover_prob = bs_prob.with_structure(COVER_M).with_potential(
             phi.scaled(-lam / math.log(1.0 / eps)))
-        bs_value(bs_prob, lam)
-        cover_value(cover_prob, 0.0)
-        packing_bs_value(bs_prob.with_structure(PACKING_BS), lam)
-        packing_value(cover_prob.with_structure(PACKING_P), 0.0)
+        value(bs_prob, lam)
+        value(cover_prob, 0.0)
+        value(bs_prob.with_structure(PACKING_BS), lam)
+        value(cover_prob.with_structure(PACKING_P), 0.0)
         # one family built, kept on the one pass
         assert len(made) == len(bowen._exits_memo[0].families) == 1
         # the one build makes one engine pass, at n_max = 3, per origin
@@ -294,8 +311,8 @@ class TestBSAndIdentities:
         pack = problem(sys, pts, Potential.constant(0.0), 0.6, n_max=2,
                        structure=PACKING_P)
         for lam in (0.0, 0.9):
-            assert packing_bs_value(pbs, lam).value == pytest.approx(
-                packing_value(pack, lam).value, abs=1e-12)
+            assert value(pbs, lam).value == pytest.approx(
+                value(pack, lam).value, abs=1e-12)
 
     def test_packing_bs_single_point(self):
         sys = full_shift()
@@ -303,7 +320,7 @@ class TestBSAndIdentities:
         phi = Potential.from_table([0.5, 1.0])
         prob = problem(sys, z, phi, 0.4, N=2, n_max=2, structure=PACKING_BS)
         lam = 0.8
-        got = packing_bs_value(prob, lam)
+        got = value(prob, lam)
         # sup over the closed ball around the single point is S_2 phi(z)
         expected = math.exp(-lam * birkhoff_sum(sys, phi, z, 2))
         assert got.value == pytest.approx(expected)
@@ -322,7 +339,7 @@ class TestWeighted:
         phi = Potential.constant(1.0)
         prob = problem(sys, z, phi, 0.5, N=1, n_max=3, structure=WEIGHTED_W)
         lam = 0.6
-        got = weighted_value(prob, lam)
+        got = value(prob, lam)
         assert got.value == pytest.approx(math.exp(-lam * 3.0))
 
     def test_weighted_below_bs_everywhere(self):
@@ -334,8 +351,8 @@ class TestWeighted:
                 w_prob = problem(sys, pts, phi, eps, n_max=2,
                                  structure=WEIGHTED_W)
                 b_prob = w_prob.with_structure(BS_R)
-                assert weighted_value(w_prob, lam).value \
-                    <= bs_value(b_prob, lam).value + 1e-9
+                assert value(w_prob, lam).value \
+                    <= value(b_prob, lam).value + 1e-9
 
     @pytest.mark.parametrize("lam", [20.0, 40.0])
     def test_weighted_below_bs_at_tiny_weights(self, lam):
@@ -346,8 +363,8 @@ class TestWeighted:
         phi = Potential.from_table([0.5, 1.0])
         for eps in (0.6, 0.3):
             w_prob = problem(sys, pts, phi, eps, n_max=2, structure=WEIGHTED_W)
-            w = weighted_value(w_prob, lam).value
-            r = bs_value(w_prob.with_structure(BS_R), lam).value
+            w = value(w_prob, lam).value
+            r = value(w_prob.with_structure(BS_R), lam).value
             assert 0.0 < w <= r * (1.0 + 1e-12)
 
     def test_fractional_strictly_beats_integral(self):
@@ -360,8 +377,8 @@ class TestWeighted:
         prob = problem(sys, pts, Potential.constant(1.0), 0.6, N=1, n_max=1,
                        structure=WEIGHTED_W)
         for lam in (0.0, 0.5, 1.0):
-            w = weighted_value(prob, lam).value
-            r = bs_value(prob.with_structure(BS_R), lam).value
+            w = value(prob, lam).value
+            r = value(prob.with_structure(BS_R), lam).value
             assert w == pytest.approx(4.0 / 3.0 * math.exp(-lam))
             assert r == pytest.approx(2.0 * math.exp(-lam))
             assert w < r - 1e-6
@@ -375,8 +392,8 @@ class TestWeighted:
         for lam, delta in [(0.3, 0.1), (0.8, 0.3), (1.5, 0.05)]:
             w_prob = problem(sys, pts, phi, eps, n_max=3, structure=WEIGHTED_W)
             r_prob = problem(sys, pts, phi, 6 * eps, n_max=3, structure=BS_R)
-            w = weighted_value(w_prob, lam).value
-            r = bs_value(r_prob, lam + delta).value
+            w = value(w_prob, lam).value
+            r = value(r_prob, lam + delta).value
             assert r <= w + 1e-9
 
 
@@ -390,10 +407,10 @@ class TestChainComparison:
         phi = Potential.constant(0.0)
         for n in (1, 2):
             for lam in (0.0, 0.4, 1.0):
-                pack = packing_value(
+                pack = value(
                     problem(sys, pts, phi, 0.3, N=n, n_max=n,
                             structure=PACKING_P), lam).value
-                cover = cover_value(
+                cover = value(
                     problem(sys, pts, phi, 0.9, N=n, n_max=n), lam).value
                 assert cover <= pack + 1e-12
 
@@ -618,7 +635,7 @@ def test_families_go_with_their_pass():
     critical_lambda(structure_valuation(prob), tol=1e-3)
     family = weakref.ref(caratheodory._candidates(prob))
     pass_made = weakref.ref(bowen._exits_memo[0])
-    cover_value(prob, 0.5)  # read again, not rebuilt
+    value(prob, 0.5)  # read again, not rebuilt
     assert family() is caratheodory._candidates(prob)
     mu = MeasureModel.empirical(system, system.enumerate_points(4))
     katok_entropy(mu, 0.3, 0.5, range(1, 4))
@@ -644,7 +661,7 @@ def test_greedy_cover_never_builds_the_dense_open_family():
     bowen.pool_exits(system, zg, 0.5, 5)  # the pass the family reads
     tracemalloc.start()
     try:
-        sv = cover_value(prob, 1.0)
+        sv = value(prob, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

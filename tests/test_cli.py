@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmdim
-from mmdim.cli import STRUCTURE_NAMES, main
+from mmdim.caratheodory import STRUCTURES
+from mmdim.cli import build_parser, main
 from mmdim.config import load_config_text, parse_number
 from mmdim.errors import ConfigurationError
 from mmdim.systems import birkhoff_sums
@@ -279,7 +281,7 @@ FRESH_INTERPRETER = """
 import json
 import sys
 
-from mmdim.cli import STRUCTURE_NAMES, main
+from mmdim.cli import main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -374,7 +376,7 @@ gc.freeze = counted_freeze
 # hooks run last in, first out: this one runs after every hook mmdim adds
 atexit.register(lambda: print("exit", len(calls), gc.get_freeze_count()))
 
-from mmdim.cli import STRUCTURE_NAMES, main
+from mmdim.cli import main
 
 codes = [main(["verify", "--suite", "counting"]) for _ in range(2)]
 print("codes", *codes)
@@ -742,7 +744,16 @@ def test_fuzz_found_input_exits_1(tmp_path, capsys, name, old, new, command,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("structure", sorted(STRUCTURE_NAMES))
+def test_subset_dim_choices_are_the_tables_cli_names():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for a in sub.choices["subset-dim"]._actions
+                   if a.dest == "structure")
+    assert choices == sorted(s.cli for s in STRUCTURES) == [
+        "bowen", "bs", "packing", "packing-bs", "weighted"]
+
+
+@pytest.mark.parametrize("structure", sorted(s.cli for s in STRUCTURES))
 def test_undefined_subset_phi_exits_1(capsys, structure):
     # bowen and packing once fell back to the zero potential with exit 0
     code = main(["subset-dim", "--structure", structure, "--phi", "nosuch",

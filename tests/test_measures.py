@@ -587,6 +587,31 @@ def test_quantile_equals_numpy_bit_for_bit(values, q):
         (got, want)
 
 
+def reference_bootstrap_ci(values, rng):
+    """The percentile bootstrap drawn one resample at a time."""
+    if len(values) == 1:
+        return float(values[0]), float(values[0])
+    means = np.array([
+        values[rng.integers(0, len(values), size=len(values))].mean()
+        for _ in range(measures.BOOTSTRAP_RESAMPLES)
+    ])
+    return measures._quantile(means, 0.025), measures._quantile(means, 0.975)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 17, 32])
+def test_bootstrap_in_one_draw_matches_a_draw_per_resample(n):
+    for stream in range(5):
+        values = np.random.default_rng([n, stream]).normal(size=n)
+        got_rng = np.random.default_rng(stream)
+        want_rng = np.random.default_rng(stream)
+        for _ in range(2):  # and again from the state each call leaves
+            got = measures._bootstrap_ci(values, got_rng)
+            want = reference_bootstrap_ci(values, want_rng)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert (got_rng.bit_generator.state
+                    == want_rng.bit_generator.state)
+
+
 def exact_cylinder_model(k=2, depth=10, seed=3):
     sys = ShiftSystem(kind="full-shift", alphabet_size=k, window=depth + 4,
                       eps_min=0.05)

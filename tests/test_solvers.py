@@ -337,8 +337,7 @@ def test_packing_families_match_near_the_clip(k, eps, n_max, lam, seed):
     phi = Potential.from_table(rng.uniform(-2.0, 2.0, size=k))
     problem = OuterMeasureProblem(system=system, points=pts, phi=phi,
                                   eps=eps, n_max=n_max, structure=PACKING_P)
-    weights = np.exp(_log_weights(problem, lam, closed=True, bs=False,
-                                  cands=_candidates(problem)))
+    weights = np.exp(_log_weights(problem, lam, _candidates(problem)))
     M = _candidates(problem).closed_members
     conflict = M @ M.T
     np.fill_diagonal(conflict, False)
