@@ -484,7 +484,7 @@ def max_separated(system: ShiftSystem, points: Points, n: int, eps: float,
     system.check_order(n, eps)
     Z = pts.symbols
     if len(pts) <= exact_cap:
-        conflict = ball_masks(system, Z, Z, n, eps)
+        conflict = pool_exits(system, pts, eps, n).dense() > n
         np.fill_diagonal(conflict, False)
         # fewest conflicts (most separations) first, ties by index
         order = np.argsort(conflict.sum(axis=1), kind="stable")
@@ -583,12 +583,11 @@ def min_spanning(system: ShiftSystem, points: Points, n: int, eps: float,
     if not pts:
         return pts, True
     system.check_order(n, eps)
-    Z = pts.symbols
-    cover_sets = exit_orders(system, Z, eps, n).dense() > n
+    cover_sets = pool_exits(system, pts, eps, n).dense() > n
     if len(pts) <= exact_cap:
         chosen = min_weight_cover(cover_sets, np.ones(len(pts)))
         return pts[sorted(chosen)], True
-    chosen = greedy_cover(cover_sets, _lex_order(Z))
+    chosen = greedy_cover(cover_sets, _lex_order(pts.symbols))
     return pts[chosen], False
 
 

@@ -63,8 +63,7 @@ def cmd_induced_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     if not cfg.T_schedule:
         raise ConfigurationError("schedule 'T' must be nonempty for "
                                  "induced-mdim")
-    system = cfg.build_system()
-    est = induced_mdim_estimate(system, phi, psi, cfg.eps_schedule,
+    est = induced_mdim_estimate(cfg.system, phi, psi, cfg.eps_schedule,
                                 cfg.T_schedule, exact_cap=cfg.exact_cap)
     rows = [("induced-log-sum", {"eps": eps, "T": T}, val.log_sum, False)
             for (eps, T), val in sorted(est.details["values"].items())]
@@ -77,12 +76,10 @@ def cmd_induced_mdim(cfg: ExperimentConfig, args) -> tuple[list, list]:
 
 
 def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
-    phi = cfg.potential(args.phi)
-    psi = cfg.potential(args.psi)
-    probe = cfg.build_system(min(cfg.eps_schedule))
+    phi, psi = cfg.potential(args.phi), cfg.potential(args.psi)
 
     def mdim_fn(beta: float) -> float:
-        mix = combine(phi, psi, -beta, probe)
+        mix = combine(phi, psi, -beta, cfg.system)
         est = mdim_estimate(None, mix, cfg.eps_schedule, cfg.n_schedule,
                             system_factory=cfg.build_system,
                             exact_cap=cfg.exact_cap)
@@ -99,13 +96,12 @@ def cmd_solve_root(cfg: ExperimentConfig, args) -> tuple[list, list]:
 
 def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
     structure = next(s for s in STRUCTURES if s.cli == args.structure)
-    system = cfg.build_system()
-    points = system.enumerate_points(cfg.subset_depth)
+    points = cfg.system.enumerate_points(cfg.subset_depth)
     # a named potential must exist; without --phi, the config's phi or else
     # zero, which the BS structures refuse
     phi = (cfg.potential(args.phi) if args.phi is not None
            else cfg.potentials.get("phi", Potential.constant(0.0)))
-    est = subset_mdim(system, points, phi, structure,
+    est = subset_mdim(cfg.system, points, phi, structure,
                       cfg.eps_schedule, N=min(cfg.n_schedule),
                       n_max=cfg.subset_n_max, exact_cap=cfg.exact_cap)
     rows = [("critical-lambda", {"eps": eps, "structure": args.structure},
@@ -118,22 +114,21 @@ def cmd_subset_dim(cfg: ExperimentConfig, args) -> tuple[list, list]:
 
 
 def cmd_entropy(cfg: ExperimentConfig, args) -> tuple[list, list]:
-    system = cfg.build_system()
-    measure = cfg.build_measure(system)
     rows, summary = [], []
     for eps in cfg.eps_schedule:
         if args.quantity in ("bk", "bs"):  # BK is BS at the unit potential
             phi = (Potential.constant(1.0) if args.quantity == "bk"
                    else cfg.potential(args.phi))
             pairs = [(f"{args.quantity}-{bound}",
-                      bs_entropy(measure, phi, eps, cfg.n_schedule,
+                      bs_entropy(cfg.measure, phi, eps, cfg.n_schedule,
                                  cfg.x_samples, bound))
                      for bound in ("lower", "upper")]
         elif args.quantity == "katok":
-            est = katok_entropy(measure, eps, cfg.delta, cfg.n_schedule)
+            est = katok_entropy(cfg.measure, eps, cfg.delta, cfg.n_schedule)
             pairs = [("katok", est)]
         else:
-            est = ps_entropy(measure, eps, cfg.eta_schedule, cfg.n_schedule)
+            est = ps_entropy(cfg.measure, eps, cfg.eta_schedule,
+                             cfg.n_schedule)
             pairs = [("ps", est)]
         for name, est in pairs:
             rows.append((name, {"eps": eps}, est.extrapolated, False, est.ci))

@@ -6,7 +6,9 @@ makes the alphabet track ceil(1/eps) per scale, which is how the grid
 baseline approximates the unit-interval alphabet.  Potentials live in
 [potential.NAME] blocks and are referenced by name from the command
 options.  Only this module reads the format: every key is parsed and
-checked at load, and commands read the typed ``ExperimentConfig`` fields.
+checked at load, where the models are built too, one ``ShiftSystem`` at
+the smallest eps and one ``MeasureModel`` on it, which holds the seed.
+Commands read those models and the typed ``ExperimentConfig`` fields.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 from dataclasses import dataclass
 from .bowen import DEFAULT_EXACT_CAP
 from .errors import ConfigurationError
+from .measures import PRODUCT_UNIFORM, MeasureModel
 from .systems import FINITE_RANGE, TABLE, Potential, ShiftSystem
 
 _POW_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)\^([+-]?\d+)$")
@@ -56,23 +59,16 @@ def parse_number_list(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    system_kind: str
-    alphabet_size: int | str
-    sidedness: str
-    window: int
-    symbol_metric: str
-    weight_base: float
+    system: ShiftSystem
+    per_scale: bool
+    measure: MeasureModel
     potentials: dict
     eps_schedule: tuple[float, ...]
     n_schedule: tuple[int, ...]
     T_schedule: tuple[float, ...]
     delta: float
     eta_schedule: tuple[float, ...]
-    enumeration_cap: int
     exact_cap: int
-    seed: int
-    measure_kind: str
-    measure_p: tuple[float, ...]
     subset_depth: int
     subset_n_max: int
     x_samples: int
@@ -80,44 +76,28 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(
-            (self.raw_text + f"|seed={self.seed}").encode()
+            (self.raw_text + f"|seed={self.measure.seed}").encode()
         ).hexdigest()[:16]
 
-    # -- model builders ---------------------------------------------------
+    # -- models -----------------------------------------------------------
 
     def alphabet_for(self, eps: float) -> int:
-        if self.alphabet_size == "per-scale":
-            return math.ceil(1.0 / eps)
-        return int(self.alphabet_size)
+        return (math.ceil(1.0 / eps) if self.per_scale
+                else self.system.alphabet_size)
 
     def build_system(self, eps: float | None = None) -> ShiftSystem:
-        k = self.alphabet_for(min(self.eps_schedule) if eps is None else eps)
-        return ShiftSystem(
-            kind=self.system_kind, alphabet_size=k, sidedness=self.sidedness,
-            window=self.window, symbol_metric=self.symbol_metric,
-            weight_base=self.weight_base, eps_min=min(self.eps_schedule),
-            enumeration_cap=self.enumeration_cap,
-        )
+        """The system at ``eps``: the one built at load, at the smallest
+        eps, with ceil(1/eps) symbols when the alphabet is per-scale."""
+        if eps is None or not self.per_scale:
+            return self.system
+        return dataclasses.replace(self.system,
+                                   alphabet_size=self.alphabet_for(eps))
 
     def potential(self, name: str) -> Potential:
         if name not in self.potentials:
             raise ConfigurationError(
-                f"potential {name!r} not defined in the config"
-            )
+                f"potential {name!r} not defined in the config")
         return self.potentials[name]
-
-    def build_measure(self, system: ShiftSystem):
-        from .measures import MeasureModel
-        if self.measure_kind == "product-uniform":
-            return MeasureModel.product_uniform(system, seed=self.seed)
-        if self.measure_kind == "bernoulli":
-            return MeasureModel.bernoulli(system, self.measure_p,
-                                          seed=self.seed)
-        if self.measure_kind == "point-mass":
-            return MeasureModel.point_mass(
-                system, system.points([[0] * system.word_length]),
-                seed=self.seed)
-        raise ConfigurationError(f"unknown measure kind {self.measure_kind!r}")
 
 
 def _parse_potential(section: configparser.SectionProxy) -> Potential:
@@ -174,6 +154,21 @@ def _check_potentials(cfg: ExperimentConfig) -> None:
                         f"log(1/eps) is not finite at n = {n}, eps = {eps:g}")
 
 
+def _measure(parser: configparser.ConfigParser, system: ShiftSystem,
+             seed: int) -> MeasureModel:
+    """The [measure] block's measure on ``system``, product-uniform when
+    the block is absent; the model refuses a kind it does not know."""
+    block = parser["measure"] if "measure" in parser else {}
+    kind = block.get("kind", PRODUCT_UNIFORM).strip()
+    p = parse_number_list(block.get("p", ""))
+    if kind == PRODUCT_UNIFORM:
+        return MeasureModel.product_uniform(system, seed=seed)
+    if kind == "point-mass":
+        return MeasureModel.point_mass(
+            system, system.points([[0] * system.word_length]), seed=seed)
+    return MeasureModel(kind=kind, system=system, p=p, seed=seed)
+
+
 def load_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
@@ -185,8 +180,8 @@ def load_config_text(text: str) -> ExperimentConfig:
         raise ConfigurationError("missing [system] section")
     sysblk = parser["system"]
     alphabet = sysblk.get("alphabet_size", "2").strip()
-    alphabet_size = (alphabet if alphabet == "per-scale"
-                     else parse_int(alphabet, "[system] alphabet_size"))
+    per_scale = alphabet == "per-scale"
+    k = 0 if per_scale else parse_int(alphabet, "[system] alphabet_size")
 
     if "run" not in parser or "seed" not in parser["run"]:
         raise ConfigurationError("missing required key 'seed' in [run]")
@@ -217,25 +212,47 @@ def load_config_text(text: str) -> ExperimentConfig:
     if n_schedule[0] < 1:
         raise ConfigurationError("schedule 'n' entries must be >= 1")
     delta = parse_number(sched.get("delta", "0.5"))
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError(
+            f"[schedules] delta must lie in (0, 1), got {delta!r}")
     eta_schedule = parse_number_list(sched.get("eta", "0.5 0.25"))
+    if not eta_schedule or not all(0.0 <= e < math.inf for e in eta_schedule):
+        raise ConfigurationError("[schedules] eta must be nonempty, its "
+                                 "entries finite and non-negative")
 
     enumeration_cap = _int_key(parser, "caps", "enumeration", "2000000")
     exact_cap = _int_key(parser, "caps", "exact_search",
                          str(DEFAULT_EXACT_CAP))
+
+    eps_min = eps_schedule[-1]
+    system = ShiftSystem(
+        kind=sysblk.get("kind", "full-shift").strip(),
+        alphabet_size=math.ceil(1.0 / eps_min) if per_scale else k,
+        sidedness=sysblk.get("sidedness", "one-sided").strip(),
+        window=_int_key(parser, "system", "window", "16"),
+        symbol_metric=sysblk.get("symbol_metric", "").strip(),
+        weight_base=parse_number(sysblk.get("weight_base", "0.5")),
+        eps_min=eps_min, enumeration_cap=enumeration_cap,
+    )
+    # the measure holds one probability per symbol, and the symbols of a
+    # coordinate are one pool, which the enumeration cap bounds
+    if system.alphabet_size > enumeration_cap:
+        raise ConfigurationError(
+            f"[system] alphabet_size: {system.alphabet_size} symbols at "
+            f"eps = {eps_min:g} exceed the enumeration cap {enumeration_cap}")
+    measure = _measure(parser, system, seed)
 
     potentials = {}
     for name in parser.sections():
         if name.startswith("potential."):
             potentials[name.split(".", 1)[1]] = _parse_potential(parser[name])
 
-    measure_kind = "product-uniform"
-    measure_p: tuple[float, ...] = ()
-    if "measure" in parser:
-        measure_kind = parser["measure"].get("kind", "product-uniform").strip()
-        measure_p = parse_number_list(parser["measure"].get("p", ""))
-
     subset_depth = _int_key(parser, "subset-dim", "depth", "3")
     subset_n_max = _int_key(parser, "subset-dim", "n_max", str(n_schedule[-1]))
+    for key, value in (("depth", subset_depth), ("n_max", subset_n_max)):
+        if value < 1:
+            raise ConfigurationError(
+                f"[subset-dim] {key} must be >= 1, got {value}")
     x_samples = _int_key(parser, "entropy", "x_samples", "24")
     # the sampled points are one pool, which the enumeration cap bounds
     if not 1 <= x_samples <= enumeration_cap:
@@ -244,28 +261,12 @@ def load_config_text(text: str) -> ExperimentConfig:
             f"(the enumeration cap), got {x_samples}")
 
     cfg = ExperimentConfig(
-        system_kind=sysblk.get("kind", "full-shift").strip(),
-        alphabet_size=alphabet_size,
-        sidedness=sysblk.get("sidedness", "one-sided").strip(),
-        window=_int_key(parser, "system", "window", "16"),
-        symbol_metric=sysblk.get("symbol_metric", "").strip(),
-        weight_base=parse_number(sysblk.get("weight_base", "0.5")),
-        potentials=potentials,
-        eps_schedule=eps_schedule,
-        n_schedule=n_schedule,
-        T_schedule=T_schedule,
-        delta=delta,
-        eta_schedule=eta_schedule,
-        enumeration_cap=enumeration_cap,
-        exact_cap=exact_cap,
-        seed=seed,
-        measure_kind=measure_kind,
-        measure_p=measure_p,
-        subset_depth=subset_depth,
-        subset_n_max=subset_n_max,
-        x_samples=x_samples,
-        raw_text=text,
-    )
+        system=system, per_scale=per_scale, measure=measure,
+        potentials=potentials, eps_schedule=eps_schedule,
+        n_schedule=n_schedule, T_schedule=T_schedule, delta=delta,
+        eta_schedule=eta_schedule, exact_cap=exact_cap,
+        subset_depth=subset_depth, subset_n_max=subset_n_max,
+        x_samples=x_samples, raw_text=text)
     _check_potentials(cfg)
     return cfg
 
@@ -273,8 +274,8 @@ def load_config_text(text: str) -> ExperimentConfig:
 def load_config(path: str, seed_override: int | None = None,
                 ) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    cfg = load_config_text(text)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_override)
+        cfg = load_config_text(fh.read())
+    if seed_override is not None:  # the seed is the measure's
+        cfg = dataclasses.replace(cfg, measure=dataclasses.replace(
+            cfg.measure, seed=seed_override))
     return cfg

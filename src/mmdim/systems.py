@@ -74,6 +74,10 @@ class ShiftSystem:
             raise ConfigurationError(f"unknown symbol metric {self.symbol_metric!r}")
         if self.alphabet_size < 1:
             raise ConfigurationError("alphabet_size must be positive")
+        if self.alphabet_size > 2 ** 63:  # symbols and their differences
+            raise ConfigurationError(
+                f"alphabet_size {self.alphabet_size} exceeds 2^63: its "
+                "symbols do not fit the int64 symbol matrix")
         if not 0.0 < self.weight_base < 1.0:
             raise ConfigurationError("weight_base must lie in (0, 1)")
         if not (1 <= self.window and self.weight_base ** self.window > 0.0):

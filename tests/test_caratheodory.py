@@ -97,6 +97,19 @@ def test_unknown_structures_are_refused(structure):
                 structure=structure)
 
 
+@pytest.mark.parametrize("points,N,n_max,message", [
+    ([], 1, 3, "Z must be nonempty"),
+    ([[0]], 4, 3, "need N <= n_max"),
+    ([[0]], 0, 3, "orders start at 1"),
+], ids=["empty-Z", "N-past-n-max", "N-below-1"])
+def test_problems_refuse_empty_pools_and_bad_orders(points, N, n_max,
+                                                    message):
+    sys = full_shift()
+    with pytest.raises(ConfigurationError, match=message):
+        problem(sys, sys.points(points), Potential.constant(0.0), 0.5, N=N,
+                n_max=n_max)
+
+
 def test_orders_past_the_reliable_depth_are_rejected():
     # on a window of 14 the slack reaches eps / 10 = 0.06 at order 11, and
     # 0.5 at order 14, where the candidate balls no longer measure distance
@@ -430,6 +443,30 @@ class TestCriticalLambda:
         assert f"({ends} at its ends)" in message
         assert "constant, or its root lies outside that bracket" in message
 
+    def test_root_below_the_bracket_doubles_its_lower_end(self):
+        # a constant phi = c shifts every cover weight by c n log(1/eps),
+        # so lambda* moves by c log(1/eps): from log 2 to -1.86098, below
+        # the first bracket [-1, 1]
+        sys = full_shift()
+        pts = sys.enumerate_points(2)
+        tol = 1e-6
+        probed = []
+        valuation = structure_valuation(
+            problem(sys, pts, Potential.constant(-5.0), 0.6, n_max=2))
+
+        def recorded(lam):
+            probed.append(lam)
+            return valuation(lam)
+
+        crit = critical_lambda(recorded, tol=tol)
+        assert probed[:3] == [-1.0, 1.0, -2.0]  # lo doubled once
+        zero = critical_lambda(structure_valuation(
+            problem(sys, pts, Potential.constant(0.0), 0.6, n_max=2)),
+            tol=tol).lambda_star
+        assert crit.lambda_star == pytest.approx(
+            zero - 5.0 * math.log(1.0 / 0.6), abs=2 * tol)
+        assert crit.lambda_star == pytest.approx(-1.86098, abs=1e-5)
+
     def test_single_point_cover_crosses_at_zero(self):
         sys = full_shift()
         prob = problem(sys, sys.points([[0, 1]]), Potential.constant(0.0), 0.5,
@@ -542,6 +579,12 @@ class TestSubsetMdim:
             lams[eps] = crit.lambda_star
         slope = (lams[0.25] - lams[0.5]) / math.log(2.0)
         assert abs(slope - 1.0) <= 0.2
+
+    def test_one_eps_is_refused(self):
+        sys = full_shift()
+        with pytest.raises(ConfigurationError, match="at least 2 eps"):
+            subset_mdim(sys, sys.enumerate_points(2), Potential.constant(0.0),
+                        COVER_M, [0.6, 0.6], n_max=3)
 
     def test_bs_unit_phi_matches_bowen_per_eps(self):
         sys = full_shift()

@@ -90,7 +90,7 @@ class TestNumberParsing:
 class TestConfig:
     def test_roundtrip(self):
         cfg = load_config_text(BASE_CONFIG)
-        assert cfg.seed == 1234
+        assert cfg.measure.seed == 1234
         assert cfg.eps_schedule == (0.6, 0.3, 0.15)
         system = cfg.build_system()
         x = system.points([[0]])
@@ -100,7 +100,7 @@ class TestConfig:
     def test_point_mass_sits_on_the_zero_word(self):
         cfg = load_config_text(BASE_CONFIG + "\n[measure]\nkind = point-mass\n")
         system = cfg.build_system()
-        mu = cfg.build_measure(system)
+        mu = cfg.measure
         assert mu.support == system.points([[0] * system.word_length])
         assert mu.support_weights == (1.0,) and mu.seed == 1234
 
@@ -180,6 +180,12 @@ LOAD_TIME_KEYS = [
      "estimate-mdim"),
     ("[run]", "[entropy]\nx_samples = many\n\n[run]", "x_samples",
      "estimate-mdim"),
+    ("T = 2.5 3.5 4.5", "T = 2.5 3.5 4.5\ndelta = 2", "delta",
+     "subset-dim"),
+    ("T = 2.5 3.5 4.5", "T = 2.5 3.5 4.5\neta = 0.5 -0.25", "eta",
+     "subset-dim"),
+    ("[run]", "[subset-dim]\ndepth = 0\n\n[run]", "depth", "entropy"),
+    ("[run]", "[subset-dim]\nn_max = 0\n\n[run]", "n_max", "entropy"),
 ]
 
 
@@ -725,6 +731,13 @@ FUZZ_FOUND = [
     ("bs-order-past-window", "shift.cfg", "n = 2 3 4 5",
      "n = 2 3 4 99999999999999999999", "entropy --quantity bs",
      "too far past the window"),
+    # once a numpy ValueError: np.min_scalar_type(-k) is object past int64
+    ("int64-alphabet", "grid.cfg", "alphabet_size = per-scale",
+     "alphabet_size = 99999999999999999999", "estimate-mdim",
+     "do not fit the int64 symbol matrix"),
+    ("alphabet-past-the-cap", "shift.cfg", "alphabet_size = 2",
+     "alphabet_size = 3000000", "induced-mdim",
+     "exceed the enumeration cap 2000000"),
 ]
 
 
@@ -737,6 +750,45 @@ def test_fuzz_found_input_exits_1(tmp_path, capsys, name, old, new, command,
     assert text.count(old) == 1
     path = tmp_path / "bad.cfg"
     path.write_text(text.replace(old, new))
+    code = main([*command.split(), "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+# (name, edit of shift.cfg, command): each once exited 0, as the command
+# never built the model the bad key describes; the config now builds its
+# system and measure at load, so no command runs
+BAD_MODELS = [
+    ("binomial-measure", ("kind = bernoulli", "kind = binomial"),
+     "subset-dim --structure bowen", "unknown measure kind 'binomial'"),
+    ("unnormalised-p", ("p = 0.5 0.5", "p = 0.9 0.5"), "induced-mdim",
+     "probability vector must sum to 1"),
+    ("sideways", ("sidedness = one-sided", "sidedness = sideways"),
+     "verify --suite counting", "unknown sidedness 'sideways'"),
+    ("delta-past-1", ("delta = 0.5", "delta = 2"),
+     "subset-dim --structure bowen", "[schedules] delta must lie in (0, 1)"),
+    ("negative-seed-flag", None, "subset-dim --structure bowen --seed -1",
+     "seed must be non-negative, got -1"),
+]
+
+
+@pytest.mark.parametrize("edit,command,message",
+                         [case[1:] for case in BAD_MODELS],
+                         ids=[case[0] for case in BAD_MODELS])
+def test_bad_model_exits_1_at_load(tmp_path, capsys, monkeypatch, edit,
+                                   command, message):
+    from mmdim import cli
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    if edit:
+        assert text.count(edit[0]) == 1
+        text = text.replace(*edit)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    # a command that ran would fail here with a TypeError
+    monkeypatch.setattr(cli, "COMMANDS", dict.fromkeys(cli.COMMANDS))
+    monkeypatch.setattr(cli, "cmd_verify", None)
     code = main([*command.split(), "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 1

@@ -49,6 +49,14 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ShiftSystem(weight_base=1.0, window=12)
 
+    def test_symbols_fit_int64(self):
+        # symbols and their differences lie in -k..k, which int64 holds
+        # up to k = 2^63; past it numpy's symbol dtype was ``object``
+        assert ShiftSystem(alphabet_size=2 ** 63).symbol_dtype == np.int64
+        for k in (2 ** 63 + 1, 10 ** 20):
+            with pytest.raises(ConfigurationError, match="int64"):
+                ShiftSystem(alphabet_size=k)
+
 
 class TestMetric:
     def test_identity(self):
