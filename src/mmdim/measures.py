@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bowen import centre_exits, greedy_separated, pool_exits
+from .bowen import _prefix_runs, centre_exits, greedy_separated, pool_exits
 from .errors import ConfigurationError, PoolInsufficientError
 from .pressure import DimensionEstimate, _slope, log_eps_fit
 from .solvers import greedy_mass_cover, min_weight_cover
@@ -227,7 +227,7 @@ def _choice_into(rng: np.random.Generator, p: Sequence[float],
     lo = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int64)
     steps = int((np.searchsorted(cdf, edges[1:], side="left") - lo).max())
     ext = np.append(cdf, np.inf)  # the sentinel stops g at k
-    rows = max(1, SAMPLE_CHUNK // math.prod(out.shape[1:]))
+    rows = max(1, SAMPLE_CHUNK // max(1, math.prod(out.shape[1:])))
     for start in range(0, len(out), rows):
         u = rng.random(out[start:start + rows].shape)
         g = lo[(u * buckets).astype(np.int64)]
@@ -360,7 +360,10 @@ def estimate_ball_mass(measure: MeasureModel, x: Points, n: int,
 
     The samples depend on the stream and not on n, so one draw serves
     every order: the hit counts at all orders 1..window are computed
-    together and memoised per (measure, x, eps, samples, stream).  With
+    together and memoised per (measure, x, eps, samples, stream).  Each
+    block of samples draws its origin column first, then the other
+    coordinates of the rows in x's origin cylinder only (``_sampled_hits``);
+    the rows outside it lie in no ball under the cylinder rule.  With
     zero hits only the upper end of the interval is informative; the
     estimate is flagged and the lower end set to 0.  An order past the
     window's reliable depth at ``eps`` raises ``WindowExhaustedError``.
@@ -387,20 +390,32 @@ def _sampled_hits(measure: MeasureModel, x: Points, eps: float,
     """Sampled hit counts of B_n(x, eps) at every order n = 1..n_max.
 
     The samples come in 20,000-row blocks, block ``bi`` from stream
-    ``stream * 1000 + bi``.  A sample is inside B_n(x, eps) when its open
-    exit order (``centre_exits``) is above n, so one call per block serves
+    ``stream * 1000 + bi``.  A block draws the origin coordinate of every
+    sample first.  Under the cylinder rule a sample outside x's origin
+    cylinder exits at order 1 whatever else it holds, so only the samples
+    inside draw their other ``word_length - 1`` coordinates, next from the
+    same generator; without the rule every sample does.  A product
+    measure's coordinates are independent, so the hits have the law of
+    whole-row draws.  A sample is inside B_n(x, eps) when its open exit
+    order (``centre_exits``) is above n, so one call per block serves
     every order.
     """
     sys = measure.system
     center = _centre_row(sys, x)
-    exited = np.zeros(n_max + 2, dtype=np.int64)  # samples per exit order
+    o, dtype = sys.origin_index, sys.symbol_dtype
+    cylinder = _prefix_runs(sys, center, 1, eps) is not None
+    exited = np.zeros(n_max + 2, dtype=np.int64)  # rows per exit order
     block = 20_000
     for bi, done in enumerate(range(0, samples, block)):
-        Y = measure.sample_matrix(min(block, samples - done),
-                                  stream=stream * 1000 + bi)
-        exits = centre_exits(sys, center, Y, eps, n_max)
-        exited += np.bincount(exits, minlength=n_max + 2)
-        del Y, exits  # free this block before the next one is drawn
+        count = min(block, samples - done)
+        rng = measure.rng(stream * 1000 + bi)
+        origin = _choice_into(rng, measure.p, np.empty(count, dtype=dtype))
+        if cylinder:
+            origin = origin[origin == center[0, o]]
+        rest = np.empty((len(origin), sys.word_length - 1), dtype=dtype)
+        Y = np.insert(_choice_into(rng, measure.p, rest), o, origin, axis=1)
+        exited += np.bincount(centre_exits(sys, center, Y, eps, n_max),
+                              minlength=n_max + 2)
     inside = np.cumsum(exited[::-1])[::-1]  # samples exiting at n or later
     return tuple(inside[2:].tolist())
 

@@ -4,7 +4,9 @@ One record per grid cell.  ``cli.main`` alone makes them, from the rows
 each command returns, so every record of a run carries the same timestamp.
 Values are rounded through ``repr`` of the float, so identical runs
 produce byte-identical lines; the timestamp is excluded from equality
-comparisons.
+comparisons.  A record holding NaN or an infinity, which JSON has no
+value for, is refused with ``ConfigurationError`` when it is serialised,
+so no file is opened for a run that has one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
+
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,13 @@ class ResultRecord:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True)
+        try:
+            return json.dumps(self.payload(), sort_keys=True,
+                              allow_nan=False)
+        except ValueError as exc:  # NaN or an infinity
+            raise ConfigurationError(
+                f"{self.quantity} record at {self.keys} is not finite "
+                f"(value {self.value!r}, ci {self.ci!r})") from exc
 
 
 def write_jsonl(records: Sequence[ResultRecord], path: str | None,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -23,6 +24,7 @@ from mmdim.caratheodory import STRUCTURES
 from mmdim.cli import build_parser, main
 from mmdim.config import load_config_text, parse_number
 from mmdim.errors import ConfigurationError
+from mmdim.records import ResultRecord, write_jsonl
 from mmdim.systems import birkhoff_sums
 
 BASE_CONFIG = """\
@@ -948,6 +950,39 @@ def test_huge_potential_values_end_cleanly(tmp_path, value):
             assert rows and all(math.isfinite(r["value"]) for r in rows)
         elif value == "1e308":
             assert "[potential.phi] overflows" in proc.stderr
+
+
+def test_records_refuse_non_finite_values(tmp_path):
+    ok = ResultRecord("entropy", "cfg", "bs-lower", {"eps": 0.6}, 0.5, False,
+                      (0.25, 0.75))
+    out = tmp_path / "records.jsonl"
+    for value, ci in ((math.inf, (0.25, 0.75)), (0.5, (0.25, math.nan)),
+                      (-math.inf, None)):
+        bad = dataclasses.replace(ok, value=value, ci=ci)
+        with pytest.raises(ConfigurationError,
+                           match=r"bs-lower record at \{'eps': 0.6\} is not"):
+            write_jsonl([ok, bad], str(out))
+        assert not out.exists()  # refused before the file is opened
+    write_jsonl([ok], str(out))
+    assert json.loads(out.read_text())["ci_hi"] == 0.75
+
+
+def test_non_finite_bs_records_exit_1(tmp_path):
+    # at seed 4 one sampled point's Birkhoff span under phi = (1e300, 0.9)
+    # rounds to 0, and its rate is infinite; the run once exited 0 with
+    # "value": Infinity and "ci_hi": NaN in its records, which are not JSON
+    text = (BENCH_CONFIGS / "shift.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("values = 0.4 0.9", "values = 1e300 0.9"))
+    out = tmp_path / "records.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmdim.cli", "entropy", "--quantity", "bs",
+         "--seed", "4", "--config", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=fresh_env(), timeout=300)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "error: bs-lower record at {'eps': 0.6} is not finite" \
+        in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edits,where", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmdim import bowen, measures
-from mmdim.bowen import ball_masks, max_separated
+from mmdim.bowen import ball_masks, centre_exits, max_separated
 from mmdim.errors import (ConfigurationError, PoolInsufficientError,
                           WindowExhaustedError)
 from mmdim.measures import (
@@ -331,7 +332,11 @@ class TestEstimateBallMass:
         product = MeasureModel.product_uniform(sys, seed=3)
         x = product.sample_points(1, stream=4)[0]
         point = MeasureModel.point_mass(sys, x)
-        assert estimate_ball_mass(product, x, 8, eps, samples=2000).hits > 0
+        est = estimate_ball_mass(product, x, 8, eps, samples=2000)
+        assert 0 <= est.hits <= est.samples == 2000
+        assert est.p_hat == est.hits / 2000
+        assert est.ci == wilson_interval(est.hits, 2000)
+        assert est.zero_hits == (est.hits == 0)
         assert point.empirical_ball_mass(x, 8, eps) == 1.0
         for n in (9, 12):
             for mu in (product, point):
@@ -354,12 +359,38 @@ class TestEstimateBallMass:
 
 
 def _reference_hits(mu, x, n, eps, samples, stream):
-    """Hits of B_n(x, eps) summed over the estimator's sample blocks."""
+    """Hits of B_n(x, eps) over the estimator's sample blocks, drawn as it
+    draws them: the origin column by ``Generator.choice``, then the other
+    coordinates of the rows in x's origin cylinder (every row without the
+    cylinder rule).  The rows outside it are completed from an independent
+    stream and counted too, so a hit the estimator skips would show."""
     sys = mu.system
+    k, L, o = sys.alphabet_size, sys.word_length, sys.origin_index
+    floor = 1.0 if sys.symbol_metric == DISCRETE else 1.0 / k
+    p = np.asarray(mu.p)
     hits, C = 0, x.symbols
     for bi, done in enumerate(range(0, samples, 20_000)):
-        Y = mu.sample_matrix(min(20_000, samples - done), stream * 1000 + bi)
+        count = min(20_000, samples - done)
+        rng = mu.rng(stream * 1000 + bi)
+        Y = np.empty((count, L), dtype=np.int64)
+        Y[:, o] = rng.choice(k, size=count, p=p)
+        drawn = Y[:, o] == C[0, o] if eps <= floor else np.ones(count, bool)
+        others = np.arange(L) != o
+        Y[np.ix_(drawn, others)] = rng.choice(
+            k, size=(int(drawn.sum()), L - 1), p=p)
+        filler = np.random.default_rng((stream, bi))
+        Y[np.ix_(~drawn, others)] = filler.choice(
+            k, size=(count - int(drawn.sum()), L - 1), p=p)
         hits += int(ball_masks(sys, C, Y, n, eps).sum())
+    return hits
+
+
+def _full_row_hits(mu, x, n, eps, samples, stream):
+    """Hits of B_n(x, eps) over whole sampled rows (``sample_matrix``)."""
+    hits = 0
+    for bi, done in enumerate(range(0, samples, 20_000)):
+        Y = mu.sample_matrix(min(20_000, samples - done), stream * 1000 + bi)
+        hits += int(ball_masks(mu.system, x.symbols, Y, n, eps).sum())
     return hits
 
 
@@ -374,12 +405,22 @@ _MEMO_MODELS = {
                       None, 0.25),
     "bernoulli": (full_shift(k=3, window=12), (0.2, 0.5, 0.3), 0.6),
 }
+# and two at the symbol floor, where the ball-mass estimator draws in full
+# only the rows in the centre's origin cylinder
+_BALL_MODELS = {
+    **_MEMO_MODELS,
+    "grid-k3-floor": (ShiftSystem(kind="grid-shift", alphabet_size=3,
+                                  window=12, eps_min=0.1), None, 1.0 / 3),
+    "grid-k5-two-sided-floor": (ShiftSystem(
+        kind="grid-shift", alphabet_size=5, window=12,
+        sidedness="two-sided", eps_min=0.1), None, 0.2),
+}
 
 
 class TestBallMassMemo:
-    @pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+    @pytest.mark.parametrize("name", sorted(_BALL_MODELS))
     def test_every_order_matches_per_order_masks(self, name):
-        sys, p, eps = _MEMO_MODELS[name]
+        sys, p, eps = _BALL_MODELS[name]
         mu = (MeasureModel.product_uniform(sys, seed=17) if p is None
               else MeasureModel.bernoulli(sys, p, seed=17))
         x = mu.sample_points(1, stream=5)[0]
@@ -404,20 +445,79 @@ class TestBallMassMemo:
         eps = 2.0 ** -4
         mu = MeasureModel.product_uniform(grid_system(eps), seed=5)
         x = mu.sample_points(1, stream=3)[0]
-        calls = []
-        draw = MeasureModel.sample_matrix
+        streams, origins = [], []
+        rng, choice_into = MeasureModel.rng, measures._choice_into
 
-        def counted(self, count, stream=0):
-            calls.append(count)
-            return draw(self, count, stream)
+        def counted_rng(self, stream=0):
+            streams.append(stream)
+            return rng(self, stream)
 
-        monkeypatch.setattr(MeasureModel, "sample_matrix", counted)
+        def counted_draws(gen, p, out):
+            if out.ndim == 1:
+                origins.append(len(out))
+            return choice_into(gen, p, out)
+
+        monkeypatch.setattr(MeasureModel, "rng", counted_rng)
+        monkeypatch.setattr(measures, "_choice_into", counted_draws)
         measures._sampled_hits.cache_clear()
         samples = 50_000
         for n in range(1, 7):
             estimate_ball_mass(mu, x, n, eps, samples=samples, stream=2)
-        assert len(calls) == math.ceil(samples / 20_000)
-        assert sum(calls) == samples
+        assert streams == [2000, 2001, 2002]  # one generator per block
+        assert origins == [20_000, 20_000, 10_000]
+
+    @pytest.mark.parametrize("name", sorted(_BALL_MODELS))
+    def test_hits_calibrated_against_full_rows(self, name):
+        # the origin-first draw and whole rows, on independent streams,
+        # agree under a two-sample binomial z-test, Bonferroni over the
+        # 4 orders of each of the models (fixed seeds, so no flake)
+        sys, p, eps = _BALL_MODELS[name]
+        mu = (MeasureModel.product_uniform(sys, seed=23) if p is None
+              else MeasureModel.bernoulli(sys, p, seed=23))
+        x = mu.sample_points(1, stream=5)[0]
+        samples, orders = 60_000, (1, 2, 3, 5)
+        z = statistics.NormalDist().inv_cdf(
+            1 - 0.01 / (2 * len(orders) * len(_BALL_MODELS)))
+        for n in orders:
+            a = estimate_ball_mass(mu, x, n, eps, samples=samples,
+                                   stream=3).hits
+            b = _full_row_hits(mu, x, n, eps, samples, stream=4)
+            pooled = (a + b) / (2 * samples)
+            if 0 < pooled < 1:
+                se = math.sqrt(pooled * (1 - pooled) * 2 / samples)
+                assert abs(a - b) / samples <= z * se, (n, a, b)
+            else:
+                assert a == b, (n, a, b)
+
+
+@pytest.mark.parametrize("metric", [DISCRETE, ABSOLUTE])
+@pytest.mark.parametrize("sidedness", ["one-sided", "two-sided"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["below", "at", "above"]))
+def test_rows_outside_the_origin_cylinder_exit_at_order_1(
+        sidedness, metric, k, window, seed, where):
+    sys = ShiftSystem(kind="full-shift", alphabet_size=k, window=window,
+                      sidedness=sidedness, symbol_metric=metric,
+                      eps_min=40.0 * 0.5 ** window)
+    o = sys.origin_index
+    floor = 1.0 if metric == DISCRETE else 1.0 / k
+    eps = {"below": float(np.nextafter(floor, 0.0)), "at": floor,
+           "above": float(np.nextafter(floor, 2.0))}[where]
+    mu = MeasureModel.product_uniform(sys, seed=seed % 1000)
+    x = mu.sample_points(1, stream=1)[0]
+    # the estimator skips a row's completion only under the cylinder rule
+    shortcut = bowen._prefix_runs(sys, x.symbols, 1, eps) is not None
+    assert shortcut == (where != "above")
+    rng = np.random.default_rng(seed)
+    Y = rng.integers(0, k, size=(200, sys.word_length))
+    Y[:, o] = (x.symbols[0, o] + rng.integers(1, k, size=200)) % k
+    if shortcut:  # every completion of an outside row leaves at order 1
+        assert not ball_masks(sys, x.symbols, Y, 1, eps).any()
+        assert (centre_exits(sys, x.symbols, Y, eps, window) == 1).all()
+    hits = measures._sampled_hits(mu, x, eps, 500, window, 9)
+    assert hits == tuple(_reference_hits(mu, x, n, eps, 500, 9)
+                         for n in range(1, window + 1))
 
 
 class TestCentre:
@@ -436,7 +536,7 @@ class TestCentre:
         x = pool[1]
         est = estimate_ball_mass(mu, x, 2, eps, samples=20_000, stream=5)
         assert (est.hits, est.p_hat, est.ci) == (
-            17, 0.00085, (0.00045961106902227245, 0.0015714599637142114))
+            18, 0.0009, (0.0004949059096731796, 0.0016361319595821124))
         assert ball_mass_bracket(mu, x, 3, eps) == (6.044793084158974e-26,
                                                     0.125)
         assert exact_cylinder_bracket(mu, x, 3, eps) == (
